@@ -4,17 +4,18 @@ single-user TXOPs with A-MPDU aggregation and selective block-ack retry."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .core import SIFS, TXOP_LIMIT
 from .frames import (BA_BYTES, CTS_BYTES, RTS_BYTES, Ampdu, Mpdu,
                      data_duration_ns, legacy_frame_duration_ns, mpdus_that_fit)
-from .phy import CCA_THRESHOLD_DBM, LEGACY_PPDU, PpduFormat
+from .phy import LEGACY_PPDU, Mcs, PpduFormat
+
+if TYPE_CHECKING:
+    from .engine import CbrFlow, SimNode
 
 CW_MIN = 15
 CW_MAX = 1023
-
-IDLE = "idle"
-BUSY = "busy"
 
 DEFAULT_AMPDU_CAP = 64     # baseline scheme; the HE cap is configured separately
 
@@ -42,28 +43,18 @@ class BackoffState:
         self.cw = min(2 * (self.cw + 1) - 1, self.cw_max)
 
 
-def carrier_sense_step(rx_energy_dbm: float, nav_busy: bool,
-                       threshold_dbm: float = CCA_THRESHOLD_DBM) -> str:
-    """Physical + virtual CS; the threshold itself counts as busy."""
-    if nav_busy or rx_energy_dbm >= threshold_dbm:
-        return BUSY
-    return IDLE
-
-
 @dataclass
 class Txop:
-    holder: int
-    limit_ns: int = TXOP_LIMIT
-    used_ns: int = 0
+    """A running TXOP: its holder, the instant its reservation ends, and
+    whether any data got through yet.  A single-user exchange also fixes its
+    peer, the flow it serves and the link (MCS, data bits per symbol)."""
 
-    @property
-    def remaining_ns(self) -> int:
-        return self.limit_ns - self.used_ns
-
-    def spend(self, duration_ns: int) -> None:
-        self.used_ns += duration_ns
-        if self.used_ns > self.limit_ns:
-            raise ValueError("TXOP budget exceeded")
+    holder: SimNode
+    deadline_ns: int
+    any_data: bool = False
+    peer: SimNode | None = None
+    flow: CbrFlow | None = None
+    link: tuple[Mcs, float] | None = None
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,6 @@ import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import MS, US
-
 INDOOR_SINGLE = "indoor_single"
 OUTDOOR_SINGLE = "outdoor_single"
 INDOOR_MULTI = "indoor_multi"
@@ -29,7 +27,6 @@ class Scheme(str, Enum):
     AC_BASELINE = "ac_baseline"
     AX_OFDMA = "ax_ofdma"
     AX_OFDMA_MUMIMO = "ax_ofdma_mumimo"
-    AX_NO_SR = "ax_no_sr"
     AX_SR = "ax_sr"
 
 
@@ -49,7 +46,6 @@ SCHEME_FEATURES = {
     Scheme.AC_BASELINE: SchemeFeatures(False, False, False, max_mcs=9, ampdu_cap=64),
     Scheme.AX_OFDMA: SchemeFeatures(True, False, False, max_mcs=11, ampdu_cap=256),
     Scheme.AX_OFDMA_MUMIMO: SchemeFeatures(True, True, False, max_mcs=11, ampdu_cap=256),
-    Scheme.AX_NO_SR: SchemeFeatures(True, False, False, max_mcs=11, ampdu_cap=256),
     Scheme.AX_SR: SchemeFeatures(True, False, True, max_mcs=11, ampdu_cap=256),
 }
 
@@ -60,26 +56,18 @@ class RadioSection:
     sta_tx_power_dbm: float = 18.0
     ap_antennas: int = 8
     sta_antennas: int = 4
-    antenna_height_m: float = 1.5
     frequency_ghz: float = 5.57
     noise_figure_db: float = 7.0
 
 
 @dataclass
 class MacSection:
-    sifs_us: int = 16
-    difs_us: int = 34
-    slot_us: int = 9
     cw_min: int = 15
     cw_max: int = 1023
     txop_limit_us: int = 3008
     ocw_min: int = 7
     ocw_max: int = 31
-    ampdu_cap_ac: int = 64
-    ampdu_cap_ax: int = 256
     ra_ru_fraction: float = 0.0
-    mu_rts_protection: bool = False
-    beacon_interval_ms: int = 100
     uora_boundary_eligible: bool = True
 
 
@@ -99,7 +87,6 @@ class PhySection:
 
 @dataclass
 class SrSection:
-    enabled: bool = False
     obss_pd_min_dbm: float = -82.0
     obss_pd_max_dbm: float = -62.0
     txpwr_ref_dbm: float = 21.0

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import frames, mu, phy, ru, spatial
-from .baseline import BackoffState
+from .baseline import BackoffState, Txop
 from .config import DL, UL, ScenarioConfig, Scheme, scheme_features
 from .core import DIFS, SIFS, SLOT_TIME, US, RngSet, Simulator
 from .frames import Mpdu
@@ -207,10 +207,8 @@ class BssEngine:
         self.rng_per = ctx.rng.stream(f"per-{bss_id}")
         self.rng_sched = ctx.rng.stream(f"sched-{bss_id}")
         self.rng_uora = ctx.rng.stream(f"uora-{bss_id}")
-        self._blocked: dict[int, bool] = {}
         self.contenders: dict[int, Contender] = {}
         self.dl_flows: dict[int, CbrFlow] = {}
-        self.txop_gen = 0
 
     # --- carrier sensing / classification -----------------------------------------
 
@@ -224,6 +222,10 @@ class BssEngine:
     def cs_state(self, node: SimNode) -> tuple[bool, float | None]:
         """(blocked, SR power cap).  A frame blocks when its energy crosses the
         threshold its classification selects."""
+        # SR deferral stays inline rather than going through
+        # spatial.sr_decision: this caps the power at the OBSS_PD boundary the
+        # sensed level allows, while sr_decision tests a given candidate power
+        # strictly against it, so the two give different results.
         cap: float | None = None
         for tx, p in self.medium.sensed(node.node_id, self.sim.now):
             if p < self.cfg.phy.cca_threshold_dbm:
@@ -319,12 +321,53 @@ class BssEngine:
             return False
         desired = self.medium.rx_power_dbm(
             tx.tx_node, node.node_id, tx.power_per_subchannel_dbm())
-        sinr = self.medium.sinr_db(tx, node.node_id, desired,
-                                   20e6, 0)
+        return self.mcs0_decodes(
+            self.medium.sinr_db(tx, node.node_id, desired, 20e6, 0), n_bytes)
+
+    def mcs0_decodes(self, sinr: float | None, n_bytes: int) -> bool:
+        """One rng_per draw against the MCS0 PER of an n_bytes frame; a hard
+        corruption (sinr None) fails without a draw."""
         if sinr is None:
             return False
         p_err = self.ctx.per_model.per(sinr, phy.Mcs(0), 8 * n_bytes)
         return self.rng_per.random() >= p_err
+
+    def mpdu_outcomes(self, flow: CbrFlow, mpdus: list[Mpdu], eff_sinr: float | None,
+                      mcs: phy.Mcs) -> tuple[list[Mpdu], list[Mpdu]]:
+        """Per-MPDU PER draws from rng_per in order, delivering each survivor;
+        returns (survivors, failed).  A hard corruption (eff_sinr None) fails
+        every MPDU without a draw."""
+        stats = self.ctx.stats[flow.flow_id]
+        stats.mpdu_attempts += len(mpdus)
+        if eff_sinr is None:
+            stats.mpdu_failures += len(mpdus)
+            return [], list(mpdus)
+        survivors: list[Mpdu] = []
+        failed: list[Mpdu] = []
+        for m in mpdus:
+            if self.rng_per.random() >= self.ctx.per_model.per(eff_sinr, mcs,
+                                                               m.onair_bits):
+                survivors.append(m)
+                self.ctx.deliver(flow, m)
+            else:
+                failed.append(m)
+        stats.mpdu_failures += len(failed)
+        return survivors, failed
+
+    # --- TXOP end -------------------------------------------------------------------
+
+    def _finish_txop(self, txop: Txop, success: bool) -> None:
+        holder = txop.holder
+        holder.in_txop = False
+        contender = self.contenders[holder.node_id]
+        contender.redraw(success)
+        if success and txop.deadline_ns - self.sim.now > \
+                frames.legacy_frame_duration_ns(frames.CF_END_BYTES):
+            cf = self.send_control(holder, "cf-end", frames.CF_END_BYTES,
+                                   self.sim.now, nav_ns=0)
+            self.medium.transmit(cf)
+        if self.has_work(holder):
+            contender.start()
 
     # --- traffic wiring -----------------------------------------------------------------
 
@@ -343,6 +386,10 @@ class BssEngine:
             self.ctx.stats[sta.node_id] = FlowStats()
 
     def kick(self) -> None:
+        raise NotImplementedError
+
+    def has_work(self, node: SimNode) -> bool:
+        """Whether node has traffic to contend for once its TXOP ends."""
         raise NotImplementedError
 
     def on_backoff_complete(self, node: SimNode) -> None:
@@ -406,54 +453,50 @@ class AcBssEngine(BssEngine):
             peer, flow = self.ap, holder.flow
             if flow.backlog_count(now) == 0:
                 return
-        self.txop_gen += 1
         holder.in_txop = True
-        state = {
-            "gen": self.txop_gen, "holder": holder, "peer": peer, "flow": flow,
-            "deadline": now + self.cfg.mac.txop_limit_us * US,
-            "mcs_bps": self._link(holder, peer), "any_data": False,
-        }
+        txop = Txop(holder, now + self.cfg.mac.txop_limit_us * US, peer=peer,
+                    flow=flow, link=self._link(holder, peer))
         rts = self.send_control(holder, "rts", frames.RTS_BYTES, now,
-                                nav_ns=state["deadline"] - now,
+                                nav_ns=txop.deadline_ns - now,
                                 involves=frozenset({peer.node_id}))
         self.medium.transmit(rts)
         self.sim.at(rts.end_ns, "rts-end", holder.node_id,
-                    lambda: self._rts_done(state, rts))
+                    lambda: self._rts_done(txop, rts))
 
-    def _rts_done(self, state, rts) -> None:
-        peer = state["peer"]
+    def _rts_done(self, txop: Txop, rts) -> None:
+        peer = txop.peer
         if self.control_decodes(rts, peer, frames.RTS_BYTES):
             start = self.sim.now + SIFS
             cts = self.send_control(peer, "cts", frames.CTS_BYTES, start,
-                                    nav_ns=state["deadline"] - start,
-                                    involves=frozenset({state["holder"].node_id}))
+                                    nav_ns=txop.deadline_ns - start,
+                                    involves=frozenset({txop.holder.node_id}))
             self.medium.transmit(cts)
             self.sim.at(cts.end_ns, "cts-end", peer.node_id,
-                        lambda: self._cts_done(state, cts))
+                        lambda: self._cts_done(txop, cts))
         else:
             timeout = self.sim.now + SIFS + \
                 frames.legacy_frame_duration_ns(frames.CTS_BYTES) + SLOT_TIME
-            self.sim.at(timeout, "cts-timeout", state["holder"].node_id,
-                        lambda: self._finish_txop(state, success=False))
+            self.sim.at(timeout, "cts-timeout", txop.holder.node_id,
+                        lambda: self._finish_txop(txop, success=False))
 
-    def _cts_done(self, state, cts) -> None:
-        if self.control_decodes(cts, state["holder"], frames.CTS_BYTES):
-            self._data_round(state)
+    def _cts_done(self, txop: Txop, cts) -> None:
+        if self.control_decodes(cts, txop.holder, frames.CTS_BYTES):
+            self._data_round(txop)
         else:
-            self._finish_txop(state, success=False)
+            self._finish_txop(txop, success=False)
 
-    def _data_round(self, state) -> None:
+    def _data_round(self, txop: Txop) -> None:
         now = self.sim.now
-        holder, flow = state["holder"], state["flow"]
-        mcs, bps = state["mcs_bps"]
+        holder, flow = txop.holder, txop.flow
+        mcs, bps = txop.link
         ba_ns = frames.legacy_frame_duration_ns(frames.BA_BYTES)
-        budget = state["deadline"] - now - 2 * SIFS - ba_ns
+        budget = txop.deadline_ns - now - 2 * SIFS - ba_ns
         mpdu_bits = Mpdu(0, self.cfg.packet_bytes, 0).onair_bits
         n = frames.mpdus_that_fit(budget, self.data_ppdu, bps, mpdu_bits,
                                   min(self.features.ampdu_cap,
                                       flow.backlog_count(now)), he=False)
         if n < 1:
-            self._finish_txop(state, success=True)
+            self._finish_txop(txop, success=True)
             return
         mpdus = flow.take(now, n)
         start = now + SIFS
@@ -463,73 +506,47 @@ class AcBssEngine(BssEngine):
         tx = Transmission(0, holder.node_id, self.bss_id, "ampdu", start,
                           start + duration, self.ctx.subchannels,
                           self.node_power(holder), color=holder.color,
-                          nav_duration_ns=state["deadline"] - (start + duration),
-                          involves=frozenset({state["peer"].node_id}))
+                          nav_duration_ns=txop.deadline_ns - (start + duration),
+                          involves=frozenset({txop.peer.node_id}))
         self.medium.transmit(tx)
         self.sim.at(tx.end_ns, "ampdu-end", holder.node_id,
-                    lambda: self._data_done(state, tx, mpdus, mcs))
+                    lambda: self._data_done(txop, tx, mpdus, mcs))
 
-    def _data_done(self, state, tx, mpdus, mcs) -> None:
-        peer = state["peer"]
-        stats = self.ctx.stats[state["flow"].flow_id]
+    def _data_done(self, txop: Txop, tx, mpdus, mcs) -> None:
+        peer = txop.peer
         desired = self.medium.rx_power_dbm(tx.tx_node, peer.node_id, tx.power_dbm)
         band = self.cfg.bandwidth_mhz * 1e6
         sinr = self.medium.sinr_db(tx, peer.node_id, desired, band, 0)
-        survivors: list[Mpdu] = []
+        eff = None
         if sinr is not None and not peer.power.dozing:
             eff = sinr + phy.array_gain_db(peer.antennas, self.nss)
-            for m in mpdus:
-                stats.mpdu_attempts += 1
-                if self.rng_per.random() >= self.ctx.per_model.per(eff, mcs, m.onair_bits):
-                    survivors.append(m)
-                    self.ctx.deliver(state["flow"], m)
-                else:
-                    stats.mpdu_failures += 1
-        else:
-            stats.mpdu_attempts += len(mpdus)
-            stats.mpdu_failures += len(mpdus)
+        survivors, failed = self.mpdu_outcomes(txop.flow, mpdus, eff, mcs)
         if not survivors:
-            state["flow"].requeue(mpdus)
-            self._finish_txop(state, success=state["any_data"])
+            txop.flow.requeue(mpdus)
+            self._finish_txop(txop, success=txop.any_data)
             return
-        state["any_data"] = True
-        failed = [m for m in mpdus if m not in survivors]
+        txop.any_data = True
         start = self.sim.now + SIFS
         ba = self.send_control(peer, "ba", frames.BA_BYTES, start,
-                               nav_ns=max(0, state["deadline"] - start),
-                               involves=frozenset({state["holder"].node_id}))
+                               nav_ns=max(0, txop.deadline_ns - start),
+                               involves=frozenset({txop.holder.node_id}))
         self.medium.transmit(ba)
         self.sim.at(ba.end_ns, "ba-end", peer.node_id,
-                    lambda: self._ba_done(state, ba, failed, mpdus))
+                    lambda: self._ba_done(txop, ba, failed, mpdus))
 
-    def _ba_done(self, state, ba, failed, sent) -> None:
-        flow = state["flow"]
-        if self.control_decodes(ba, state["holder"], frames.BA_BYTES):
-            flow.requeue(failed)
-            self._data_round(state)
+    def _ba_done(self, txop: Txop, ba, failed, sent) -> None:
+        if self.control_decodes(ba, txop.holder, frames.BA_BYTES):
+            txop.flow.requeue(failed)
+            self._data_round(txop)
         else:
-            flow.requeue(sent)     # sender cannot confirm anything
-            self._finish_txop(state, success=False)
+            txop.flow.requeue(sent)     # sender cannot confirm anything
+            self._finish_txop(txop, success=False)
 
-    def _finish_txop(self, state, success: bool) -> None:
-        holder = state["holder"]
-        holder.in_txop = False
-        contender = self.contenders[holder.node_id]
-        contender.redraw(success)
-        if success and state["deadline"] - self.sim.now > \
-                frames.legacy_frame_duration_ns(frames.CF_END_BYTES):
-            cf = self.send_control(holder, "cf-end", frames.CF_END_BYTES,
-                                   self.sim.now, nav_ns=0)
-            self.medium.transmit(cf)
-        self._poll_after_txop(holder)
-
-    def _poll_after_txop(self, holder: SimNode) -> None:
+    def has_work(self, node: SimNode) -> bool:
         now = self.sim.now
-        if holder.is_ap:
-            if any(f.backlog_count(now) > 0 for f in self.dl_flows.values()):
-                self.contenders[holder.node_id].start()
-        elif holder.flow.backlog_count(now) > 0:
-            self.contenders[holder.node_id].start()
+        if node.is_ap:
+            return any(f.backlog_count(now) > 0 for f in self.dl_flows.values())
+        return node.flow.backlog_count(now) > 0
 
 
 # --- 802.11ax MU schemes --------------------------------------------------------------------
@@ -560,12 +577,13 @@ class AxBssEngine(BssEngine):
         self.sim.at(0, "kick", self.ap.node_id, self._poll_traffic)
 
     def _poll_traffic(self) -> None:
-        if self._have_work():
+        if self.has_work(self.ap):
             self.contenders[self.ap.node_id].start()
         self.sim.after(self.ctx.poll_interval_ns, "traffic-poll",
                        self.ap.node_id, self._poll_traffic)
 
-    def _have_work(self) -> bool:
+    def has_work(self, node: SimNode) -> bool:
+        """Only the AP contends; it has work while any flow of the BSS does."""
         now = self.sim.now
         if self.cfg.direction == DL:
             return any(f.backlog_count(now) > 0 for f in self.dl_flows.values())
@@ -606,44 +624,52 @@ class AxBssEngine(BssEngine):
     # --- TXOP structure -----------------------------------------------------------------
 
     def on_backoff_complete(self, node: SimNode) -> None:
-        if not node.is_ap or not self._have_work():
+        if not node.is_ap or not self.has_work(node):
             return
-        self.txop_gen += 1
         node.in_txop = True
-        state = {"gen": self.txop_gen,
-                 "deadline": self.sim.now + self.cfg.mac.txop_limit_us * US,
-                 "any_data": False}
+        txop = Txop(node, self.sim.now + self.cfg.mac.txop_limit_us * US)
         if self.cfg.direction == DL:
-            self._dl_round(state)
+            self._dl_round(txop)
         else:
-            self._ul_step(state)
+            self._ul_step(txop)
 
-    def _finish_txop(self, state, success: bool) -> None:
-        self.ap.in_txop = False
-        contender = self.contenders[self.ap.node_id]
-        contender.redraw(success)
-        if success and state["deadline"] - self.sim.now > \
-                frames.legacy_frame_duration_ns(frames.CF_END_BYTES):
-            cf = self.send_control(self.ap, "cf-end", frames.CF_END_BYTES,
-                                   self.sim.now, nav_ns=0)
-            self.medium.transmit(cf)
-        if self._have_work():
-            contender.start()
+    def _ru_part(self, ru_index: int, power_dbm: float,
+                 users: tuple[int, ...] = ()) -> RuPart:
+        return RuPart(ru_index, self.layout.rus[ru_index], power_dbm, users)
+
+    def _he_tb(self, sta: SimNode, part: RuPart, start: int, end: int,
+               round_id: int, nav_ns: int = 0) -> Transmission:
+        """Put one STA's trigger-based response on the air in its RU."""
+        sta.power.mark_tx(self.sim.now, end - self.sim.now)
+        tx = Transmission(0, sta.node_id, self.bss_id, "he-tb", start, end,
+                          part.assignment.subchannels, self.node_power(sta),
+                          color=sta.color, round_id=round_id, ru=part,
+                          nav_duration_ns=nav_ns,
+                          involves=frozenset({self.ap.node_id}))
+        self.medium.transmit(tx)
+        return tx
+
+    def _ru_sinr(self, tx: Transmission, rx: int, desired_dbm: float,
+                 co_group: frozenset[int] = frozenset()) -> float | None:
+        part = tx.ru
+        return self.medium.sinr_db(tx, rx, desired_dbm, part.bandwidth_hz,
+                                   part.assignment.position, part.ru_index,
+                                   co_group=co_group)
 
     # --- uplink -----------------------------------------------------------------------------
 
-    def _ul_step(self, state) -> None:
+    def _ul_step(self, txop: Txop) -> None:
         now = self.sim.now
         unknown = [s.node_id for s in self.stas
                    if s.node_id not in self.bsr.known()
                    and s.flow.backlog_count(now) > 0]
         if unknown:
             self.rng_sched.shuffle(unknown)
-            self._bsrp_round(state, unknown)
+            self._bsrp_round(txop, unknown)
             return
-        self._ul_data_round(state)
+        self._ul_data_round(txop)
 
-    def _bsrp_round(self, state, unknown: list[int]) -> None:
+    def _bsrp_round(self, txop: Txop, unknown: list[int]) -> None:
         now = self.sim.now
         polled = unknown[:len(self.layout.rus)]
         users = tuple(mu.TfUser(sta, i) for i, sta in enumerate(polled))
@@ -654,17 +680,17 @@ class AxBssEngine(BssEngine):
                                     ru.data_subcarriers(self.layout.rus[i].tones) * 0.5)
             for i in range(len(polled)))
         total = frames.legacy_frame_duration_ns(tf_bytes) + SIFS + report_ns
-        if now + total > state["deadline"]:
-            self._finish_txop(state, state["any_data"])
+        if now + total > txop.deadline_ns:
+            self._finish_txop(txop, txop.any_data)
             return
         ctrl = self.send_control(self.ap, "tf-bsrp", tf_bytes, now,
-                                 nav_ns=state["deadline"] - now,
+                                 nav_ns=txop.deadline_ns - now,
                                  involves=frozenset(polled), payload=tf)
         self.medium.transmit(ctrl)
         self.sim.at(ctrl.end_ns, "tf-end", self.ap.node_id,
-                    lambda: self._bsrp_responses(state, ctrl, tf, report_ns))
+                    lambda: self._bsrp_responses(txop, ctrl, tf, report_ns))
 
-    def _bsrp_responses(self, state, ctrl, tf, report_ns) -> None:
+    def _bsrp_responses(self, txop: Txop, ctrl, tf, report_ns) -> None:
         start = self.sim.now + SIFS
         round_id = self.ctx.new_round()
         txs = []
@@ -673,58 +699,35 @@ class AxBssEngine(BssEngine):
             if not self.control_decodes(ctrl, sta, frames.TF_BASE_BYTES):
                 continue
             part = self._ru_part(user.ru_index, self.node_power(sta))
-            sta.power.mark_tx(self.sim.now, start - self.sim.now + report_ns)
-            tx = Transmission(0, sta.node_id, self.bss_id, "he-tb", start,
-                              start + report_ns, self._ru_subchannels(part),
-                              self.node_power(sta), color=sta.color,
-                              round_id=round_id, ru=part,
-                              involves=frozenset({self.ap.node_id}))
-            self.medium.transmit(tx)
-            txs.append((sta, tx))
+            txs.append((sta, self._he_tb(sta, part, start, start + report_ns,
+                                         round_id)))
         self.sim.at(start + report_ns, "bsrp-end", self.ap.node_id,
-                    lambda: self._bsrp_done(state, txs))
+                    lambda: self._bsrp_done(txop, txs))
 
-    def _bsrp_done(self, state, txs) -> None:
+    def _bsrp_done(self, txop: Txop, txs) -> None:
         now = self.sim.now
         for sta, tx in txs:
             desired = self.medium.rx_power_dbm(sta.node_id, self.ap.node_id,
                                                tx.power_dbm)
-            sinr = self.medium.sinr_db(tx, self.ap.node_id, desired,
-                                       tx.ru.bandwidth_hz, tx.ru.subchannel,
-                                       tx.ru.ru_index)
-            if sinr is None:
-                continue
-            p_err = self.ctx.per_model.per(sinr, phy.Mcs(0),
-                                           8 * frames.BSR_REPORT_BYTES)
-            if self.rng_per.random() < p_err:
-                continue
-            self.bsr.ingest(sta.node_id, sta.flow.backlog_bytes(now), now)
+            if self.mcs0_decodes(self._ru_sinr(tx, self.ap.node_id, desired),
+                                 frames.BSR_REPORT_BYTES):
+                self.bsr.ingest(sta.node_id, sta.flow.backlog_bytes(now), now)
         # BSRP rounds end without an MBA
         self.sim.after(SIFS, "post-bsrp", self.ap.node_id,
-                       lambda: self._ul_data_round(state))
+                       lambda: self._ul_data_round(txop))
 
-    def _ru_part(self, ru_index: int, power_dbm: float,
-                 users: tuple[int, ...] = ()) -> RuPart:
-        assignment = self.layout.rus[ru_index]
-        return RuPart(ru_index, assignment.tones,
-                      assignment.position + self.ctx.subchannel_base,
-                      ru.SPAN_20MHZ[assignment.tones], power_dbm, users)
-
-    def _ru_subchannels(self, part: RuPart) -> frozenset[int]:
-        return frozenset(range(part.subchannel, part.subchannel + part.span))
-
-    def _ul_data_round(self, state) -> None:
+    def _ul_data_round(self, txop: Txop) -> None:
         now = self.sim.now
         for sta in self.stas:       # drop drained entries before scheduling
             if sta.node_id in self.bsr.known() and \
                     sta.flow.backlog_count(now) == 0:
                 self.bsr.ingest(sta.node_id, 0, now)
-        tf = mu.build_schedule(self.bsr, self.layout, self.rng_sched,
+        tf = mu.build_schedule(self.bsr.backlogged(), self.layout, self.rng_sched,
                                ra_fraction=self.cfg.mac.ra_ru_fraction,
                                users_per_ru=self.users_per_ru,
                                nss_of=lambda sta: self.nss)
         if tf is None:
-            self._finish_txop(state, state["any_data"])
+            self._finish_txop(txop, txop.any_data)
             return
         plan = {}
         max_air = 0
@@ -742,21 +745,21 @@ class AxBssEngine(BssEngine):
         tf_bytes = frames.TF_BASE_BYTES + frames.TF_PER_USER_BYTES * n_users
         overhead = frames.legacy_frame_duration_ns(tf_bytes) + 2 * SIFS \
             + frames.mba_duration_ns(n_users)
-        ul_duration = min(state["deadline"] - now - overhead, max_air)
+        ul_duration = min(txop.deadline_ns - now - overhead, max_air)
         min_air = frames.data_duration_ns(phy.HE_TB_PPDU, self.mpdu_bits,
                                           min(p[2] for p in plan.values())
                                           if plan else 1e9)
         if ul_duration < min_air:
-            self._finish_txop(state, state["any_data"])
+            self._finish_txop(txop, txop.any_data)
             return
         ctrl = self.send_control(self.ap, "tf", tf_bytes, now,
-                                 nav_ns=state["deadline"] - now,
+                                 nav_ns=txop.deadline_ns - now,
                                  involves=frozenset(plan), payload=tf)
         self.medium.transmit(ctrl)
         self.sim.at(ctrl.end_ns, "tf-end", self.ap.node_id,
-                    lambda: self._ul_data_phase(state, ctrl, tf, plan, ul_duration))
+                    lambda: self._ul_data_phase(txop, ctrl, tf, plan, ul_duration))
 
-    def _ul_data_phase(self, state, ctrl, tf, plan, ul_duration) -> None:
+    def _ul_data_phase(self, txop: Txop, ctrl, tf, plan, ul_duration) -> None:
         now = self.sim.now
         start = now + SIFS
         end = start + ul_duration
@@ -776,19 +779,14 @@ class AxBssEngine(BssEngine):
             partners = tuple(u.aid12 for u in tf.users_of(user.ru_index)
                              if u.aid12 != aid)
             part = self._ru_part(user.ru_index, self.node_power(sta), partners)
-            sta.power.mark_tx(now, end - now)
-            tx = Transmission(0, sta.node_id, self.bss_id, "he-tb", start, end,
-                              self._ru_subchannels(part), self.node_power(sta),
-                              color=sta.color, round_id=round_id, ru=part,
-                              nav_duration_ns=state["deadline"] - end,
-                              involves=frozenset({self.ap.node_id}))
-            self.medium.transmit(tx)
+            tx = self._he_tb(sta, part, start, end, round_id,
+                             nav_ns=txop.deadline_ns - end)
             txs.append((sta, tx, mpdus, mcs, shared))
-        uora_txs = self._uora_phase(tf, start, end, round_id, state)
+        uora_txs = self._uora_phase(tf, start, end, round_id)
         self.sim.at(end, "ul-round-end", self.ap.node_id,
-                    lambda: self._ul_round_end(state, tf, txs + uora_txs))
+                    lambda: self._ul_round_end(txop, txs + uora_txs))
 
-    def _uora_phase(self, tf, start, end, round_id, state):
+    def _uora_phase(self, tf, start, end, round_id):
         ra_indices = tf.ra_ru_indices
         if not ra_indices:
             return []
@@ -824,56 +822,37 @@ class AxBssEngine(BssEngine):
                                       self.mpdu_bits, self.features.ampdu_cap)
             mpdus = sta.flow.take(now, max(1, n))
             part = self._ru_part(ru_index, self.node_power(sta))
-            sta.power.mark_tx(now, end - now)
-            tx = Transmission(0, sta.node_id, self.bss_id, "he-tb", start, end,
-                              self._ru_subchannels(part), self.node_power(sta),
-                              color=sta.color, round_id=round_id, ru=part,
-                              involves=frozenset({self.ap.node_id}))
-            self.medium.transmit(tx)
+            tx = self._he_tb(sta, part, start, end, round_id)
             txs.append((sta, tx, mpdus, mcs, False))
         return txs
 
-    def _ul_round_end(self, state, tf, txs) -> None:
+    def _ul_round_end(self, txop: Txop, txs) -> None:
         now = self.sim.now
         decoded = {}
-        results = {}
+        results = []
         for sta, tx, mpdus, mcs, shared in txs:
-            stats = self.ctx.stats[sta.node_id]
             desired = self.medium.rx_power_dbm(sta.node_id, self.ap.node_id,
                                                tx.power_dbm)
             partners = frozenset(tx.ru.users)
-            sinr = self.medium.sinr_db(tx, self.ap.node_id, desired,
-                                       tx.ru.bandwidth_hz, tx.ru.subchannel,
-                                       tx.ru.ru_index, co_group=partners)
-            survivors = []
+            sinr = self._ru_sinr(tx, self.ap.node_id, desired, co_group=partners)
+            eff = None
             if sinr is not None:
                 streams = self.nss * (len(partners) + 1)
                 eff = sinr + phy.mu_mimo_sinr_adjustment_db(
                     self.ap.antennas, streams, shared,
                     self.cfg.phy.mu_stream_penalty_db)
-                for m in mpdus:
-                    stats.mpdu_attempts += 1
-                    if self.rng_per.random() >= self.ctx.per_model.per(
-                            eff, mcs, m.onair_bits):
-                        survivors.append(m)
-                    else:
-                        stats.mpdu_failures += 1
-            else:
-                stats.mpdu_attempts += len(mpdus)
-                stats.mpdu_failures += len(mpdus)
-            results[sta.node_id] = (sta, mpdus, survivors)
+            survivors, failed = self.mpdu_outcomes(sta.flow, mpdus, eff, mcs)
+            results.append((sta, mpdus, failed))
             if survivors:
-                for m in survivors:
-                    self.ctx.deliver(sta.flow, m)
                 decoded[sta.node_id] = tuple(m.seq for m in survivors)
                 self.bsr.ingest(sta.node_id,
                                 sta.flow.backlog_bytes(now), now)
         if not decoded:
-            for sta, mpdus, _ in results.values():
+            for sta, mpdus, _ in results:
                 sta.flow.requeue(mpdus)
-            self._finish_txop(state, success=False)   # channel-access failure
+            self._finish_txop(txop, success=False)   # channel-access failure
             return
-        state["any_data"] = True
+        txop.any_data = True
         start = now + SIFS
         mba_bytes = frames.MBA_BASE_BYTES + frames.MBA_PER_STA_BYTES * len(decoded)
         mba = self.send_control(self.ap, "mba", mba_bytes, start, nav_ns=0,
@@ -881,42 +860,38 @@ class AxBssEngine(BssEngine):
                                 payload=mu.mba_for(decoded))
         self.medium.transmit(mba)
         self.sim.at(mba.end_ns, "mba-end", self.ap.node_id,
-                    lambda: self._mba_done(state, mba, results, decoded))
+                    lambda: self._mba_done(txop, mba, results, decoded))
 
-    def _mba_done(self, state, mba, results, decoded) -> None:
-        for sta, mpdus, survivors in results.values():
+    def _mba_done(self, txop: Txop, mba, results, decoded) -> None:
+        for sta, mpdus, failed in results:
             acked = sta.node_id in decoded and \
                 self.control_decodes(mba, sta, frames.MBA_BASE_BYTES)
-            if acked:
-                sta.flow.requeue([m for m in mpdus if m not in survivors])
-            else:
-                sta.flow.requeue(mpdus)
+            sta.flow.requeue(failed if acked else mpdus)
             if sta.obo is not None and sta.obo.obo == 0 and \
                     sta.obo.candidate_ru is not None:
                 sta.obo = mu.ocw_on_result(sta.obo, acked)
         self.sim.after(SIFS, "cascade", self.ap.node_id,
-                       lambda: self._ul_step(state))
+                       lambda: self._ul_step(txop))
 
     # --- downlink ----------------------------------------------------------------------------
 
-    def _dl_round(self, state) -> None:
+    def _dl_round(self, txop: Txop) -> None:
         now = self.sim.now
-        backlogged = [s for s, f in self.dl_flows.items()
-                      if f.backlog_count(now) > 0]
-        if not backlogged:
-            self._finish_txop(state, state["any_data"])
+        # AIDs are 1-based positions in self.stas, ascending as build_schedule
+        # expects; node ids would reach the reserved AID 2045 in large layouts
+        backlogged = [aid for aid, sta in enumerate(self.stas, 1)
+                      if self.dl_flows[sta.node_id].backlog_count(now) > 0]
+        tf = mu.build_schedule(backlogged, self.layout, self.rng_sched,
+                               users_per_ru=self.users_per_ru,
+                               nss_of=lambda aid: self.nss)
+        if tf is None:
+            self._finish_txop(txop, txop.any_data)
             return
-        self.rng_sched.shuffle(backlogged)
         n_rus = len(self.layout.rus)
         by_ru: dict[int, list[int]] = {}
-        queue = list(backlogged)
-        for ru_index in range(n_rus):
-            tones = self.layout.rus[ru_index].tones
-            group = self.users_per_ru if self.users_per_ru > 1 and \
-                ru.mu_mimo_admissible(tones, self.users_per_ru) else 1
-            picks = [queue.pop() for _ in range(min(group, len(queue)))]
-            if picks:
-                by_ru[ru_index] = picks
+        for user in tf.per_user:
+            by_ru.setdefault(user.ru_index, []).append(
+                self.stas[user.aid12 - 1].node_id)
         plan = {}
         max_air = 0
         for ru_index, members in by_ru.items():
@@ -934,12 +909,12 @@ class AxBssEngine(BssEngine):
         ba_on_ru_ns = max(
             frames.data_duration_ns(phy.HE_TB_PPDU, 8 * frames.BA_BYTES, p[2])
             for p in plan.values())
-        budget = state["deadline"] - now - SIFS - ba_on_ru_ns
+        budget = txop.deadline_ns - now - SIFS - ba_on_ru_ns
         dl_duration = min(budget, max_air)
         min_air = frames.data_duration_ns(phy.HE_MU_PPDU, self.mpdu_bits,
                                           min(p[2] for p in plan.values()))
         if dl_duration < min_air:
-            self._finish_txop(state, state["any_data"])
+            self._finish_txop(txop, txop.any_data)
             return
         per_ru_power = mu.dl_power_split_dbm(self.node_power(self.ap), n_rus)
         parts = []
@@ -957,7 +932,7 @@ class AxBssEngine(BssEngine):
             if served:
                 parts.append(self._ru_part(ru_index, per_ru_power, tuple(served)))
         if not taken:
-            self._finish_txop(state, state["any_data"])
+            self._finish_txop(txop, txop.any_data)
             return
         round_id = self.ctx.new_round()
         end = now + dl_duration
@@ -966,54 +941,43 @@ class AxBssEngine(BssEngine):
                           self.ctx.subchannels, self.node_power(self.ap),
                           color=self.ap.color, round_id=round_id,
                           ru_parts=tuple(parts),
-                          nav_duration_ns=state["deadline"] - end,
+                          nav_duration_ns=txop.deadline_ns - end,
                           involves=frozenset(taken))
         self.medium.transmit(tx)
         self.sim.at(end, "dl-data-end", self.ap.node_id,
-                    lambda: self._dl_data_done(state, tx, plan, taken,
-                                               round_id, ba_on_ru_ns))
+                    lambda: self._dl_data_done(txop, tx, plan, taken, ba_on_ru_ns))
 
-    def _dl_data_done(self, state, tx, plan, taken, round_id, ba_on_ru_ns) -> None:
+    def _dl_data_done(self, txop: Txop, tx, plan, taken, ba_on_ru_ns) -> None:
         now = self.sim.now
         outcomes = {}
         for sta_id, mpdus in taken.items():
             ru_index, mcs, bps = plan[sta_id]
             sta = self.by_id[sta_id]
-            stats = self.ctx.stats[sta_id]
+            if sta.power.dozing:
+                outcomes[sta_id] = ([], mpdus)
+                continue
             part = next(p for p in tx.ru_parts if p.ru_index == ru_index)
             users_on_ru = len(part.users)
             desired = self.medium.rx_power_dbm(
                 self.ap.node_id, sta_id,
                 part.power_dbm - 10.0 * math.log10(users_on_ru))
-            survivors = []
-            if not sta.power.dozing:
-                sinr = self.medium.sinr_db(tx, sta_id, desired,
-                                           part.bandwidth_hz, part.subchannel,
-                                           ru_index)
-                if sinr is not None:
-                    eff = sinr + phy.mu_mimo_sinr_adjustment_db(
-                        sta.antennas, self.nss * users_on_ru, users_on_ru > 1,
-                        self.cfg.phy.mu_stream_penalty_db)
-                    for m in mpdus:
-                        stats.mpdu_attempts += 1
-                        if self.rng_per.random() >= self.ctx.per_model.per(
-                                eff, mcs, m.onair_bits):
-                            survivors.append(m)
-                            self.ctx.deliver(self.dl_flows[sta_id], m)
-                        else:
-                            stats.mpdu_failures += 1
-                else:
-                    stats.mpdu_attempts += len(mpdus)
-                    stats.mpdu_failures += len(mpdus)
-            outcomes[sta_id] = (mpdus, survivors)
-        responders = {s: v for s, (m, v) in outcomes.items() if v}
+            sinr = self.medium.sinr_db(tx, sta_id, desired, part.bandwidth_hz,
+                                       part.assignment.position, ru_index)
+            eff = None
+            if sinr is not None:
+                eff = sinr + phy.mu_mimo_sinr_adjustment_db(
+                    sta.antennas, self.nss * users_on_ru, users_on_ru > 1,
+                    self.cfg.phy.mu_stream_penalty_db)
+            outcomes[sta_id] = self.mpdu_outcomes(self.dl_flows[sta_id], mpdus,
+                                                  eff, mcs)
+        responders = [s for s, (survivors, _) in outcomes.items() if survivors]
         if not responders:
-            for sta_id, (mpdus, _) in outcomes.items():
-                self.dl_flows[sta_id].requeue(mpdus)
+            for sta_id in outcomes:
+                self.dl_flows[sta_id].requeue(taken[sta_id])
             self.sim.after(EIFS, "eifs-expiry", self.ap.node_id,
-                           lambda: self._finish_txop(state, success=False))
+                           lambda: self._finish_txop(txop, success=False))
             return
-        state["any_data"] = True
+        txop.any_data = True
         start = now + SIFS
         ba_txs = []
         for sta_id in responders:
@@ -1022,43 +986,29 @@ class AxBssEngine(BssEngine):
             partners = tuple(s for s in responders
                              if s != sta_id and plan[s][0] == ru_index)
             part = self._ru_part(ru_index, self.node_power(sta), partners)
-            sta.power.mark_tx(now, start - now + ba_on_ru_ns)
-            ba = Transmission(0, sta_id, self.bss_id, "he-tb", start,
-                              start + ba_on_ru_ns, self._ru_subchannels(part),
-                              self.node_power(sta), color=sta.color,
-                              round_id=tx.round_id,
-                              ru=part, involves=frozenset({self.ap.node_id}))
-            self.medium.transmit(ba)
+            ba = self._he_tb(sta, part, start, start + ba_on_ru_ns, tx.round_id)
             ba_txs.append((sta_id, ba))
         self.sim.at(start + ba_on_ru_ns, "dl-ba-end", self.ap.node_id,
-                    lambda: self._dl_ba_done(state, outcomes, ba_txs))
+                    lambda: self._dl_ba_done(txop, taken, outcomes, ba_txs))
 
-    def _dl_ba_done(self, state, outcomes, ba_txs) -> None:
+    def _dl_ba_done(self, txop: Txop, taken, outcomes, ba_txs) -> None:
         acked = set()
         for sta_id, ba in ba_txs:
             desired = self.medium.rx_power_dbm(sta_id, self.ap.node_id,
                                                ba.power_dbm)
-            sinr = self.medium.sinr_db(ba, self.ap.node_id, desired,
-                                       ba.ru.bandwidth_hz, ba.ru.subchannel,
-                                       ba.ru.ru_index,
-                                       co_group=frozenset(ba.ru.users))
-            if sinr is None:
-                continue
-            p_err = self.ctx.per_model.per(sinr, phy.Mcs(0), 8 * frames.BA_BYTES)
-            if self.rng_per.random() >= p_err:
+            sinr = self._ru_sinr(ba, self.ap.node_id, desired,
+                                 co_group=frozenset(ba.ru.users))
+            if self.mcs0_decodes(sinr, frames.BA_BYTES):
                 acked.add(sta_id)
-        for sta_id, (mpdus, survivors) in outcomes.items():
-            if sta_id in acked:
-                self.dl_flows[sta_id].requeue(
-                    [m for m in mpdus if m not in survivors])
-            else:
-                self.dl_flows[sta_id].requeue(mpdus)
+        for sta_id, (_, failed) in outcomes.items():
+            self.dl_flows[sta_id].requeue(failed if sta_id in acked
+                                          else taken[sta_id])
         if not acked:
             self.sim.after(EIFS, "eifs-expiry", self.ap.node_id,
-                           lambda: self._finish_txop(state, success=False))
+                           lambda: self._finish_txop(txop, success=False))
             return
         self.sim.after(SIFS, "cascade", self.ap.node_id,
-                       lambda: self._dl_round(state))
+                       lambda: self._dl_round(txop))
 
 
 # --- run assembly ------------------------------------------------------------------------------
@@ -1084,7 +1034,6 @@ class RunContext:
                                      cfg.sr.txpwr_ref_dbm)
         self.intra_ppdu_doze = intra_ppdu_doze
         self.poll_interval_ns = 20 * 1000 * US
-        self.subchannel_base = 0
         self.subchannels = frozenset(range(cfg.bandwidth_mhz // 20))
 
         placement_rng = self.rng.stream("placement")
@@ -1173,11 +1122,10 @@ class RunContext:
         the quantity link adaptation selects MCS against."""
         band = (tones * 78_125.0 if tones is not None
                 else self.cfg.bandwidth_mhz * 1e6)
-        subchannel = self.subchannel_base
         noise_mw = phy.dbm_to_mw(
             phy.noise_dbm(band, self.cfg.radio.noise_figure_db))
         interference = self.medium.interference_dbm(
-            rx.node_id, min(band, 20e6), subchannel, own_bss, self.sim.now)
+            rx.node_id, min(band, 20e6), 0, own_bss, self.sim.now)
         return phy.mw_to_dbm(noise_mw + phy.dbm_to_mw(interference))
 
     def sr_link_viable(self, engine: BssEngine, cap_dbm: float) -> bool:

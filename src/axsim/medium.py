@@ -10,6 +10,7 @@ import numpy as np
 
 from . import phy
 from .core import Simulator
+from .ru import RuAssignment
 
 SUBCHANNEL_HZ = 20e6
 
@@ -19,15 +20,13 @@ class RuPart:
     """One resource unit inside a PPDU: who it serves and at what power."""
 
     ru_index: int
-    tones: int
-    subchannel: int                 # first 20 MHz subchannel the RU occupies
-    span: int                       # subchannels covered
+    assignment: RuAssignment        # tones and the 20 MHz subchannels covered
     power_dbm: float                # transmit power on this RU
     users: tuple[int, ...] = ()
 
     @property
     def bandwidth_hz(self) -> float:
-        return self.tones * 78_125.0
+        return self.assignment.tones * 78_125.0
 
 
 @dataclass

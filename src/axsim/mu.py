@@ -244,19 +244,20 @@ def ndp_feedback_encode(bit: int, group: int) -> tuple[int, int]:
 
 # --- scheduling -----------------------------------------------------------------------
 
-def build_schedule(bsr_table: BsrTable, layout: RuLayout, rng,
+def build_schedule(backlogged: list[int], layout: RuLayout, rng,
                    ra_fraction: float = 0.0, users_per_ru: int = 1,
                    nss_of=lambda sta: 1, ul_duration_ns: int = 0,
                    cascade: bool = False,
                    trigger_type: TriggerType = TriggerType.BASIC) -> TriggerFrame | None:
     """Hybrid schedule over a validated layout: a configured fraction of RUs
-    opens for random access, the rest go to uniformly random backlogged STAs
-    (the baseline policy).  MU-MIMO packs users_per_ru where admissible."""
+    opens for random access, the rest go to uniformly random STAs of the
+    backlogged AIDs, given ascending (the baseline policy).  MU-MIMO packs
+    users_per_ru where admissible."""
     n_rus = len(layout.rus)
     n_ra = round(ra_fraction * n_rus)
     ra_indices = range(n_rus - n_ra, n_rus)
     sched_indices = range(n_rus - n_ra)
-    pool = bsr_table.backlogged()
+    pool = list(backlogged)
     if not pool and not n_ra:
         return None
     users: list[TfUser] = []

@@ -110,21 +110,6 @@ HE_ER_SU_PPDU = PpduFormat("HE-ER-SU", 64.0)
 
 
 @dataclass
-class RadioConfig:
-    tx_power_dbm: float = 18.0
-    antennas: int = 8
-    antenna_height_m: float = 1.5
-    frequency_ghz: float = 5.57
-    noise_figure_db: float = NOISE_FIGURE_DB
-
-    def __post_init__(self):
-        if not -10.0 <= self.tx_power_dbm <= 30.0:
-            raise InvalidPhyConfig(f"tx power {self.tx_power_dbm} dBm out of [-10, 30]")
-        if self.antennas < 1:
-            raise InvalidPhyConfig("need at least one antenna")
-
-
-@dataclass
 class PathLossModel:
     """Log-distance loss around a 1 m free-space reference, with optional
     lognormal shadowing and an indoor dual-slope breakpoint.
@@ -162,15 +147,6 @@ class PathLossModel:
 
 def fspl_db(distance_m: float, frequency_ghz: float) -> float:
     return 20.0 * math.log10(4.0 * math.pi * distance_m * frequency_ghz * 1e9 / SPEED_OF_LIGHT)
-
-
-def path_loss(tx_pos: tuple[float, float], rx_pos: tuple[float, float],
-              scenario_kind: str, frequency_ghz: float = 5.57,
-              shadow_db: float = 0.0, model: PathLossModel | None = None) -> float:
-    if model is None:
-        model = PathLossModel.indoor() if scenario_kind == "indoor" else PathLossModel.outdoor()
-    d = math.dist(tx_pos, rx_pos)
-    return model.loss_db(d, frequency_ghz, shadow_db)
 
 
 def rx_power_dbm(tx_dbm: float, loss_db: float) -> float:

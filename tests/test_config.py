@@ -1,0 +1,45 @@
+"""INI loading: every section is read, and anything the simulator does not
+know is rejected rather than ignored."""
+
+import pytest
+
+from axsim.config import ConfigError, default_config, load_config
+
+
+def write_ini(tmp_path, text):
+    path = tmp_path / "scenario.ini"
+    path.write_text(text)
+    return str(path)
+
+
+def test_ini_round_trip_sets_one_field_per_section(tmp_path):
+    path = write_ini(tmp_path, """
+[scenario]
+kind = indoor_multi
+n_bss = 3
+[radio]
+ap_antennas = 4
+[mac]
+uora_boundary_eligible = no
+[phy]
+shadowing_sigma_db = 3.5
+[sr]
+obss_pd_max_dbm = -65
+""")
+    expected = default_config("indoor_multi", n_bss=3)
+    expected.radio.ap_antennas = 4
+    expected.mac.uora_boundary_eligible = False
+    expected.phy.shadowing_sigma_db = 3.5
+    expected.sr.obss_pd_max_dbm = -65.0
+    assert load_config(path) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "[scenario]\n[beacon]\ninterval_ms = 100\n",       # unknown section
+    "[scenario]\n[mac]\ncw_mid = 63\n",                 # unknown key
+    "[scenario]\n[mac]\nuora_boundary_eligible = maybe\n",   # bad boolean
+    "[scenario]\n[mac]\nslot_us = 20\n",                # removed knob
+], ids=["unknown-section", "unknown-key", "bad-boolean", "removed-knob"])
+def test_rejects(tmp_path, text):
+    with pytest.raises(ConfigError):
+        load_config(write_ini(tmp_path, text))

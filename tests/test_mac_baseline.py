@@ -1,14 +1,16 @@
 import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from axsim import baseline
-from axsim.baseline import (BUSY, IDLE, BackoffState, SuLink, Txop,
-                            carrier_sense_step, su_txop_exchange)
-from axsim.core import DIFS, SIFS, SLOT_TIME, TXOP_LIMIT, RngSet
+from axsim.baseline import BackoffState, SuLink, su_txop_exchange
+from axsim.config import default_config
+from axsim.core import DIFS, SIFS, SLOT_TIME, TXOP_LIMIT, US, RngSet
+from axsim.engine import Contender, RunContext
 from axsim.frames import (BA_BYTES, CTS_BYTES, RTS_BYTES, Mpdu,
                           legacy_frame_duration_ns)
+from axsim.medium import Transmission
+from axsim.spatial import INTRA_BSS
 
 
 class FixedRng:
@@ -68,16 +70,37 @@ def test_slot_relation():
 
 # --- carrier sensing ----------------------------------------------------------------
 
+def sensing_sta(rx_dbm):
+    """A one-STA ac_baseline BSS whose STA senses one AP frame at rx_dbm."""
+    ctx = RunContext(default_config("indoor_single", stas_per_bss=1,
+                                    duration_s=0.01), "ac_baseline")
+    engine = ctx.engines[0]
+    ap, sta = engine.ap, engine.stas[0]
+    ctx.loss_db[ap.node_id, sta.node_id] = ctx.loss_db[sta.node_id, ap.node_id] = 60.0
+    ctx.medium.transmit(Transmission(0, ap.node_id, 0, "ampdu", 0, 1000 * US,
+                                     ctx.subchannels, rx_dbm + 60.0))
+    ctx.sim.run_until(1)        # a frame is sensed from after its first instant
+    return engine, sta
+
+
 def test_cs_idle_below_threshold():
-    assert carrier_sense_step(-90.0, nav_busy=False) == IDLE
+    engine, sta = sensing_sta(-90.0)
+    assert engine.cs_state(sta) == (False, None)
 
 
 def test_cs_threshold_is_busy_inclusive():
-    assert carrier_sense_step(-82.0, nav_busy=False) == BUSY
+    engine, sta = sensing_sta(-82.0)
+    assert engine.cs_state(sta) == (True, None)
 
 
 def test_cs_virtual_dominates():
-    assert carrier_sense_step(-90.0, nav_busy=True) == BUSY
+    engine, sta = sensing_sta(-90.0)
+    sta.nav.update(INTRA_BSS, engine.sim.now, 500 * US)
+    sta.backoff = BackoffState()
+    contender = Contender(engine, sta, DIFS)
+    contender.start()
+    assert contender.pending
+    assert contender.armed_at == sta.nav.intra_expiry_ns
 
 
 # --- TXOP exchange ---------------------------------------------------------------------
@@ -166,10 +189,3 @@ def test_conservation_under_random_loss(n, per_value, seed):
     assert result.airtime_ns <= TXOP_LIMIT
     assert {m.seq for m in result.delivered} | {m.seq for m in result.requeued} == \
         {m.seq for m in queue}
-
-
-def test_txop_spend_guard():
-    txop = Txop(holder=1, limit_ns=1000)
-    txop.spend(900)
-    with pytest.raises(ValueError):
-        txop.spend(200)

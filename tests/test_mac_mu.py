@@ -241,7 +241,7 @@ def test_build_schedule_uniform_assignment():
         table = BsrTable()
         for sta in (1, 2, 3):
             table.ingest(sta, 1500, 0)
-        tf = build_schedule(table, layout, rng)
+        tf = build_schedule(table.backlogged(), layout, rng)
         assert sorted(u.aid12 for u in tf.per_user) == [1, 2, 3]
         for slot, user in enumerate(tf.per_user):
             counts[(slot, user.aid12)] += 1
@@ -254,7 +254,8 @@ def test_build_schedule_marks_ra_fraction():
     table = BsrTable()
     table.ingest(1, 1500, 0)
     layout = RuLayout(20, tuple(RuAssignment(26, 0) for _ in range(9)))
-    tf = build_schedule(table, layout, RngSet(0).stream("s"), ra_fraction=1 / 3)
+    tf = build_schedule(table.backlogged(), layout, RngSet(0).stream("s"),
+                        ra_fraction=1 / 3)
     assert len(tf.ra_ru_indices) == 3
 
 
@@ -263,14 +264,15 @@ def test_build_schedule_mu_mimo_falls_back_on_small_ru():
     for sta in range(1, 7):
         table.ingest(sta, 1500, 0)
     layout = RuLayout(20, (RuAssignment(106, 0), RuAssignment(26, 0)))
-    tf = build_schedule(table, layout, RngSet(1).stream("s"), users_per_ru=2)
+    tf = build_schedule(table.backlogged(), layout, RngSet(1).stream("s"),
+                        users_per_ru=2)
     by_ru = [len(tf.users_of(i)) for i in range(len(layout.rus))]
     assert by_ru == [2, 1]        # pairing only on the 106-tone RU
     assert validate_tf(tf) == []
 
 
 def test_build_schedule_empty_pool_defers():
-    assert build_schedule(BsrTable(), fig17_layout(), RngSet(0).stream("s")) is None
+    assert build_schedule([], fig17_layout(), RngSet(0).stream("s")) is None
 
 
 # --- round outcomes -----------------------------------------------------------------------------
