@@ -14,7 +14,7 @@ from .config import DL, UL, ScenarioConfig, Scheme, scheme_features
 from .core import DIFS, SIFS, SLOT_TIME, US, RngSet, Simulator
 from .frames import Mpdu
 from .medium import Medium, RuPart, Transmission
-from .power import PowerState
+from .power import PowerState, intra_ppdu_doze
 from .spatial import INTER_BSS, INTRA_BSS, ObssPdConfig, TwoNav
 
 EIFS = SIFS + 44 * US + DIFS          # SIFS + legacy ACK airtime + DIFS
@@ -210,70 +210,28 @@ class BssEngine:
         self.contenders: dict[int, Contender] = {}
         self.dl_flows: dict[int, CbrFlow] = {}
 
-    # --- carrier sensing / classification -----------------------------------------
-
-    def classify_tx(self, node: SimNode, tx: Transmission) -> str:
-        if not self.features.spatial_reuse:
-            return INTRA_BSS          # legacy single-NAV behaviour
-        sight = spatial.FrameSight(color=tx.color, is_cf_end=tx.kind == "cf-end")
-        return spatial.classify_frame(sight, my_bssid=self.bss_id,
-                                      my_color=node.color)
+    # --- carrier sensing / doze ----------------------------------------------------
 
     def cs_state(self, node: SimNode) -> tuple[bool, float | None]:
-        """(blocked, SR power cap).  A frame blocks when its energy crosses the
-        threshold its classification selects."""
-        # SR deferral stays inline rather than going through
-        # spatial.sr_decision: this caps the power at the OBSS_PD boundary the
-        # sensed level allows, while sr_decision tests a given candidate power
-        # strictly against it, so the two give different results.
-        cap: float | None = None
-        for tx, p in self.medium.sensed(node.node_id, self.sim.now):
-            if p < self.cfg.phy.cca_threshold_dbm:
-                continue
-            if self.features.spatial_reuse and \
-                    self.classify_tx(node, tx) == INTER_BSS:
-                allowed = spatial.max_sr_tx_power(p, self.ctx.obss_cfg)
-                if allowed is None or allowed < MIN_SR_TXPWR_DBM or \
-                        not self.ctx.sr_link_viable(self, allowed):
-                    return True, None
-                cap = allowed if cap is None else min(cap, allowed)
-            else:
-                return True, None
-        return False, cap
+        """(blocked, SR power cap) from the frames the medium senses now; see
+        RunContext.carrier_state for the rule."""
+        sensed = self.medium.sensed(self.sim.now)
+        if not sensed:
+            return False, None
+        blocked, cap = self.ctx.carrier_state(sensed)
+        i = node.node_id
+        if blocked[i]:
+            return True, None
+        if cap is None or cap[i] == np.inf:
+            return False, None
+        return False, float(cap[i])
 
     def on_air(self, event: str, tx: Transmission) -> None:
-        if event == "end":
-            self._nav_phase(tx)
         if self.ctx.intra_ppdu_doze and event == "start" and \
                 tx.kind in ("ampdu", "he-mu", "he-tb"):
             self._doze_phase(tx)
         for contender in self.contenders.values():
             contender.on_medium_change()
-
-    def _nav_phase(self, tx: Transmission) -> None:
-        if tx.nav_duration_ns <= 0 and tx.kind != "cf-end":
-            return
-        corrupt_all, sinr = self.ctx.nav_readability(tx)
-        readable_floor = self.ctx.per_model.thresholds_db[0]
-        for node in self.nodes:
-            if node.node_id == tx.tx_node or node.power.dozing:
-                continue
-            p = self.medium.rx_power_dbm(tx.tx_node, node.node_id,
-                                         tx.power_per_subchannel_dbm())
-            if p < self.cfg.phy.cca_threshold_dbm:
-                continue
-            # a corrupted frame is unreadable: no reservation, EIFS deferral
-            if corrupt_all or sinr[node.node_id] < readable_floor:
-                node.eifs_until_ns = self.sim.now + (EIFS - DIFS)
-                continue
-            cls = self.classify_tx(node, tx)
-            if self.features.spatial_reuse and cls == INTER_BSS and \
-                    p < self.ctx.obss_cfg.level_max_dbm:
-                # some reduced transmit power clears this frame's OBSS_PD
-                # level; skip the basic NAV and control power when contending
-                continue
-            node.nav.update(cls, self.sim.now, tx.nav_duration_ns,
-                            is_cf_end=tx.kind == "cf-end")
 
     def _doze_phase(self, tx: Transmission) -> None:
         for node in self.stas:
@@ -281,12 +239,9 @@ class BssEngine:
                 continue
             if node.power.dozing:
                 continue
-            cls = self.classify_tx(node, tx)
+            cls = self.ctx.classify(node, tx)
             wake_at = None
-            p = self.medium.rx_power_dbm(tx.tx_node, node.node_id,
-                                         tx.power_per_subchannel_dbm())
-            if p >= self.cfg.phy.cca_threshold_dbm:
-                from .power import intra_ppdu_doze
+            if tx.rx_dbm[node.node_id] >= self.cfg.phy.cca_threshold_dbm:
                 wake_at = intra_ppdu_doze(node.power, self.sim.now, cls,
                                           involves_me=False, ppdu_end_ns=tx.end_ns)
             if wake_at is not None:
@@ -1070,8 +1025,9 @@ class RunContext:
         self.loss_db = loss
         self.medium = Medium(self.sim, loss)
         self._round_counter = 0
-        self._nav_cache_tx = None
-        self._nav_cache = None
+        self._cs_sensed: list[Transmission] | None = None
+        self._cs_key: tuple[int, ...] = ()
+        self._cs_state: tuple[np.ndarray, np.ndarray | None] | None = None
 
         self.nodes: dict[int, SimNode] = {}
         self.stats: dict[int, FlowStats] = {}
@@ -1092,14 +1048,115 @@ class RunContext:
             engine = engine_cls(self, bss_id, ap, stas)
             engine.attach_flows()
             self.engines.append(engine)
-        self._worst_loss = {e.bss_id: max(float(loss[e.ap.node_id, s.node_id])
-                                          for s in e.stas)
-                            for e in self.engines}
+        # per node, indexed by node id: the node objects, their colour, and
+        # the loss of their BSS's worst AP-STA link
+        self.node_list = [self.nodes[i] for i in range(n)]
+        self.colors = np.array([node.color for node in self.node_list])
+        worst = {e.bss_id: max(float(loss[e.ap.node_id, s.node_id]) for s in e.stas)
+                 for e in self.engines}
+        self.worst_loss = np.array([worst[node.bss_id] for node in self.node_list])
         self.medium.listeners.append(self._dispatch_air)
 
     def _dispatch_air(self, event: str, tx: Transmission) -> None:
+        if event == "end":
+            self._nav_pass(tx)
         for engine in self.engines:
             engine.on_air(event, tx)
+
+    def classify(self, node: SimNode, tx: Transmission) -> str:
+        """Intra- or inter-BSS, as node classifies the frame tx."""
+        if not self.features.spatial_reuse:
+            return INTRA_BSS          # legacy single-NAV behaviour
+        sight = spatial.FrameSight(color=tx.color, is_cf_end=tx.kind == "cf-end")
+        return spatial.classify_frame(sight, my_bssid=node.bss_id,
+                                      my_color=node.color)
+
+    # --- carrier sense and NAV, over all nodes at once -----------------------------------
+
+    def _cs_rows(self, tx: Transmission) -> tuple[np.ndarray, np.ndarray | None]:
+        """(blocks, cap) rows of one sensed frame over all nodes: whether the
+        frame blocks the node, and the SR power cap it sets (inf for none).
+
+        A frame below CCA neither blocks nor caps.  Above it, an intra-BSS
+        frame blocks; with spatial reuse, an inter-BSS one (another colour;
+        the engines' frames always carry a colour, never 0) instead caps the
+        power at the OBSS_PD boundary of spatial.max_sr_tx_power.  It blocks
+        if no cap exists, if the cap is under MIN_SR_TXPWR_DBM, or if the
+        capped power cannot close the node's BSS's worst link at the lowest
+        MCS.
+        """
+        # SR deferral does not go through spatial.sr_decision: this caps the
+        # power at the OBSS_PD boundary the sensed level allows, while
+        # sr_decision tests a given candidate power strictly against it, so
+        # the two give different results.
+        if tx.cs_rows is None:
+            p = tx.rx_dbm
+            hears = p >= self.cfg.phy.cca_threshold_dbm
+            hears[tx.tx_node] = False
+            if not self.features.spatial_reuse:
+                tx.cs_rows = (hears, None)
+                return tx.cs_rows
+            allowed = spatial.max_sr_tx_power_row(p, self.obss_cfg)
+            snr = allowed - self.worst_loss - phy.noise_dbm(20e6)
+            # where no cap exists allowed is NaN, every comparison with it is
+            # False, and the frame blocks
+            sr_ok = (self.colors != tx.color) & (allowed >= MIN_SR_TXPWR_DBM) \
+                & (snr >= self.per_model.thresholds_db[0])
+            tx.cs_rows = (hears & ~sr_ok, np.where(hears & sr_ok, allowed, np.inf))
+        return tx.cs_rows
+
+    def carrier_state(self, sensed: list[Transmission]
+                      ) -> tuple[np.ndarray, np.ndarray | None]:
+        """(blocked, cap) over all nodes for a list of sensed frames: a node is
+        blocked if any frame blocks it, else its SR power cap is the lowest
+        any frame sets (inf for none; cap is None without spatial reuse)."""
+        if sensed is not self._cs_sensed:
+            self._cs_sensed = sensed
+            key = tuple(tx.tx_id for tx in sensed)
+            if key != self._cs_key:
+                self._cs_key = key
+                rows = [self._cs_rows(tx) for tx in sensed]
+                blocked = rows[0][0]
+                for b, _ in rows[1:]:
+                    blocked = blocked | b
+                cap = None
+                if self.features.spatial_reuse:
+                    cap = rows[0][1]
+                    for _, c in rows[1:]:
+                        cap = np.minimum(cap, c)
+                self._cs_state = (blocked, cap)
+        return self._cs_state
+
+    def _nav_pass(self, tx: Transmission) -> None:
+        """NAV and EIFS updates at every node that hears a frame end."""
+        if tx.nav_duration_ns <= 0 and tx.kind != "cf-end":
+            return
+        hearing = np.flatnonzero(tx.rx_dbm >= self.cfg.phy.cca_threshold_dbm)
+        hearing = hearing[hearing != tx.tx_node]
+        if not len(hearing):
+            return
+        corrupt_all, sinr = self.medium.nav_sinr_vector(tx, hearing)
+        readable = sinr >= self.per_model.thresholds_db[0]
+        now = self.sim.now
+        is_cf_end = tx.kind == "cf-end"
+        sr = self.features.spatial_reuse
+        class_of: dict[int, str] = {}      # a frame's class depends on colour only
+        for k, i in enumerate(hearing.tolist()):
+            node = self.node_list[i]
+            if node.power.dozing:
+                continue
+            # a corrupted frame is unreadable: no reservation, EIFS deferral
+            if corrupt_all or not readable[k]:
+                node.eifs_until_ns = now + (EIFS - DIFS)
+                continue
+            cls = class_of.get(node.color)
+            if cls is None:
+                cls = class_of[node.color] = self.classify(node, tx)
+            if sr and cls == INTER_BSS and tx.rx_dbm[i] < self.obss_cfg.level_max_dbm:
+                # some reduced transmit power clears this frame's OBSS_PD
+                # level; skip the basic NAV and control power when contending
+                continue
+            node.nav.update(cls, now, tx.nav_duration_ns, is_cf_end=is_cf_end)
 
     def loss(self, a: SimNode, b: SimNode) -> float:
         return float(self.loss_db[a.node_id, b.node_id])
@@ -1107,14 +1164,6 @@ class RunContext:
     def new_round(self) -> int:
         self._round_counter += 1
         return self._round_counter
-
-    def nav_readability(self, tx: Transmission):
-        """Per-node readability SINR, computed once per frame and shared by
-        every BSS engine's NAV pass."""
-        if self._nav_cache_tx is not tx:
-            self._nav_cache_tx = tx
-            self._nav_cache = self.medium.nav_sinr_vector(tx)
-        return self._nav_cache
 
     def effective_noise_dbm(self, rx: SimNode, tones: int | None,
                             own_bss: int) -> float:
@@ -1127,12 +1176,6 @@ class RunContext:
         interference = self.medium.interference_dbm(
             rx.node_id, min(band, 20e6), 0, own_bss, self.sim.now)
         return phy.mw_to_dbm(noise_mw + phy.dbm_to_mw(interference))
-
-    def sr_link_viable(self, engine: BssEngine, cap_dbm: float) -> bool:
-        """An SR attempt is pointless if the capped power cannot close even the
-        BSS's worst link at the lowest MCS."""
-        snr = cap_dbm - self._worst_loss[engine.bss_id] - phy.noise_dbm(20e6)
-        return snr >= self.per_model.thresholds_db[0]
 
     def deliver(self, flow: CbrFlow, mpdu: Mpdu) -> None:
         now = self.sim.now

@@ -47,6 +47,10 @@ class Transmission:
     involves: frozenset[int] = frozenset()
     payload: object = None
     interferers: list["Transmission"] = field(default_factory=list)
+    # received power on the primary 20 MHz at every node, while on the air
+    rx_dbm: np.ndarray | None = None
+    # carrier-sense rows derived from rx_dbm by the run (RunContext)
+    cs_rows: tuple | None = None
 
     def power_per_subchannel_dbm(self) -> float:
         return self.power_dbm - 10.0 * math.log10(max(1, len(self.subchannels)))
@@ -65,6 +69,10 @@ class Medium:
     Interference accounting is symmetric: when a transmission starts it is
     recorded on every concurrently active transmission and vice versa, so at
     any frame's end its interferer list holds every overlap.
+
+    A frame carries its received power at every node (`rx_dbm`) only while
+    it is on the air: ended frames stay reachable through interferer lists,
+    and keeping their rows would hold one row per frame ever sent.
     """
 
     def __init__(self, sim: Simulator, loss_db: np.ndarray):
@@ -73,6 +81,9 @@ class Medium:
         self.active: dict[int, Transmission] = {}
         self.listeners: list = []    # callables (event, transmission)
         self._next_id = 0
+        self._version = 0            # bumped whenever `active` changes
+        self._sensed_key: tuple[int, int] | None = None
+        self._sensed: list[Transmission] = []
 
     def rx_power_dbm(self, tx_node: int, rx_node: int, power_dbm: float) -> float:
         return power_dbm - float(self.loss_db[tx_node, rx_node])
@@ -80,10 +91,12 @@ class Medium:
     def transmit(self, tx: Transmission) -> Transmission:
         tx.tx_id = self._next_id
         self._next_id += 1
+        tx.rx_dbm = tx.power_per_subchannel_dbm() - self.loss_db[tx.tx_node]
         for other in self.active.values():
             other.interferers.append(tx)
             tx.interferers.append(other)
         self.active[tx.tx_id] = tx
+        self._version += 1
         for listener in self.listeners:
             listener("start", tx)
         self.sim.at(tx.end_ns, "tx-end", tx.tx_node, lambda: self._finish(tx),
@@ -92,25 +105,25 @@ class Medium:
 
     def _finish(self, tx: Transmission) -> None:
         del self.active[tx.tx_id]
+        self._version += 1
         for listener in self.listeners:
             listener("end", tx)
+        tx.rx_dbm = tx.cs_rows = None
 
     # --- carrier sensing -------------------------------------------------------
 
-    def sensed(self, node: int, now_ns: int) -> list[tuple[Transmission, float]]:
-        """Active transmissions (not the node's own) with their power at node,
-        measured on the primary 20 MHz subchannel.  Transmissions starting at
-        exactly `now_ns` are not yet sensed: decisions taken in the same slot
-        boundary collide rather than defer."""
-        out = []
-        for tx in self.active.values():
-            if tx.tx_node == node or tx.start_ns >= now_ns:
-                continue
-            if 0 not in tx.subchannels:
-                continue
-            p = self.rx_power_dbm(tx.tx_node, node, tx.power_per_subchannel_dbm())
-            out.append((tx, p))
-        return out
+    def sensed(self, now_ns: int) -> list[Transmission]:
+        """Active transmissions on the primary 20 MHz subchannel, whose power
+        at every node is their `rx_dbm`; a node ignores its own.  Those
+        starting at or after `now_ns` are not yet sensed: decisions taken in
+        the same slot boundary collide rather than defer.  The list is shared
+        by every caller until the time or the set of active frames changes."""
+        key = (now_ns, self._version)
+        if key != self._sensed_key:
+            self._sensed_key = key
+            self._sensed = [tx for tx in self.active.values()
+                            if tx.start_ns < now_ns and 0 in tx.subchannels]
+        return self._sensed
 
     # --- decoding ---------------------------------------------------------------
 
@@ -152,17 +165,19 @@ class Medium:
                 self.rx_power_dbm(other.tx_node, rx_node, leak)) * (overlap / span)
         return desired_dbm - phy.mw_to_dbm(noise_mw + interference_mw)
 
-    def nav_sinr_vector(self, tx: Transmission) -> tuple[bool, np.ndarray]:
-        """Frame-readability SINR at every node at once, for NAV bookkeeping.
+    def nav_sinr_vector(self, tx: Transmission,
+                        nodes: np.ndarray) -> tuple[bool, np.ndarray]:
+        """Frame-readability SINR at the given nodes at once, for NAV
+        bookkeeping.
 
-        Returns (hard_corrupt, sinr_db_per_node) over the primary 20 MHz; a
-        random-access collision corrupts the frame for every listener.
+        Returns (hard_corrupt, sinr_db per node of `nodes`) over the primary
+        20 MHz; a random-access collision corrupts the frame for every
+        listener.
         """
-        n = self.loss_db.shape[0]
-        desired = tx.power_per_subchannel_dbm() - self.loss_db[tx.tx_node]
+        desired = tx.power_per_subchannel_dbm() - self.loss_db[tx.tx_node, nodes]
         noise_mw = phy.dbm_to_mw(phy.noise_dbm(SUBCHANNEL_HZ))
-        interference_mw = np.zeros(n)
         span = tx.end_ns - tx.start_ns
+        sources, powers, weights = [], [], []
         for other in tx.interferers:
             if other.tx_node == tx.tx_node:
                 continue
@@ -175,17 +190,23 @@ class Medium:
                         continue
                     if other.tx_node in (tx.ru.users if tx.ru else ()):
                         continue
-                    return True, np.full(n, -np.inf)
+                    return True, np.full(len(nodes), -np.inf)
                 continue
             if 0 not in other.subchannels:
                 continue
             overlap = min(tx.end_ns, other.end_ns) - max(tx.start_ns, other.start_ns)
             if overlap <= 0 or span <= 0:
                 continue
-            p = other.power_per_subchannel_dbm() - self.loss_db[other.tx_node]
-            interference_mw += np.power(10.0, p / 10.0) * (overlap / span)
-        sinr = desired - 10.0 * np.log10(noise_mw + interference_mw)
-        return False, sinr
+            sources.append(other.tx_node)
+            powers.append(other.power_per_subchannel_dbm())
+            weights.append(overlap / span)
+        interference_mw = np.zeros(len(nodes))
+        if sources:
+            p = np.array(powers)[:, None] - self.loss_db[np.ix_(sources, nodes)]
+            terms = np.power(10.0, p / 10.0) * np.array(weights)[:, None]
+            # summed in interferer order, one row after another
+            interference_mw = np.cumsum(terms, axis=0)[-1]
+        return False, desired - 10.0 * np.log10(noise_mw + interference_mw)
 
     def interference_dbm(self, rx_node: int, band_hz: float, subchannel: int,
                          exclude_bss: int, now_ns: int) -> float:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .phy import CCA_THRESHOLD_DBM
 
 INTRA_BSS = "intra_bss"
@@ -195,6 +197,14 @@ def max_sr_tx_power(rx_power_dbm: float, cfg: ObssPdConfig = ObssPdConfig()) -> 
     if rx_power_dbm >= cfg.level_max_dbm:
         return None
     return cfg.txpwr_ref_dbm + cfg.level_min_dbm - rx_power_dbm
+
+
+def max_sr_tx_power_row(rx_power_dbm: np.ndarray,
+                        cfg: ObssPdConfig = ObssPdConfig()) -> np.ndarray:
+    """max_sr_tx_power element-wise over an array of sensed levels, with NaN
+    where it is None."""
+    return np.where(rx_power_dbm >= cfg.level_max_dbm, np.nan,
+                    cfg.txpwr_ref_dbm + cfg.level_min_dbm - rx_power_dbm)
 
 
 DEFER = "defer"
