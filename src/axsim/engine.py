@@ -593,14 +593,17 @@ class AxBssEngine(BssEngine):
         return RuPart(ru_index, self.layout.rus[ru_index], power_dbm, users)
 
     def _he_tb(self, sta: SimNode, part: RuPart, start: int, end: int,
-               round_id: int, nav_ns: int = 0) -> Transmission:
-        """Put one STA's trigger-based response on the air in its RU."""
+               round_id: int, solicited: frozenset[int],
+               nav_ns: int = 0) -> Transmission:
+        """Put one STA's trigger-based response on the air in its RU.  The
+        PPDU involves the AP and every STA the round's trigger solicited, so
+        no responder dozes through another's response."""
         sta.power.mark_tx(self.sim.now, end - self.sim.now)
         tx = Transmission(0, sta.node_id, self.bss_id, "he-tb", start, end,
                           part.assignment.subchannels, self.node_power(sta),
                           color=sta.color, round_id=round_id, ru=part,
                           nav_duration_ns=nav_ns,
-                          involves=frozenset({self.ap.node_id}))
+                          involves=solicited | {self.ap.node_id})
         self.medium.transmit(tx)
         return tx
 
@@ -648,6 +651,7 @@ class AxBssEngine(BssEngine):
     def _bsrp_responses(self, txop: Txop, ctrl, tf, report_ns) -> None:
         start = self.sim.now + SIFS
         round_id = self.ctx.new_round()
+        polled = frozenset(user.aid12 for user in tf.per_user)
         txs = []
         for user in tf.per_user:
             sta = self.by_id[user.aid12]
@@ -655,7 +659,7 @@ class AxBssEngine(BssEngine):
                 continue
             part = self._ru_part(user.ru_index, self.node_power(sta))
             txs.append((sta, self._he_tb(sta, part, start, start + report_ns,
-                                         round_id)))
+                                         round_id, polled)))
         self.sim.at(start + report_ns, "bsrp-end", self.ap.node_id,
                     lambda: self._bsrp_done(txop, txs))
 
@@ -719,6 +723,9 @@ class AxBssEngine(BssEngine):
         start = now + SIFS
         end = start + ul_duration
         round_id = self.ctx.new_round()
+        # random-access RUs solicit every STA of the BSS
+        solicited = frozenset(s.node_id for s in self.stas) if tf.ra_ru_indices \
+            else frozenset(plan)
         txs = []
         for aid, (user, mcs, bps, shared) in plan.items():
             sta = self.by_id[aid]
@@ -734,14 +741,14 @@ class AxBssEngine(BssEngine):
             partners = tuple(u.aid12 for u in tf.users_of(user.ru_index)
                              if u.aid12 != aid)
             part = self._ru_part(user.ru_index, self.node_power(sta), partners)
-            tx = self._he_tb(sta, part, start, end, round_id,
+            tx = self._he_tb(sta, part, start, end, round_id, solicited,
                              nav_ns=txop.deadline_ns - end)
             txs.append((sta, tx, mpdus, mcs, shared))
-        uora_txs = self._uora_phase(tf, start, end, round_id)
+        uora_txs = self._uora_phase(tf, start, end, round_id, solicited)
         self.sim.at(end, "ul-round-end", self.ap.node_id,
                     lambda: self._ul_round_end(txop, txs + uora_txs))
 
-    def _uora_phase(self, tf, start, end, round_id):
+    def _uora_phase(self, tf, start, end, round_id, solicited):
         ra_indices = tf.ra_ru_indices
         if not ra_indices:
             return []
@@ -777,7 +784,7 @@ class AxBssEngine(BssEngine):
                                       self.mpdu_bits, self.features.ampdu_cap)
             mpdus = sta.flow.take(now, max(1, n))
             part = self._ru_part(ru_index, self.node_power(sta))
-            tx = self._he_tb(sta, part, start, end, round_id)
+            tx = self._he_tb(sta, part, start, end, round_id, solicited)
             txs.append((sta, tx, mpdus, mcs, False))
         return txs
 
@@ -934,6 +941,7 @@ class AxBssEngine(BssEngine):
             return
         txop.any_data = True
         start = now + SIFS
+        solicited = frozenset(responders)
         ba_txs = []
         for sta_id in responders:
             sta = self.by_id[sta_id]
@@ -941,7 +949,8 @@ class AxBssEngine(BssEngine):
             partners = tuple(s for s in responders
                              if s != sta_id and plan[s][0] == ru_index)
             part = self._ru_part(ru_index, self.node_power(sta), partners)
-            ba = self._he_tb(sta, part, start, start + ba_on_ru_ns, tx.round_id)
+            ba = self._he_tb(sta, part, start, start + ba_on_ru_ns, tx.round_id,
+                             solicited)
             ba_txs.append((sta_id, ba))
         self.sim.at(start + ba_on_ru_ns, "dl-ba-end", self.ap.node_id,
                     lambda: self._dl_ba_done(txop, taken, outcomes, ba_txs))

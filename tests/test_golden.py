@@ -39,8 +39,9 @@ def _points() -> dict[str, tuple]:
             "indoor_single", "ax_ofdma_mumimo", d, SINGLE, {}, False)
     points["indoor_single/ax_ofdma/ul/uora"] = (
         "indoor_single", "ax_ofdma", "ul", SINGLE, {"ra_ru_fraction": 0.34}, False)
-    points["indoor_multi/ax_sr/ul/doze"] = (
-        "indoor_multi", "ax_sr", "ul", MULTI, {}, True)
+    for d in ("ul", "dl"):
+        points[f"indoor_multi/ax_sr/{d}/doze"] = (
+            "indoor_multi", "ax_sr", d, MULTI, {}, True)
     return points
 
 
