@@ -1057,13 +1057,12 @@ class RunContext:
             engine = engine_cls(self, bss_id, ap, stas)
             engine.attach_flows()
             self.engines.append(engine)
-        # per node, indexed by node id: the node objects, their colour, and
-        # the loss of their BSS's worst AP-STA link
-        self.node_list = [self.nodes[i] for i in range(n)]
-        self.colors = np.array([node.color for node in self.node_list])
+        # per node, indexed by node id: its colour, and the loss of its BSS's
+        # worst AP-STA link
+        self.colors = np.array([self.nodes[i].color for i in range(n)])
         worst = {e.bss_id: max(float(loss[e.ap.node_id, s.node_id]) for s in e.stas)
                  for e in self.engines}
-        self.worst_loss = np.array([worst[node.bss_id] for node in self.node_list])
+        self.worst_loss = np.array([worst[self.nodes[i].bss_id] for i in range(n)])
         self.medium.listeners.append(self._dispatch_air)
 
     def _dispatch_air(self, event: str, tx: Transmission) -> None:
@@ -1151,7 +1150,7 @@ class RunContext:
         sr = self.features.spatial_reuse
         class_of: dict[int, str] = {}      # a frame's class depends on colour only
         for k, i in enumerate(hearing.tolist()):
-            node = self.node_list[i]
+            node = self.nodes[i]
             if node.power.dozing:
                 continue
             # a corrupted frame is unreadable: no reservation, EIFS deferral
