@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, TextIO
+
+import numpy as np
 
 # All simulated time is an integer count of nanoseconds.  Protocol constants
 # (SIFS, DIFS, slot, TXOP limit) are exact multiples of 1 ns, so interframe
@@ -146,6 +149,50 @@ class RngStream:
 
     def gauss(self, mu: float, sigma: float) -> float:
         return self.rng.gauss(mu, sigma)
+
+    def gauss_array(self, k: int, sigma: float) -> np.ndarray:
+        """k draws equal to k calls of ``gauss(0.0, sigma)``, as one array,
+        leaving the stream where those calls would.
+
+        ``random.gauss`` makes its normals in Box-Muller pairs from two
+        ``random()`` uniforms and keeps the pair's second value for the next
+        call.  Here the Mersenne Twister words of every pair come from one
+        ``getrandbits`` call (its words in generation order, least
+        significant first), each uniform is built from two words as
+        ``random()`` builds it, and the pairs are transformed with numpy.
+        numpy's log, cos and sin may differ from the math module's in the
+        last ulp, so a draw may too; the uniforms, and so the stream, are
+        exact.  A value carried to the next call is computed with the math
+        module, as ``gauss`` would.
+        """
+        out = np.empty(k)
+        if k == 0:
+            return out
+        rng = self.rng
+        start = 0
+        if rng.gauss_next is not None:
+            out[0] = 0.0 + rng.gauss_next * sigma
+            rng.gauss_next = None
+            start = 1
+        pairs = (k - start + 1) // 2
+        if pairs == 0:
+            return out
+        bits = rng.getrandbits(128 * pairs).to_bytes(16 * pairs, "little")
+        words = np.frombuffer(bits, dtype="<u4").reshape(pairs, 2, 2)
+        # random(): (a >> 5) * 2**26 + (b >> 6), over 2**53
+        u = ((words[:, :, 0] >> 5) * 67108864.0 + (words[:, :, 1] >> 6)) \
+            * (1.0 / 9007199254740992.0)
+        x2pi = u[:, 0] * random.TWOPI
+        g2rad = np.sqrt(-2.0 * np.log(1.0 - u[:, 1]))
+        z = np.empty(2 * pairs)
+        z[0::2] = np.cos(x2pi) * g2rad
+        z[1::2] = np.sin(x2pi) * g2rad
+        out[start:] = z[:k - start] * sigma
+        if (k - start) % 2:
+            x2pi_last = float(u[-1, 0]) * random.TWOPI
+            rng.gauss_next = math.sin(x2pi_last) * math.sqrt(
+                -2.0 * math.log(1.0 - float(u[-1, 1])))
+        return out
 
     def choice(self, seq):
         return self.rng.choice(seq)

@@ -4,6 +4,7 @@ carrier-sense queries, and decode SINR evaluation."""
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,16 +52,59 @@ class Transmission:
     rx_dbm: np.ndarray | None = None
     # carrier-sense rows derived from rx_dbm by the run (RunContext)
     cs_rows: tuple | None = None
+    _per_subchannel_dbm: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._per_subchannel_dbm = self.power_dbm - 10.0 * math.log10(
+            max(1, len(self.subchannels)))
 
     def power_per_subchannel_dbm(self) -> float:
-        return self.power_dbm - 10.0 * math.log10(max(1, len(self.subchannels)))
+        return self._per_subchannel_dbm
 
     def power_into_hz(self, band_hz: float, subchannel: int) -> float | None:
         """Power this transmission leaks into band_hz of the given subchannel."""
         if subchannel not in self.subchannels:
             return None
-        per_sub = self.power_per_subchannel_dbm()
-        return per_sub + 10.0 * math.log10(min(band_hz, SUBCHANNEL_HZ) / SUBCHANNEL_HZ)
+        return self._per_subchannel_dbm + band_share_db(band_hz)
+
+
+def band_share_db(band_hz: float) -> float:
+    """The share of one 20 MHz subchannel's power that falls in band_hz."""
+    return 10.0 * math.log10(min(band_hz, SUBCHANNEL_HZ) / SUBCHANNEL_HZ)
+
+
+def overlapping(tx: Transmission, subchannel: int, ru_index: int | None,
+                co_group: Collection[int]) -> list[tuple[Transmission, float]] | None:
+    """The frames that interfere with `tx` on `subchannel`, each with the
+    share of `tx`'s airtime it overlaps; None when `tx` is hard-corrupted.
+
+    Transmissions of one MU round on different RUs are orthogonal, and
+    MU-MIMO partner streams (`co_group`) are covered by the stream penalty.
+    Two transmitters on one random-access RU always corrupt each other (no
+    capture on RA RUs).  Aligned control frames of the round are skipped.
+    """
+    span = tx.end_ns - tx.start_ns
+    out = []
+    for other in tx.interferers:
+        if other.tx_node == tx.tx_node:
+            continue
+        if other.bss_id == tx.bss_id and other.round_id == tx.round_id \
+                and tx.round_id >= 0:
+            other_ru = other.ru.ru_index if other.ru else None
+            if other_ru is not None and ru_index is not None:
+                if other_ru != ru_index:
+                    continue            # orthogonal RU, same round
+                if other.tx_node in co_group:
+                    continue            # MU-MIMO partner stream
+                return None             # same RU: random-access collision
+            continue                    # aligned control/ack structure
+        if subchannel not in other.subchannels:
+            continue
+        overlap = min(tx.end_ns, other.end_ns) - max(tx.start_ns, other.start_ns)
+        if overlap <= 0 or span <= 0:
+            continue
+        out.append((other, overlap / span))
+    return out
 
 
 class Medium:
@@ -131,38 +175,19 @@ class Medium:
                 band_hz: float, subchannel: int, ru_index: int | None = None,
                 noise_figure_db: float = phy.NOISE_FIGURE_DB,
                 co_group: frozenset[int] = frozenset()) -> float | None:
-        """Decode SINR for one reception; None means hard corruption.
-
-        Transmissions of one MU round on different RUs are orthogonal, and
-        MU-MIMO partner streams are covered by the stream penalty.  Two
-        transmitters on one random-access RU always corrupt each other (no
-        capture on RA RUs).  Any other overlap enters the interference sum,
-        time-averaged over the frame.
-        """
+        """Decode SINR for one reception; None means hard corruption (see
+        `overlapping`).  Every overlap enters the interference sum,
+        time-averaged over the frame."""
+        overlaps = overlapping(tx, subchannel, ru_index, co_group)
+        if overlaps is None:
+            return None
         noise_mw = phy.dbm_to_mw(phy.noise_dbm(band_hz, noise_figure_db))
+        share_db = band_share_db(band_hz)
         interference_mw = 0.0
-        for other in tx.interferers:
-            if other.tx_node == tx.tx_node:
-                continue
-            if other.bss_id == tx.bss_id and other.round_id == tx.round_id \
-                    and tx.round_id >= 0:
-                other_ru = other.ru.ru_index if other.ru else None
-                if other_ru is not None and ru_index is not None:
-                    if other_ru != ru_index:
-                        continue            # orthogonal RU, same round
-                    if other.tx_node in co_group:
-                        continue            # MU-MIMO partner stream
-                    return None             # same RU: random-access collision
-                continue                    # aligned control/ack structure
-            leak = other.power_into_hz(band_hz, subchannel)
-            if leak is None:
-                continue
-            overlap = min(tx.end_ns, other.end_ns) - max(tx.start_ns, other.start_ns)
-            span = tx.end_ns - tx.start_ns
-            if overlap <= 0 or span <= 0:
-                continue
+        for other, weight in overlaps:
+            leak = other.power_per_subchannel_dbm() + share_db
             interference_mw += phy.dbm_to_mw(
-                self.rx_power_dbm(other.tx_node, rx_node, leak)) * (overlap / span)
+                self.rx_power_dbm(other.tx_node, rx_node, leak)) * weight
         return desired_dbm - phy.mw_to_dbm(noise_mw + interference_mw)
 
     def nav_sinr_vector(self, tx: Transmission,
@@ -174,36 +199,20 @@ class Medium:
         20 MHz; a random-access collision corrupts the frame for every
         listener.
         """
+        overlaps = overlapping(tx, 0, tx.ru.ru_index if tx.ru else None,
+                               tx.ru.users if tx.ru else ())
+        if overlaps is None:
+            return True, np.full(len(nodes), -np.inf)
         desired = tx.power_per_subchannel_dbm() - self.loss_db[tx.tx_node, nodes]
         noise_mw = phy.dbm_to_mw(phy.noise_dbm(SUBCHANNEL_HZ))
-        span = tx.end_ns - tx.start_ns
-        sources, powers, weights = [], [], []
-        for other in tx.interferers:
-            if other.tx_node == tx.tx_node:
-                continue
-            if other.bss_id == tx.bss_id and other.round_id == tx.round_id \
-                    and tx.round_id >= 0:
-                other_ru = other.ru.ru_index if other.ru else None
-                my_ru = tx.ru.ru_index if tx.ru else None
-                if other_ru is not None and my_ru is not None:
-                    if other_ru != my_ru:
-                        continue
-                    if other.tx_node in (tx.ru.users if tx.ru else ()):
-                        continue
-                    return True, np.full(len(nodes), -np.inf)
-                continue
-            if 0 not in other.subchannels:
-                continue
-            overlap = min(tx.end_ns, other.end_ns) - max(tx.start_ns, other.start_ns)
-            if overlap <= 0 or span <= 0:
-                continue
-            sources.append(other.tx_node)
-            powers.append(other.power_per_subchannel_dbm())
-            weights.append(overlap / span)
         interference_mw = np.zeros(len(nodes))
-        if sources:
-            p = np.array(powers)[:, None] - self.loss_db[np.ix_(sources, nodes)]
-            terms = np.power(10.0, p / 10.0) * np.array(weights)[:, None]
+        if overlaps:
+            sources = [other.tx_node for other, _ in overlaps]
+            powers = np.array([other.power_per_subchannel_dbm()
+                               for other, _ in overlaps])
+            weights = np.array([weight for _, weight in overlaps])
+            p = powers[:, None] - self.loss_db[np.ix_(sources, nodes)]
+            terms = np.power(10.0, p / 10.0) * weights[:, None]
             # summed in interferer order, one row after another
             interference_mw = np.cumsum(terms, axis=0)[-1]
         return False, desired - 10.0 * np.log10(noise_mw + interference_mw)

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 SPEED_OF_LIGHT = 299_792_458.0
 
 # HE numerology: 78.125 kHz spacing, 12.8 us symbol.  Legacy/VHT: 312.5 kHz, 3.2 us.
@@ -133,16 +135,18 @@ class PathLossModel:
     def outdoor(cls, sigma_db: float = 0.0) -> "PathLossModel":
         return cls("outdoor", 3.0, 3.0, 1.0, sigma_db)
 
-    def loss_db(self, distance_m: float, frequency_ghz: float,
-                shadow_db: float = 0.0) -> float:
-        d = max(distance_m, self.min_distance_m)
-        loss = fspl_db(1.0, frequency_ghz)
-        if d <= self.breakpoint_m:
-            loss += 10.0 * self.near_exponent * math.log10(d)
-        else:
-            loss += 10.0 * self.near_exponent * math.log10(self.breakpoint_m)
-            loss += 10.0 * self.far_exponent * math.log10(d / self.breakpoint_m)
-        return loss + shadow_db
+    def loss_db(self, distance_m: float | np.ndarray, frequency_ghz: float,
+                shadow_db: float | np.ndarray = 0.0) -> float | np.ndarray:
+        """Loss in dB at a distance, or element-wise over an array of
+        distances (with a shadowing term or an array of them); a scalar
+        distance gives a float."""
+        d = np.maximum(distance_m, self.min_distance_m)
+        ref = fspl_db(1.0, frequency_ghz)
+        near = ref + 10.0 * self.near_exponent * np.log10(d)
+        far = ref + 10.0 * self.near_exponent * math.log10(self.breakpoint_m) \
+            + 10.0 * self.far_exponent * np.log10(d / self.breakpoint_m)
+        loss = np.where(d <= self.breakpoint_m, near, far) + shadow_db
+        return float(loss) if loss.ndim == 0 else loss
 
 
 def fspl_db(distance_m: float, frequency_ghz: float) -> float:

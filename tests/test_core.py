@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -110,3 +111,26 @@ def test_rng_stream_is_stateful_not_reseeded_per_call():
     s = RngSet(1).stream("placement")
     draws = [s.randint(0, 99) for _ in range(50)]
     assert len(set(draws)) > 1
+
+
+@pytest.mark.parametrize("sigma", [1.0, 8.0])
+def test_gauss_array_equals_repeated_gauss(sigma):
+    # odd counts leave a Box-Muller value carried into the next call
+    fast = RngSet(3).stream("shadowing")
+    slow = RngSet(3).stream("shadowing")
+    for k in (0, 1, 2, 7, 0, 7, 1, 2, 2, 1000):
+        got = fast.gauss_array(k, sigma)
+        want = [slow.gauss(0.0, sigma) for _ in range(k)]
+        assert got.shape == (k,)
+        # numpy's log, cos and sin may differ from math's in the last ulp
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert fast.rng.gauss_next == slow.rng.gauss_next
+        assert fast.random() == slow.random()
+    assert fast.gauss(0.0, sigma) == slow.gauss(0.0, sigma)
+    assert fast.random() == slow.random()
+
+
+def test_gauss_array_of_nothing_leaves_the_stream():
+    fast = RngSet(3).stream("shadowing")
+    assert fast.gauss_array(0, 5.0).shape == (0,)
+    assert fast.rng.getstate() == RngSet(3).stream("shadowing").rng.getstate()

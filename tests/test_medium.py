@@ -1,0 +1,75 @@
+"""The interferer rule that decode SINR and NAV readability share."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from axsim import phy
+from axsim.core import Simulator
+from axsim.medium import (SUBCHANNEL_HZ, Medium, RuPart, Transmission,
+                          overlapping)
+from axsim.ru import RuAssignment
+
+LOSS = np.array([[0.0, 70.0, 75.0, 80.0, 85.0],
+                 [70.0, 0.0, 72.0, 77.0, 82.0],
+                 [75.0, 72.0, 0.0, 74.0, 79.0],
+                 [80.0, 77.0, 74.0, 0.0, 76.0],
+                 [85.0, 82.0, 79.0, 76.0, 0.0]])
+
+
+def frame(node, bss, start, end, subs=(0,), round_id=-1, ru=None, users=()):
+    part = None if ru is None else RuPart(ru, RuAssignment(26, min(subs)), 15.0, users)
+    return Transmission(0, node, bss, "he-tb" if part else "ampdu", start, end,
+                        frozenset(subs), 15.0, round_id=round_id, ru=part)
+
+
+# the frame under test: node 0's HE-TB on RU 1 of round 5, sharing the RU
+# with node 1 by MU-MIMO
+TX = dict(node=0, bss=0, start=0, end=1000, round_id=5, ru=1, users=(0, 1))
+FAR = frame(4, 1, 500, 1500)                          # half the frame
+OTHER_ROUND = frame(2, 0, 0, 1000, round_id=6, ru=1)  # whole frame
+SKIPPED = [
+    frame(0, 1, 0, 1000),                        # its own transmitter
+    frame(4, 1, 0, 1000, subs=(2,)),             # another subchannel
+    frame(2, 0, 0, 1000, round_id=5, ru=2),      # orthogonal RU, same round
+    frame(1, 0, 0, 1000, round_id=5, ru=1),      # MU-MIMO partner stream
+    frame(3, 0, 0, 1000, round_id=5),            # aligned control frame
+    frame(4, 1, 1000, 2000),                     # starts as the frame ends
+]
+COLLIDER = frame(3, 0, 0, 1000, round_id=5, ru=1)     # same RA-RU, same round
+
+
+def test_overlapping_keeps_the_interferers_with_their_airtime_share():
+    tx = frame(**TX)
+    tx.interferers = SKIPPED[:3] + [FAR] + SKIPPED[3:] + [OTHER_ROUND]
+    assert overlapping(tx, 0, 1, (0, 1)) == [(FAR, 0.5), (OTHER_ROUND, 1.0)]
+    # without an RU to decode, same-round frames are aligned structure
+    tx.interferers.append(COLLIDER)
+    assert overlapping(tx, 0, None, ()) == [(FAR, 0.5), (OTHER_ROUND, 1.0)]
+    assert overlapping(tx, 0, 1, (0, 1)) is None
+
+
+def test_decode_and_nav_sinr_apply_the_same_rule():
+    medium = Medium(Simulator(), LOSS)
+    tx = frame(**TX)
+    tx.interferers = SKIPPED + [FAR, OTHER_ROUND]
+    nodes = np.arange(1, 5)
+    corrupt, nav = medium.nav_sinr_vector(tx, nodes)
+    assert not corrupt
+    noise_mw = phy.dbm_to_mw(phy.noise_dbm(SUBCHANNEL_HZ))
+    for k, node in enumerate(nodes):
+        desired = medium.rx_power_dbm(0, node, tx.power_per_subchannel_dbm())
+        sinr = medium.sinr_db(tx, node, desired, SUBCHANNEL_HZ, 0, ru_index=1,
+                              co_group=frozenset({0, 1}))
+        interference_mw = (0.5 * phy.dbm_to_mw(15.0 - LOSS[4, node])
+                           + phy.dbm_to_mw(15.0 - LOSS[2, node]))
+        expected = desired - phy.mw_to_dbm(noise_mw + interference_mw)
+        assert sinr == pytest.approx(expected, abs=1e-9)
+        assert nav[k] == pytest.approx(expected, abs=1e-9)
+    tx.interferers.append(COLLIDER)
+    assert medium.sinr_db(tx, 3, -50.0, SUBCHANNEL_HZ, 0, ru_index=1,
+                          co_group=frozenset({0, 1})) is None
+    corrupt, nav = medium.nav_sinr_vector(tx, nodes)
+    assert corrupt and (nav == -np.inf).all()
+

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -47,6 +48,25 @@ def test_shadowing_term_is_additive():
     model = PathLossModel.indoor()
     assert model.loss_db(5.0, 5.57, shadow_db=4.2) == \
         pytest.approx(model.loss_db(5.0, 5.57) + 4.2)
+
+
+@pytest.mark.parametrize("model", [PathLossModel.indoor(), PathLossModel.outdoor()],
+                         ids=["indoor", "outdoor"])
+def test_loss_db_on_arrays_equals_loss_db_on_scalars(model):
+    bp = model.breakpoint_m
+    d = np.array([0.0, 0.01, model.min_distance_m / 2, model.min_distance_m,
+                  0.7, bp - 1e-9, bp, bp + 1e-9, 37.0, 480.0])
+    shadow = np.linspace(-9.0, 9.0, len(d))
+    arr = model.loss_db(d, 5.57, shadow)
+    assert isinstance(arr, np.ndarray) and arr.shape == d.shape
+    for k in range(len(d)):
+        scalar = model.loss_db(float(d[k]), 5.57, float(shadow[k]))
+        assert isinstance(scalar, float)
+        assert scalar == arr[k]
+    no_shadow = model.loss_db(d, 5.57)
+    assert [model.loss_db(float(x), 5.57) for x in d] == no_shadow.tolist()
+    # below the minimum distance the loss is the loss at it
+    assert no_shadow[0] == no_shadow[1] == no_shadow[2] == no_shadow[3]
 
 
 # --- received power ----------------------------------------------------------
