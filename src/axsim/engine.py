@@ -1009,6 +1009,7 @@ def loss_matrix(x: np.ndarray, y: np.ndarray, model: phy.PathLossModel,
         per_row = counts[first:stop]
         offsets = np.cumsum(per_row) - per_row
         ii = np.repeat(rows, per_row)
+        # the k-th pair of the block in row i is (i, i + 1 + k - offset of row i)
         jj = np.arange(len(ii)) + np.repeat(rows + 1 - offsets, per_row)
         d = np.hypot(x.take(ii) - x.take(jj), y.take(ii) - y.take(jj))
         shadow = shadowing.gauss_array(len(d), sigma) if sigma > 0 else 0.0
