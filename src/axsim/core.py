@@ -14,7 +14,6 @@ import numpy as np
 # All simulated time is an integer count of nanoseconds.  Protocol constants
 # (SIFS, DIFS, slot, TXOP limit) are exact multiples of 1 ns, so interframe
 # arithmetic never drifts.
-NS = 1
 US = 1_000
 MS = 1_000_000
 SEC = 1_000_000_000

@@ -133,11 +133,6 @@ class Contender:
             self.counter = self.node.backoff.draw(self.engine.rng_backoff)
         self._try_arm()
 
-    def stop(self) -> None:
-        self.active = False
-        self.pending = False
-        self.gen += 1
-
     def redraw(self, success: bool) -> None:
         if success:
             self.node.backoff.on_success()
@@ -207,8 +202,11 @@ class BssEngine:
         self.rng_per = ctx.rng.stream(f"per-{bss_id}")
         self.rng_sched = ctx.rng.stream(f"sched-{bss_id}")
         self.rng_uora = ctx.rng.stream(f"uora-{bss_id}")
+        self.nss = min(self.cfg.radio.sta_antennas, self.cfg.radio.ap_antennas)
+        self.contending: tuple[SimNode, ...] = ()   # the nodes that run EDCA
         self.contenders: dict[int, Contender] = {}
         self.dl_flows: dict[int, CbrFlow] = {}
+        self.mpdu_bits = Mpdu(0, self.cfg.packet_bytes, 0).onair_bits
 
     # --- carrier sensing / doze ----------------------------------------------------
 
@@ -259,25 +257,35 @@ class BssEngine:
             return node.tx_power_dbm
         return min(node.tx_power_dbm, cap)
 
-    def send_control(self, node: SimNode, kind: str, n_bytes: int,
-                     start_ns: int, nav_ns: int, involves=frozenset(),
-                     round_id: int = -1, payload=None) -> Transmission:
-        duration = frames.legacy_frame_duration_ns(n_bytes)
-        node.power.mark_tx(self.sim.now, max(0, start_ns - self.sim.now) + duration)
-        tx = Transmission(
-            0, node.node_id, self.bss_id, kind, start_ns, start_ns + duration,
-            self.ctx.subchannels, self.node_power(node), color=node.color,
-            round_id=round_id, nav_duration_ns=nav_ns,
-            involves=frozenset(involves), payload=payload)
+    def send(self, node: SimNode, kind: str, start: int, end: int,
+             then=None, **fields) -> Transmission:
+        """Put node's PPDU on the air from start to end, charging its transmit
+        energy from now; then(tx), if given, runs at end.  fields are further
+        Transmission fields; the PPDU spans the whole channel unless they
+        give its subchannels."""
+        now = self.sim.now
+        node.power.mark_tx(now, end - now)
+        fields.setdefault("subchannels", self.ctx.subchannels)
+        tx = Transmission(0, node.node_id, self.bss_id, kind, start, end,
+                          power_dbm=self.node_power(node), color=node.color,
+                          **fields)
+        self.medium.transmit(tx)
+        if then is not None:
+            self.sim.at(end, f"{kind}-end", node.node_id, lambda: then(tx))
         return tx
+
+    def send_control(self, node: SimNode, kind: str, n_bytes: int, start: int,
+                     then=None, **fields) -> Transmission:
+        """send for a frame of n_bytes at the legacy control rate."""
+        return self.send(node, kind, start,
+                         start + frames.legacy_frame_duration_ns(n_bytes),
+                         then, **fields)
 
     def control_decodes(self, tx: Transmission, node: SimNode, n_bytes: int) -> bool:
         if node.power.dozing:
             return False
-        desired = self.medium.rx_power_dbm(
-            tx.tx_node, node.node_id, tx.power_per_subchannel_dbm())
-        return self.mcs0_decodes(
-            self.medium.sinr_db(tx, node.node_id, desired, 20e6, 0), n_bytes)
+        return self.mcs0_decodes(self.medium.sinr_db(
+            tx, node.node_id, tx.power_per_subchannel_dbm(), 20e6, 0), n_bytes)
 
     def mcs0_decodes(self, sinr: float | None, n_bytes: int) -> bool:
         """One rng_per draw against the MCS0 PER of an n_bytes frame; a hard
@@ -309,6 +317,28 @@ class BssEngine:
         stats.mpdu_failures += len(failed)
         return survivors, failed
 
+    # --- link adaptation ---------------------------------------------------------------
+
+    def _link(self, power_dbm: float, tx: SimNode, rx: SimNode,
+              tones: int | None = None, streams: int | None = None,
+              shared: bool = False) -> tuple[phy.Mcs, float]:
+        """(MCS, data bits per OFDM symbol) for tx sending to rx at power_dbm
+        on an RU of `tones` (None: the whole VHT channel), with `streams`
+        spatial streams in all at rx (default nss); `shared` when MU-MIMO
+        streams share the RU.  The MCS is selected against the SNR over the
+        noise plus the other-BSS interference rx sees now."""
+        snr = power_dbm - self.ctx.loss(tx, rx) \
+            - self.ctx.effective_noise_dbm(rx, tones, self.bss_id) \
+            + phy.mu_mimo_sinr_adjustment_db(rx.antennas, streams or self.nss,
+                                             shared, self.cfg.phy.mu_stream_penalty_db)
+        mcs = self.ctx.per_model.select_mcs(snr, tones or 0,
+                                            self.cfg.phy.mcs_target_per,
+                                            self.features.max_mcs)
+        subcarriers = VHT_DATA_SUBCARRIERS[self.cfg.bandwidth_mhz] \
+            if tones is None else ru.data_subcarriers(tones)
+        return mcs, subcarriers * mcs.bits_per_symbol * float(mcs.coding_rate) \
+            * self.nss
+
     # --- TXOP end -------------------------------------------------------------------
 
     def _finish_txop(self, txop: Txop, success: bool) -> None:
@@ -318,9 +348,7 @@ class BssEngine:
         contender.redraw(success)
         if success and txop.deadline_ns - self.sim.now > \
                 frames.legacy_frame_duration_ns(frames.CF_END_BYTES):
-            cf = self.send_control(holder, "cf-end", frames.CF_END_BYTES,
-                                   self.sim.now, nav_ns=0)
-            self.medium.transmit(cf)
+            self.send_control(holder, "cf-end", frames.CF_END_BYTES, self.sim.now)
         if self.has_work(holder):
             contender.start()
 
@@ -341,11 +369,30 @@ class BssEngine:
             self.ctx.stats[sta.node_id] = FlowStats()
 
     def kick(self) -> None:
-        raise NotImplementedError
+        for node in self.contending:
+            node.backoff = BackoffState(cw_min=self.cfg.mac.cw_min,
+                                        cw_max=self.cfg.mac.cw_max)
+            self.contenders[node.node_id] = Contender(self, node, DIFS)
+        self.sim.at(0, "kick", self.ap.node_id, self._poll_traffic)
+
+    def _poll_traffic(self) -> None:
+        for node in self.contending:
+            if self.has_work(node):
+                self.contenders[node.node_id].start()
+        self.sim.after(self.ctx.poll_interval_ns, "traffic-poll",
+                       self.ap.node_id, self._poll_traffic)
 
     def has_work(self, node: SimNode) -> bool:
-        """Whether node has traffic to contend for once its TXOP ends."""
-        raise NotImplementedError
+        """Whether node has traffic to contend for: a STA for its own uplink
+        flow, the AP for every flow of the BSS it serves or triggers."""
+        if self.cfg.direction == DL:
+            flows = self.dl_flows.values()
+        elif node.is_ap:
+            flows = (sta.flow for sta in self.stas)
+        else:
+            flows = (node.flow,)
+        now = self.sim.now
+        return any(f.backlog_count(now) > 0 for f in flows)
 
     def on_backoff_complete(self, node: SimNode) -> None:
         raise NotImplementedError
@@ -359,41 +406,8 @@ class AcBssEngine(BssEngine):
 
     def __init__(self, ctx, bss_id, ap, stas):
         super().__init__(ctx, bss_id, ap, stas)
-        self.nss = min(self.cfg.radio.sta_antennas, self.cfg.radio.ap_antennas)
+        self.contending = (ap,) if self.cfg.direction == DL else tuple(stas)
         self.data_ppdu = phy.vht_ppdu(self.nss)
-
-    def kick(self) -> None:
-        for node in self.nodes:
-            node.backoff = BackoffState(cw_min=self.cfg.mac.cw_min,
-                                        cw_max=self.cfg.mac.cw_max)
-            self.contenders[node.node_id] = Contender(self, node, DIFS)
-        self.sim.at(0, "kick", self.ap.node_id, self._poll_traffic)
-
-    def _poll_traffic(self) -> None:
-        now = self.sim.now
-        for sta in self.stas:
-            if self.cfg.direction == UL and sta.flow.backlog_count(now) > 0:
-                self.contenders[sta.node_id].start()
-        if self.cfg.direction == DL and any(
-                f.backlog_count(now) > 0 for f in self.dl_flows.values()):
-            self.contenders[self.ap.node_id].start()
-        self.sim.after(self.ctx.poll_interval_ns, "traffic-poll",
-                       self.ap.node_id, self._poll_traffic)
-
-    def _link_snr(self, tx_node: SimNode, rx_node: SimNode, power_dbm: float) -> float:
-        snr = power_dbm - float(self.ctx.loss(tx_node, rx_node)) \
-            - self.ctx.effective_noise_dbm(rx_node, None, self.bss_id)
-        return snr + phy.array_gain_db(rx_node.antennas, self.nss)
-
-    def _link(self, tx_node: SimNode, rx_node: SimNode):
-        power = self.node_power(tx_node)
-        snr = self._link_snr(tx_node, rx_node, power)
-        mcs = self.ctx.per_model.select_mcs(snr, ru_tones=0,
-                                            target_per=self.cfg.phy.mcs_target_per,
-                                            max_index=self.features.max_mcs)
-        bps = VHT_DATA_SUBCARRIERS[self.cfg.bandwidth_mhz] * mcs.bits_per_symbol \
-            * float(mcs.coding_rate) * self.nss
-        return mcs, bps
 
     def on_backoff_complete(self, holder: SimNode) -> None:
         now = self.sim.now
@@ -410,24 +424,20 @@ class AcBssEngine(BssEngine):
                 return
         holder.in_txop = True
         txop = Txop(holder, now + self.cfg.mac.txop_limit_us * US, peer=peer,
-                    flow=flow, link=self._link(holder, peer))
-        rts = self.send_control(holder, "rts", frames.RTS_BYTES, now,
-                                nav_ns=txop.deadline_ns - now,
-                                involves=frozenset({peer.node_id}))
-        self.medium.transmit(rts)
-        self.sim.at(rts.end_ns, "rts-end", holder.node_id,
-                    lambda: self._rts_done(txop, rts))
+                    flow=flow, link=self._link(self.node_power(holder), holder, peer))
+        self.send_control(holder, "rts", frames.RTS_BYTES, now,
+                          lambda rts: self._rts_done(txop, rts),
+                          nav_duration_ns=txop.deadline_ns - now,
+                          involves=frozenset({peer.node_id}))
 
     def _rts_done(self, txop: Txop, rts) -> None:
         peer = txop.peer
         if self.control_decodes(rts, peer, frames.RTS_BYTES):
             start = self.sim.now + SIFS
-            cts = self.send_control(peer, "cts", frames.CTS_BYTES, start,
-                                    nav_ns=txop.deadline_ns - start,
-                                    involves=frozenset({txop.holder.node_id}))
-            self.medium.transmit(cts)
-            self.sim.at(cts.end_ns, "cts-end", peer.node_id,
-                        lambda: self._cts_done(txop, cts))
+            self.send_control(peer, "cts", frames.CTS_BYTES, start,
+                              lambda cts: self._cts_done(txop, cts),
+                              nav_duration_ns=txop.deadline_ns - start,
+                              involves=frozenset({txop.holder.node_id}))
         else:
             timeout = self.sim.now + SIFS + \
                 frames.legacy_frame_duration_ns(frames.CTS_BYTES) + SLOT_TIME
@@ -442,12 +452,11 @@ class AcBssEngine(BssEngine):
 
     def _data_round(self, txop: Txop) -> None:
         now = self.sim.now
-        holder, flow = txop.holder, txop.flow
+        flow = txop.flow
         mcs, bps = txop.link
         ba_ns = frames.legacy_frame_duration_ns(frames.BA_BYTES)
         budget = txop.deadline_ns - now - 2 * SIFS - ba_ns
-        mpdu_bits = Mpdu(0, self.cfg.packet_bytes, 0).onair_bits
-        n = frames.mpdus_that_fit(budget, self.data_ppdu, bps, mpdu_bits,
+        n = frames.mpdus_that_fit(budget, self.data_ppdu, bps, self.mpdu_bits,
                                   min(self.features.ampdu_cap,
                                       flow.backlog_count(now)), he=False)
         if n < 1:
@@ -456,22 +465,16 @@ class AcBssEngine(BssEngine):
         mpdus = flow.take(now, n)
         start = now + SIFS
         bits = sum(m.onair_bits for m in mpdus)
-        duration = frames.data_duration_ns(self.data_ppdu, bits, bps, he=False)
-        holder.power.mark_tx(now, start - now + duration)
-        tx = Transmission(0, holder.node_id, self.bss_id, "ampdu", start,
-                          start + duration, self.ctx.subchannels,
-                          self.node_power(holder), color=holder.color,
-                          nav_duration_ns=txop.deadline_ns - (start + duration),
-                          involves=frozenset({txop.peer.node_id}))
-        self.medium.transmit(tx)
-        self.sim.at(tx.end_ns, "ampdu-end", holder.node_id,
-                    lambda: self._data_done(txop, tx, mpdus, mcs))
+        end = start + frames.data_duration_ns(self.data_ppdu, bits, bps, he=False)
+        self.send(txop.holder, "ampdu", start, end,
+                  lambda tx: self._data_done(txop, tx, mpdus, mcs),
+                  nav_duration_ns=txop.deadline_ns - end,
+                  involves=frozenset({txop.peer.node_id}))
 
     def _data_done(self, txop: Txop, tx, mpdus, mcs) -> None:
         peer = txop.peer
-        desired = self.medium.rx_power_dbm(tx.tx_node, peer.node_id, tx.power_dbm)
-        band = self.cfg.bandwidth_mhz * 1e6
-        sinr = self.medium.sinr_db(tx, peer.node_id, desired, band, 0)
+        sinr = self.medium.sinr_db(tx, peer.node_id, tx.power_dbm,
+                                   self.cfg.bandwidth_mhz * 1e6, 0)
         eff = None
         if sinr is not None and not peer.power.dozing:
             eff = sinr + phy.array_gain_db(peer.antennas, self.nss)
@@ -482,12 +485,10 @@ class AcBssEngine(BssEngine):
             return
         txop.any_data = True
         start = self.sim.now + SIFS
-        ba = self.send_control(peer, "ba", frames.BA_BYTES, start,
-                               nav_ns=max(0, txop.deadline_ns - start),
-                               involves=frozenset({txop.holder.node_id}))
-        self.medium.transmit(ba)
-        self.sim.at(ba.end_ns, "ba-end", peer.node_id,
-                    lambda: self._ba_done(txop, ba, failed, mpdus))
+        self.send_control(peer, "ba", frames.BA_BYTES, start,
+                          lambda ba: self._ba_done(txop, ba, failed, mpdus),
+                          nav_duration_ns=max(0, txop.deadline_ns - start),
+                          involves=frozenset({txop.holder.node_id}))
 
     def _ba_done(self, txop: Txop, ba, failed, sent) -> None:
         if self.control_decodes(ba, txop.holder, frames.BA_BYTES):
@@ -496,12 +497,6 @@ class AcBssEngine(BssEngine):
         else:
             txop.flow.requeue(sent)     # sender cannot confirm anything
             self._finish_txop(txop, success=False)
-
-    def has_work(self, node: SimNode) -> bool:
-        now = self.sim.now
-        if node.is_ap:
-            return any(f.backlog_count(now) > 0 for f in self.dl_flows.values())
-        return node.flow.backlog_count(now) > 0
 
 
 # --- 802.11ax MU schemes --------------------------------------------------------------------
@@ -516,70 +511,18 @@ class AxBssEngine(BssEngine):
         self.bsr = mu.BsrTable()
         self.layout = ru.RuLayout.of(self.cfg.bandwidth_mhz,
                                      SCHEDULER_TONE_PLAN[self.cfg.bandwidth_mhz])
-        self.nss = min(self.cfg.radio.sta_antennas, self.cfg.radio.ap_antennas)
+        self.contending = (ap,)
         self.users_per_ru = 1
         if self.features.ul_mu_mimo:
             self.users_per_ru = max(1, min(2, self.cfg.radio.ap_antennas // self.nss))
-        self.mpdu_bits = Mpdu(0, self.cfg.packet_bytes, 0).onair_bits
-
-    def kick(self) -> None:
-        self.ap.backoff = BackoffState(cw_min=self.cfg.mac.cw_min,
-                                       cw_max=self.cfg.mac.cw_max)
-        self.contenders[self.ap.node_id] = Contender(self, self.ap, DIFS)
-        for sta in self.stas:
+        for sta in stas:
             sta.obo = mu.OboState(ocw_min=self.cfg.mac.ocw_min,
                                   ocw_max=self.cfg.mac.ocw_max)
-        self.sim.at(0, "kick", self.ap.node_id, self._poll_traffic)
-
-    def _poll_traffic(self) -> None:
-        if self.has_work(self.ap):
-            self.contenders[self.ap.node_id].start()
-        self.sim.after(self.ctx.poll_interval_ns, "traffic-poll",
-                       self.ap.node_id, self._poll_traffic)
-
-    def has_work(self, node: SimNode) -> bool:
-        """Only the AP contends; it has work while any flow of the BSS does."""
-        now = self.sim.now
-        if self.cfg.direction == DL:
-            return any(f.backlog_count(now) > 0 for f in self.dl_flows.values())
-        return any(s.flow.backlog_count(now) > 0 for s in self.stas)
-
-    # --- link adaptation ---------------------------------------------------------------
-
-    def _ul_mcs(self, sta: SimNode, tones: int, shared: bool) -> tuple[phy.Mcs, float]:
-        streams = self.nss * (self.users_per_ru if shared else 1)
-        snr = self.node_power(sta) - float(self.ctx.loss(sta, self.ap)) \
-            - self.ctx.effective_noise_dbm(self.ap, tones, self.bss_id) \
-            + phy.mu_mimo_sinr_adjustment_db(self.ap.antennas, streams, shared,
-                                             self.cfg.phy.mu_stream_penalty_db)
-        mcs = self.ctx.per_model.select_mcs(snr, tones,
-                                            self.cfg.phy.mcs_target_per,
-                                            self.features.max_mcs)
-        bps = ru.data_subcarriers(tones) * mcs.bits_per_symbol \
-            * float(mcs.coding_rate) * self.nss
-        return mcs, bps
-
-    def _dl_mcs(self, sta: SimNode, tones: int, n_rus: int,
-                users_on_ru: int) -> tuple[phy.Mcs, float]:
-        power = mu.dl_power_split_dbm(self.node_power(self.ap), n_rus) \
-            - 10.0 * math.log10(users_on_ru)
-        shared = users_on_ru > 1
-        snr = power - float(self.ctx.loss(self.ap, sta)) \
-            - self.ctx.effective_noise_dbm(sta, tones, self.bss_id) \
-            + phy.mu_mimo_sinr_adjustment_db(sta.antennas,
-                                             self.nss * users_on_ru, shared,
-                                             self.cfg.phy.mu_stream_penalty_db)
-        mcs = self.ctx.per_model.select_mcs(snr, tones,
-                                            self.cfg.phy.mcs_target_per,
-                                            self.features.max_mcs)
-        bps = ru.data_subcarriers(tones) * mcs.bits_per_symbol \
-            * float(mcs.coding_rate) * self.nss
-        return mcs, bps
 
     # --- TXOP structure -----------------------------------------------------------------
 
     def on_backoff_complete(self, node: SimNode) -> None:
-        if not node.is_ap or not self.has_work(node):
+        if not self.has_work(node):
             return
         node.in_txop = True
         txop = Txop(node, self.sim.now + self.cfg.mac.txop_limit_us * US)
@@ -592,27 +535,26 @@ class AxBssEngine(BssEngine):
                  users: tuple[int, ...] = ()) -> RuPart:
         return RuPart(ru_index, self.layout.rus[ru_index], power_dbm, users)
 
-    def _he_tb(self, sta: SimNode, part: RuPart, start: int, end: int,
+    def _he_tb(self, sta: SimNode, ru_index: int, start: int, end: int,
                round_id: int, solicited: frozenset[int],
-               nav_ns: int = 0) -> Transmission:
-        """Put one STA's trigger-based response on the air in its RU.  The
-        PPDU involves the AP and every STA the round's trigger solicited, so
-        no responder dozes through another's response."""
-        sta.power.mark_tx(self.sim.now, end - self.sim.now)
-        tx = Transmission(0, sta.node_id, self.bss_id, "he-tb", start, end,
-                          part.assignment.subchannels, self.node_power(sta),
-                          color=sta.color, round_id=round_id, ru=part,
-                          nav_duration_ns=nav_ns,
-                          involves=solicited | {self.ap.node_id})
-        self.medium.transmit(tx)
-        return tx
+               partners: tuple[int, ...] = (), nav_ns: int = 0) -> Transmission:
+        """Put one STA's trigger-based response on the air in its RU, which
+        it shares with its MU-MIMO partners.  The PPDU involves the AP and
+        every STA the round's trigger solicited, so no responder dozes
+        through another's response."""
+        part = self._ru_part(ru_index, self.node_power(sta), partners)
+        return self.send(sta, "he-tb", start, end,
+                         subchannels=part.assignment.subchannels,
+                         round_id=round_id, ru=part, nav_duration_ns=nav_ns,
+                         involves=solicited | {self.ap.node_id})
 
-    def _ru_sinr(self, tx: Transmission, rx: int, desired_dbm: float,
-                 co_group: frozenset[int] = frozenset()) -> float | None:
+    def _ru_sinr(self, tx: Transmission) -> float | None:
+        """Decode SINR at the AP of a HE-TB PPDU in its RU; the RU's MU-MIMO
+        partner streams do not interfere."""
         part = tx.ru
-        return self.medium.sinr_db(tx, rx, desired_dbm, part.bandwidth_hz,
-                                   part.assignment.position, part.ru_index,
-                                   co_group=co_group)
+        return self.medium.sinr_db(tx, self.ap.node_id, tx.power_dbm,
+                                   part.bandwidth_hz, part.assignment.position,
+                                   part.ru_index, co_group=part.users)
 
     # --- uplink -----------------------------------------------------------------------------
 
@@ -632,7 +574,7 @@ class AxBssEngine(BssEngine):
         polled = unknown[:len(self.layout.rus)]
         users = tuple(mu.TfUser(sta, i) for i, sta in enumerate(polled))
         tf = mu.TriggerFrame(mu.TriggerType.BSRP, self.layout, users)
-        tf_bytes = frames.TF_BASE_BYTES + frames.TF_PER_USER_BYTES * len(polled)
+        tf_bytes = frames.tf_bytes(len(polled))
         report_ns = max(
             frames.data_duration_ns(phy.HE_TB_PPDU, 8 * frames.BSR_REPORT_BYTES,
                                     ru.data_subcarriers(self.layout.rus[i].tones) * 0.5)
@@ -641,12 +583,10 @@ class AxBssEngine(BssEngine):
         if now + total > txop.deadline_ns:
             self._finish_txop(txop, txop.any_data)
             return
-        ctrl = self.send_control(self.ap, "tf-bsrp", tf_bytes, now,
-                                 nav_ns=txop.deadline_ns - now,
-                                 involves=frozenset(polled), payload=tf)
-        self.medium.transmit(ctrl)
-        self.sim.at(ctrl.end_ns, "tf-end", self.ap.node_id,
-                    lambda: self._bsrp_responses(txop, ctrl, tf, report_ns))
+        self.send_control(self.ap, "tf-bsrp", tf_bytes, now,
+                          lambda ctrl: self._bsrp_responses(txop, ctrl, tf, report_ns),
+                          nav_duration_ns=txop.deadline_ns - now,
+                          involves=frozenset(polled), payload=tf)
 
     def _bsrp_responses(self, txop: Txop, ctrl, tf, report_ns) -> None:
         start = self.sim.now + SIFS
@@ -657,19 +597,15 @@ class AxBssEngine(BssEngine):
             sta = self.by_id[user.aid12]
             if not self.control_decodes(ctrl, sta, frames.TF_BASE_BYTES):
                 continue
-            part = self._ru_part(user.ru_index, self.node_power(sta))
-            txs.append((sta, self._he_tb(sta, part, start, start + report_ns,
-                                         round_id, polled)))
+            txs.append((sta, self._he_tb(sta, user.ru_index, start,
+                                         start + report_ns, round_id, polled)))
         self.sim.at(start + report_ns, "bsrp-end", self.ap.node_id,
                     lambda: self._bsrp_done(txop, txs))
 
     def _bsrp_done(self, txop: Txop, txs) -> None:
         now = self.sim.now
         for sta, tx in txs:
-            desired = self.medium.rx_power_dbm(sta.node_id, self.ap.node_id,
-                                               tx.power_dbm)
-            if self.mcs0_decodes(self._ru_sinr(tx, self.ap.node_id, desired),
-                                 frames.BSR_REPORT_BYTES):
+            if self.mcs0_decodes(self._ru_sinr(tx), frames.BSR_REPORT_BYTES):
                 self.bsr.ingest(sta.node_id, sta.flow.backlog_bytes(now), now)
         # BSRP rounds end without an MBA
         self.sim.after(SIFS, "post-bsrp", self.ap.node_id,
@@ -692,18 +628,18 @@ class AxBssEngine(BssEngine):
         max_air = 0
         for user in tf.scheduled_users:
             sta = self.by_id[user.aid12]
-            tones = tf.ru_of(user).tones
-            shared = len(tf.users_of(user.ru_index)) > 1
-            mcs, bps = self._ul_mcs(sta, tones, shared)
+            users = len(tf.users_of(user.ru_index))
+            mcs, bps = self._link(self.node_power(sta), sta, self.ap,
+                                  tf.ru_of(user).tones, self.nss * users, users > 1)
             backlog = min(self.features.ampdu_cap, sta.flow.backlog_count(now))
             air = frames.data_duration_ns(phy.HE_TB_PPDU,
                                           backlog * self.mpdu_bits, bps)
-            plan[user.aid12] = (user, mcs, bps, shared)
+            plan[user.aid12] = (user, mcs, bps)
             max_air = max(max_air, air)
         n_users = len(tf.per_user)
-        tf_bytes = frames.TF_BASE_BYTES + frames.TF_PER_USER_BYTES * n_users
+        tf_bytes = frames.tf_bytes(n_users)
         overhead = frames.legacy_frame_duration_ns(tf_bytes) + 2 * SIFS \
-            + frames.mba_duration_ns(n_users)
+            + frames.legacy_frame_duration_ns(frames.mba_bytes(n_users))
         ul_duration = min(txop.deadline_ns - now - overhead, max_air)
         min_air = frames.data_duration_ns(phy.HE_TB_PPDU, self.mpdu_bits,
                                           min(p[2] for p in plan.values())
@@ -711,12 +647,11 @@ class AxBssEngine(BssEngine):
         if ul_duration < min_air:
             self._finish_txop(txop, txop.any_data)
             return
-        ctrl = self.send_control(self.ap, "tf", tf_bytes, now,
-                                 nav_ns=txop.deadline_ns - now,
-                                 involves=frozenset(plan), payload=tf)
-        self.medium.transmit(ctrl)
-        self.sim.at(ctrl.end_ns, "tf-end", self.ap.node_id,
-                    lambda: self._ul_data_phase(txop, ctrl, tf, plan, ul_duration))
+        self.send_control(self.ap, "tf", tf_bytes, now,
+                          lambda ctrl: self._ul_data_phase(txop, ctrl, tf, plan,
+                                                           ul_duration),
+                          nav_duration_ns=txop.deadline_ns - now,
+                          involves=frozenset(plan), payload=tf)
 
     def _ul_data_phase(self, txop: Txop, ctrl, tf, plan, ul_duration) -> None:
         now = self.sim.now
@@ -727,9 +662,10 @@ class AxBssEngine(BssEngine):
         solicited = frozenset(s.node_id for s in self.stas) if tf.ra_ru_indices \
             else frozenset(plan)
         txs = []
-        for aid, (user, mcs, bps, shared) in plan.items():
+        for aid, (user, mcs, bps) in plan.items():
             sta = self.by_id[aid]
-            if sta.power.dozing or not self.control_decodes(ctrl, sta, 28):
+            if sta.power.dozing or \
+                    not self.control_decodes(ctrl, sta, frames.TF_BASE_BYTES):
                 continue
             if not sta.nav.idle(now, scheduled_in_intra_tf=True):
                 continue
@@ -740,10 +676,9 @@ class AxBssEngine(BssEngine):
                 continue
             partners = tuple(u.aid12 for u in tf.users_of(user.ru_index)
                              if u.aid12 != aid)
-            part = self._ru_part(user.ru_index, self.node_power(sta), partners)
-            tx = self._he_tb(sta, part, start, end, round_id, solicited,
-                             nav_ns=txop.deadline_ns - end)
-            txs.append((sta, tx, mpdus, mcs, shared))
+            tx = self._he_tb(sta, user.ru_index, start, end, round_id, solicited,
+                             partners, nav_ns=txop.deadline_ns - end)
+            txs.append((sta, tx, mpdus, mcs))
         uora_txs = self._uora_phase(tf, start, end, round_id, solicited)
         self.sim.at(end, "ul-round-end", self.ap.node_id,
                     lambda: self._ul_round_end(txop, txs + uora_txs))
@@ -778,30 +713,26 @@ class AxBssEngine(BssEngine):
         for sta_id in transmitted:
             sta = self.by_id[sta_id]
             ru_index = ra_indices[sta.obo.candidate_ru]
-            tones = tf.layout.rus[ru_index].tones
-            mcs, bps = self._ul_mcs(sta, tones, shared=False)
+            mcs, bps = self._link(self.node_power(sta), sta, self.ap,
+                                  tf.layout.rus[ru_index].tones)
             n = frames.mpdus_that_fit(end - start, phy.HE_TB_PPDU, bps,
                                       self.mpdu_bits, self.features.ampdu_cap)
             mpdus = sta.flow.take(now, max(1, n))
-            part = self._ru_part(ru_index, self.node_power(sta))
-            tx = self._he_tb(sta, part, start, end, round_id, solicited)
-            txs.append((sta, tx, mpdus, mcs, False))
+            tx = self._he_tb(sta, ru_index, start, end, round_id, solicited)
+            txs.append((sta, tx, mpdus, mcs))
         return txs
 
     def _ul_round_end(self, txop: Txop, txs) -> None:
         now = self.sim.now
         decoded = {}
         results = []
-        for sta, tx, mpdus, mcs, shared in txs:
-            desired = self.medium.rx_power_dbm(sta.node_id, self.ap.node_id,
-                                               tx.power_dbm)
-            partners = frozenset(tx.ru.users)
-            sinr = self._ru_sinr(tx, self.ap.node_id, desired, co_group=partners)
+        for sta, tx, mpdus, mcs in txs:
+            sinr = self._ru_sinr(tx)
             eff = None
             if sinr is not None:
-                streams = self.nss * (len(partners) + 1)
+                partners = len(tx.ru.users)
                 eff = sinr + phy.mu_mimo_sinr_adjustment_db(
-                    self.ap.antennas, streams, shared,
+                    self.ap.antennas, self.nss * (partners + 1), partners > 0,
                     self.cfg.phy.mu_stream_penalty_db)
             survivors, failed = self.mpdu_outcomes(sta.flow, mpdus, eff, mcs)
             results.append((sta, mpdus, failed))
@@ -816,13 +747,9 @@ class AxBssEngine(BssEngine):
             return
         txop.any_data = True
         start = now + SIFS
-        mba_bytes = frames.MBA_BASE_BYTES + frames.MBA_PER_STA_BYTES * len(decoded)
-        mba = self.send_control(self.ap, "mba", mba_bytes, start, nav_ns=0,
-                                involves=frozenset(decoded),
-                                payload=mu.mba_for(decoded))
-        self.medium.transmit(mba)
-        self.sim.at(mba.end_ns, "mba-end", self.ap.node_id,
-                    lambda: self._mba_done(txop, mba, results, decoded))
+        self.send_control(self.ap, "mba", frames.mba_bytes(len(decoded)), start,
+                          lambda mba: self._mba_done(txop, mba, results, decoded),
+                          involves=frozenset(decoded), payload=mu.mba_for(decoded))
 
     def _mba_done(self, txop: Txop, mba, results, decoded) -> None:
         for sta, mpdus, failed in results:
@@ -849,7 +776,8 @@ class AxBssEngine(BssEngine):
         if tf is None:
             self._finish_txop(txop, txop.any_data)
             return
-        n_rus = len(self.layout.rus)
+        per_ru_power = mu.dl_power_split_dbm(self.node_power(self.ap),
+                                             len(self.layout.rus))
         by_ru: dict[int, list[int]] = {}
         for user in tf.per_user:
             by_ru.setdefault(user.ru_index, []).append(
@@ -858,9 +786,11 @@ class AxBssEngine(BssEngine):
         max_air = 0
         for ru_index, members in by_ru.items():
             tones = self.layout.rus[ru_index].tones
+            users = len(members)
             for sta_id in members:
-                sta = self.by_id[sta_id]
-                mcs, bps = self._dl_mcs(sta, tones, n_rus, len(members))
+                mcs, bps = self._link(per_ru_power - 10.0 * math.log10(users),
+                                      self.ap, self.by_id[sta_id], tones,
+                                      self.nss * users, users > 1)
                 backlog = min(self.features.ampdu_cap,
                               self.dl_flows[sta_id].backlog_count(now))
                 air = frames.data_duration_ns(phy.HE_MU_PPDU,
@@ -878,7 +808,6 @@ class AxBssEngine(BssEngine):
         if dl_duration < min_air:
             self._finish_txop(txop, txop.any_data)
             return
-        per_ru_power = mu.dl_power_split_dbm(self.node_power(self.ap), n_rus)
         parts = []
         taken = {}
         for ru_index, members in by_ru.items():
@@ -896,18 +825,11 @@ class AxBssEngine(BssEngine):
         if not taken:
             self._finish_txop(txop, txop.any_data)
             return
-        round_id = self.ctx.new_round()
         end = now + dl_duration
-        self.ap.power.mark_tx(now, dl_duration)
-        tx = Transmission(0, self.ap.node_id, self.bss_id, "he-mu", now, end,
-                          self.ctx.subchannels, self.node_power(self.ap),
-                          color=self.ap.color, round_id=round_id,
-                          ru_parts=tuple(parts),
-                          nav_duration_ns=txop.deadline_ns - end,
-                          involves=frozenset(taken))
-        self.medium.transmit(tx)
-        self.sim.at(end, "dl-data-end", self.ap.node_id,
-                    lambda: self._dl_data_done(txop, tx, plan, taken, ba_on_ru_ns))
+        self.send(self.ap, "he-mu", now, end,
+                  lambda tx: self._dl_data_done(txop, tx, plan, taken, ba_on_ru_ns),
+                  round_id=self.ctx.new_round(), ru_parts=tuple(parts),
+                  nav_duration_ns=txop.deadline_ns - end, involves=frozenset(taken))
 
     def _dl_data_done(self, txop: Txop, tx, plan, taken, ba_on_ru_ns) -> None:
         now = self.sim.now
@@ -920,11 +842,10 @@ class AxBssEngine(BssEngine):
                 continue
             part = next(p for p in tx.ru_parts if p.ru_index == ru_index)
             users_on_ru = len(part.users)
-            desired = self.medium.rx_power_dbm(
-                self.ap.node_id, sta_id,
-                part.power_dbm - 10.0 * math.log10(users_on_ru))
-            sinr = self.medium.sinr_db(tx, sta_id, desired, part.bandwidth_hz,
-                                       part.assignment.position, ru_index)
+            sinr = self.medium.sinr_db(tx, sta_id,
+                                       part.power_dbm - 10.0 * math.log10(users_on_ru),
+                                       part.bandwidth_hz, part.assignment.position,
+                                       ru_index)
             eff = None
             if sinr is not None:
                 eff = sinr + phy.mu_mimo_sinr_adjustment_db(
@@ -944,13 +865,11 @@ class AxBssEngine(BssEngine):
         solicited = frozenset(responders)
         ba_txs = []
         for sta_id in responders:
-            sta = self.by_id[sta_id]
             ru_index = plan[sta_id][0]
             partners = tuple(s for s in responders
                              if s != sta_id and plan[s][0] == ru_index)
-            part = self._ru_part(ru_index, self.node_power(sta), partners)
-            ba = self._he_tb(sta, part, start, start + ba_on_ru_ns, tx.round_id,
-                             solicited)
+            ba = self._he_tb(self.by_id[sta_id], ru_index, start,
+                             start + ba_on_ru_ns, tx.round_id, solicited, partners)
             ba_txs.append((sta_id, ba))
         self.sim.at(start + ba_on_ru_ns, "dl-ba-end", self.ap.node_id,
                     lambda: self._dl_ba_done(txop, taken, outcomes, ba_txs))
@@ -958,11 +877,7 @@ class AxBssEngine(BssEngine):
     def _dl_ba_done(self, txop: Txop, taken, outcomes, ba_txs) -> None:
         acked = set()
         for sta_id, ba in ba_txs:
-            desired = self.medium.rx_power_dbm(sta_id, self.ap.node_id,
-                                               ba.power_dbm)
-            sinr = self._ru_sinr(ba, self.ap.node_id, desired,
-                                 co_group=frozenset(ba.ru.users))
-            if self.mcs0_decodes(sinr, frames.BA_BYTES):
+            if self.mcs0_decodes(self._ru_sinr(ba), frames.BA_BYTES):
                 acked.add(sta_id)
         for sta_id, (_, failed) in outcomes.items():
             self.dl_flows[sta_id].requeue(failed if sta_id in acked
@@ -1068,7 +983,7 @@ class RunContext:
             np.array([p.x for p in topology.placements]),
             np.array([p.y for p in topology.placements]),
             model, cfg.radio.frequency_ghz, self.rng.stream("shadowing"))
-        self.medium = Medium(self.sim, self.loss_db)
+        self.medium = Medium(self.sim, self.loss_db, cfg.radio.noise_figure_db)
         self._round_counter = 0
         self._cs_sensed: list[Transmission] | None = None
         self._cs_key: tuple[int, ...] = ()
@@ -1142,7 +1057,8 @@ class RunContext:
                 tx.cs_rows = (hears, None)
                 return tx.cs_rows
             allowed = spatial.max_sr_tx_power_row(p, self.obss_cfg)
-            snr = allowed - self.worst_loss - phy.noise_dbm(20e6)
+            snr = allowed - self.worst_loss \
+                - phy.noise_dbm(20e6, self.cfg.radio.noise_figure_db)
             # where no cap exists allowed is NaN, every comparison with it is
             # False, and the frame blocks
             sr_ok = (self.colors != tx.color) & (allowed >= MIN_SR_TXPWR_DBM) \

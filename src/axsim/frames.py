@@ -1,6 +1,6 @@
 """Frame vocabulary and the airtime model shared by both MAC schemes.
 
-Control frames (RTS/CTS/ACK/BA/TF/MBA/CF-End/Beacon) ride at the legacy
+Control frames (RTS/CTS/BA/TF/MBA/CF-End) ride at the legacy
 6 Mbps base rate behind a 20 us preamble.  Data PPDUs occupy whole OFDM
 symbols of their numerology behind the preamble of their PPDU format.
 """
@@ -8,7 +8,7 @@ symbols of their numerology behind the preamble of their PPDU format.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import US
 from .phy import HE_SYMBOL_US, LEGACY_GI_US, LEGACY_SYMBOL_US, PpduFormat
@@ -16,10 +16,8 @@ from .phy import HE_SYMBOL_US, LEGACY_GI_US, LEGACY_SYMBOL_US, PpduFormat
 # sizes in bytes
 RTS_BYTES = 20
 CTS_BYTES = 14
-ACK_BYTES = 14
 BA_BYTES = 32
 CF_END_BYTES = 20
-BEACON_BYTES = 100
 TF_BASE_BYTES = 28
 TF_PER_USER_BYTES = 5
 MBA_BASE_BYTES = 22
@@ -46,13 +44,14 @@ def legacy_frame_duration_ns(frame_bytes: int) -> int:
     return _us_to_ns(LEGACY_PREAMBLE_US + symbols * LEGACY_FULL_SYMBOL_US)
 
 
-def tf_duration_ns(n_users: int) -> int:
+def tf_bytes(n_users: int) -> int:
     """Trigger frames grow with the per-user info list."""
-    return legacy_frame_duration_ns(TF_BASE_BYTES + TF_PER_USER_BYTES * n_users)
+    return TF_BASE_BYTES + TF_PER_USER_BYTES * n_users
 
 
-def mba_duration_ns(n_stas: int) -> int:
-    return legacy_frame_duration_ns(MBA_BASE_BYTES + MBA_PER_STA_BYTES * n_stas)
+def mba_bytes(n_stas: int) -> int:
+    """Multi-STA block acks grow with the per-STA info list."""
+    return MBA_BASE_BYTES + MBA_PER_STA_BYTES * n_stas
 
 
 def data_duration_ns(ppdu: PpduFormat, total_bits: int, bits_per_symbol: float,

@@ -115,13 +115,16 @@ class Medium:
     any frame's end its interferer list holds every overlap.
 
     A frame carries its received power at every node (`rx_dbm`) only while
-    it is on the air: ended frames stay reachable through interferer lists,
-    and keeping their rows would hold one row per frame ever sent.
+    it is on the air, and its interferer list until a frame it overlaps ends
+    after it: ended frames stay reachable through the lists of the frames
+    they overlap, and on a busy medium those chains would otherwise hold
+    every frame ever sent.
     """
 
-    def __init__(self, sim: Simulator, loss_db: np.ndarray):
+    def __init__(self, sim: Simulator, loss_db: np.ndarray, noise_figure_db: float):
         self.sim = sim
         self.loss_db = loss_db
+        self.noise_figure_db = noise_figure_db
         self.active: dict[int, Transmission] = {}
         self.listeners: list = []    # callables (event, transmission)
         self._next_id = 0
@@ -153,6 +156,12 @@ class Medium:
         for listener in self.listeners:
             listener("end", tx)
         tx.rx_dbm = tx.cs_rows = None
+        # a frame's interferer list is read only at its own end; drop those of
+        # the overlappers that ended earlier, so ended frames do not keep
+        # each other reachable
+        for other in tx.interferers:
+            if other.end_ns < tx.end_ns:
+                other.interferers = []
 
     # --- carrier sensing -------------------------------------------------------
 
@@ -171,24 +180,24 @@ class Medium:
 
     # --- decoding ---------------------------------------------------------------
 
-    def sinr_db(self, tx: Transmission, rx_node: int, desired_dbm: float,
+    def sinr_db(self, tx: Transmission, rx_node: int, power_dbm: float,
                 band_hz: float, subchannel: int, ru_index: int | None = None,
-                noise_figure_db: float = phy.NOISE_FIGURE_DB,
-                co_group: frozenset[int] = frozenset()) -> float | None:
-        """Decode SINR for one reception; None means hard corruption (see
-        `overlapping`).  Every overlap enters the interference sum,
-        time-averaged over the frame."""
+                co_group: Collection[int] = ()) -> float | None:
+        """Decode SINR at rx_node of the part of tx sent at power_dbm; None
+        means hard corruption (see `overlapping`).  Every overlap enters the
+        interference sum, time-averaged over the frame."""
         overlaps = overlapping(tx, subchannel, ru_index, co_group)
         if overlaps is None:
             return None
-        noise_mw = phy.dbm_to_mw(phy.noise_dbm(band_hz, noise_figure_db))
+        noise_mw = phy.dbm_to_mw(phy.noise_dbm(band_hz, self.noise_figure_db))
         share_db = band_share_db(band_hz)
         interference_mw = 0.0
         for other, weight in overlaps:
             leak = other.power_per_subchannel_dbm() + share_db
             interference_mw += phy.dbm_to_mw(
                 self.rx_power_dbm(other.tx_node, rx_node, leak)) * weight
-        return desired_dbm - phy.mw_to_dbm(noise_mw + interference_mw)
+        return self.rx_power_dbm(tx.tx_node, rx_node, power_dbm) \
+            - phy.mw_to_dbm(noise_mw + interference_mw)
 
     def nav_sinr_vector(self, tx: Transmission,
                         nodes: np.ndarray) -> tuple[bool, np.ndarray]:
@@ -204,7 +213,7 @@ class Medium:
         if overlaps is None:
             return True, np.full(len(nodes), -np.inf)
         desired = tx.power_per_subchannel_dbm() - self.loss_db[tx.tx_node, nodes]
-        noise_mw = phy.dbm_to_mw(phy.noise_dbm(SUBCHANNEL_HZ))
+        noise_mw = phy.dbm_to_mw(phy.noise_dbm(SUBCHANNEL_HZ, self.noise_figure_db))
         interference_mw = np.zeros(len(nodes))
         if overlaps:
             sources = [other.tx_node for other, _ in overlaps]

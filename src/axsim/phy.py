@@ -99,7 +99,6 @@ class PpduFormat:
 
 
 LEGACY_PPDU = PpduFormat("legacy", 20.0)
-HE_SU_PPDU = PpduFormat("HE-SU", 48.0)
 
 
 def vht_ppdu(nss: int) -> PpduFormat:
@@ -108,7 +107,6 @@ def vht_ppdu(nss: int) -> PpduFormat:
 
 HE_MU_PPDU = PpduFormat("HE-MU", 56.0, carries_user_map=True)
 HE_TB_PPDU = PpduFormat("HE-TB", 48.0)
-HE_ER_SU_PPDU = PpduFormat("HE-ER-SU", 64.0)
 
 
 @dataclass

@@ -62,7 +62,6 @@ class TwtSp:
 
 
 ACCEPT = "accept"
-REJECT = "reject"
 
 
 @dataclass(frozen=True)
@@ -115,10 +114,6 @@ class EnergyAccount:
     def energy_units(self) -> float:
         return (self.awake_ns * DRAW_AWAKE + self.tx_ns * DRAW_TX
                 + self.doze_ns * DRAW_DOZE) / SEC
-
-    @property
-    def doze_fraction(self) -> float:
-        return self.doze_ns / self.total_ns if self.total_ns else 0.0
 
 
 @dataclass

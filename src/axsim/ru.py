@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 RU_TONE_SIZES = (26, 52, 106, 242, 484, 996, 1992)
@@ -26,8 +26,6 @@ VALID_BANDWIDTHS_MHZ = (20, 40, 80, 160)
 # center 26, matching the canonical 20 MHz division modes down to 9 x 26.
 SPLIT = {1992: (996, 996), 996: (484, 484), 484: (242, 242),
          242: (106, 106, 26), 106: (52, 52), 52: (26, 26)}
-
-RU_BANDWIDTH_HZ = {tones: tones * 78_125.0 for tones in RU_TONE_SIZES}
 
 
 class RuPlanError(ValueError):

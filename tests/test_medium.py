@@ -1,12 +1,18 @@
-"""The interferer rule that decode SINR and NAV readability share."""
+"""The interferer rule that decode SINR and NAV readability share, and how
+long a frame's interferer list lives."""
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from axsim import phy
+from axsim.config import default_config
 from axsim.core import Simulator
+from axsim.engine import RunContext
 from axsim.medium import (SUBCHANNEL_HZ, Medium, RuPart, Transmission,
                           overlapping)
 from axsim.ru import RuAssignment
@@ -51,7 +57,7 @@ def test_overlapping_keeps_the_interferers_with_their_airtime_share():
 
 
 def test_decode_and_nav_sinr_apply_the_same_rule():
-    medium = Medium(Simulator(), LOSS)
+    medium = Medium(Simulator(), LOSS, phy.NOISE_FIGURE_DB)
     tx = frame(**TX)
     tx.interferers = SKIPPED + [FAR, OTHER_ROUND]
     nodes = np.arange(1, 5)
@@ -60,16 +66,37 @@ def test_decode_and_nav_sinr_apply_the_same_rule():
     noise_mw = phy.dbm_to_mw(phy.noise_dbm(SUBCHANNEL_HZ))
     for k, node in enumerate(nodes):
         desired = medium.rx_power_dbm(0, node, tx.power_per_subchannel_dbm())
-        sinr = medium.sinr_db(tx, node, desired, SUBCHANNEL_HZ, 0, ru_index=1,
-                              co_group=frozenset({0, 1}))
+        sinr = medium.sinr_db(tx, node, tx.power_per_subchannel_dbm(), SUBCHANNEL_HZ,
+                              0, ru_index=1, co_group=(0, 1))
         interference_mw = (0.5 * phy.dbm_to_mw(15.0 - LOSS[4, node])
                            + phy.dbm_to_mw(15.0 - LOSS[2, node]))
         expected = desired - phy.mw_to_dbm(noise_mw + interference_mw)
         assert sinr == pytest.approx(expected, abs=1e-9)
         assert nav[k] == pytest.approx(expected, abs=1e-9)
     tx.interferers.append(COLLIDER)
-    assert medium.sinr_db(tx, 3, -50.0, SUBCHANNEL_HZ, 0, ru_index=1,
-                          co_group=frozenset({0, 1})) is None
+    assert medium.sinr_db(tx, 3, 15.0, SUBCHANNEL_HZ, 0, ru_index=1,
+                          co_group=(0, 1)) is None
     corrupt, nav = medium.nav_sinr_vector(tx, nodes)
     assert corrupt and (nav == -np.inf).all()
 
+
+
+def test_ended_frames_do_not_stay_reachable():
+    """On a medium that is never idle, every frame overlaps one that is
+    still on the air.  Ended frames drop their interferer lists, so the
+    frames alive at any time stay a few dozen, not every frame sent."""
+    cfg = default_config("outdoor_multi", n_bss=7, stas_per_bss=16,
+                         duration_s=0.15)
+    ctx = RunContext(cfg, "ax_sr")
+    for engine in ctx.engines:
+        engine.kick()
+    sent = []
+    ctx.medium.listeners.append(
+        lambda event, tx: event == "start" and sent.append(weakref.ref(tx)))
+    live = []
+    for k in (1, 2, 3):
+        ctx.sim.run_until(cfg.duration_ns * k // 3)
+        gc.collect()
+        live.append(sum(ref() is not None for ref in sent))
+    assert len(sent) > 1000
+    assert max(live) < 100
