@@ -1,5 +1,10 @@
 """Golden results: ``runner.report_row`` of short runs, pinned byte for byte.
 
+``golden_flows.json`` pins the same runs below that rounding: each flow's
+delivered packets and bytes, delay sum and MPDU attempts and failures, all
+integers.  ``report_row`` rounds, so a change that moves one PER or backoff
+draw can leave every row in place; it cannot leave these counts in place.
+
 The file ``golden_results.json`` pins the simulator's behaviour as it is,
 defects included.  In particular the multi-BSS points show the channel
 capture of ROADMAP item 2(a): a third-party NAV outlasts the TXOP, so one
@@ -7,7 +12,7 @@ BSS keeps the channel and p5 reads 0 on ``indoor_multi``.  A change that
 fixes such a defect regenerates the file and states why in CHANGES.md; any
 other change must reproduce it unchanged.
 
-Regenerate with ``PYTHONPATH=src python tests/test_golden.py``.
+Regenerate both files with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -19,9 +24,13 @@ from pathlib import Path
 import pytest
 
 from axsim import runner
-from axsim.config import default_config
+from axsim.config import Scheme, default_config
+from axsim.engine import RunContext
 
 GOLDEN = Path(__file__).with_name("golden_results.json")
+GOLDEN_FLOWS = Path(__file__).with_name("golden_flows.json")
+FLOW_FIELDS = ("delivered_pkts", "delivered_bytes", "delay_sum_ns",
+               "mpdu_attempts", "mpdu_failures")
 
 SCHEMES = ("ac_baseline", "ax_ofdma", "ax_ofdma_mumimo", "ax_sr")
 MULTI = dict(n_bss=3, stas_per_bss=8, duration_s=0.2, per_sta_rate_mbps=13)
@@ -48,12 +57,25 @@ def _points() -> dict[str, tuple]:
 POINTS = _points()
 
 
-def run_point(point_id: str) -> dict:
+def _config(point_id: str):
     kind, scheme, direction, overrides, mac, doze = POINTS[point_id]
     cfg = default_config(kind, direction=direction, **overrides)
     for key, value in mac.items():
         setattr(cfg.mac, key, value)
+    return cfg, scheme, doze
+
+
+def run_point(point_id: str) -> dict:
+    cfg, scheme, doze = _config(point_id)
     return runner.report_row(runner.run(cfg, scheme, intra_ppdu_doze=doze))
+
+
+def run_flows(point_id: str) -> dict:
+    """flow id (as a string, the JSON key) -> the FLOW_FIELDS of its stats."""
+    cfg, scheme, doze = _config(point_id)
+    stats = RunContext(cfg, Scheme(scheme), intra_ppdu_doze=doze).run()
+    return {str(flow): {name: getattr(fs, name) for name in FLOW_FIELDS}
+            for flow, fs in sorted(stats.items())}
 
 
 @pytest.mark.parametrize("point_id", sorted(POINTS))
@@ -62,8 +84,15 @@ def test_golden_row(point_id):
     assert run_point(point_id) == golden[point_id]
 
 
+@pytest.mark.parametrize("point_id", sorted(POINTS))
+def test_golden_flows(point_id):
+    golden = json.loads(GOLDEN_FLOWS.read_text())
+    assert run_flows(point_id) == golden[point_id]
+
+
 def test_golden_file_covers_every_point():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(POINTS)
+    assert sorted(json.loads(GOLDEN_FLOWS.read_text())) == sorted(POINTS)
 
 
 def test_same_seed_same_row():
@@ -74,4 +103,6 @@ def test_same_seed_same_row():
 if __name__ == "__main__":
     rows = {point_id: run_point(point_id) for point_id in sorted(POINTS)}
     GOLDEN.write_text(json.dumps(rows, indent=1, sort_keys=True) + "\n")
-    sys.stdout.write(f"wrote {len(rows)} rows to {GOLDEN}\n")
+    flows = {point_id: run_flows(point_id) for point_id in sorted(POINTS)}
+    GOLDEN_FLOWS.write_text(json.dumps(flows, indent=1, sort_keys=True) + "\n")
+    sys.stdout.write(f"wrote {len(rows)} rows to {GOLDEN} and {GOLDEN_FLOWS}\n")
