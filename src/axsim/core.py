@@ -143,6 +143,22 @@ class RngStream:
     def random(self) -> float:
         return self.rng.random()
 
+    def random_array(self, k: int) -> np.ndarray:
+        """k draws equal to k calls of ``random()``, as one array, leaving the
+        stream where those calls would.
+
+        ``random()`` builds a uniform from two Mersenne Twister words a, b
+        as ((a >> 5) * 2**26 + (b >> 6)) / 2**53.  The 2k words come from
+        one ``getrandbits`` call, in generation order as in ``gauss_array``;
+        the arithmetic is exact in float64, so every draw is too.
+        """
+        if k == 0:
+            return np.empty(0)
+        bits = self.rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+        words = np.frombuffer(bits, dtype="<u4").reshape(k, 2)
+        return ((words[:, 0] >> 5) * 67108864.0 + (words[:, 1] >> 6)) \
+            * (1.0 / 9007199254740992.0)
+
     def uniform(self, a: float, b: float) -> float:
         return self.rng.uniform(a, b)
 

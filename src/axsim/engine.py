@@ -12,7 +12,6 @@ from . import frames, mu, phy, ru, spatial
 from .baseline import BackoffState, Txop
 from .config import DL, UL, ScenarioConfig, Scheme, scheme_features
 from .core import DIFS, SIFS, SLOT_TIME, US, RngSet, RngStream, Simulator
-from .frames import Mpdu
 from .medium import Medium, RuPart, Transmission
 from .power import PowerState, intra_ppdu_doze
 from .spatial import INTER_BSS, INTRA_BSS, ObssPdConfig, TwoNav
@@ -30,9 +29,19 @@ SCHEDULER_TONE_PLAN = {20: (106, 106, 26), 40: (242, 242),
 MIN_SR_TXPWR_DBM = -10.0
 
 
+NO_SEQS = np.empty(0, dtype=np.int64)
+NO_SEQS.flags.writeable = False
+
+
 class CbrFlow:
     """Constant-bit-rate source evaluated lazily: queue depth is a function of
-    time, so arrivals need no events.  Failed MPDUs return to the front."""
+    time, so arrivals need no events.
+
+    A packet is its sequence number: its destination and size are the
+    flow's, and packet seq arrives at round(phase_ns + seq * interval_ns).
+    Queues and A-MPDUs are int64 arrays of seqs, never modified in place.
+    take serves the retry queue first, then fresh arrivals in seq order;
+    failed seqs return to the front of the retry queue (requeue)."""
 
     def __init__(self, flow_id: int, rate_bps: float, packet_bytes: int,
                  phase_ns: int, destination: int):
@@ -44,7 +53,7 @@ class CbrFlow:
         self.interval_ns = (math.inf if rate_bps <= 0
                             else 8 * packet_bytes * 1e9 / rate_bps)
         self._next_seq = 0
-        self.retry: list[Mpdu] = []
+        self.retry = NO_SEQS
 
     def arrivals_by(self, now_ns: int) -> int:
         if self.interval_ns == math.inf:
@@ -59,38 +68,58 @@ class CbrFlow:
     def backlog_bytes(self, now_ns: int) -> int:
         return self.backlog_count(now_ns) * self.packet_bytes
 
-    def take(self, now_ns: int, n: int) -> list[Mpdu]:
-        out = self.retry[:n]
-        del self.retry[:len(out)]
-        fresh_available = self.arrivals_by(now_ns) - self._next_seq
-        for _ in range(min(n - len(out), fresh_available)):
-            arrival = round(self.phase_ns + self._next_seq * self.interval_ns)
-            out.append(Mpdu(self.destination, self.packet_bytes,
-                            self._next_seq, arrival))
-            self._next_seq += 1
-        return out
+    def take(self, now_ns: int, n: int) -> np.ndarray:
+        """Up to n queued seqs: the front of the retry queue, then fresh
+        arrivals by now_ns."""
+        head = self.retry[:n]
+        self.retry = self.retry[len(head):]
+        fresh = min(n - len(head), self.arrivals_by(now_ns) - self._next_seq)
+        if fresh <= 0:
+            return head
+        seqs = np.arange(self._next_seq, self._next_seq + fresh, dtype=np.int64)
+        self._next_seq += fresh
+        return np.concatenate((head, seqs)) if len(head) else seqs
 
-    def requeue(self, mpdus: list[Mpdu]) -> None:
-        self.retry = list(mpdus) + self.retry
+    def requeue(self, seqs: np.ndarray) -> None:
+        """Put seqs back in front of the retry queue, in their order."""
+        if len(seqs):
+            self.retry = np.concatenate((seqs, self.retry)) if len(self.retry) \
+                else seqs
+
+    def enqueued_ns(self, seqs: np.ndarray) -> np.ndarray:
+        """Arrival instants of seqs: round(phase_ns + seq * interval_ns)."""
+        return np.rint(self.phase_ns + seqs * self.interval_ns).astype(np.int64)
 
 
 @dataclass
 class FlowStats:
+    """One flow's delivery counts.  A seq counts at its first delivery only
+    (a bitmap over seqs remembers which were delivered), and only first
+    deliveries inside the measurement window add packets, bytes and delay."""
+
     delivered_bytes: int = 0
     delivered_pkts: int = 0
     delay_sum_ns: int = 0
     mpdu_attempts: int = 0
     mpdu_failures: int = 0
-    seen_seqs: set = field(default_factory=set)
+    delivered: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool),
+                                  repr=False, compare=False)
 
-    def on_delivery(self, mpdu: Mpdu, now_ns: int, in_window: bool) -> None:
-        if mpdu.seq in self.seen_seqs:
-            return
-        self.seen_seqs.add(mpdu.seq)
-        if in_window:
-            self.delivered_bytes += mpdu.payload_bytes
-            self.delivered_pkts += 1
-            self.delay_sum_ns += now_ns - mpdu.enqueued_ns
+    def on_delivery(self, flow: CbrFlow, seqs: np.ndarray, now_ns: int,
+                    in_window: bool) -> None:
+        """Count the seqs of flow delivered at now_ns; one call holds each
+        seq once, as a flow's queue does."""
+        top = int(seqs.max()) + 1
+        if top > len(self.delivered):
+            grown = np.zeros(max(top, 2 * len(self.delivered)), dtype=bool)
+            grown[:len(self.delivered)] = self.delivered
+            self.delivered = grown
+        new = seqs[~self.delivered[seqs]]
+        self.delivered[new] = True
+        if in_window and len(new):
+            self.delivered_bytes += len(new) * flow.packet_bytes
+            self.delivered_pkts += len(new)
+            self.delay_sum_ns += len(new) * now_ns - int(flow.enqueued_ns(new).sum())
 
 
 @dataclass
@@ -110,6 +139,10 @@ class SimNode:
     sr_cap_dbm: float | None = None           # power cap for an SR-won TXOP
     in_txop: bool = False                     # holder side of a running exchange
     eifs_until_ns: int = 0                    # EIFS deferral after a corrupt frame
+    # A STA's AID: its 1-based position among its BSS's STAs, so ascending
+    # with node id as build_schedule expects.  Node ids would reach the
+    # reserved AID12 2045 in large layouts.  0 for an AP.
+    aid: int = 0
 
 
 class Contender:
@@ -193,6 +226,8 @@ class BssEngine:
         self.ap = ap
         self.stas = stas
         self.nodes = [ap] + stas
+        for aid, sta in enumerate(stas, 1):
+            sta.aid = aid
         self.by_id = {n.node_id: n for n in self.nodes}
         self.sim = ctx.sim
         self.medium = ctx.medium
@@ -206,7 +241,7 @@ class BssEngine:
         self.contending: tuple[SimNode, ...] = ()   # the nodes that run EDCA
         self.contenders: dict[int, Contender] = {}
         self.dl_flows: dict[int, CbrFlow] = {}
-        self.mpdu_bits = Mpdu(0, self.cfg.packet_bytes, 0).onair_bits
+        self.mpdu_bits = frames.mpdu_bits(self.cfg.packet_bytes)
 
     # --- carrier sensing / doze ----------------------------------------------------
 
@@ -295,25 +330,25 @@ class BssEngine:
         p_err = self.ctx.per_model.per(sinr, phy.Mcs(0), 8 * n_bytes)
         return self.rng_per.random() >= p_err
 
-    def mpdu_outcomes(self, flow: CbrFlow, mpdus: list[Mpdu], eff_sinr: float | None,
-                      mcs: phy.Mcs) -> tuple[list[Mpdu], list[Mpdu]]:
-        """Per-MPDU PER draws from rng_per in order, delivering each survivor;
-        returns (survivors, failed).  A hard corruption (eff_sinr None) fails
-        every MPDU without a draw."""
+    def mpdu_outcomes(self, flow: CbrFlow, seqs: np.ndarray, eff_sinr: float | None,
+                      mcs: phy.Mcs) -> tuple[np.ndarray, np.ndarray]:
+        """Outcome of one A-MPDU carrying seqs of flow: one rng_per uniform
+        per MPDU, in order, survives if it is at least the PER.  Every MPDU
+        has mpdu_bits, so one PER holds for the whole A-MPDU.  Survivors are
+        delivered; returns (survivors, failed), which the caller returns to
+        the front of the flow's queue once it knows what was acknowledged.
+        A hard corruption (eff_sinr None) fails every MPDU without a draw."""
         stats = self.ctx.stats[flow.flow_id]
-        stats.mpdu_attempts += len(mpdus)
+        stats.mpdu_attempts += len(seqs)
         if eff_sinr is None:
-            stats.mpdu_failures += len(mpdus)
-            return [], list(mpdus)
-        survivors: list[Mpdu] = []
-        failed: list[Mpdu] = []
-        for m in mpdus:
-            if self.rng_per.random() >= self.ctx.per_model.per(eff_sinr, mcs,
-                                                               m.onair_bits):
-                survivors.append(m)
-                self.ctx.deliver(flow, m)
-            else:
-                failed.append(m)
+            stats.mpdu_failures += len(seqs)
+            return NO_SEQS, seqs
+        p_err = self.ctx.per_model.per(eff_sinr, mcs, self.mpdu_bits)
+        ok = self.rng_per.random_array(len(seqs)) >= p_err
+        survivors = seqs[ok]
+        failed = seqs[~ok]
+        if len(survivors):
+            self.ctx.deliver(flow, survivors)
         stats.mpdu_failures += len(failed)
         return survivors, failed
 
@@ -462,31 +497,32 @@ class AcBssEngine(BssEngine):
         if n < 1:
             self._finish_txop(txop, success=True)
             return
-        mpdus = flow.take(now, n)
+        seqs = flow.take(now, n)
         start = now + SIFS
-        bits = sum(m.onair_bits for m in mpdus)
-        end = start + frames.data_duration_ns(self.data_ppdu, bits, bps, he=False)
+        end = start + frames.data_duration_ns(self.data_ppdu,
+                                              len(seqs) * self.mpdu_bits, bps,
+                                              he=False)
         self.send(txop.holder, "ampdu", start, end,
-                  lambda tx: self._data_done(txop, tx, mpdus, mcs),
+                  lambda tx: self._data_done(txop, tx, seqs, mcs),
                   nav_duration_ns=txop.deadline_ns - end,
                   involves=frozenset({txop.peer.node_id}))
 
-    def _data_done(self, txop: Txop, tx, mpdus, mcs) -> None:
+    def _data_done(self, txop: Txop, tx, seqs, mcs) -> None:
         peer = txop.peer
         sinr = self.medium.sinr_db(tx, peer.node_id, tx.power_dbm,
                                    self.cfg.bandwidth_mhz * 1e6, 0)
         eff = None
         if sinr is not None and not peer.power.dozing:
             eff = sinr + phy.array_gain_db(peer.antennas, self.nss)
-        survivors, failed = self.mpdu_outcomes(txop.flow, mpdus, eff, mcs)
-        if not survivors:
-            txop.flow.requeue(mpdus)
+        survivors, failed = self.mpdu_outcomes(txop.flow, seqs, eff, mcs)
+        if not len(survivors):
+            txop.flow.requeue(seqs)
             self._finish_txop(txop, success=txop.any_data)
             return
         txop.any_data = True
         start = self.sim.now + SIFS
         self.send_control(peer, "ba", frames.BA_BYTES, start,
-                          lambda ba: self._ba_done(txop, ba, failed, mpdus),
+                          lambda ba: self._ba_done(txop, ba, failed, seqs),
                           nav_duration_ns=max(0, txop.deadline_ns - start),
                           involves=frozenset({txop.holder.node_id}))
 
@@ -558,21 +594,27 @@ class AxBssEngine(BssEngine):
 
     # --- uplink -----------------------------------------------------------------------------
 
+    # Trigger frames, BSRs, schedules and multi-STA BAs name STAs by AID
+    # (SimNode.aid); frames on the air involve node ids.
+
     def _ul_step(self, txop: Txop) -> None:
         now = self.sim.now
-        unknown = [s.node_id for s in self.stas
-                   if s.node_id not in self.bsr.known()
-                   and s.flow.backlog_count(now) > 0]
+        known = self.bsr.known()
+        unknown = [s.aid for s in self.stas
+                   if s.aid not in known and s.flow.backlog_count(now) > 0]
         if unknown:
             self.rng_sched.shuffle(unknown)
             self._bsrp_round(txop, unknown)
             return
         self._ul_data_round(txop)
 
+    def _node_ids(self, aids) -> frozenset[int]:
+        return frozenset(self.stas[aid - 1].node_id for aid in aids)
+
     def _bsrp_round(self, txop: Txop, unknown: list[int]) -> None:
         now = self.sim.now
         polled = unknown[:len(self.layout.rus)]
-        users = tuple(mu.TfUser(sta, i) for i, sta in enumerate(polled))
+        users = tuple(mu.TfUser(aid, i) for i, aid in enumerate(polled))
         tf = mu.TriggerFrame(mu.TriggerType.BSRP, self.layout, users)
         tf_bytes = frames.tf_bytes(len(polled))
         report_ns = max(
@@ -586,15 +628,15 @@ class AxBssEngine(BssEngine):
         self.send_control(self.ap, "tf-bsrp", tf_bytes, now,
                           lambda ctrl: self._bsrp_responses(txop, ctrl, tf, report_ns),
                           nav_duration_ns=txop.deadline_ns - now,
-                          involves=frozenset(polled), payload=tf)
+                          involves=self._node_ids(polled), payload=tf)
 
     def _bsrp_responses(self, txop: Txop, ctrl, tf, report_ns) -> None:
         start = self.sim.now + SIFS
         round_id = self.ctx.new_round()
-        polled = frozenset(user.aid12 for user in tf.per_user)
+        polled = self._node_ids(user.aid12 for user in tf.per_user)
         txs = []
         for user in tf.per_user:
-            sta = self.by_id[user.aid12]
+            sta = self.stas[user.aid12 - 1]
             if not self.control_decodes(ctrl, sta, frames.TF_BASE_BYTES):
                 continue
             txs.append((sta, self._he_tb(sta, user.ru_index, start,
@@ -606,7 +648,7 @@ class AxBssEngine(BssEngine):
         now = self.sim.now
         for sta, tx in txs:
             if self.mcs0_decodes(self._ru_sinr(tx), frames.BSR_REPORT_BYTES):
-                self.bsr.ingest(sta.node_id, sta.flow.backlog_bytes(now), now)
+                self.bsr.ingest(sta.aid, sta.flow.backlog_bytes(now), now)
         # BSRP rounds end without an MBA
         self.sim.after(SIFS, "post-bsrp", self.ap.node_id,
                        lambda: self._ul_data_round(txop))
@@ -614,20 +656,19 @@ class AxBssEngine(BssEngine):
     def _ul_data_round(self, txop: Txop) -> None:
         now = self.sim.now
         for sta in self.stas:       # drop drained entries before scheduling
-            if sta.node_id in self.bsr.known() and \
-                    sta.flow.backlog_count(now) == 0:
-                self.bsr.ingest(sta.node_id, 0, now)
+            if sta.aid in self.bsr.known() and sta.flow.backlog_count(now) == 0:
+                self.bsr.ingest(sta.aid, 0, now)
         tf = mu.build_schedule(self.bsr.backlogged(), self.layout, self.rng_sched,
                                ra_fraction=self.cfg.mac.ra_ru_fraction,
                                users_per_ru=self.users_per_ru,
-                               nss_of=lambda sta: self.nss)
+                               nss_of=lambda aid: self.nss)
         if tf is None:
             self._finish_txop(txop, txop.any_data)
             return
         plan = {}
         max_air = 0
         for user in tf.scheduled_users:
-            sta = self.by_id[user.aid12]
+            sta = self.stas[user.aid12 - 1]
             users = len(tf.users_of(user.ru_index))
             mcs, bps = self._link(self.node_power(sta), sta, self.ap,
                                   tf.ru_of(user).tones, self.nss * users, users > 1)
@@ -651,7 +692,7 @@ class AxBssEngine(BssEngine):
                           lambda ctrl: self._ul_data_phase(txop, ctrl, tf, plan,
                                                            ul_duration),
                           nav_duration_ns=txop.deadline_ns - now,
-                          involves=frozenset(plan), payload=tf)
+                          involves=self._node_ids(plan), payload=tf)
 
     def _ul_data_phase(self, txop: Txop, ctrl, tf, plan, ul_duration) -> None:
         now = self.sim.now
@@ -660,10 +701,10 @@ class AxBssEngine(BssEngine):
         round_id = self.ctx.new_round()
         # random-access RUs solicit every STA of the BSS
         solicited = frozenset(s.node_id for s in self.stas) if tf.ra_ru_indices \
-            else frozenset(plan)
+            else self._node_ids(plan)
         txs = []
         for aid, (user, mcs, bps) in plan.items():
-            sta = self.by_id[aid]
+            sta = self.stas[aid - 1]
             if sta.power.dozing or \
                     not self.control_decodes(ctrl, sta, frames.TF_BASE_BYTES):
                 continue
@@ -671,14 +712,14 @@ class AxBssEngine(BssEngine):
                 continue
             n = frames.mpdus_that_fit(ul_duration, phy.HE_TB_PPDU, bps,
                                       self.mpdu_bits, self.features.ampdu_cap)
-            mpdus = sta.flow.take(now, n)
-            if not mpdus:
+            seqs = sta.flow.take(now, n)
+            if not len(seqs):
                 continue
-            partners = tuple(u.aid12 for u in tf.users_of(user.ru_index)
-                             if u.aid12 != aid)
+            partners = tuple(self.stas[u.aid12 - 1].node_id
+                             for u in tf.users_of(user.ru_index) if u.aid12 != aid)
             tx = self._he_tb(sta, user.ru_index, start, end, round_id, solicited,
                              partners, nav_ns=txop.deadline_ns - end)
-            txs.append((sta, tx, mpdus, mcs))
+            txs.append((sta, tx, seqs, mcs))
         uora_txs = self._uora_phase(tf, start, end, round_id, solicited)
         self.sim.at(end, "ul-round-end", self.ap.node_id,
                     lambda: self._ul_round_end(txop, txs + uora_txs))
@@ -691,42 +732,42 @@ class AxBssEngine(BssEngine):
         scheduled = {u.aid12 for u in tf.scheduled_users}
         eligible = {}
         for sta in self.stas:
-            if sta.node_id in scheduled or sta.power.dozing:
+            if sta.aid in scheduled or sta.power.dozing:
                 continue
             if sta.flow.backlog_count(now) == 0:
                 continue
             ok, sta.obo = mu.uora_update(sta.obo, len(ra_indices), self.rng_uora,
                                          self.cfg.mac.uora_boundary_eligible)
             if ok:
-                eligible[sta.node_id] = sta.obo
+                eligible[sta.aid] = sta.obo
 
-        def carrier_idle(sta_id: int) -> bool:
-            sta = self.by_id[sta_id]
+        def carrier_idle(aid: int) -> bool:
+            sta = self.stas[aid - 1]
             blocked, _ = self.cs_state(sta)
             return not blocked and sta.nav.idle(now, scheduled_in_intra_tf=True)
 
         outcomes, updated, transmitted = mu.uora_transmit_phase(
             eligible, len(ra_indices), carrier_idle, self.rng_uora)
-        for sta_id, st in updated.items():
-            self.by_id[sta_id].obo = st
+        for aid, st in updated.items():
+            self.stas[aid - 1].obo = st
         txs = []
-        for sta_id in transmitted:
-            sta = self.by_id[sta_id]
+        for aid in transmitted:
+            sta = self.stas[aid - 1]
             ru_index = ra_indices[sta.obo.candidate_ru]
             mcs, bps = self._link(self.node_power(sta), sta, self.ap,
                                   tf.layout.rus[ru_index].tones)
             n = frames.mpdus_that_fit(end - start, phy.HE_TB_PPDU, bps,
                                       self.mpdu_bits, self.features.ampdu_cap)
-            mpdus = sta.flow.take(now, max(1, n))
+            seqs = sta.flow.take(now, max(1, n))
             tx = self._he_tb(sta, ru_index, start, end, round_id, solicited)
-            txs.append((sta, tx, mpdus, mcs))
+            txs.append((sta, tx, seqs, mcs))
         return txs
 
     def _ul_round_end(self, txop: Txop, txs) -> None:
         now = self.sim.now
         decoded = {}
         results = []
-        for sta, tx, mpdus, mcs in txs:
+        for sta, tx, seqs, mcs in txs:
             sinr = self._ru_sinr(tx)
             eff = None
             if sinr is not None:
@@ -734,28 +775,28 @@ class AxBssEngine(BssEngine):
                 eff = sinr + phy.mu_mimo_sinr_adjustment_db(
                     self.ap.antennas, self.nss * (partners + 1), partners > 0,
                     self.cfg.phy.mu_stream_penalty_db)
-            survivors, failed = self.mpdu_outcomes(sta.flow, mpdus, eff, mcs)
-            results.append((sta, mpdus, failed))
-            if survivors:
-                decoded[sta.node_id] = tuple(m.seq for m in survivors)
-                self.bsr.ingest(sta.node_id,
-                                sta.flow.backlog_bytes(now), now)
+            survivors, failed = self.mpdu_outcomes(sta.flow, seqs, eff, mcs)
+            results.append((sta, seqs, failed))
+            if len(survivors):
+                decoded[sta.aid] = tuple(survivors.tolist())
+                self.bsr.ingest(sta.aid, sta.flow.backlog_bytes(now), now)
         if not decoded:
-            for sta, mpdus, _ in results:
-                sta.flow.requeue(mpdus)
+            for sta, seqs, _ in results:
+                sta.flow.requeue(seqs)
             self._finish_txop(txop, success=False)   # channel-access failure
             return
         txop.any_data = True
         start = now + SIFS
         self.send_control(self.ap, "mba", frames.mba_bytes(len(decoded)), start,
                           lambda mba: self._mba_done(txop, mba, results, decoded),
-                          involves=frozenset(decoded), payload=mu.mba_for(decoded))
+                          involves=self._node_ids(decoded),
+                          payload=mu.mba_for(decoded))
 
     def _mba_done(self, txop: Txop, mba, results, decoded) -> None:
-        for sta, mpdus, failed in results:
-            acked = sta.node_id in decoded and \
+        for sta, seqs, failed in results:
+            acked = sta.aid in decoded and \
                 self.control_decodes(mba, sta, frames.MBA_BASE_BYTES)
-            sta.flow.requeue(failed if acked else mpdus)
+            sta.flow.requeue(failed if acked else seqs)
             if sta.obo is not None and sta.obo.obo == 0 and \
                     sta.obo.candidate_ru is not None:
                 sta.obo = mu.ocw_on_result(sta.obo, acked)
@@ -766,9 +807,7 @@ class AxBssEngine(BssEngine):
 
     def _dl_round(self, txop: Txop) -> None:
         now = self.sim.now
-        # AIDs are 1-based positions in self.stas, ascending as build_schedule
-        # expects; node ids would reach the reserved AID 2045 in large layouts
-        backlogged = [aid for aid, sta in enumerate(self.stas, 1)
+        backlogged = [sta.aid for sta in self.stas
                       if self.dl_flows[sta.node_id].backlog_count(now) > 0]
         tf = mu.build_schedule(backlogged, self.layout, self.rng_sched,
                                users_per_ru=self.users_per_ru,
@@ -816,9 +855,9 @@ class AxBssEngine(BssEngine):
                 bps = plan[sta_id][2]
                 n = frames.mpdus_that_fit(dl_duration, phy.HE_MU_PPDU, bps,
                                           self.mpdu_bits, self.features.ampdu_cap)
-                mpdus = self.dl_flows[sta_id].take(now, n)
-                if mpdus:
-                    taken[sta_id] = mpdus
+                seqs = self.dl_flows[sta_id].take(now, n)
+                if len(seqs):
+                    taken[sta_id] = seqs
                     served.append(sta_id)
             if served:
                 parts.append(self._ru_part(ru_index, per_ru_power, tuple(served)))
@@ -834,11 +873,11 @@ class AxBssEngine(BssEngine):
     def _dl_data_done(self, txop: Txop, tx, plan, taken, ba_on_ru_ns) -> None:
         now = self.sim.now
         outcomes = {}
-        for sta_id, mpdus in taken.items():
+        for sta_id, seqs in taken.items():
             ru_index, mcs, bps = plan[sta_id]
             sta = self.by_id[sta_id]
             if sta.power.dozing:
-                outcomes[sta_id] = ([], mpdus)
+                outcomes[sta_id] = (NO_SEQS, seqs)
                 continue
             part = next(p for p in tx.ru_parts if p.ru_index == ru_index)
             users_on_ru = len(part.users)
@@ -851,9 +890,9 @@ class AxBssEngine(BssEngine):
                 eff = sinr + phy.mu_mimo_sinr_adjustment_db(
                     sta.antennas, self.nss * users_on_ru, users_on_ru > 1,
                     self.cfg.phy.mu_stream_penalty_db)
-            outcomes[sta_id] = self.mpdu_outcomes(self.dl_flows[sta_id], mpdus,
+            outcomes[sta_id] = self.mpdu_outcomes(self.dl_flows[sta_id], seqs,
                                                   eff, mcs)
-        responders = [s for s, (survivors, _) in outcomes.items() if survivors]
+        responders = [s for s, (survivors, _) in outcomes.items() if len(survivors)]
         if not responders:
             for sta_id in outcomes:
                 self.dl_flows[sta_id].requeue(taken[sta_id])
@@ -1138,9 +1177,10 @@ class RunContext:
             rx.node_id, min(band, 20e6), 0, own_bss, self.sim.now)
         return phy.mw_to_dbm(noise_mw + phy.dbm_to_mw(interference))
 
-    def deliver(self, flow: CbrFlow, mpdu: Mpdu) -> None:
+    def deliver(self, flow: CbrFlow, seqs: np.ndarray) -> None:
         now = self.sim.now
-        self.stats[flow.flow_id].on_delivery(mpdu, now, now >= self.cfg.warmup_ns)
+        self.stats[flow.flow_id].on_delivery(flow, seqs, now,
+                                             now >= self.cfg.warmup_ns)
 
     def run(self) -> dict[int, FlowStats]:
         for engine in self.engines:

@@ -71,8 +71,19 @@ def symbols_that_fit(duration_ns: int, ppdu: PpduFormat, gi_us: float = 0.8,
     return int(available // _us_to_ns(symbol_us))
 
 
+def mpdu_bits(payload_bytes: int) -> int:
+    """On-air bits of one MPDU inside an A-MPDU: payload, MAC header,
+    delimiter and FCS."""
+    return 8 * (payload_bytes + MAC_HEADER_BYTES + MPDU_OVERHEAD_BYTES)
+
+
 @dataclass(frozen=True)
 class Mpdu:
+    """One MPDU as an object: the type of the rule modules (the
+    single-user exchange of ``baseline``) and their tests.  The simulator's
+    engines carry a flow's packets as arrays of sequence numbers instead
+    (see ``engine.CbrFlow``)."""
+
     destination: int
     payload_bytes: int
     seq: int
@@ -80,7 +91,7 @@ class Mpdu:
 
     @property
     def onair_bits(self) -> int:
-        return 8 * (self.payload_bytes + MAC_HEADER_BYTES + MPDU_OVERHEAD_BYTES)
+        return mpdu_bits(self.payload_bytes)
 
 
 @dataclass

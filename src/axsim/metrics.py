@@ -37,17 +37,19 @@ class MetricsReport:
     per: float
     energy: list[EnergyRow] = field(default_factory=list)
 
+    # Sums are correctly rounded (math.fsum), so they do not depend on the
+    # order of their terms, and check's equalities hold on correct runs.
+
     @property
     def per_bss_bps(self) -> dict[int, float]:
-        out: dict[int, float] = {}
+        groups: dict[int, list[float]] = {}
         for sta, bps in self.per_sta_bps.items():
-            bss = self.bss_of_sta[sta]
-            out[bss] = out.get(bss, 0.0) + bps
-        return out
+            groups.setdefault(self.bss_of_sta[sta], []).append(bps)
+        return {bss: math.fsum(values) for bss, values in groups.items()}
 
     @property
     def aggregate_bps(self) -> float:
-        return sum(self.per_sta_bps.values())
+        return math.fsum(self.per_sta_bps.values())
 
     @property
     def p5_bps(self) -> float:
@@ -60,5 +62,5 @@ class MetricsReport:
         return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
 
     def check(self) -> None:
-        assert abs(self.aggregate_bps - sum(self.per_bss_bps.values())) < 1e-6
-        assert abs(self.aggregate_bps - sum(self.per_sta_bps.values())) < 1e-6
+        assert abs(self.aggregate_bps - math.fsum(self.per_bss_bps.values())) < 1e-6
+        assert abs(self.aggregate_bps - math.fsum(self.per_sta_bps.values())) < 1e-6

@@ -258,19 +258,24 @@ class PerModel:
         floor MCS0 may exceed the PER target on a degraded link; that is a
         degraded link, not an error.
         """
-        best = None
-        for index in sorted(MCS_TABLE):
+        candidates = MCS_CANDIDATES[dcm]
+        best = candidates[0]
+        for candidate in candidates:
+            index = candidate.index
             if index > max_index:
                 break
             if index >= 10 and ru_tones < MIN_RU_TONES_FOR_1024QAM:
                 continue
-            candidate = Mcs(index, dcm=dcm and index in DCM_ALLOWED_INDICES)
             if self.per_ref(self.effective_sinr(effective_sinr, candidate), candidate) <= target_per:
                 best = candidate
-        if best is None:
-            best = Mcs(0, dcm=dcm)
         return best
 
+
+# select_mcs's candidates in ascending index, per DCM setting (DCM only
+# where an index allows it), built once: Mcs is frozen, so they are shared.
+MCS_CANDIDATES = {dcm: tuple(Mcs(i, dcm=dcm and i in DCM_ALLOWED_INDICES)
+                             for i in sorted(MCS_TABLE))
+                  for dcm in (False, True)}
 
 DEFAULT_PER_MODEL = PerModel()
 

@@ -134,3 +134,24 @@ def test_gauss_array_of_nothing_leaves_the_stream():
     fast = RngSet(3).stream("shadowing")
     assert fast.gauss_array(0, 5.0).shape == (0,)
     assert fast.rng.getstate() == RngSet(3).stream("shadowing").rng.getstate()
+
+
+@pytest.mark.parametrize("carried", [False, True])
+def test_random_array_equals_repeated_random(carried):
+    fast = RngSet(3).stream("per-0")
+    slow = RngSet(3).stream("per-0")
+    if carried:
+        # one gauss call leaves the pair's second normal in gauss_next,
+        # which uniform draws must neither use nor clear
+        assert fast.gauss(0.0, 1.0) == slow.gauss(0.0, 1.0)
+        assert fast.rng.gauss_next is not None
+    for k in (0, 1, 2, 7, 0, 7, 1, 2, 1000):
+        got = fast.random_array(k)
+        want = [slow.random() for _ in range(k)]
+        assert got.shape == (k,)
+        assert got.tolist() == want
+        assert fast.rng.gauss_next == slow.rng.gauss_next
+        assert fast.random() == slow.random()
+    assert fast.gauss(0.0, 2.0) == slow.gauss(0.0, 2.0)
+    assert fast.gauss(0.0, 2.0) == slow.gauss(0.0, 2.0)
+    assert fast.rng.getstate() == slow.rng.getstate()
