@@ -37,19 +37,18 @@ class CbrFlow:
     """Constant-bit-rate source evaluated lazily: queue depth is a function of
     time, so arrivals need no events.
 
-    A packet is its sequence number: its destination and size are the
-    flow's, and packet seq arrives at round(phase_ns + seq * interval_ns).
+    A packet is its sequence number: its size and receiver are the flow's,
+    and packet seq arrives at round(phase_ns + seq * interval_ns).
     Queues and A-MPDUs are int64 arrays of seqs, never modified in place.
     take serves the retry queue first, then fresh arrivals in seq order;
     failed seqs return to the front of the retry queue (requeue)."""
 
     def __init__(self, flow_id: int, rate_bps: float, packet_bytes: int,
-                 phase_ns: int, destination: int):
+                 phase_ns: int):
         self.flow_id = flow_id
         self.rate_bps = rate_bps
         self.packet_bytes = packet_bytes
         self.phase_ns = phase_ns
-        self.destination = destination
         self.interval_ns = (math.inf if rate_bps <= 0
                             else 8 * packet_bytes * 1e9 / rate_bps)
         self._next_seq = 0
@@ -396,11 +395,10 @@ class BssEngine:
             phase = rng.randint(0, max(1, int(8 * self.cfg.packet_bytes * 1e9
                                               / max(rate, 1e-9))))
             if self.cfg.direction == UL:
-                sta.flow = CbrFlow(sta.node_id, rate, self.cfg.packet_bytes,
-                                   phase, self.ap.node_id)
+                sta.flow = CbrFlow(sta.node_id, rate, self.cfg.packet_bytes, phase)
             else:
                 self.dl_flows[sta.node_id] = CbrFlow(
-                    sta.node_id, rate, self.cfg.packet_bytes, phase, sta.node_id)
+                    sta.node_id, rate, self.cfg.packet_bytes, phase)
             self.ctx.stats[sta.node_id] = FlowStats()
 
     def kick(self) -> None:

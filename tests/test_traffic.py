@@ -16,7 +16,7 @@ from axsim.engine import CbrFlow, FlowStats, RunContext
 def cbr(rate_bps: float = 13e6, phase_ns: int = 12_345) -> CbrFlow:
     # 1500-byte packets at 13 Mbps: a non-integer interval, so enqueue
     # times depend on the rounding
-    return CbrFlow(7, rate_bps, 1500, phase_ns, destination=0)
+    return CbrFlow(7, rate_bps, 1500, phase_ns)
 
 
 class ScalarQueue:
