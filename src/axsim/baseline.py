@@ -12,7 +12,8 @@ from .frames import (BA_BYTES, CTS_BYTES, RTS_BYTES, Ampdu, Mpdu,
 from .phy import LEGACY_PPDU, Mcs, PpduFormat
 
 if TYPE_CHECKING:
-    from .engine import CbrFlow, SimNode
+    from .engine import SimNode
+    from .traffic import CbrFlow
 
 CW_MIN = 15
 CW_MAX = 1023

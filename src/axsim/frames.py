@@ -82,7 +82,7 @@ class Mpdu:
     """One MPDU as an object: the type of the rule modules (the
     single-user exchange of ``baseline``) and their tests.  The simulator's
     engines carry a flow's packets as arrays of sequence numbers instead
-    (see ``engine.CbrFlow``)."""
+    (see ``traffic.CbrFlow``)."""
 
     destination: int
     payload_bytes: int

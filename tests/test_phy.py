@@ -257,6 +257,32 @@ def test_select_mcs_respects_max_index_for_11ac():
     assert phy.select_mcs(200.0, ru_tones=1992, max_index=9).index == 9
 
 
+def select_mcs_reference(model, sinr, tones, target, max_index, dcm):
+    """select_mcs building each candidate per call, in table order."""
+    best = None
+    for index in sorted(phy.MCS_TABLE):
+        if index > max_index:
+            break
+        if index >= 10 and tones < phy.MIN_RU_TONES_FOR_1024QAM:
+            continue
+        candidate = Mcs(index, dcm=dcm and index in phy.DCM_ALLOWED_INDICES)
+        if model.per_ref(model.effective_sinr(sinr, candidate), candidate) <= target:
+            best = candidate
+    return best if best is not None else Mcs(0, dcm=dcm)
+
+
+@pytest.mark.parametrize("dcm", [False, True])
+def test_select_mcs_matches_the_per_call_candidates(dcm):
+    model = PerModel(thresholds_db={i: 1.0 + 2.7 * i for i in phy.MCS_TABLE})
+    for sinr in np.arange(-10.0, 45.0, 0.37):
+        for tones in (26, 106, 242, 996):
+            for max_index in (0, 7, 9, 11):
+                for target in (0.01, 0.1):
+                    assert model.select_mcs(sinr, tones, target, max_index, dcm) == \
+                        select_mcs_reference(model, sinr, tones, target,
+                                             max_index, dcm)
+
+
 @given(st.floats(-20, 80), st.sampled_from([26, 52, 106, 242, 484, 996, 1992]))
 def test_select_mcs_never_1024qam_below_242(sinr, tones):
     m = phy.select_mcs(sinr, tones)

@@ -10,7 +10,8 @@ import numpy as np
 from axsim import phy
 from axsim.config import default_config
 from axsim.core import RngStream
-from axsim.engine import CbrFlow, FlowStats, RunContext
+from axsim.engine import RunContext
+from axsim.traffic import CbrFlow, FlowStats
 
 
 def cbr(rate_bps: float = 13e6, phase_ns: int = 12_345) -> CbrFlow:
