@@ -358,3 +358,52 @@ def test_mu_parameters_active_while_timer_runs():
     state.apply_after_triggered_ul(2 * MS)
     assert state.params_at(9 * MS) == state.mu
     assert state.params_at(10 * MS) == state.normal
+
+
+# --- the engine's UL rounds: AIDs in MAC frames, node ids on the air ------------------
+
+def test_ul_rounds_name_stas_by_aid_and_frames_by_node_id(monkeypatch):
+    from axsim.config import default_config
+    from axsim.engine import RunContext
+
+    cfg = default_config("indoor_multi", direction="ul", n_bss=3, stas_per_bss=8,
+                         duration_s=0.2, per_sta_rate_mbps=13, seed=1)
+    cfg.radio.sta_antennas = 1        # two users per 106-tone RU: MU-MIMO partners
+    cfg.mac.ra_ru_fraction = 0.34     # one random-access RU: UORA
+    ctx = RunContext(cfg, "ax_ofdma_mumimo")
+    seen = Counter()
+    uora_aids = []
+
+    def uora_phase(eligible, *args):
+        uora_aids.extend(eligible)
+        return uora_transmit_phase(eligible, *args)
+
+    monkeypatch.setattr(mu, "uora_transmit_phase", uora_phase)
+    for engine in ctx.engines:
+        node_of = {sta.aid: sta.node_id for sta in engine.stas}
+        sta_ids = set(node_of.values())
+        send = engine.send
+
+        def check(node, kind, start, end, then=None, _send=send,
+                  _bss=engine.bss_id, _node_of=node_of, _sta_ids=sta_ids, **fields):
+            tx = _send(node, kind, start, end, then, **fields)
+            if kind in ("tf", "tf-bsrp"):
+                aids = [u.aid12 for u in tx.payload.per_user
+                        if not u.is_random_access]
+                assert {_node_of[aid] for aid in aids} == tx.involves
+            elif kind == "mba":
+                assert {_node_of[aid] for aid in tx.payload.bitmaps} == tx.involves
+            elif kind == "he-tb":
+                assert tx.tx_node in tx.involves
+                assert set(tx.ru.users) <= _sta_ids - {tx.tx_node}
+                kind += "-shared" if tx.ru.users else ""
+            seen[_bss, kind] += 1
+            return tx
+
+        engine.send = check
+    ctx.run()
+    # BSS 1's STAs are nodes 10-17 and AIDs 1-8, so the two cannot be mixed
+    # up there unnoticed
+    assert all(seen[1, kind] > 0
+               for kind in ("tf", "tf-bsrp", "mba", "he-tb", "he-tb-shared"))
+    assert uora_aids and set(uora_aids) <= set(range(1, 9))

@@ -47,7 +47,7 @@ def test_take_and_requeue_follow_the_per_packet_queue():
     now = 0
     for _ in range(400):
         now += script.randint(0, 3_000_000)
-        n = script.randint(0, 40)
+        n = script.choice((0, 1, 2, 3, 5, 40))    # small n builds a retry backlog
         got = flow.take(now, n)
         want = ref.take(now, n)
         assert got.dtype == np.int64
@@ -68,6 +68,8 @@ def test_retries_come_before_fresh_arrivals():
     first = flow.take(10_000_000, 5)
     assert first.tolist() == [0, 1, 2, 3, 4]
     flow.requeue(first[[1, 3]])
+    assert flow.take(10_000_000, 1).tolist() == [1]
+    flow.requeue(np.array([1], dtype=np.int64))     # failed again: in front of 3
     assert flow.take(10_000_000, 4).tolist() == [1, 3, 5, 6]
     assert flow.take(10_000_000, 2).tolist() == [7, 8]
 
