@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# The empty seq array, shared and read-only like every array of seqs here
 NO_SEQS = np.empty(0, dtype=np.int64)
 NO_SEQS.flags.writeable = False
 
