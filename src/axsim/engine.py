@@ -555,7 +555,7 @@ class AxBssEngine(BssEngine):
         now = self.sim.now
         for sta, tx in txs:
             if self.mcs0_decodes(self._ru_sinr(tx), frames.BSR_REPORT_BYTES):
-                self.bsr.ingest(sta.aid, sta.flow.backlog_bytes(now), now)
+                self.bsr.ingest(sta.aid, sta.flow.backlog_bytes(now))
         # BSRP rounds end without an MBA
         self.sim.after(SIFS, "post-bsrp", self.ap.node_id,
                        lambda: self._ul_data_round(txop))
@@ -564,7 +564,7 @@ class AxBssEngine(BssEngine):
         now = self.sim.now
         for sta in self.stas:       # drop drained entries before scheduling
             if sta.aid in self.bsr.known() and sta.flow.backlog_count(now) == 0:
-                self.bsr.ingest(sta.aid, 0, now)
+                self.bsr.ingest(sta.aid, 0)
         tf = mu.build_schedule(self.bsr.backlogged(), self.layout, self.rng_sched,
                                ra_fraction=self.cfg.mac.ra_ru_fraction,
                                users_per_ru=self.users_per_ru,
@@ -686,7 +686,7 @@ class AxBssEngine(BssEngine):
             results.append((sta, seqs, failed))
             if len(survivors):
                 decoded[sta.aid] = tuple(survivors.tolist())
-                self.bsr.ingest(sta.aid, sta.flow.backlog_bytes(now), now)
+                self.bsr.ingest(sta.aid, sta.flow.backlog_bytes(now))
         if not decoded:
             for sta, seqs, _ in results:
                 sta.flow.requeue(seqs)
@@ -922,7 +922,6 @@ class RunContext:
 
         n = len(topology.placements)
         model = phy.PathLossModel(
-            "outdoor" if cfg.outdoor else "indoor",
             cfg.phy.pathloss_near_exponent, cfg.phy.pathloss_far_exponent,
             cfg.phy.pathloss_breakpoint_m, cfg.phy.shadowing_sigma_db)
         self.loss_db = loss_matrix(
@@ -973,7 +972,7 @@ class RunContext:
         """Intra- or inter-BSS, as node classifies the frame tx."""
         if not self.features.spatial_reuse:
             return INTRA_BSS          # legacy single-NAV behaviour
-        sight = spatial.FrameSight(color=tx.color, is_cf_end=tx.kind == "cf-end")
+        sight = spatial.FrameSight(color=tx.color)
         return spatial.classify_frame(sight, my_bssid=node.bss_id,
                                       my_color=node.color)
 
@@ -991,10 +990,9 @@ class RunContext:
         capped power cannot close the node's BSS's worst link at the lowest
         MCS.
         """
-        # SR deferral does not go through spatial.sr_decision: this caps the
-        # power at the OBSS_PD boundary the sensed level allows, while
-        # sr_decision tests a given candidate power strictly against it, so
-        # the two give different results.
+        # The cap is the power at which the OBSS_PD level, min + (ref - txpwr)
+        # clamped to [min, max], meets the sensed level: the largest power at
+        # which the node may ignore the frame.
         if tx.cs_rows is None:
             p = tx.rx_dbm
             hears = p >= self.cfg.phy.cca_threshold_dbm

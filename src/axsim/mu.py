@@ -1,5 +1,5 @@
-"""MU-MAC vocabulary and rules: trigger frames, UORA, BSR, multi-STA BA,
-cascaded-TXOP aggregate constraints, MU-RTS/CTS, MU EDCA."""
+"""MU-MAC vocabulary and rules: trigger frames, UORA, BSR, scheduling,
+multi-STA BA, DL power split."""
 
 from __future__ import annotations
 
@@ -45,8 +45,6 @@ class TriggerFrame:
     ul_duration_ns: int = 0
     cascade_indication: bool = False
     mu_mimo_ltf_mode: int = 0       # 0 single stream, 1 MU-MIMO
-    srp_allowed: bool = False
-    srp_value_dbm: float | None = None
 
     def ru_of(self, user: TfUser) -> RuAssignment:
         return self.layout.rus[user.ru_index]
@@ -196,7 +194,6 @@ def ocw_on_result(state: OboState, acked: bool) -> OboState:
 class BsrRecord:
     sta: int
     queued_bytes: dict[int, int]      # per access category
-    freshness_ns: int
 
     @property
     def total_bytes(self) -> int:
@@ -209,37 +206,19 @@ class BsrTable:
     def __init__(self):
         self.records: dict[int, BsrRecord] = {}
 
-    def ingest(self, sta: int, queued_bytes: int, now_ns: int, ac: int = 0) -> None:
+    def ingest(self, sta: int, queued_bytes: int, ac: int = 0) -> None:
         if queued_bytes < 0:
             raise MuMacError("negative queue depth")
         if queued_bytes == 0:
             self.records.pop(sta, None)   # empty queue leaves the scheduling pool
             return
-        self.records[sta] = BsrRecord(sta, {ac: queued_bytes}, now_ns)
+        self.records[sta] = BsrRecord(sta, {ac: queued_bytes})
 
     def backlogged(self) -> list[int]:
         return sorted(s for s, r in self.records.items() if r.total_bytes > 0)
 
     def known(self) -> set[int]:
         return set(self.records)
-
-
-NDP_GROUPS_20MHZ = 18
-NDP_SUBCARRIERS_PER_GROUP = 12
-
-
-def ndp_feedback_encode(bit: int, group: int) -> tuple[int, int]:
-    """Energised subcarrier half for one feedback bit: (first index, count).
-
-    Twelve subcarriers per group; the first six carry a 0, the last six a 1.
-    The 20 MHz channel holds 18 groups: 18 STAs x 1 bit or 9 STAs x 2 bits.
-    """
-    if not 0 <= group < NDP_GROUPS_20MHZ:
-        raise MuMacError(f"group {group} out of range 0..17")
-    if bit not in (0, 1):
-        raise MuMacError("bit must be 0 or 1")
-    base = group * NDP_SUBCARRIERS_PER_GROUP
-    return (base if bit == 0 else base + 6, 6)
 
 
 # --- scheduling -----------------------------------------------------------------------
@@ -314,81 +293,3 @@ def dl_power_split_dbm(total_dbm: float, n_rus: int) -> float:
         raise MuMacError("need at least one RU")
     return total_dbm - 10.0 * math.log10(n_rus)
 
-
-# --- cascaded-TXOP aggregate constraints ----------------------------------------------------
-
-ACK_KINDS = ("ack", "ba", "mba")
-
-
-def validate_dl_ampdu(contents: list[str], ul_follows: bool) -> list[str]:
-    """DL aggregates: at most one acknowledgement; at least one TF iff more UL
-    rounds follow, none when the cascade ends."""
-    violations = []
-    acks = sum(1 for c in contents if c in ACK_KINDS)
-    tfs = sum(1 for c in contents if c == "tf")
-    if acks > 1:
-        violations.append(f"{acks} acknowledgements in one DL A-MPDU (at most one)")
-    if ul_follows and tfs < 1:
-        violations.append("UL round follows but the DL A-MPDU carries no TF")
-    if not ul_follows and tfs > 0:
-        violations.append("cascade ends but the DL A-MPDU still carries a TF")
-    unknown = [c for c in contents if c not in ACK_KINDS + ("mpdu", "tf")]
-    if unknown:
-        violations.append(f"unknown DL A-MPDU members: {unknown}")
-    return violations
-
-
-def validate_ul_ampdu(contents: list[str]) -> list[str]:
-    violations = []
-    acks = sum(1 for c in contents if c in ("ack", "ba"))
-    if acks > 1:
-        violations.append(f"{acks} acknowledgements in one UL A-MPDU (at most one)")
-    bad = [c for c in contents if c not in ("ack", "ba", "mpdu")]
-    if bad:
-        violations.append(f"members not allowed in a UL A-MPDU: {bad}")
-    return violations
-
-
-# --- MU-RTS / CTS ------------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProtectionOutcome:
-    succeeded: bool
-    cts_channels: frozenset[int]
-
-
-def mu_rts_outcome(designated: dict[int, int], responded: set[int]) -> ProtectionOutcome:
-    """designated maps STA -> 20 MHz channel index.  Overlapping CTS on one
-    channel carry identical content under the same scrambler, so a channel
-    succeeds when any designated STA responds."""
-    channels = frozenset(designated[sta] for sta in responded if sta in designated)
-    return ProtectionOutcome(bool(channels), channels)
-
-
-# --- MU EDCA -------------------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EdcaParams:
-    aifsn: int
-    cw_min: int
-    cw_max: int
-
-
-@dataclass
-class MuEdcaState:
-    normal: EdcaParams
-    mu: EdcaParams
-    timer_duration_ns: int
-    timer_deadline_ns: int | None = None
-
-    def apply_after_triggered_ul(self, now_ns: int) -> None:
-        """Confirmed triggered UL arms the timer; spontaneous EDCA then uses
-        the MU parameter set until expiry."""
-        self.timer_deadline_ns = now_ns + self.timer_duration_ns
-
-    def params_at(self, now_ns: int) -> EdcaParams:
-        # Parameter switch applies from the next draw; an in-flight counter
-        # is left to run out.
-        if self.timer_deadline_ns is not None and now_ns < self.timer_deadline_ns:
-            return self.mu
-        return self.normal

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from axsim import mu
-from axsim.core import MS, RngSet
+from axsim.core import RngSet
 from axsim.mu import (ACCESS_FAILURE, AID_RANDOM_ACCESS, AID_RESERVED,
-                      BsrTable, EdcaParams, MuEdcaState, MuMacError, OboState,
-                      TfUser, TriggerFrame, TriggerType, build_schedule,
-                      dl_power_split_dbm, mba_for, mu_rts_outcome,
-                      ndp_feedback_encode, ocw_on_result, uora_transmit_phase,
-                      uora_update, validate_dl_ampdu, validate_tf,
-                      validate_ul_ampdu)
+                      BsrTable, OboState, TfUser, TriggerFrame, TriggerType,
+                      build_schedule, dl_power_split_dbm, mba_for,
+                      ocw_on_result, uora_transmit_phase, uora_update,
+                      validate_tf)
 from axsim.ru import RuAssignment, RuLayout
 
 
@@ -191,44 +189,17 @@ def test_ocw_never_exceeds_max(failures):
 
 def test_bsr_piggyback_and_zero_removal():
     table = BsrTable()
-    table.ingest(4, 12_000, now_ns=10)
-    table.ingest(5, 9_000, now_ns=10)
+    table.ingest(4, 12_000)
+    table.ingest(5, 9_000)
     assert table.backlogged() == [4, 5]
-    table.ingest(4, 0, now_ns=20)     # empty queue leaves the pool
+    table.ingest(4, 0)     # empty queue leaves the pool
     assert table.backlogged() == [5]
 
 
 def test_bsrp_partial_update():
     table = BsrTable()
-    table.ingest(7, 5_000, now_ns=30)  # the other response was lost to PER
+    table.ingest(7, 5_000)  # the other response was lost to PER
     assert table.known() == {7}
-
-
-# --- NDP feedback -----------------------------------------------------------------------------
-
-def test_ndp_bit0_first_half():
-    assert ndp_feedback_encode(0, 0) == (0, 6)
-
-
-def test_ndp_bit1_last_half_of_group17():
-    assert ndp_feedback_encode(1, 17) == (17 * 12 + 6, 6)
-
-
-def test_ndp_capacity_two_bits_per_sta():
-    # 9 STAs x 2 bits fill all 18 groups without overlap
-    used = set()
-    for sta in range(9):
-        for b in range(2):
-            start, count = ndp_feedback_encode(1, sta * 2 + b)
-            cells = set(range(start, start + count))
-            assert not cells & used
-            used |= cells
-    assert len(used) == 9 * 2 * 6
-
-
-def test_ndp_group_out_of_range():
-    with pytest.raises(MuMacError):
-        ndp_feedback_encode(0, 18)
 
 
 # --- scheduling --------------------------------------------------------------------------------
@@ -240,7 +211,7 @@ def test_build_schedule_uniform_assignment():
     for _ in range(3000):
         table = BsrTable()
         for sta in (1, 2, 3):
-            table.ingest(sta, 1500, 0)
+            table.ingest(sta, 1500)
         tf = build_schedule(table.backlogged(), layout, rng)
         assert sorted(u.aid12 for u in tf.per_user) == [1, 2, 3]
         for slot, user in enumerate(tf.per_user):
@@ -252,7 +223,7 @@ def test_build_schedule_uniform_assignment():
 
 def test_build_schedule_marks_ra_fraction():
     table = BsrTable()
-    table.ingest(1, 1500, 0)
+    table.ingest(1, 1500)
     layout = RuLayout(20, tuple(RuAssignment(26, 0) for _ in range(9)))
     tf = build_schedule(table.backlogged(), layout, RngSet(0).stream("s"),
                         ra_fraction=1 / 3)
@@ -262,7 +233,7 @@ def test_build_schedule_marks_ra_fraction():
 def test_build_schedule_mu_mimo_falls_back_on_small_ru():
     table = BsrTable()
     for sta in range(1, 7):
-        table.ingest(sta, 1500, 0)
+        table.ingest(sta, 1500)
     layout = RuLayout(20, (RuAssignment(106, 0), RuAssignment(26, 0)))
     tf = build_schedule(table.backlogged(), layout, RngSet(1).stream("s"),
                         users_per_ru=2)
@@ -288,76 +259,6 @@ def test_zero_decodes_is_access_failure():
 def test_dl_power_split_is_linear_division():
     assert dl_power_split_dbm(18.0, 4) == pytest.approx(18.0 - 10 * math.log10(4))
     assert dl_power_split_dbm(18.0, 1) == 18.0
-
-
-# --- cascaded A-MPDU constraints (Tab. 5) ---------------------------------------------------------
-
-def test_cascade_dl_shapes():
-    assert validate_dl_ampdu(["ba", "mpdu", "mpdu", "tf"], ul_follows=True) == []
-    assert validate_dl_ampdu(["mba", "mpdu"], ul_follows=False) == []
-
-
-def test_cascade_dl_two_acks_rejected():
-    violations = validate_dl_ampdu(["ba", "ba", "mpdu", "tf"], ul_follows=True)
-    assert any("at most one" in v for v in violations)
-
-
-def test_cascade_dl_tf_rules():
-    assert any("no TF" in v for v in validate_dl_ampdu(["mpdu"], ul_follows=True))
-    assert any("still carries" in v
-               for v in validate_dl_ampdu(["mpdu", "tf"], ul_follows=False))
-
-
-def test_cascade_ul_shapes():
-    assert validate_ul_ampdu(["ba", "mpdu"]) == []
-    assert any("at most one" in v for v in validate_ul_ampdu(["ba", "ack"]))
-    assert any("not allowed" in v for v in validate_ul_ampdu(["tf", "mpdu"]))
-
-
-# --- MU-RTS/CTS ------------------------------------------------------------------------------------
-
-def test_mu_rts_same_channel_cts_merge():
-    outcome = mu_rts_outcome({1: 0, 2: 0, 3: 0}, responded={1, 2, 3})
-    assert outcome.succeeded
-    assert outcome.cts_channels == frozenset({0})
-
-
-def test_mu_rts_no_cts_fails():
-    assert not mu_rts_outcome({1: 0, 2: 1}, responded=set()).succeeded
-
-
-def test_mu_rts_multi_channel():
-    outcome = mu_rts_outcome({1: 0, 2: 1, 3: 1}, responded={2})
-    assert outcome.succeeded and outcome.cts_channels == frozenset({1})
-
-
-# --- MU EDCA ----------------------------------------------------------------------------------------
-
-def _mu_edca(timer_ms):
-    return MuEdcaState(normal=EdcaParams(2, 15, 1023),
-                       mu=EdcaParams(8, 63, 1023),
-                       timer_duration_ns=timer_ms * MS)
-
-
-def test_shorter_timer_resumes_normal_edca_first():
-    ac0, ac1 = _mu_edca(8), _mu_edca(16)
-    ac0.apply_after_triggered_ul(0)
-    ac1.apply_after_triggered_ul(0)
-    t = 10 * MS
-    assert ac0.params_at(t) == ac0.normal     # 8 ms timer expired first
-    assert ac1.params_at(t) == ac1.mu
-
-
-def test_untriggered_sta_uses_normal_parameters():
-    state = _mu_edca(8)
-    assert state.params_at(5 * MS) == state.normal
-
-
-def test_mu_parameters_active_while_timer_runs():
-    state = _mu_edca(8)
-    state.apply_after_triggered_ul(2 * MS)
-    assert state.params_at(9 * MS) == state.mu
-    assert state.params_at(10 * MS) == state.normal
 
 
 # --- the engine's UL rounds: AIDs in MAC frames, node ids on the air ------------------

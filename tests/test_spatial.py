@@ -2,11 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from axsim import spatial
-from axsim.spatial import (CONTEND_NORMALLY, CONTEND_SR, DEFER, INTER_BSS,
-                           INTRA_BSS, SRP_BLOCKED, UNKNOWN, BssColor,
-                           ColorChangeState, FrameSight, ObssPdConfig,
-                           SpatialReuseError, TwoNav, classify_frame,
-                           obss_pd_level, sr_decision, srp_gate)
+from axsim.spatial import (INTER_BSS, INTRA_BSS, UNKNOWN, FrameSight,
+                           ObssPdConfig, TwoNav, classify_frame, obss_pd_level)
 
 
 # --- classification ------------------------------------------------------------
@@ -60,63 +57,6 @@ def test_multiple_bssid_membership():
 
 def test_bare_frame_is_unknown():
     assert classify_frame(FrameSight(), my_bssid=7, my_color=5) == UNKNOWN
-
-
-# --- colour conflict and change ------------------------------------------------------
-
-def test_conflict_report_carries_all_observed():
-    report = spatial.color_conflict_watch({12, 30, 4}, my_color=12, reporter=3)
-    assert report is not None
-    assert report.observed_colors == frozenset({12, 30, 4})
-
-
-def test_no_conflict_no_report():
-    assert spatial.color_conflict_watch({30, 4}, my_color=12, reporter=3) is None
-
-
-def test_pick_new_color_lowest_free():
-    assert spatial.pick_new_color({1, 2, 4}) == 3
-
-
-def test_color_values_bounded():
-    with pytest.raises(SpatialReuseError):
-        BssColor(0)
-    with pytest.raises(SpatialReuseError):
-        BssColor(64)
-
-
-def test_color_change_sequence_8_to_12():
-    state = ColorChangeState(BssColor(8), BssColor(12), n_color_change=2)
-    fields = [state.advance() for _ in range(3)]
-    assert [(f.color, f.disabled, f.countdown) for f in fields] == [
-        (8, True, 2), (8, True, 1), (12, False, 0)]
-    assert fields[0].new_color == fields[1].new_color == 12
-    assert state.done
-
-
-def test_color_change_degenerate_zero_countdown():
-    state = ColorChangeState(BssColor(8), BssColor(12), n_color_change=0)
-    f = state.advance()
-    assert (f.color, f.disabled, f.countdown) == (12, False, 0)
-
-
-def test_sta_missing_middle_beacons_still_adopts():
-    state = ColorChangeState(BssColor(8), BssColor(12), n_color_change=2)
-    fields = [state.advance() for _ in range(3)]
-    sta_color = 8
-    sta_color = spatial.sta_adopt_color(fields[2], sta_color)  # only saw the last one
-    assert sta_color == 12
-
-
-def test_pending_new_constant_and_single_switch():
-    state = ColorChangeState(BssColor(8), BssColor(12), n_color_change=5)
-    seen = []
-    while not state.done:
-        f = state.advance()
-        seen.append(f)
-    switches = [f for f in seen if not f.disabled]
-    assert len(switches) == 1
-    assert all(f.new_color == 12 for f in seen if f.disabled)
 
 
 # --- two NAVs --------------------------------------------------------------------------
@@ -181,28 +121,6 @@ def test_obss_pd_monotone_and_clamped(p1, p2):
     assert cfg.level_min_dbm <= obss_pd_level(p1, cfg) <= cfg.level_max_dbm
 
 
-def test_sr_decision_examples():
-    # inter frame at -75 dBm: 1 dBm candidate (level -62) may contend, 21 dBm may not
-    assert sr_decision(INTER_BSS, -75.0, True, 1.0) == \
-        spatial.SrDecision(CONTEND_SR, 1.0)
-    assert sr_decision(INTER_BSS, -75.0, True, 21.0).action == DEFER
-    assert sr_decision(INTRA_BSS, -75.0, True, 1.0).action == DEFER
-
-
-def test_sr_decision_nav_and_weak_signal():
-    assert sr_decision(INTER_BSS, -75.0, False, 1.0).action == DEFER
-    assert sr_decision(INTER_BSS, -90.0, True, 21.0).action == CONTEND_NORMALLY
-
-
-@given(st.floats(-81.9, -62.1), st.floats(-9, 21), st.floats(-9, 21))
-def test_lowering_candidate_power_never_hurts(rx, pa, pb):
-    lo, hi = sorted((pa, pb))
-    with_hi = sr_decision(INTER_BSS, rx, True, hi)
-    with_lo = sr_decision(INTER_BSS, rx, True, lo)
-    if with_hi.action == CONTEND_SR:
-        assert with_lo.action == CONTEND_SR
-
-
 def test_max_sr_tx_power_matches_level_formula():
     cfg = ObssPdConfig()
     cap = spatial.max_sr_tx_power(-70.0, cfg)
@@ -210,20 +128,3 @@ def test_max_sr_tx_power_matches_level_formula():
     assert -70.0 < obss_pd_level(cap - 1e-9, cfg)
     assert spatial.max_sr_tx_power(-60.0, cfg) is None
 
-
-# --- SRP ----------------------------------------------------------------------------------
-
-def test_srp_opportunity_cap_arithmetic():
-    opp = srp_gate(True, srp_value_dbm=-50.0, rpl_dbm=-70.0,
-                   intended_txpwr_dbm=18.0, ppdu_end_ns=5000)
-    assert opp != SRP_BLOCKED
-    assert opp.txpwr_cap_dbm == pytest.approx(20.0)
-    assert opp.deadline_ns == 5000
-
-
-def test_srp_blocked_over_cap():
-    assert srp_gate(True, -50.0, -70.0, 21.0, 5000) == SRP_BLOCKED
-
-
-def test_srp_blocked_when_not_allowed():
-    assert srp_gate(False, -50.0, -70.0, 1.0, 5000) == SRP_BLOCKED
