@@ -1,4 +1,5 @@
-"""Link abstraction: path loss, noise, the MCS table, PER and PPDU formats."""
+"""Link abstraction: path loss, noise, the MCS table, PER and PPDU formats,
+plus HE/VHT rate arithmetic."""
 
 from __future__ import annotations
 
@@ -13,11 +14,13 @@ SPEED_OF_LIGHT = 299_792_458.0
 # HE numerology: 78.125 kHz spacing, 12.8 us symbol.  Legacy/VHT: 312.5 kHz, 3.2 us.
 HE_SYMBOL_US = 12.8
 LEGACY_SYMBOL_US = 3.2
+HE_GI_CHOICES = (0.8, 1.6, 3.2)
 LEGACY_GI_US = 0.8
 
 NOISE_FIGURE_DB = 7.0
 
 DCM_ALLOWED_INDICES = frozenset({0, 1, 3, 4})
+DCM_MAX_NSS = 2
 DEFAULT_DCM_GAIN_DB = 3.5  # stated for MCS0; applied to all allowed indices by default
 
 # (bits per modulation symbol, coding rate) per MCS index.  Indices 10-11 are
@@ -69,6 +72,20 @@ class Mcs:
     @property
     def coding_rate(self) -> Fraction:
         return MCS_TABLE[self.index][1]
+
+
+@dataclass(frozen=True)
+class OfdmNumerology:
+    subcarrier_spacing_hz: float
+    symbol_duration_us: float
+
+    def __post_init__(self):
+        if abs(self.subcarrier_spacing_hz * self.symbol_duration_us * 1e-6 - 1.0) > 1e-9:
+            raise InvalidPhyConfig("spacing * symbol duration must equal 1")
+
+
+HE_NUMEROLOGY = OfdmNumerology(78_125.0, HE_SYMBOL_US)
+LEGACY_NUMEROLOGY = OfdmNumerology(312_500.0, LEGACY_SYMBOL_US)
 
 
 # PPDU formats as a duration model.  HE-MU carries the per-user resource map
@@ -143,8 +160,51 @@ def mw_to_dbm(mw: float) -> float:
     return 10.0 * math.log10(mw)
 
 
+def sinr_db(signal_dbm: float, interferers_dbm: list[float], noise_dbm: float) -> float:
+    denom_mw = dbm_to_mw(noise_dbm) + sum(dbm_to_mw(p) for p in interferers_dbm)
+    return signal_dbm - mw_to_dbm(denom_mw)
+
+
 def noise_dbm(bandwidth_hz: float, noise_figure_db: float = NOISE_FIGURE_DB) -> float:
     return -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
+
+
+def he_rate(mcs: Mcs, data_subcarriers: int, nss: int, gi_us: float = 0.8) -> float:
+    """HE data rate in bits/s over all spatial streams."""
+    if not 1 <= nss <= 8:
+        raise InvalidPhyConfig(f"nss {nss} out of [1, 8]")
+    if gi_us not in HE_GI_CHOICES:
+        raise InvalidPhyConfig(f"GI {gi_us} not one of {HE_GI_CHOICES}")
+    if mcs.dcm and nss > DCM_MAX_NSS:
+        raise InvalidPhyConfig("DCM limited to 2 spatial streams")
+    rate = data_subcarriers * mcs.bits_per_symbol * float(mcs.coding_rate) * nss
+    rate /= (HE_SYMBOL_US + gi_us) * 1e-6
+    if mcs.dcm:
+        rate /= 2.0  # the same information rides both subcarriers of each pair
+    return rate
+
+
+def legacy_rate(mcs: Mcs, data_subcarriers: int, nss: int = 1) -> float:
+    """Legacy/VHT data rate in bits/s (3.2 us symbol + 0.8 us GI)."""
+    rate = data_subcarriers * mcs.bits_per_symbol * float(mcs.coding_rate) * nss
+    return rate / ((LEGACY_SYMBOL_US + LEGACY_GI_US) * 1e-6)
+
+
+def spectral_efficiency(gi_us: float, numerology: OfdmNumerology = HE_NUMEROLOGY) -> float:
+    if numerology is LEGACY_NUMEROLOGY and gi_us != LEGACY_GI_US:
+        raise InvalidPhyConfig("legacy numerology only supports 0.8 us GI")
+    if numerology is HE_NUMEROLOGY and gi_us not in HE_GI_CHOICES:
+        raise InvalidPhyConfig(f"GI {gi_us} invalid for HE")
+    return numerology.symbol_duration_us / (numerology.symbol_duration_us + gi_us)
+
+
+def dcm_rotation(k: int, n_sd: int) -> int:
+    """Rotation factor e^{j(k + n_sd/2)pi} applied to the paired subcarrier: +1 or -1."""
+    if n_sd % 2 != 0:
+        raise InvalidPhyConfig(f"DCM needs an even subcarrier count, got {n_sd}")
+    if not 0 <= k < n_sd // 2:
+        raise InvalidPhyConfig(f"subcarrier index {k} out of [0, {n_sd // 2})")
+    return 1 if (k + n_sd // 2) % 2 == 0 else -1
 
 
 @dataclass

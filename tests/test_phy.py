@@ -8,7 +8,8 @@ from axsim import phy, ru
 from axsim.config import PhySection
 from axsim.core import Simulator
 from axsim.medium import Medium
-from axsim.phy import InvalidPhyConfig, Mcs, PathLossModel, PerModel
+from axsim.phy import (HE_NUMEROLOGY, LEGACY_NUMEROLOGY, InvalidPhyConfig,
+                       Mcs, PathLossModel, PerModel)
 
 
 # --- path loss -------------------------------------------------------------
@@ -89,6 +90,32 @@ def test_rx_power_at_cca_threshold():
     assert received(18.0, 100.0) == pytest.approx(PhySection().cca_threshold_dbm)
 
 
+# --- SINR -------------------------------------------------------------------
+
+def sinr_oracle(signal, interferers, noise):
+    lin = lambda x: 10 ** (x / 10)
+    return 10 * math.log10(lin(signal) / (sum(map(lin, interferers)) + lin(noise)))
+
+
+def test_sinr_without_interference_is_snr():
+    assert phy.sinr_db(-60.0, [], -94.0) == pytest.approx(34.0)
+
+
+def test_sinr_equal_power_interferer():
+    assert phy.sinr_db(-60.0, [-60.0], -200.0) == pytest.approx(0.0, abs=1e-6)
+
+
+def test_sinr_matches_linear_sum_oracle():
+    got = phy.sinr_db(-60.0, [-70.0, -70.0], -94.0)
+    assert got == pytest.approx(sinr_oracle(-60.0, [-70.0, -70.0], -94.0), abs=1e-9)
+
+
+@given(st.floats(-90, -30), st.lists(st.floats(-110, -40), max_size=6), st.floats(-110, -80))
+def test_sinr_oracle_property(signal, interferers, noise):
+    assert phy.sinr_db(signal, interferers, noise) == \
+        pytest.approx(sinr_oracle(signal, interferers, noise), abs=1e-9)
+
+
 # --- noise --------------------------------------------------------------------
 
 def test_noise_floor():
@@ -107,9 +134,80 @@ def test_he_peak_rate_9607_8_mbps():
     assert bits / ((phy.HE_SYMBOL_US + 0.8) * 1e-6) == pytest.approx(9607.8e6, rel=5e-4)
 
 
-def test_dcm_rejects_bad_index():
+def test_he_rate_mcs0_26_tone():
+    # 24 * 1 * 1/2 / 13.6 us = 0.882 Mbps
+    rate = phy.he_rate(Mcs(0), data_subcarriers=24, nss=1, gi_us=0.8)
+    assert rate == pytest.approx(24 * 0.5 / 13.6e-6, abs=1)
+    assert rate == pytest.approx(0.882e6, rel=1e-3)
+
+
+def test_legacy_54_mbps_exact():
+    # 64-QAM 3/4 over 48 data subcarriers at 4 us per symbol
+    assert phy.legacy_rate(Mcs(6), data_subcarriers=48) == 54e6
+
+
+def test_dcm_halves_rate():
+    plain = phy.he_rate(Mcs(1), 234, 2, 0.8)
+    dcm = phy.he_rate(Mcs(1, dcm=True), 234, 2, 0.8)
+    assert dcm == pytest.approx(plain / 2)
+
+
+def test_dcm_rejects_wide_nss_and_bad_index():
+    with pytest.raises(InvalidPhyConfig):
+        phy.he_rate(Mcs(1, dcm=True), 234, 3, 0.8)
     with pytest.raises(InvalidPhyConfig):
         Mcs(7, dcm=True)
+
+
+@given(st.integers(0, 11), st.integers(0, 11), st.sampled_from([24, 48, 102, 234, 468, 980, 1960]),
+       st.integers(1, 8), st.sampled_from([0.8, 1.6, 3.2]))
+def test_rate_monotone_in_mcs_and_gi(i, j, ds, nss, gi):
+    lo, hi = sorted((i, j))
+    r_lo = phy.he_rate(Mcs(lo), ds, nss, gi)
+    r_hi = phy.he_rate(Mcs(hi), ds, nss, gi)
+    assert r_hi >= r_lo
+    assert phy.he_rate(Mcs(hi), ds, nss, 3.2) <= phy.he_rate(Mcs(hi), ds, nss, 0.8)
+    if nss > 1:
+        assert phy.he_rate(Mcs(hi), ds, nss, gi) > phy.he_rate(Mcs(hi), ds, nss - 1, gi)
+
+
+# --- spectral efficiency -----------------------------------------------------
+
+def test_spectral_efficiency_he_short_gi():
+    assert phy.spectral_efficiency(0.8) == pytest.approx(0.9412, abs=5e-5)
+
+
+def test_spectral_efficiency_legacy():
+    assert phy.spectral_efficiency(0.8, LEGACY_NUMEROLOGY) == pytest.approx(0.8)
+
+
+def test_spectral_efficiency_he_long_gi():
+    assert phy.spectral_efficiency(3.2, HE_NUMEROLOGY) == pytest.approx(12.8 / 16.0)
+
+
+# --- DCM rotation -------------------------------------------------------------
+
+def dcm_oracle(k, n_sd):
+    return complex(math.cos((k + n_sd / 2) * math.pi), math.sin((k + n_sd / 2) * math.pi))
+
+
+@pytest.mark.parametrize("k,n_sd,expected", [(0, 4, 1), (1, 4, -1), (0, 2, -1)])
+def test_dcm_rotation_examples(k, n_sd, expected):
+    assert phy.dcm_rotation(k, n_sd) == expected
+    assert dcm_oracle(k, n_sd).real == pytest.approx(expected, abs=1e-9)
+
+
+@given(st.integers(1, 100).map(lambda h: 2 * h))
+def test_dcm_rotation_pairing(n_sd):
+    factors = [phy.dcm_rotation(k, n_sd) for k in range(n_sd // 2)]
+    assert all(f in (1, -1) for f in factors)
+    for a, b in zip(factors, factors[1:]):
+        assert a == -b
+
+
+def test_dcm_rotation_rejects_odd_count():
+    with pytest.raises(InvalidPhyConfig):
+        phy.dcm_rotation(0, 5)
 
 
 # --- effective SINR and PER -----------------------------------------------------

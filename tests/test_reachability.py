@@ -37,6 +37,17 @@ KEEP = {
     ("ru", "layout_catalog"): "test reference: pins the 20 MHz RU divisions",
     ("config", "load_config"): "test reference: scenario files read into ScenarioConfig",
     ("core", "MS"): "test reference: the time unit tests write in",
+    ("phy", "he_rate"): "ROADMAP item 5, deferred: the paper's rate examples",
+    ("phy", "legacy_rate"): "ROADMAP item 5, deferred: the paper's rate examples",
+    ("phy", "spectral_efficiency"): "ROADMAP item 5, deferred: the paper's GI overheads",
+    ("phy", "dcm_rotation"): "ROADMAP item 5, deferred: the paper's DCM pairing",
+    ("phy", "sinr_db"): "ROADMAP item 5, deferred: linear-sum SINR reference",
+    ("ru", "dump_catalog"): "ROADMAP item 5, deferred: RU catalogue listing",
+    ("power", "twt_negotiate"): "ROADMAP item 5, deferred: TWT negotiation",
+    ("power", "uora_twt_doze"): "ROADMAP item 5, deferred: the paper's UORA SP walk-through",
+    ("power", "sp_applies_to_uora_sta"): "ROADMAP item 5, deferred: TWT flow identifiers",
+    ("power", "periodic_twt_tick"): "ROADMAP item 5, deferred: the paper's periodic TIM example",
+    ("power", "FLOW_TIM_AT_START"): "ROADMAP item 5, deferred: TWT flow identifiers",
 }
 
 
