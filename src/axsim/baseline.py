@@ -23,19 +23,16 @@ DEFAULT_AMPDU_CAP = 64     # baseline scheme; the HE cap is configured separatel
 
 @dataclass
 class BackoffState:
-    ac: int = 0
     cw_min: int = CW_MIN
     cw_max: int = CW_MAX
     cw: int = field(default=-1)
-    counter: int = 0
 
     def __post_init__(self):
         if self.cw < 0:
             self.cw = self.cw_min
 
     def draw(self, rng) -> int:
-        self.counter = rng.randint(0, self.cw)
-        return self.counter
+        return rng.randint(0, self.cw)
 
     def on_success(self) -> None:
         self.cw = self.cw_min

@@ -135,10 +135,6 @@ class ScenarioConfig:
         return problems
 
     @property
-    def outdoor(self) -> bool:
-        return self.kind in (OUTDOOR_SINGLE, OUTDOOR_MULTI)
-
-    @property
     def duration_ns(self) -> int:
         return round(self.duration_s * 1e9)
 

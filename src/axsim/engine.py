@@ -35,7 +35,6 @@ class SimNode:
     node_id: int
     bss_id: int
     is_ap: bool
-    pos: tuple[float, float]
     tx_power_dbm: float
     antennas: int
     color: int
@@ -506,9 +505,9 @@ class AxBssEngine(BssEngine):
 
     def _ul_step(self, txop: Txop) -> None:
         now = self.sim.now
-        known = self.bsr.known()
+        queued = self.bsr.queued
         unknown = [s.aid for s in self.stas
-                   if s.aid not in known and s.flow.backlog_count(now) > 0]
+                   if s.aid not in queued and s.flow.backlog_count(now) > 0]
         if unknown:
             self.rng_sched.shuffle(unknown)
             self._bsrp_round(txop, unknown)
@@ -522,7 +521,7 @@ class AxBssEngine(BssEngine):
         now = self.sim.now
         polled = unknown[:len(self.layout.rus)]
         users = tuple(mu.TfUser(aid, i) for i, aid in enumerate(polled))
-        tf = mu.TriggerFrame(mu.TriggerType.BSRP, self.layout, users)
+        tf = mu.TriggerFrame(self.layout, users)
         tf_bytes = frames.tf_bytes(len(polled))
         report_ns = max(
             frames.data_duration_ns(phy.HE_TB_PPDU, 8 * frames.BSR_REPORT_BYTES,
@@ -562,8 +561,9 @@ class AxBssEngine(BssEngine):
 
     def _ul_data_round(self, txop: Txop) -> None:
         now = self.sim.now
+        queued = self.bsr.queued
         for sta in self.stas:       # drop drained entries before scheduling
-            if sta.aid in self.bsr.known() and sta.flow.backlog_count(now) == 0:
+            if sta.aid in queued and sta.flow.backlog_count(now) == 0:
                 self.bsr.ingest(sta.aid, 0)
         tf = mu.build_schedule(self.bsr.backlogged(), self.layout, self.rng_sched,
                                ra_fraction=self.cfg.mac.ra_ru_fraction,
@@ -942,9 +942,9 @@ class RunContext:
             members = topology.of_bss(bss_id)
             ap_p = next(p for p in members if p.is_ap)
             color = topology.colors[bss_id]
-            ap = SimNode(ap_p.node_id, bss_id, True, ap_p.pos,
+            ap = SimNode(ap_p.node_id, bss_id, True,
                          cfg.radio.ap_tx_power_dbm, cfg.radio.ap_antennas, color)
-            stas = [SimNode(p.node_id, bss_id, False, p.pos,
+            stas = [SimNode(p.node_id, bss_id, False,
                             cfg.radio.sta_tx_power_dbm, cfg.radio.sta_antennas,
                             color)
                     for p in members if not p.is_ap]
@@ -972,9 +972,7 @@ class RunContext:
         """Intra- or inter-BSS, as node classifies the frame tx."""
         if not self.features.spatial_reuse:
             return INTRA_BSS          # legacy single-NAV behaviour
-        sight = spatial.FrameSight(color=tx.color)
-        return spatial.classify_frame(sight, my_bssid=node.bss_id,
-                                      my_color=node.color)
+        return spatial.classify_frame(tx.color, node.color)
 
     # --- carrier sense and NAV, over all nodes at once -----------------------------------
 

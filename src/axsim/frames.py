@@ -99,7 +99,6 @@ class Ampdu:
     """Aggregate addressed to one receiver (baseline) or one RU (MU rounds)."""
 
     mpdus: list[Mpdu]
-    bsr_bytes: int | None = None   # piggybacked queue depth, if any
 
     @property
     def total_bits(self) -> int:

@@ -1,24 +1,17 @@
-"""MU-MAC vocabulary and rules: trigger frames, UORA, BSR, scheduling,
-multi-STA BA, DL power split."""
+"""The MU-MAC rules the engine runs: trigger frames and their validation,
+UORA backoff, the AP's BSR table, the hybrid RU schedule, multi-STA BA and
+the DL power split."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from enum import IntEnum
 
 from .ru import RuAssignment, RuLayout, mu_mimo_admissible
 
 AID_RANDOM_ACCESS = 0          # RU open to associated STAs
 AID_UNASSOCIATED = 2045        # RU open to unassociated STAs
 AID_RESERVED = 4095            # never defined; the validator rejects it
-
-
-class TriggerType(IntEnum):
-    BASIC = 0
-    MU_BAR = 2
-    MU_RTS = 3
-    BSRP = 4
 
 
 class MuMacError(ValueError):
@@ -39,11 +32,8 @@ class TfUser:
 
 @dataclass(frozen=True)
 class TriggerFrame:
-    trigger_type: TriggerType
     layout: RuLayout
     per_user: tuple[TfUser, ...]
-    ul_duration_ns: int = 0
-    cascade_indication: bool = False
     mu_mimo_ltf_mode: int = 0       # 0 single stream, 1 MU-MIMO
 
     def ru_of(self, user: TfUser) -> RuAssignment:
@@ -59,12 +49,6 @@ class TriggerFrame:
 
     def users_of(self, ru_index: int) -> tuple[TfUser, ...]:
         return tuple(u for u in self.per_user if u.ru_index == ru_index)
-
-    def schedules(self, aid12: int) -> TfUser | None:
-        for user in self.per_user:
-            if user.aid12 == aid12:
-                return user
-        return None
 
 
 def validate_tf(tf: TriggerFrame) -> list[str]:
@@ -104,7 +88,6 @@ class OboState:
     ocw: int = field(default=-1)
     obo: int | None = None      # None until the first draw
     candidate_ru: int | None = None   # index into the TF's RA RUs, this round
-    deferred: bool = False      # carrier-sense defer: re-enter at obo 0, no redraw
 
     def __post_init__(self):
         if self.ocw < 0:
@@ -147,11 +130,10 @@ class RuOutcome:
 
 def uora_transmit_phase(eligible: dict[int, OboState], n_ra_rus: int,
                         carrier_idle, rng,
-                        decode_ok=lambda sta, ru_index: True,
                         ) -> tuple[dict[int, RuOutcome], dict[int, OboState], list[int]]:
     """Eligible STAs each pick one RA RU uniformly; CS-blocked STAs defer and
-    keep obo = 0 for the next TF.  Two transmitters on an RU collide (no
-    capture); a lone transmitter succeeds subject to the decode draw.
+    keep obo = 0 and no candidate RU for the next TF.  Two transmitters on
+    an RU collide (no capture); a lone transmitter succeeds.
 
     Returns (per-RU outcomes, updated states, transmitted STA ids).
     """
@@ -160,11 +142,10 @@ def uora_transmit_phase(eligible: dict[int, OboState], n_ra_rus: int,
     transmitted = []
     for sta in sorted(eligible):
         ru_index = rng.randint(0, n_ra_rus - 1)
-        state = replace(states[sta], candidate_ru=ru_index)
         if not carrier_idle(sta):
-            states[sta] = replace(state, deferred=True, candidate_ru=None)
+            states[sta] = replace(states[sta], candidate_ru=None)
             continue
-        states[sta] = replace(state, deferred=False)
+        states[sta] = replace(states[sta], candidate_ru=ru_index)
         picks[ru_index].append(sta)
         transmitted.append(sta)
     outcomes = {}
@@ -173,61 +154,45 @@ def uora_transmit_phase(eligible: dict[int, OboState], n_ra_rus: int,
             outcomes[ru_index] = RuOutcome(RU_IDLE)
         elif len(stas) > 1:
             outcomes[ru_index] = RuOutcome(RU_COLLISION)
-        elif decode_ok(stas[0], ru_index):
-            outcomes[ru_index] = RuOutcome("success", stas[0])
         else:
-            outcomes[ru_index] = RuOutcome(RU_COLLISION, stas[0])
+            outcomes[ru_index] = RuOutcome("success", stas[0])
     return outcomes, states, transmitted
 
 
 def ocw_on_result(state: OboState, acked: bool) -> OboState:
     if acked:
-        return replace(state, ocw=state.ocw_min, obo=None, deferred=False,
-                       candidate_ru=None)
+        return replace(state, ocw=state.ocw_min, obo=None, candidate_ru=None)
     return replace(state, ocw=min(2 * (state.ocw + 1) - 1, state.ocw_max),
                    obo=None, candidate_ru=None)
 
 
 # --- BSR ----------------------------------------------------------------------------
 
-@dataclass
-class BsrRecord:
-    sta: int
-    queued_bytes: dict[int, int]      # per access category
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.queued_bytes.values())
-
-
 class BsrTable:
-    """AP-side view of STA buffer depths, fed by piggyback and BSRP reports."""
+    """AP-side view of STA buffer depths, fed by piggyback and BSRP reports:
+    the last reported queue depth in bytes of each AID with a non-empty
+    queue."""
 
     def __init__(self):
-        self.records: dict[int, BsrRecord] = {}
+        self.queued: dict[int, int] = {}
 
-    def ingest(self, sta: int, queued_bytes: int, ac: int = 0) -> None:
+    def ingest(self, sta: int, queued_bytes: int) -> None:
         if queued_bytes < 0:
             raise MuMacError("negative queue depth")
         if queued_bytes == 0:
-            self.records.pop(sta, None)   # empty queue leaves the scheduling pool
+            self.queued.pop(sta, None)   # empty queue leaves the scheduling pool
             return
-        self.records[sta] = BsrRecord(sta, {ac: queued_bytes})
+        self.queued[sta] = queued_bytes
 
     def backlogged(self) -> list[int]:
-        return sorted(s for s, r in self.records.items() if r.total_bytes > 0)
-
-    def known(self) -> set[int]:
-        return set(self.records)
+        return sorted(self.queued)
 
 
 # --- scheduling -----------------------------------------------------------------------
 
 def build_schedule(backlogged: list[int], layout: RuLayout, rng,
                    ra_fraction: float = 0.0, users_per_ru: int = 1,
-                   nss_of=lambda sta: 1, ul_duration_ns: int = 0,
-                   cascade: bool = False,
-                   trigger_type: TriggerType = TriggerType.BASIC) -> TriggerFrame | None:
+                   nss_of=lambda sta: 1) -> TriggerFrame | None:
     """Hybrid schedule over a validated layout: a configured fraction of RUs
     opens for random access, the rest go to uniformly random STAs of the
     backlogged AIDs, given ascending (the baseline policy).  MU-MIMO packs
@@ -258,8 +223,7 @@ def build_schedule(backlogged: list[int], layout: RuLayout, rng,
         users.append(TfUser(AID_RANDOM_ACCESS, ru_index))
     if not users:
         return None
-    tf = TriggerFrame(trigger_type, layout, tuple(users), ul_duration_ns,
-                      cascade_indication=cascade, mu_mimo_ltf_mode=mu_mode)
+    tf = TriggerFrame(layout, tuple(users), mu_mimo_ltf_mode=mu_mode)
     violations = validate_tf(tf)
     if violations:
         raise MuMacError("; ".join(violations))

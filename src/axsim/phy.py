@@ -88,14 +88,13 @@ HE_NUMEROLOGY = OfdmNumerology(78_125.0, HE_SYMBOL_US)
 LEGACY_NUMEROLOGY = OfdmNumerology(312_500.0, LEGACY_SYMBOL_US)
 
 
-# PPDU formats as a duration model.  HE-MU carries the per-user resource map
-# (longer preamble than HE-SU); HE-TB carries none (the schedule arrived in the
-# trigger frame); HE-ER-SU repeats HE-SIG-A and is strictly longer than HE-SU.
+# PPDU formats as a duration model.  HE-MU carries the per-user resource map,
+# so its preamble is longer than HE-TB's, whose schedule arrived in the
+# trigger frame.
 @dataclass(frozen=True)
 class PpduFormat:
     kind: str
     preamble_us: float
-    carries_user_map: bool = False
 
 
 LEGACY_PPDU = PpduFormat("legacy", 20.0)
@@ -105,7 +104,7 @@ def vht_ppdu(nss: int) -> PpduFormat:
     """VHT data preamble: legacy part + SIG-A + STF + per-stream LTFs + SIG-B."""
     return PpduFormat("VHT", 20.0 + 8.0 + 4.0 + 4.0 * nss + 4.0)
 
-HE_MU_PPDU = PpduFormat("HE-MU", 56.0, carries_user_map=True)
+HE_MU_PPDU = PpduFormat("HE-MU", 56.0)
 HE_TB_PPDU = PpduFormat("HE-TB", 48.0)
 
 

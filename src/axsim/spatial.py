@@ -1,4 +1,5 @@
-"""BSS color classification, dual-NAV virtual carrier sensing, OBSS_PD CCA."""
+"""BSS colour classification, the two NAVs of virtual carrier sense, and the
+OBSS_PD level and spatial-reuse power cap."""
 
 from __future__ import annotations
 
@@ -8,63 +9,16 @@ import numpy as np
 
 INTRA_BSS = "intra_bss"
 INTER_BSS = "inter_bss"
-UNKNOWN = "unknown"
 
 
 class SpatialReuseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FrameSight:
-    """What a receiver could read out of a (sufficiently) decoded frame."""
-
-    color: int | None = None
-    ra: int | None = None
-    ta: int | None = None
-    bssid: int | None = None
-    partial_aid: int | None = None
-    group_id: int | None = None
-    is_mu_ppdu: bool = False
-    is_control_without_ta: bool = False
-
-
-def classify_frame(frame: FrameSight, my_bssid: int, my_color: int | None,
-                   i_am_ap: bool = False, txop_holder: int | None = None,
-                   multiple_bssid_set: frozenset[int] = frozenset(),
-                   partial_bss_color: int | None = None) -> str:
-    """Intra/inter/unknown decision, applying the determination rows in order."""
-    members = multiple_bssid_set | {my_bssid}
-
-    if frame.color is not None and my_color is not None:
-        if frame.color == my_color:
-            return INTRA_BSS
-        if frame.color != 0:
-            return INTER_BSS
-
-    addresses = [a for a in (frame.ra, frame.ta, frame.bssid) if a is not None]
-    if addresses:
-        if any(a in members for a in addresses):
-            return INTRA_BSS
-        if frame.bssid is not None and frame.bssid not in members:
-            return INTER_BSS
-        if len(addresses) >= 2 and not any(a in members for a in addresses):
-            return INTER_BSS
-
-    if frame.partial_aid is not None and frame.group_id == 0:
-        # partial AID mirrors BSSID[39:47] for group 0
-        return INTRA_BSS if frame.partial_aid == (my_bssid & 0x1FF) else INTER_BSS
-    if frame.partial_aid is not None and frame.group_id == 63 and partial_bss_color is not None:
-        return INTRA_BSS if frame.partial_aid == partial_bss_color else INTER_BSS
-
-    # TXOP-holder row grants only intra; its inter-BSS cell is empty.
-    if frame.is_control_without_ta and txop_holder is not None and frame.ra == txop_holder:
-        return INTRA_BSS
-
-    if i_am_ap and frame.is_mu_ppdu:
-        return INTER_BSS
-
-    return UNKNOWN
+def classify_frame(frame_color: int, my_color: int) -> str:
+    """Intra- or inter-BSS by BSS colour.  The engines' frames always carry
+    a colour of 1..63, so the colour decides every frame."""
+    return INTRA_BSS if frame_color == my_color else INTER_BSS
 
 
 # --- two NAVs ------------------------------------------------------------------------
@@ -81,7 +35,7 @@ class TwoNav:
                 self.intra_expiry_ns = 0  # CF-End cancels the intra-BSS NAV only
                 return
             self.intra_expiry_ns = max(self.intra_expiry_ns, now_ns + duration_ns)
-        else:  # inter-BSS and unknown both load the basic NAV
+        else:  # inter-BSS frames load the basic NAV
             self.basic_expiry_ns = max(self.basic_expiry_ns, now_ns + duration_ns)
 
     def idle(self, now_ns: int, scheduled_in_intra_tf: bool = False) -> bool:

@@ -51,8 +51,7 @@ def reference_cs_state(ctx: RunContext, node_id: int) -> tuple[bool, float | Non
             continue
         if not ctx.features.spatial_reuse:
             return True, None
-        sight = spatial.FrameSight(color=tx.color)
-        if spatial.classify_frame(sight, node.bss_id, node.color) != spatial.INTER_BSS:
+        if spatial.classify_frame(tx.color, node.color) != spatial.INTER_BSS:
             return True, None
         allowed = spatial.max_sr_tx_power(p, ctx.obss_cfg)
         if allowed is None or allowed < MIN_SR_TXPWR_DBM:

@@ -1,11 +1,18 @@
 """Every public top-level name under ``src/axsim`` is reached from the
-simulator's entry points, or is kept for a stated reason.
+simulator's entry points, and every class member is read, or each is kept
+for a stated reason.
 
 The walk starts at the runner's entry points and ``engine.RunContext`` and
 follows, through the source's syntax tree, every name a reached definition
 refers to: a name of its own module, one imported with ``from .m import x``,
 or ``m.x`` on a module imported with ``from . import m``.  Names a function
 binds itself (its arguments and assignments) do not refer to the module.
+
+A class member is a method, property or annotated field of a class under
+``src/axsim``; dunder methods, which Python calls itself, are left out.  It
+counts as read if some ``x.member`` loads it anywhere under ``src/axsim``.
+The match is by name alone, so a member shares its reads with every other
+member of that name.
 """
 
 from __future__ import annotations
@@ -43,11 +50,23 @@ KEEP = {
     ("phy", "dcm_rotation"): "ROADMAP item 5, deferred: the paper's DCM pairing",
     ("phy", "sinr_db"): "ROADMAP item 5, deferred: linear-sum SINR reference",
     ("ru", "dump_catalog"): "ROADMAP item 5, deferred: RU catalogue listing",
-    ("power", "twt_negotiate"): "ROADMAP item 5, deferred: TWT negotiation",
-    ("power", "uora_twt_doze"): "ROADMAP item 5, deferred: the paper's UORA SP walk-through",
-    ("power", "sp_applies_to_uora_sta"): "ROADMAP item 5, deferred: TWT flow identifiers",
-    ("power", "periodic_twt_tick"): "ROADMAP item 5, deferred: the paper's periodic TIM example",
-    ("power", "FLOW_TIM_AT_START"): "ROADMAP item 5, deferred: TWT flow identifiers",
+}
+
+# Class members no code under src/axsim reads, each with its reason.
+KEEP_MEMBERS = {
+    ("baseline", "TxopResult", "requeued"): "ROADMAP item 2: su_txop_exchange's oracle",
+    ("baseline", "TxopResult", "success"): "ROADMAP item 2: su_txop_exchange's oracle",
+    ("baseline", "TxopResult", "airtime_ns"): "ROADMAP item 2: su_txop_exchange's oracle",
+    ("frames", "Mpdu", "destination"): "ROADMAP item 2: su_txop_exchange's oracle",
+    ("power", "EnergyAccount", "total_ns"): "ROADMAP item 2: the ledger covers the run",
+    ("metrics", "MetricsReport", "cdf"): "ROADMAP item 7: the paper's throughput CDFs",
+    ("mu", "RuOutcome", "sta"): "test reference: the Fig. 18 UORA walk-through",
+    ("mu", "MultiStaBa", "acked_stas"): "test reference: the Fig. 18 UORA walk-through",
+    ("medium", "Transmission", "payload"): "test reference: the MAC frame of a TF or MBA",
+    ("phy", "PathLossModel", "indoor"): "test reference: the indoor loss profile",
+    ("phy", "PathLossModel", "outdoor"): "test reference: the outdoor loss profile",
+    ("topo", "Placement", "pos"): "test reference: node spacing in the topologies",
+    ("topo", "Topology", "aps"): "test reference: AP counts of the topologies",
 }
 
 
@@ -97,9 +116,45 @@ def loaded_names(node: ast.AST, bound: frozenset[str] = frozenset()):
         yield from loaded_names(child, inner if child in body else bound)
 
 
+def parse_sources() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+
+
+def class_members(trees: dict[str, ast.Module]) -> set[tuple[str, str, str]]:
+    """(module, class, member) for every method, property and annotated
+    field of every class, dunder methods left out."""
+    members = set()
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")):
+                    members.add((module, cls.name, name))
+    return members
+
+
+def attribute_loads(trees: dict[str, ast.Module]) -> set[str]:
+    """Every attribute name that some ``x.attr`` reads; stores, augmented
+    assignments and deletions do not count."""
+    return {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_members(trees: dict[str, ast.Module]) -> set[tuple[str, str, str]]:
+    loads = attribute_loads(trees)
+    return {key for key in class_members(trees) if key[2] not in loads}
+
+
 def reach(roots):
     """(names reached from roots, every public top-level name)."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    trees = parse_sources()
     defs = {m: top_level_definitions(tree) for m, tree in trees.items()}
     imports = {m: relative_imports(tree) for m, tree in trees.items()}
 
@@ -135,3 +190,16 @@ def test_every_public_name_is_reached_or_kept_for_a_reason():
 def test_keep_set_holds_only_names_the_entry_points_miss():
     reached, _ = reach(ENTRY_POINTS)
     assert sorted(set(KEEP) & reached) == []
+
+
+def test_every_class_member_is_read_or_kept_for_a_reason():
+    trees = parse_sources()
+    assert sorted(unread_members(trees) - set(KEEP_MEMBERS)) == []
+    assert sorted(set(KEEP_MEMBERS) - class_members(trees)) == [], \
+        "keep-set members that no longer exist"
+
+
+def test_member_keep_set_holds_only_members_nothing_reads():
+    trees = parse_sources()
+    read = class_members(trees) - unread_members(trees)
+    assert sorted(set(KEEP_MEMBERS) & read) == []

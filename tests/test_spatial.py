@@ -2,61 +2,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from axsim import spatial
-from axsim.spatial import (INTER_BSS, INTRA_BSS, UNKNOWN, FrameSight,
-                           ObssPdConfig, TwoNav, classify_frame, obss_pd_level)
+from axsim.spatial import (INTER_BSS, INTRA_BSS, ObssPdConfig, TwoNav,
+                           classify_frame, obss_pd_level)
 
 
 # --- classification ------------------------------------------------------------
 
 def test_color_match_is_intra():
-    assert classify_frame(FrameSight(color=12), my_bssid=1, my_color=12) == INTRA_BSS
+    assert classify_frame(12, my_color=12) == INTRA_BSS
 
 
 def test_foreign_nonzero_color_is_inter():
-    assert classify_frame(FrameSight(color=9), my_bssid=1, my_color=12) == INTER_BSS
-
-
-def test_color_zero_falls_through():
-    assert classify_frame(FrameSight(color=0), my_bssid=1, my_color=12) == UNKNOWN
-
-
-def test_address_match_is_intra():
-    assert classify_frame(FrameSight(bssid=7), my_bssid=7, my_color=None) == INTRA_BSS
-    assert classify_frame(FrameSight(ta=7), my_bssid=7, my_color=None) == INTRA_BSS
-
-
-def test_foreign_bssid_is_inter():
-    assert classify_frame(FrameSight(bssid=9), my_bssid=7, my_color=None) == INTER_BSS
-
-
-def test_partial_aid_group0():
-    assert classify_frame(FrameSight(partial_aid=7 & 0x1FF, group_id=0),
-                          my_bssid=7, my_color=None) == INTRA_BSS
-    assert classify_frame(FrameSight(partial_aid=99, group_id=0),
-                          my_bssid=7, my_color=None) == INTER_BSS
-
-
-def test_txop_holder_row_grants_only_intra():
-    frame = FrameSight(ra=42, is_control_without_ta=True)
-    assert classify_frame(frame, my_bssid=7, my_color=None, txop_holder=42) == INTRA_BSS
-    # empty inter-BSS cell: a non-matching RA yields unknown, not inter
-    assert classify_frame(frame, my_bssid=7, my_color=None, txop_holder=43) == UNKNOWN
-
-
-def test_ap_receiving_untriggered_mu_ppdu_is_inter():
-    frame = FrameSight(is_mu_ppdu=True)
-    assert classify_frame(frame, my_bssid=7, my_color=None, i_am_ap=True) == INTER_BSS
-    assert classify_frame(frame, my_bssid=7, my_color=None, i_am_ap=False) == UNKNOWN
-
-
-def test_multiple_bssid_membership():
-    frame = FrameSight(bssid=11)
-    assert classify_frame(frame, my_bssid=7, my_color=None,
-                          multiple_bssid_set=frozenset({11})) == INTRA_BSS
-
-
-def test_bare_frame_is_unknown():
-    assert classify_frame(FrameSight(), my_bssid=7, my_color=5) == UNKNOWN
+    assert classify_frame(9, my_color=12) == INTER_BSS
 
 
 # --- two NAVs --------------------------------------------------------------------------
@@ -84,14 +41,14 @@ def test_both_navs_zero_is_idle():
     assert TwoNav().idle(0)
 
 
-def test_unknown_frames_load_basic_nav():
+def test_inter_bss_frames_load_basic_nav():
     nav = TwoNav()
-    nav.update(UNKNOWN, 0, 700)
+    nav.update(INTER_BSS, 0, 700)
     assert nav.basic_expiry_ns == 700
     assert nav.intra_expiry_ns == 0
 
 
-@given(st.lists(st.tuples(st.sampled_from([INTRA_BSS, INTER_BSS, UNKNOWN]),
+@given(st.lists(st.tuples(st.sampled_from([INTRA_BSS, INTER_BSS]),
                           st.integers(0, 1000), st.integers(0, 1000),
                           st.booleans()),
                 max_size=40))
