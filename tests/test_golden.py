@@ -4,6 +4,9 @@
 delivered packets and bytes, delay sum and MPDU attempts and failures, all
 integers.  ``report_row`` rounds, so a change that moves one PER or backoff
 draw can leave every row in place; it cannot leave these counts in place.
+``golden_state.json`` pins each run's event count and every node's final
+intra-BSS NAV, basic NAV and EIFS deadline, so a change to the NAV pass that
+moves no delivery still shows.
 
 The file ``golden_results.json`` pins the simulator's behaviour as it is,
 defects included.  In particular the multi-BSS points show the channel
@@ -12,7 +15,7 @@ BSS keeps the channel and p5 reads 0 on ``indoor_multi``.  A change that
 fixes such a defect regenerates the file and states why in CHANGES.md; any
 other change must reproduce it unchanged.
 
-Regenerate both files with ``PYTHONPATH=src python tests/test_golden.py``.
+Regenerate all three files with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from axsim.engine import RunContext
 
 GOLDEN = Path(__file__).with_name("golden_results.json")
 GOLDEN_FLOWS = Path(__file__).with_name("golden_flows.json")
+GOLDEN_STATE = Path(__file__).with_name("golden_state.json")
 FLOW_FIELDS = ("delivered_pkts", "delivered_bytes", "delay_sum_ns",
                "mpdu_attempts", "mpdu_failures")
 
@@ -78,6 +82,21 @@ def run_flows(point_id: str) -> dict:
             for flow, fs in sorted(stats.items())}
 
 
+def node_state(ctx: RunContext, node_id: int) -> list[int]:
+    """A node's (intra-BSS NAV expiry, basic NAV expiry, EIFS deadline)."""
+    node = ctx.nodes[node_id]
+    return [node.nav.intra_expiry_ns, node.nav.basic_expiry_ns, node.eifs_until_ns]
+
+
+def run_state(point_id: str) -> dict:
+    """The run's event count and node id (a string) -> its node_state."""
+    cfg, scheme, doze = _config(point_id)
+    ctx = RunContext(cfg, Scheme(scheme), intra_ppdu_doze=doze)
+    ctx.run()
+    return {"events": ctx.sim.processed,
+            "nodes": {str(i): node_state(ctx, i) for i in sorted(ctx.nodes)}}
+
+
 @pytest.mark.parametrize("point_id", sorted(POINTS))
 def test_golden_row(point_id):
     golden = json.loads(GOLDEN.read_text())
@@ -90,9 +109,15 @@ def test_golden_flows(point_id):
     assert run_flows(point_id) == golden[point_id]
 
 
+@pytest.mark.parametrize("point_id", sorted(POINTS))
+def test_golden_state(point_id):
+    golden = json.loads(GOLDEN_STATE.read_text())
+    assert run_state(point_id) == golden[point_id]
+
+
 def test_golden_file_covers_every_point():
-    assert sorted(json.loads(GOLDEN.read_text())) == sorted(POINTS)
-    assert sorted(json.loads(GOLDEN_FLOWS.read_text())) == sorted(POINTS)
+    for path in (GOLDEN, GOLDEN_FLOWS, GOLDEN_STATE):
+        assert sorted(json.loads(path.read_text())) == sorted(POINTS)
 
 
 def test_same_seed_same_row():
@@ -105,4 +130,7 @@ if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(rows, indent=1, sort_keys=True) + "\n")
     flows = {point_id: run_flows(point_id) for point_id in sorted(POINTS)}
     GOLDEN_FLOWS.write_text(json.dumps(flows, indent=1, sort_keys=True) + "\n")
-    sys.stdout.write(f"wrote {len(rows)} rows to {GOLDEN} and {GOLDEN_FLOWS}\n")
+    states = {point_id: run_state(point_id) for point_id in sorted(POINTS)}
+    GOLDEN_STATE.write_text(json.dumps(states, indent=1, sort_keys=True) + "\n")
+    sys.stdout.write(f"wrote {len(rows)} points to {GOLDEN}, {GOLDEN_FLOWS} "
+                     f"and {GOLDEN_STATE}\n")
