@@ -14,7 +14,7 @@ from .config import DL, UL, ScenarioConfig, Scheme, scheme_features
 from .core import DIFS, SIFS, SLOT_TIME, US, RngSet, RngStream, Simulator
 from .medium import Medium, RuPart, Transmission
 from .power import PowerState, intra_ppdu_doze
-from .spatial import INTER_BSS, INTRA_BSS, ObssPdConfig, TwoNav
+from .spatial import INTRA_BSS, ObssPdConfig, TwoNav
 from .traffic import NO_SEQS, CbrFlow, FlowStats
 
 EIFS = SIFS + 44 * US + DIFS          # SIFS + legacy ACK airtime + DIFS
@@ -38,14 +38,12 @@ class SimNode:
     tx_power_dbm: float
     antennas: int
     color: int
-    nav: TwoNav = field(default_factory=TwoNav)
     power: PowerState = field(default_factory=PowerState)
     backoff: BackoffState | None = None
     flow: CbrFlow | None = None               # UL traffic (STA side)
     obo: mu.OboState | None = None
     sr_cap_dbm: float | None = None           # power cap for an SR-won TXOP
     in_txop: bool = False                     # holder side of a running exchange
-    eifs_until_ns: int = 0                    # EIFS deferral after a corrupt frame
     # A STA's AID: its 1-based position among its BSS's STAs, so ascending
     # with node id as build_schedule expects.  Node ids would reach the
     # reserved AID12 2045 in large layouts.  0 for an AP.
@@ -85,8 +83,10 @@ class Contender:
         blocked, cap = self.engine.cs_state(self.node)
         if blocked:
             return
-        nav_free = max(self.node.nav.intra_expiry_ns, self.node.nav.basic_expiry_ns)
-        start = max(sim.now, nav_free, self.node.eifs_until_ns)
+        ctx = self.engine.ctx
+        i = self.node.node_id
+        start = max(sim.now, ctx.nav.intra_expiry_ns.item(i),
+                    ctx.nav.basic_expiry_ns.item(i), ctx.eifs_until_ns.item(i))
         self.node.sr_cap_dbm = cap
         self.gen += 1
         self.pending = True
@@ -101,7 +101,8 @@ class Contender:
             return
         self.pending = False
         blocked, cap = self.engine.cs_state(self.node)
-        if blocked or not self.node.nav.idle(self.engine.sim.now):
+        if blocked or not self.engine.ctx.nav.idle(self.node.node_id,
+                                                    self.engine.sim.now):
             self._try_arm()
             return
         self.node.sr_cap_dbm = cap
@@ -183,7 +184,7 @@ class BssEngine:
             wake_at = None
             if tx.rx_dbm[node.node_id] >= self.cfg.phy.cca_threshold_dbm:
                 wake_at = intra_ppdu_doze(node.power, self.sim.now, cls,
-                                          involves_me=False, ppdu_end_ns=tx.end_ns)
+                                          ppdu_end_ns=tx.end_ns)
             if wake_at is not None:
                 self.sim.at(wake_at, "doze-wake", node.node_id,
                             lambda n=node: n.power.wake(self.sim.now))
@@ -615,7 +616,7 @@ class AxBssEngine(BssEngine):
             if sta.power.dozing or \
                     not self.control_decodes(ctrl, sta, frames.TF_BASE_BYTES):
                 continue
-            if not sta.nav.idle(now, scheduled_in_intra_tf=True):
+            if not self.ctx.nav.idle(sta.node_id, now, scheduled_in_intra_tf=True):
                 continue
             n = frames.mpdus_that_fit(ul_duration, phy.HE_TB_PPDU, bps,
                                       self.mpdu_bits, self.features.ampdu_cap)
@@ -651,7 +652,8 @@ class AxBssEngine(BssEngine):
         def carrier_idle(aid: int) -> bool:
             sta = self.stas[aid - 1]
             blocked, _ = self.cs_state(sta)
-            return not blocked and sta.nav.idle(now, scheduled_in_intra_tf=True)
+            return not blocked and self.ctx.nav.idle(sta.node_id, now,
+                                                     scheduled_in_intra_tf=True)
 
         outcomes, updated, transmitted = mu.uora_transmit_phase(
             eligible, len(ra_indices), carrier_idle, self.rng_uora)
@@ -960,6 +962,10 @@ class RunContext:
                                for s in e.stas)
                  for e in self.engines}
         self.worst_loss = np.array([worst[self.nodes[i].bss_id] for i in range(n)])
+        # virtual carrier sense per node, indexed by node id: both NAVs, and
+        # the EIFS deferral after an unreadable frame
+        self.nav = TwoNav(n)
+        self.eifs_until_ns = np.zeros(n, dtype=np.int64)
         self.medium.listeners.append(self._dispatch_air)
 
     def _dispatch_air(self, event: str, tx: Transmission) -> None:
@@ -1003,7 +1009,8 @@ class RunContext:
                 - phy.noise_dbm(20e6, self.cfg.radio.noise_figure_db)
             # where no cap exists allowed is NaN, every comparison with it is
             # False, and the frame blocks
-            sr_ok = (self.colors != tx.color) & (allowed >= MIN_SR_TXPWR_DBM) \
+            sr_ok = ~spatial.intra_bss(tx.color, self.colors) \
+                & (allowed >= MIN_SR_TXPWR_DBM) \
                 & (snr >= self.per_model.thresholds_db[0])
             tx.cs_rows = (hears & ~sr_ok, np.where(hears & sr_ok, allowed, np.inf))
         return tx.cs_rows
@@ -1038,28 +1045,29 @@ class RunContext:
         hearing = hearing[hearing != tx.tx_node]
         if not len(hearing):
             return
-        corrupt_all, sinr = self.medium.nav_sinr_vector(tx, hearing)
-        readable = sinr >= self.per_model.thresholds_db[0]
+        _, sinr = self.medium.nav_sinr_vector(tx, hearing)
+        if self.intra_ppdu_doze:        # no node dozes otherwise
+            awake = [not self.nodes[i].power.dozing for i in hearing.tolist()]
+            hearing = hearing[awake]
+            sinr = sinr[awake]
         now = self.sim.now
-        is_cf_end = tx.kind == "cf-end"
-        sr = self.features.spatial_reuse
-        class_of: dict[int, str] = {}      # a frame's class depends on colour only
-        for k, i in enumerate(hearing.tolist()):
-            node = self.nodes[i]
-            if node.power.dozing:
-                continue
-            # a corrupted frame is unreadable: no reservation, EIFS deferral
-            if corrupt_all or not readable[k]:
-                node.eifs_until_ns = now + (EIFS - DIFS)
-                continue
-            cls = class_of.get(node.color)
-            if cls is None:
-                cls = class_of[node.color] = self.classify(node, tx)
-            if sr and cls == INTER_BSS and tx.rx_dbm[i] < self.obss_cfg.level_max_dbm:
-                # some reduced transmit power clears this frame's OBSS_PD
-                # level; skip the basic NAV and control power when contending
-                continue
-            node.nav.update(cls, now, tx.nav_duration_ns, is_cf_end=is_cf_end)
+        # an unreadable frame sets no reservation but an EIFS deferral; a
+        # corrupted one reads -inf everywhere, so is unreadable at every node
+        readable = sinr >= self.per_model.thresholds_db[0]
+        self.eifs_until_ns[hearing[~readable]] = now + (EIFS - DIFS)
+        hearing = hearing[readable]
+        if not self.features.spatial_reuse:     # legacy single-NAV behaviour
+            intra = np.ones(len(hearing), dtype=bool)
+        else:
+            intra = spatial.intra_bss(tx.color, self.colors[hearing])
+            # an inter-BSS frame under the OBSS_PD maximum: some reduced
+            # transmit power clears its OBSS_PD level, so skip the basic NAV
+            # and control power when contending
+            keep = intra | (tx.rx_dbm[hearing] >= self.obss_cfg.level_max_dbm)
+            hearing = hearing[keep]
+            intra = intra[keep]
+        self.nav.update(hearing, intra, now, tx.nav_duration_ns,
+                        is_cf_end=tx.kind == "cf-end")
 
     def loss(self, a: SimNode, b: SimNode) -> float:
         return float(self.loss_db[a.node_id, b.node_id])

@@ -93,10 +93,11 @@ class PowerState:
 
 
 def intra_ppdu_doze(power: PowerState, now_ns: int, frame_class: str,
-                    involves_me: bool, ppdu_end_ns: int) -> int | None:
-    """Doze through an intra-BSS PPDU that does not involve this STA; returns
-    the scheduled wake time (exactly the PPDU end) or None."""
-    if frame_class != INTRA_BSS or involves_me:
+                    ppdu_end_ns: int) -> int | None:
+    """Doze through an intra-BSS PPDU, which the caller has found does not
+    involve this STA; returns the scheduled wake time (exactly the PPDU end)
+    or None."""
+    if frame_class != INTRA_BSS:
         return None
     power.doze(now_ns)
     return ppdu_end_ns

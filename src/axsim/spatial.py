@@ -15,34 +15,46 @@ class SpatialReuseError(ValueError):
     pass
 
 
+def intra_bss(frame_color: int, colors: int | np.ndarray) -> bool | np.ndarray:
+    """Whether a frame of frame_color is intra-BSS at a node of colour
+    colors, or element-wise over an array of colours.  The engines' frames
+    always carry a colour of 1..63, so the colour decides every frame."""
+    return colors == frame_color
+
+
 def classify_frame(frame_color: int, my_color: int) -> str:
-    """Intra- or inter-BSS by BSS colour.  The engines' frames always carry
-    a colour of 1..63, so the colour decides every frame."""
-    return INTRA_BSS if frame_color == my_color else INTER_BSS
+    """INTRA_BSS or INTER_BSS, as a node of my_color classifies a frame."""
+    return INTRA_BSS if intra_bss(frame_color, my_color) else INTER_BSS
 
 
 # --- two NAVs ------------------------------------------------------------------------
 
-@dataclass
 class TwoNav:
-    intra_expiry_ns: int = 0
-    basic_expiry_ns: int = 0
+    """The intra-BSS and basic NAV expiry of every node, indexed by node id."""
 
-    def update(self, frame_class: str, now_ns: int, duration_ns: int,
-               is_cf_end: bool = False) -> None:
-        if frame_class == INTRA_BSS:
-            if is_cf_end:
-                self.intra_expiry_ns = 0  # CF-End cancels the intra-BSS NAV only
-                return
-            self.intra_expiry_ns = max(self.intra_expiry_ns, now_ns + duration_ns)
-        else:  # inter-BSS frames load the basic NAV
-            self.basic_expiry_ns = max(self.basic_expiry_ns, now_ns + duration_ns)
+    def __init__(self, n_nodes: int):
+        self.intra_expiry_ns = np.zeros(n_nodes, dtype=np.int64)
+        self.basic_expiry_ns = np.zeros(n_nodes, dtype=np.int64)
 
-    def idle(self, now_ns: int, scheduled_in_intra_tf: bool = False) -> bool:
-        """Virtual CS is idle iff both NAVs expired; a STA scheduled by an
-        intra-BSS trigger frame may ignore its intra-BSS NAV."""
-        basic_clear = self.basic_expiry_ns <= now_ns
-        intra_clear = self.intra_expiry_ns <= now_ns or scheduled_in_intra_tf
+    def update(self, nodes: np.ndarray, intra_mask: np.ndarray, now_ns: int,
+               duration_ns: int, is_cf_end: bool = False) -> None:
+        """A frame of duration_ns heard at nodes, intra-BSS where intra_mask
+        holds: intra-BSS frames load the intra-BSS NAV and inter-BSS frames
+        the basic NAV, each keeping the later expiry."""
+        expiry = now_ns + duration_ns
+        intra = nodes[intra_mask]
+        if is_cf_end:
+            self.intra_expiry_ns[intra] = 0     # CF-End cancels the intra-BSS NAV only
+        else:
+            self.intra_expiry_ns[intra] = np.maximum(self.intra_expiry_ns[intra], expiry)
+        inter = nodes[~intra_mask]
+        self.basic_expiry_ns[inter] = np.maximum(self.basic_expiry_ns[inter], expiry)
+
+    def idle(self, node: int, now_ns: int, scheduled_in_intra_tf: bool = False) -> bool:
+        """Virtual CS at node is idle iff both NAVs expired; a STA scheduled
+        by an intra-BSS trigger frame may ignore its intra-BSS NAV."""
+        basic_clear = self.basic_expiry_ns.item(node) <= now_ns
+        intra_clear = self.intra_expiry_ns.item(node) <= now_ns or scheduled_in_intra_tf
         return basic_clear and intra_clear
 
 

@@ -8,26 +8,28 @@ released once it has ended.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from axsim import phy, spatial
 from axsim.config import default_config
-from axsim.core import US
-from axsim.engine import MIN_SR_TXPWR_DBM, RunContext
+from axsim.core import DIFS, US
+from axsim.engine import EIFS, MIN_SR_TXPWR_DBM, RunContext
 from axsim.medium import SUBCHANNEL_HZ, RuPart, Transmission
 
 MULTI = dict(n_bss=3, stas_per_bss=8, per_sta_rate_mbps=13)
 
 
 def started(scheme: str, kind: str = "indoor_multi", direction: str = "ul",
-            duration_s: float = 0.05, sr: dict | None = None,
+            duration_s: float = 0.05, sr: dict | None = None, doze: bool = False,
             **overrides) -> RunContext:
     cfg = default_config(kind, direction=direction, duration_s=duration_s,
                          **overrides)
     for key, value in (sr or {}).items():
         setattr(cfg.sr, key, value)
-    ctx = RunContext(cfg, scheme)
+    ctx = RunContext(cfg, scheme, intra_ppdu_doze=doze)
     for engine in ctx.engines:
         engine.kick()
     return ctx
@@ -194,3 +196,114 @@ def test_frame_rows_are_released_once_the_frame_ends(scheme):
     assert len(ended) > 50
     assert all(tx.rx_dbm is None and tx.cs_rows is None for tx in ended)
     assert all(tx.rx_dbm is not None for tx in ctx.medium.active.values())
+
+
+# --- NAV pass -----------------------------------------------------------------------
+
+class ReferenceNavPass:
+    """The NAV pass one hearing node at a time, on NAV and EIFS state of its
+    own; counts each way a node can take."""
+
+    def __init__(self, ctx: RunContext):
+        n = len(ctx.nodes)
+        self.ctx = ctx
+        self.intra = [0] * n
+        self.basic = [0] * n
+        self.eifs = [0] * n
+        self.seen = Counter()
+
+    def frame_end(self, tx: Transmission) -> None:
+        ctx = self.ctx
+        if tx.nav_duration_ns <= 0 and tx.kind != "cf-end":
+            return
+        corrupt, sinr = reference_nav_sinr(ctx, tx)
+        now = ctx.sim.now
+        expiry = now + tx.nav_duration_ns
+        for i, node in sorted(ctx.nodes.items()):
+            if i == tx.tx_node or tx.rx_dbm[i] < ctx.cfg.phy.cca_threshold_dbm:
+                continue
+            if node.power.dozing:
+                self.seen["dozing"] += 1
+                continue
+            if corrupt or not sinr[i] >= ctx.per_model.thresholds_db[0]:
+                self.eifs[i] = now + (EIFS - DIFS)
+                self.seen["corrupt" if corrupt else "unreadable"] += 1
+                continue
+            cls = spatial.INTRA_BSS
+            if ctx.features.spatial_reuse:
+                cls = spatial.classify_frame(tx.color, node.color)
+                if cls == spatial.INTER_BSS and tx.rx_dbm[i] < ctx.obss_cfg.level_max_dbm:
+                    self.seen["sr_skip"] += 1
+                    continue
+            if cls == spatial.INTER_BSS:
+                self.basic[i] = max(self.basic[i], expiry)
+                self.seen["basic"] += 1
+            elif tx.kind == "cf-end":
+                self.seen["cf_end_reset"] += self.intra[i] > now
+                self.intra[i] = 0
+            else:
+                self.intra[i] = max(self.intra[i], expiry)
+                self.seen["intra"] += 1
+
+
+def compare_nav_over_run(ctx: RunContext) -> Counter:
+    """Run ctx to its end, comparing its NAV and EIFS arrays with the
+    reference after every frame end; returns what the reference saw."""
+    ref = ReferenceNavPass(ctx)
+
+    def check(event, tx):
+        if event != "end":
+            return
+        ref.frame_end(tx)
+        assert ctx.nav.intra_expiry_ns.tolist() == ref.intra, (ctx.sim.now, tx.kind)
+        assert ctx.nav.basic_expiry_ns.tolist() == ref.basic, (ctx.sim.now, tx.kind)
+        assert ctx.eifs_until_ns.tolist() == ref.eifs, (ctx.sim.now, tx.kind)
+        ref.seen["frame_ends"] += 1
+
+    ctx.medium.listeners.append(check)
+    ctx.sim.run_until(ctx.cfg.duration_ns)
+    return ref.seen
+
+
+def inject_collisions(ctx: RunContext, every_ns: int) -> None:
+    """Every every_ns, two STAs of the first BSS send HE-TB PPDUs on one RU of
+    one round, carrying a NAV duration: each corrupts the other at every
+    node.  The engines send colliding PPDUs only on random-access RUs,
+    which carry none, so the NAV pass meets no corrupted frame without this."""
+    engine = ctx.engines[0]
+    a, b = engine.stas[:2]
+    ru = engine.layout.rus[0]
+
+    def collide():
+        now = ctx.sim.now
+        round_id = ctx.new_round()
+        for sta in (a, b):
+            ctx.medium.transmit(Transmission(
+                0, sta.node_id, engine.bss_id, "he-tb", now, now + 100 * US,
+                ru.subchannels, 15.0, color=sta.color, round_id=round_id,
+                ru=RuPart(0, ru, 15.0), nav_duration_ns=200 * US))
+        ctx.sim.after(every_ns, "collide", a.node_id, collide)
+
+    ctx.sim.at(every_ns, "collide", a.node_id, collide)
+
+
+@pytest.mark.parametrize("kind, scheme, overrides, doze, cases", [
+    ("indoor_multi", "ac_baseline", MULTI, False,
+     ("intra", "unreadable", "cf_end_reset")),
+    ("outdoor_multi", "ax_sr", dict(n_bss=4, stas_per_bss=6, per_sta_rate_mbps=20),
+     False, ("intra", "basic", "unreadable", "sr_skip")),
+    ("indoor_multi", "ax_sr", MULTI, True, ("intra", "unreadable", "dozing")),
+])
+def test_nav_pass_matches_the_per_node_loop(kind, scheme, overrides, doze, cases):
+    ctx = started(scheme, kind=kind, duration_s=0.1, doze=doze, **overrides)
+    seen = compare_nav_over_run(ctx)
+    assert seen["frame_ends"] > 100
+    assert all(seen[case] > 0 for case in cases), seen
+
+
+def test_nav_pass_matches_the_per_node_loop_on_cf_end_and_corrupted_frames():
+    ctx = started("ax_ofdma", kind="indoor_single", duration_s=0.1, stas_per_bss=16)
+    ctx.cfg.mac.ra_ru_fraction = 0.34
+    inject_collisions(ctx, 5000 * US)
+    seen = compare_nav_over_run(ctx)
+    assert seen["cf_end_reset"] > 0 and seen["corrupt"] > 0, seen

@@ -84,8 +84,8 @@ def run_flows(point_id: str) -> dict:
 
 def node_state(ctx: RunContext, node_id: int) -> list[int]:
     """A node's (intra-BSS NAV expiry, basic NAV expiry, EIFS deadline)."""
-    node = ctx.nodes[node_id]
-    return [node.nav.intra_expiry_ns, node.nav.basic_expiry_ns, node.eifs_until_ns]
+    return [ctx.nav.intra_expiry_ns.item(node_id), ctx.nav.basic_expiry_ns.item(node_id),
+            ctx.eifs_until_ns.item(node_id)]
 
 
 def run_state(point_id: str) -> dict:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from axsim import baseline
@@ -10,7 +11,6 @@ from axsim.engine import Contender, RunContext
 from axsim.frames import (BA_BYTES, CTS_BYTES, RTS_BYTES, Mpdu,
                           legacy_frame_duration_ns)
 from axsim.medium import Transmission
-from axsim.spatial import INTRA_BSS
 
 
 class FixedRng:
@@ -95,12 +95,13 @@ def test_cs_threshold_is_busy_inclusive():
 
 def test_cs_virtual_dominates():
     engine, sta = sensing_sta(-90.0)
-    sta.nav.update(INTRA_BSS, engine.sim.now, 500 * US)
+    nav = engine.ctx.nav
+    nav.update(np.array([sta.node_id]), np.array([True]), engine.sim.now, 500 * US)
     sta.backoff = BackoffState()
     contender = Contender(engine, sta, DIFS)
     contender.start()
     assert contender.pending
-    assert contender.armed_at == sta.nav.intra_expiry_ns
+    assert contender.armed_at == nav.intra_expiry_ns[sta.node_id] == 500 * US + 1
 
 
 # --- TXOP exchange ---------------------------------------------------------------------

@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from axsim.config import default_config
 from axsim.core import MS, SEC, US
+from axsim.engine import RunContext
+from axsim.medium import Transmission
 from axsim.power import (AWAKE, EnergyAccount, PowerError, PowerState,
                          intra_ppdu_doze)
 from axsim.spatial import INTER_BSS, INTRA_BSS
@@ -62,32 +66,49 @@ def test_ledger_closure_under_random_transitions(steps):
 
 def test_intra_ppdu_doze_until_exact_end():
     sta = PowerState()
-    wake_at = intra_ppdu_doze(sta, 100 * US, INTRA_BSS, involves_me=False,
-                              ppdu_end_ns=900 * US)
+    wake_at = intra_ppdu_doze(sta, 100 * US, INTRA_BSS, ppdu_end_ns=900 * US)
     assert wake_at == 900 * US
     assert sta.dozing
     sta.wake(wake_at)
     assert sta.finish(MS).doze_ns == 800 * US
 
 
+def bss_hearing_an_ap_ppdu(involves: int):
+    """A 3-STA ax_ofdma BSS whose STAs all hear one HE-MU PPDU of their AP
+    that involves the STA at index `involves`."""
+    ctx = RunContext(default_config("indoor_single", stas_per_bss=3,
+                                    duration_s=0.01), "ax_ofdma")
+    engine = ctx.engines[0]
+    ap = engine.ap
+    for sta in engine.stas:
+        ctx.loss_db[ap.node_id, sta.node_id] = ctx.loss_db[sta.node_id, ap.node_id] = 60.0
+    tx = ctx.medium.transmit(Transmission(
+        0, ap.node_id, engine.bss_id, "he-mu", 0, MS, ctx.subchannels, 20.0,
+        color=ap.color, involves=frozenset({engine.stas[involves].node_id})))
+    return ctx, engine, tx
+
+
 def test_no_doze_when_addressed():
-    sta = PowerState()
-    assert intra_ppdu_doze(sta, 0, INTRA_BSS, involves_me=True, ppdu_end_ns=MS) is None
-    assert not sta.dozing
+    ctx, engine, tx = bss_hearing_an_ap_ppdu(involves=0)
+    engine._doze_phase(tx)
+    addressed, *others = engine.stas
+    assert not addressed.power.dozing
+    assert all(sta.power.dozing for sta in others)
 
 
 def test_no_doze_for_inter_bss_ppdu():
     sta = PowerState()
-    assert intra_ppdu_doze(sta, 0, INTER_BSS, involves_me=False, ppdu_end_ns=MS) is None
+    assert intra_ppdu_doze(sta, 0, INTER_BSS, ppdu_end_ns=MS) is None
     assert not sta.dozing
 
 
 def test_nav_untouched_by_doze_transitions():
-    from axsim.spatial import TwoNav
-    nav = TwoNav()
-    nav.update(INTRA_BSS, 0, 5 * MS)
-    sta = PowerState()
-    before = (nav.intra_expiry_ns, nav.basic_expiry_ns)
-    intra_ppdu_doze(sta, 0, INTRA_BSS, involves_me=False, ppdu_end_ns=MS)
-    sta.wake(MS)
-    assert (nav.intra_expiry_ns, nav.basic_expiry_ns) == before
+    ctx, engine, tx = bss_hearing_an_ap_ppdu(involves=0)
+    sta = engine.stas[1]
+    ctx.nav.update(np.array([sta.node_id]), np.array([True]), 0, 5 * MS)
+    before = (ctx.nav.intra_expiry_ns.tolist(), ctx.nav.basic_expiry_ns.tolist())
+    engine._doze_phase(tx)
+    assert sta.power.dozing
+    ctx.sim.run_until(MS)                   # the PPDU ends and the STA wakes
+    assert not sta.power.dozing
+    assert (ctx.nav.intra_expiry_ns.tolist(), ctx.nav.basic_expiry_ns.tolist()) == before

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,36 +17,52 @@ def test_foreign_nonzero_color_is_inter():
     assert classify_frame(9, my_color=12) == INTER_BSS
 
 
+def test_intra_bss_over_an_array_of_colours_agrees_with_classify_frame():
+    colors = np.array([12, 9, 12, 63])
+    assert spatial.intra_bss(12, colors).tolist() == [
+        classify_frame(12, int(c)) == INTRA_BSS for c in colors]
+
+
 # --- two NAVs --------------------------------------------------------------------------
 
+def hear(nav: TwoNav, cls: str, now: int, duration: int, is_cf_end: bool = False,
+         nodes: tuple[int, ...] = (0,)) -> None:
+    """One frame of class cls heard at every node of nodes."""
+    nav.update(np.array(nodes), np.full(len(nodes), cls == INTRA_BSS), now, duration,
+               is_cf_end=is_cf_end)
+
+
 def test_intra_cf_end_keeps_basic_nav():
-    nav = TwoNav()
-    nav.update(INTER_BSS, 0, 500)          # basic NAV from a neighbouring BSS
-    nav.update(INTRA_BSS, 0, 300)
-    nav.update(INTRA_BSS, 100, 0, is_cf_end=True)
-    assert nav.intra_expiry_ns == 0
-    assert nav.basic_expiry_ns == 500
-    assert not nav.idle(200)               # stays silent on the basic NAV
+    nav = TwoNav(1)
+    hear(nav, INTER_BSS, 0, 500)           # basic NAV from a neighbouring BSS
+    hear(nav, INTRA_BSS, 0, 300)
+    hear(nav, INTRA_BSS, 100, 0, is_cf_end=True)
+    assert nav.intra_expiry_ns.tolist() == [0]
+    assert nav.basic_expiry_ns.tolist() == [500]
+    assert not nav.idle(0, 200)            # stays silent on the basic NAV
 
 
 def test_scheduled_sta_ignores_intra_nav():
-    nav = TwoNav()
-    nav.update(INTRA_BSS, 0, 1000)
-    assert not nav.idle(500)
-    assert nav.idle(500, scheduled_in_intra_tf=True)
-    nav.update(INTER_BSS, 0, 1000)
-    assert not nav.idle(500, scheduled_in_intra_tf=True)
+    nav = TwoNav(1)
+    hear(nav, INTRA_BSS, 0, 1000)
+    assert not nav.idle(0, 500)
+    assert nav.idle(0, 500, scheduled_in_intra_tf=True)
+    hear(nav, INTER_BSS, 0, 1000)
+    assert not nav.idle(0, 500, scheduled_in_intra_tf=True)
 
 
 def test_both_navs_zero_is_idle():
-    assert TwoNav().idle(0)
+    assert TwoNav(1).idle(0, 0)
 
 
 def test_inter_bss_frames_load_basic_nav():
-    nav = TwoNav()
-    nav.update(INTER_BSS, 0, 700)
-    assert nav.basic_expiry_ns == 700
-    assert nav.intra_expiry_ns == 0
+    nav = TwoNav(3)
+    # one frame, inter-BSS at node 0 and intra-BSS at node 2; node 1 does not hear it
+    nav.update(np.array([0, 2]), np.array([False, True]), 0, 700)
+    assert nav.basic_expiry_ns.tolist() == [700, 0, 0]
+    assert nav.intra_expiry_ns.tolist() == [0, 0, 700]
+    hear(nav, INTER_BSS, 100, 200, nodes=(0, 2))    # node 0 keeps the later expiry
+    assert nav.basic_expiry_ns.tolist() == [700, 0, 300]
 
 
 @given(st.lists(st.tuples(st.sampled_from([INTRA_BSS, INTER_BSS]),
@@ -53,14 +70,24 @@ def test_inter_bss_frames_load_basic_nav():
                           st.booleans()),
                 max_size=40))
 def test_idle_iff_both_expired(frames):
-    nav = TwoNav()
-    now = 0
+    """Against one node's NAVs kept by the scalar rule: updates keep the
+    later expiry, and an intra-BSS CF-End cancels the intra-BSS NAV; node 0
+    hears nothing."""
+    nav = TwoNav(2)
+    intra = basic = now = 0
     for cls, dt, dur, cf_end in frames:
         now += dt
-        nav.update(cls, now, dur, is_cf_end=cf_end and cls == INTRA_BSS)
+        cf_end = cf_end and cls == INTRA_BSS
+        hear(nav, cls, now, dur, is_cf_end=cf_end, nodes=(1,))
+        if cls == INTER_BSS:
+            basic = max(basic, now + dur)
+        else:
+            intra = 0 if cf_end else max(intra, now + dur)
+        assert nav.intra_expiry_ns.tolist() == [0, intra]
+        assert nav.basic_expiry_ns.tolist() == [0, basic]
         for probe in (now, now + dur // 2, now + dur + 1):
-            assert nav.idle(probe) == (nav.intra_expiry_ns <= probe
-                                       and nav.basic_expiry_ns <= probe)
+            assert nav.idle(1, probe) == (intra <= probe and basic <= probe)
+            assert nav.idle(0, probe)
 
 
 # --- OBSS_PD -----------------------------------------------------------------------------
