@@ -73,9 +73,9 @@ def test_intra_ppdu_doze_until_exact_end():
     assert sta.finish(MS).doze_ns == 800 * US
 
 
-def bss_hearing_an_ap_ppdu(involves: int):
+def bss_hearing_an_ap_ppdu():
     """A 3-STA ax_ofdma BSS whose STAs all hear one HE-MU PPDU of their AP
-    that involves the STA at index `involves`."""
+    that involves the first STA."""
     ctx = RunContext(default_config("indoor_single", stas_per_bss=3,
                                     duration_s=0.01), "ax_ofdma")
     engine = ctx.engines[0]
@@ -84,12 +84,12 @@ def bss_hearing_an_ap_ppdu(involves: int):
         ctx.loss_db[ap.node_id, sta.node_id] = ctx.loss_db[sta.node_id, ap.node_id] = 60.0
     tx = ctx.medium.transmit(Transmission(
         0, ap.node_id, engine.bss_id, "he-mu", 0, MS, ctx.subchannels, 20.0,
-        color=ap.color, involves=frozenset({engine.stas[involves].node_id})))
+        color=ap.color, involves=frozenset({engine.stas[0].node_id})))
     return ctx, engine, tx
 
 
 def test_no_doze_when_addressed():
-    ctx, engine, tx = bss_hearing_an_ap_ppdu(involves=0)
+    _, engine, tx = bss_hearing_an_ap_ppdu()
     engine._doze_phase(tx)
     addressed, *others = engine.stas
     assert not addressed.power.dozing
@@ -103,7 +103,7 @@ def test_no_doze_for_inter_bss_ppdu():
 
 
 def test_nav_untouched_by_doze_transitions():
-    ctx, engine, tx = bss_hearing_an_ap_ppdu(involves=0)
+    ctx, engine, tx = bss_hearing_an_ap_ppdu()
     sta = engine.stas[1]
     ctx.nav.update(np.array([sta.node_id]), np.array([True]), 0, 5 * MS)
     before = (ctx.nav.intra_expiry_ns.tolist(), ctx.nav.basic_expiry_ns.tolist())
