@@ -79,10 +79,15 @@ class Contender:
         self.counter = self.node.backoff.draw(self.engine.rng_backoff)
 
     def _try_arm(self) -> None:
+        blocked, cap = self.engine.cs_state()
+        i = self.node.node_id
+        if not blocked.item(i):
+            self._arm(cap_at(cap, i))
+
+    def _arm(self, cap: float | None) -> None:
+        """Arm the attempt on an idle medium, deferring to both NAVs and
+        EIFS; cap is the SR power cap the node then transmits under."""
         sim = self.engine.sim
-        blocked, cap = self.engine.cs_state(self.node)
-        if blocked:
-            return
         ctx = self.engine.ctx
         i = self.node.node_id
         start = max(sim.now, ctx.nav.intra_expiry_ns.item(i),
@@ -93,35 +98,46 @@ class Contender:
         self.armed_at = start
         fire_at = start + self.aifs_ns + self.counter * SLOT_TIME
         gen = self.gen
-        sim.at(fire_at, "backoff-attempt", self.node.node_id,
-               lambda: self._fire(gen))
+        sim.at(fire_at, "backoff-attempt", i, lambda: self._fire(gen))
 
     def _fire(self, gen: int) -> None:
         if gen != self.gen or not self.active:
             return
         self.pending = False
-        blocked, cap = self.engine.cs_state(self.node)
-        if blocked or not self.engine.ctx.nav.idle(self.node.node_id,
-                                                    self.engine.sim.now):
-            self._try_arm()
+        blocked, cap = self.engine.cs_state()
+        i = self.node.node_id
+        if blocked.item(i):
+            return              # re-armed by the medium change that clears it
+        cap = cap_at(cap, i)
+        if not self.engine.ctx.nav.idle(i, self.engine.sim.now):
+            self._arm(cap)
             return
         self.node.sr_cap_dbm = cap
         self.counter = None
         self.active = False
         self.engine.on_backoff_complete(self.node)
 
-    def on_medium_change(self) -> None:
-        if not self.active:
-            return
-        blocked, _ = self.engine.cs_state(self.node)
-        if blocked and self.pending:
+    def on_medium_change(self, blocked: bool, cap: float | None) -> None:
+        """The carrier state at an active contender's node no longer matches
+        its attempt (pending == blocked): freeze the armed attempt on a busy
+        medium, keeping the whole slots counted down since AIFS, or arm one
+        on an idle medium under the SR power cap `cap`."""
+        if blocked:
             elapsed = self.engine.sim.now - (self.armed_at + self.aifs_ns)
             if elapsed > 0 and self.counter:
                 self.counter = max(0, self.counter - elapsed // SLOT_TIME)
             self.pending = False
             self.gen += 1
-        elif not blocked and not self.pending:
-            self._try_arm()
+        else:
+            self._arm(cap)
+
+
+def cap_at(cap: np.ndarray | None, i: int) -> float | None:
+    """Node i's SR power cap from a cs_state cap row; None for no cap."""
+    if cap is None:
+        return None
+    value = cap.item(i)
+    return None if value == math.inf else value
 
 
 class BssEngine:
@@ -153,26 +169,33 @@ class BssEngine:
 
     # --- carrier sensing / doze ----------------------------------------------------
 
-    def cs_state(self, node: SimNode) -> tuple[bool, float | None]:
-        """(blocked, SR power cap) from the frames the medium senses now; see
-        RunContext.carrier_state for the rule."""
+    def cs_state(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(blocked, cap) rows over all nodes, indexed by node id, from the
+        frames the medium senses now; see RunContext.carrier_state for the
+        rule.  The only caller of Medium.sensed."""
         sensed = self.medium.sensed(self.sim.now)
         if not sensed:
-            return False, None
-        blocked, cap = self.ctx.carrier_state(sensed)
-        i = node.node_id
-        if blocked[i]:
-            return True, None
-        if cap is None or cap[i] == np.inf:
-            return False, None
-        return False, float(cap[i])
+            return self.ctx.cs_idle
+        return self.ctx.carrier_state(sensed)
 
     def on_air(self, event: str, tx: Transmission) -> None:
         if self.ctx.intra_ppdu_doze and event == "start" and \
                 tx.kind in ("ampdu", "he-mu", "he-tb"):
             self._doze_phase(tx)
+        # Only an active contender whose attempt disagrees with its node's
+        # carrier state (armed on a busy medium, or not armed on an idle
+        # one) has anything to do.  The state is read once the first active
+        # contender turns up, and the callbacks run in dict order.
+        blocked = cap = None
         for contender in self.contenders.values():
-            contender.on_medium_change()
+            if not contender.active:
+                continue
+            if blocked is None:
+                blocked, cap = self.cs_state()
+            i = contender.node.node_id
+            busy = blocked.item(i)
+            if busy == contender.pending:
+                contender.on_medium_change(busy, None if busy else cap_at(cap, i))
 
     def _doze_phase(self, tx: Transmission) -> None:
         for node in self.stas:
@@ -650,10 +673,10 @@ class AxBssEngine(BssEngine):
                 eligible[sta.aid] = sta.obo
 
         def carrier_idle(aid: int) -> bool:
-            sta = self.stas[aid - 1]
-            blocked, _ = self.cs_state(sta)
-            return not blocked and self.ctx.nav.idle(sta.node_id, now,
-                                                     scheduled_in_intra_tf=True)
+            i = self.stas[aid - 1].node_id
+            blocked, _ = self.cs_state()
+            return not blocked.item(i) and self.ctx.nav.idle(
+                i, now, scheduled_in_intra_tf=True)
 
         outcomes, updated, transmitted = mu.uora_transmit_phase(
             eligible, len(ra_indices), carrier_idle, self.rng_uora)
@@ -935,6 +958,8 @@ class RunContext:
         self._cs_sensed: list[Transmission] | None = None
         self._cs_key: tuple[int, ...] = ()
         self._cs_state: tuple[np.ndarray, np.ndarray | None] | None = None
+        # carrier state while no frame is sensed
+        self.cs_idle: tuple[np.ndarray, None] = (np.zeros(n, dtype=bool), None)
 
         self.nodes: dict[int, SimNode] = {}
         self.stats: dict[int, FlowStats] = {}

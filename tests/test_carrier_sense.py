@@ -1,9 +1,11 @@
-"""Carrier sense and the NAV pass against scalar references.
+"""Carrier sense, contention and the NAV pass against scalar references.
 
 The engine derives carrier sense and NAV readability from one received-power
 row per frame, for all nodes at once.  These tests restate the rules one
 node and one frame at a time and compare, and check that a frame's rows are
-released once it has ended.
+released once it has ended.  Contenders are called back only when their
+node's carrier state disagrees with their armed attempt; the contention
+tests check that none is left out of step.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import pytest
 
 from axsim import phy, spatial
 from axsim.config import default_config
-from axsim.core import DIFS, US
-from axsim.engine import EIFS, MIN_SR_TXPWR_DBM, RunContext
+from axsim.baseline import BackoffState
+from axsim.core import DIFS, SLOT_TIME, US
+from axsim.engine import EIFS, MIN_SR_TXPWR_DBM, Contender, RunContext, cap_at
 from axsim.medium import SUBCHANNEL_HZ, RuPart, Transmission
 
 MULTI = dict(n_bss=3, stas_per_bss=8, per_sta_rate_mbps=13)
@@ -72,9 +75,10 @@ def compare_cs_over_run(ctx: RunContext, step_ns: int) -> dict[str, int]:
 
     def check(*_):
         seen["instants"] += 1
+        blocked, cap = ctx.engines[0].cs_state()
         for node_id in nodes:
-            engine = next(e for e in ctx.engines if e.bss_id == ctx.nodes[node_id].bss_id)
-            got = engine.cs_state(ctx.nodes[node_id])
+            got = (True, None) if blocked.item(node_id) \
+                else (False, cap_at(cap, node_id))
             assert got == reference_cs_state(ctx, node_id), (ctx.sim.now, node_id)
             seen["busy"] += got[0]
             seen["capped"] += got[1] is not None
@@ -104,6 +108,88 @@ def test_cs_state_matches_the_scalar_rule_with_spatial_reuse(kind, overrides, sr
     seen = compare_cs_over_run(ctx, 97 * US)
     assert seen["busy"] > 0
     assert seen["capped"] > 0       # some node may transmit at an SR power cap
+
+
+# --- contention ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind, scheme, direction, overrides, doze", [
+    ("indoor_multi", "ac_baseline", "ul", MULTI, False),
+    ("outdoor_multi", "ax_sr", "ul", dict(n_bss=4, stas_per_bss=6, per_sta_rate_mbps=20),
+     False),
+    ("indoor_multi", "ax_sr", "dl", MULTI, True),
+])
+def test_active_contenders_are_armed_exactly_when_their_node_is_not_blocked(
+        monkeypatch, kind, scheme, direction, overrides, doze):
+    seen = Counter()
+    on_medium_change = Contender.on_medium_change
+
+    def acting(contender, blocked, cap):
+        before = (contender.gen, contender.pending)
+        on_medium_change(contender, blocked, cap)
+        assert (contender.gen, contender.pending) != before
+        seen["freeze" if blocked else "arm"] += 1
+
+    monkeypatch.setattr(Contender, "on_medium_change", acting)
+    ctx = started(scheme, kind=kind, direction=direction, duration_s=0.1,
+                  doze=doze, **overrides)
+
+    def check(*_):          # runs after RunContext._dispatch_air
+        blocked, _ = ctx.engines[0].cs_state()
+        for engine in ctx.engines:
+            for contender in engine.contenders.values():
+                if contender.active:
+                    i = contender.node.node_id
+                    assert contender.pending != blocked.item(i), (ctx.sim.now, i)
+                    seen["active"] += 1
+
+    ctx.medium.listeners.append(check)
+    ctx.sim.run_until(ctx.cfg.duration_ns)
+    assert seen["freeze"] > 0 and seen["arm"] > 0 and seen["active"] > 100, seen
+
+
+def test_a_frozen_attempt_resumes_with_the_slots_left():
+    """Arm 10 slots, sense a frame 4 slots and a fraction into the countdown,
+    then resume with 6 slots after the NAV the frame set."""
+    ctx = RunContext(default_config("indoor_single", stas_per_bss=2,
+                                    duration_s=0.01), "ac_baseline")
+    engine = ctx.engines[0]
+    ap, sta, other = engine.ap, *engine.stas
+    for a, b, loss in ((ap, sta, 60.0), (other, sta, 65.0), (ap, other, 60.0)):
+        ctx.loss_db[a.node_id, b.node_id] = ctx.loss_db[b.node_id, a.node_id] = loss
+    attempts = []
+    engine.on_backoff_complete = lambda node: attempts.append(ctx.sim.now)
+    sta.backoff = BackoffState()
+    contender = engine.contenders[sta.node_id] = Contender(engine, sta, DIFS)
+    contender.counter = 10
+    contender.start()
+    assert contender.pending and contender.armed_at == 0
+    old_fire = DIFS + 10 * SLOT_TIME
+
+    def send(node, start, end, nav_ns=0):
+        ctx.sim.at(start, "send", node.node_id, lambda: ctx.medium.transmit(
+            Transmission(0, node.node_id, 0, "ampdu", start, end, ctx.subchannels,
+                         0.0 if node is other else 20.0, nav_duration_ns=nav_ns)))
+
+    # a frame is sensed from after its first instant, so the contender meets
+    # `other`'s frame at the next medium change, the AP's frame start
+    sensed_at = DIFS + 4 * SLOT_TIME + SLOT_TIME // 3
+    send(other, DIFS + 4 * SLOT_TIME, 150 * US)
+    send(ap, sensed_at, 200 * US, nav_ns=100 * US)
+    ctx.sim.run_until(sensed_at)
+    assert not contender.pending and contender.counter == 6
+    frozen = (contender.gen, contender.pending, contender.counter)
+    ctx.sim.run_until(old_fire)         # the old attempt fires and is stale
+    assert (contender.gen, contender.pending, contender.counter) == frozen
+    assert attempts == []
+
+    ctx.sim.run_until(200 * US)         # the AP's frame ends: idle again
+    i = sta.node_id
+    resume = max(200 * US, ctx.nav.intra_expiry_ns[i], ctx.nav.basic_expiry_ns[i],
+                 ctx.eifs_until_ns[i])
+    assert resume == 300 * US           # the NAV the AP's frame set
+    assert contender.pending and contender.armed_at == resume
+    ctx.sim.run_until(ctx.cfg.duration_ns)
+    assert attempts == [resume + DIFS + 6 * SLOT_TIME]
 
 
 # --- NAV readability ----------------------------------------------------------------

@@ -7,7 +7,7 @@ from axsim import baseline
 from axsim.baseline import BackoffState, SuLink, su_txop_exchange
 from axsim.config import default_config
 from axsim.core import DIFS, SIFS, SLOT_TIME, TXOP_LIMIT, US, RngSet
-from axsim.engine import Contender, RunContext
+from axsim.engine import Contender, RunContext, cap_at
 from axsim.frames import (BA_BYTES, CTS_BYTES, RTS_BYTES, Mpdu,
                           legacy_frame_duration_ns)
 from axsim.medium import Transmission
@@ -85,12 +85,14 @@ def sensing_sta(rx_dbm):
 
 def test_cs_idle_below_threshold():
     engine, sta = sensing_sta(-90.0)
-    assert engine.cs_state(sta) == (False, None)
+    blocked, cap = engine.cs_state()
+    assert (blocked.item(sta.node_id), cap_at(cap, sta.node_id)) == (False, None)
 
 
 def test_cs_threshold_is_busy_inclusive():
     engine, sta = sensing_sta(-82.0)
-    assert engine.cs_state(sta) == (True, None)
+    blocked, cap = engine.cs_state()
+    assert (blocked.item(sta.node_id), cap_at(cap, sta.node_id)) == (True, None)
 
 
 def test_cs_virtual_dominates():
