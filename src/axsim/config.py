@@ -40,8 +40,8 @@ class SchemeFeatures:
 
 
 # Feature matrix: 11ac tops out at 256-QAM and 64-MPDU aggregates; the HE
-# schemes unlock 1024-QAM and the 256-frame BA window; the SR scheme adds BSS
-# colour, two NAVs and OBSS_PD on top of plain OFDMA.
+# schemes unlock 1024-QAM and the 256-frame BA window, and their PPDUs carry
+# a BSS colour; the SR scheme adds two NAVs and OBSS_PD on top of plain OFDMA.
 SCHEME_FEATURES = {
     Scheme.AC_BASELINE: SchemeFeatures(False, False, False, max_mcs=9, ampdu_cap=64),
     Scheme.AX_OFDMA: SchemeFeatures(True, False, False, max_mcs=11, ampdu_cap=256),

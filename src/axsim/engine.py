@@ -1000,9 +1000,10 @@ class RunContext:
             engine.on_air(event, tx)
 
     def classify(self, node: SimNode, tx: Transmission) -> str:
-        """Intra- or inter-BSS, as node classifies the frame tx."""
-        if not self.features.spatial_reuse:
-            return INTRA_BSS          # legacy single-NAV behaviour
+        """Intra- or inter-BSS, as node classifies the frame tx: by BSS
+        colour, which every HE PPDU carries; a VHT PPDU has none."""
+        if not self.features.ofdma:
+            return INTRA_BSS
         return spatial.classify_frame(tx.color, node.color)
 
     # --- carrier sense and NAV, over all nodes at once -----------------------------------
