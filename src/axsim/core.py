@@ -12,7 +12,7 @@ from typing import Callable, TextIO
 import numpy as np
 
 # All simulated time is an integer count of nanoseconds.  Protocol constants
-# (SIFS, DIFS, slot, TXOP limit) are exact multiples of 1 ns, so interframe
+# (SIFS, DIFS, slot) are exact multiples of 1 ns, so interframe
 # arithmetic never drifts.
 US = 1_000
 MS = 1_000_000
@@ -21,7 +21,6 @@ SEC = 1_000_000_000
 SLOT_TIME = 9 * US          # DIFS = SIFS + 2*slot with SIFS 16us, DIFS 34us
 SIFS = 16 * US
 DIFS = 34 * US
-TXOP_LIMIT = 3_008 * US
 
 
 class PastEventError(RuntimeError):
@@ -76,10 +75,6 @@ class Simulator:
     @property
     def now(self) -> int:
         return self._now
-
-    @property
-    def pending(self) -> int:
-        return len(self._queue)
 
     def schedule(self, event: SimEvent) -> SimEvent:
         if event.fire_time < self._now:

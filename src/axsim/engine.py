@@ -678,7 +678,7 @@ class AxBssEngine(BssEngine):
             return not blocked.item(i) and self.ctx.nav.idle(
                 i, now, scheduled_in_intra_tf=True)
 
-        outcomes, updated, transmitted = mu.uora_transmit_phase(
+        updated, transmitted = mu.uora_transmit_phase(
             eligible, len(ra_indices), carrier_idle, self.rng_uora)
         for aid, st in updated.items():
             self.stas[aid - 1].obo = st

@@ -79,33 +79,16 @@ def mpdu_bits(payload_bytes: int) -> int:
 
 @dataclass(frozen=True)
 class Mpdu:
-    """One MPDU as an object: the type of the rule modules (the
-    single-user exchange of ``baseline``) and their tests.  The simulator's
-    engines carry a flow's packets as arrays of sequence numbers instead
-    (see ``traffic.CbrFlow``)."""
+    """One MPDU as an object.  Nothing in the simulator builds one: the
+    engines carry a flow's packets as arrays of sequence numbers (see
+    ``traffic.CbrFlow``).  It stays only while the benchmark's
+    ``frames.mpdu_compares`` counter (``bench/probes.py``) wraps its
+    ``__eq__``, and goes with that counter."""
 
     destination: int
     payload_bytes: int
     seq: int
     enqueued_ns: int = 0
-
-    @property
-    def onair_bits(self) -> int:
-        return mpdu_bits(self.payload_bytes)
-
-
-@dataclass
-class Ampdu:
-    """Aggregate addressed to one receiver (baseline) or one RU (MU rounds)."""
-
-    mpdus: list[Mpdu]
-
-    @property
-    def total_bits(self) -> int:
-        return sum(m.onair_bits for m in self.mpdus)
-
-    def __len__(self) -> int:
-        return len(self.mpdus)
 
 
 def mpdus_that_fit(duration_ns: int, ppdu: PpduFormat, bits_per_symbol: float,

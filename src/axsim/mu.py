@@ -118,26 +118,15 @@ def uora_update(state: OboState, n_ra_rus: int, rng,
     return eligible, replace(state, obo=new_obo)
 
 
-RU_IDLE = "idle"
-RU_COLLISION = "collision"
-
-
-@dataclass(frozen=True)
-class RuOutcome:
-    kind: str                  # "success" | "collision" | "idle"
-    sta: int | None = None
-
-
 def uora_transmit_phase(eligible: dict[int, OboState], n_ra_rus: int,
-                        carrier_idle, rng,
-                        ) -> tuple[dict[int, RuOutcome], dict[int, OboState], list[int]]:
+                        carrier_idle, rng) -> tuple[dict[int, OboState], list[int]]:
     """Eligible STAs each pick one RA RU uniformly; CS-blocked STAs defer and
     keep obo = 0 and no candidate RU for the next TF.  Two transmitters on
     an RU collide (no capture); a lone transmitter succeeds.
 
-    Returns (per-RU outcomes, updated states, transmitted STA ids).
+    Returns (updated states, transmitted STA ids); a transmitted STA's state
+    holds the RU it picked as its candidate_ru.
     """
-    picks: dict[int, list[int]] = {i: [] for i in range(n_ra_rus)}
     states = dict(eligible)
     transmitted = []
     for sta in sorted(eligible):
@@ -146,17 +135,8 @@ def uora_transmit_phase(eligible: dict[int, OboState], n_ra_rus: int,
             states[sta] = replace(states[sta], candidate_ru=None)
             continue
         states[sta] = replace(states[sta], candidate_ru=ru_index)
-        picks[ru_index].append(sta)
         transmitted.append(sta)
-    outcomes = {}
-    for ru_index, stas in picks.items():
-        if not stas:
-            outcomes[ru_index] = RuOutcome(RU_IDLE)
-        elif len(stas) > 1:
-            outcomes[ru_index] = RuOutcome(RU_COLLISION)
-        else:
-            outcomes[ru_index] = RuOutcome("success", stas[0])
-    return outcomes, states, transmitted
+    return states, transmitted
 
 
 def ocw_on_result(state: OboState, acked: bool) -> OboState:

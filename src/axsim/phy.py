@@ -1,5 +1,7 @@
-"""Link abstraction: path loss, noise, the MCS table, PER and PPDU formats,
-plus HE/VHT rate arithmetic."""
+"""Link abstraction: path loss, noise, the MCS table with PER and link
+adaptation, PPDU formats as preamble durations, and the MU-MIMO receive
+abstraction.  Data rates are the engines' arithmetic: data bits per OFDM
+symbol (``BssEngine._link``) over the symbol time (``frames``)."""
 
 from __future__ import annotations
 
@@ -14,14 +16,9 @@ SPEED_OF_LIGHT = 299_792_458.0
 # HE numerology: 78.125 kHz spacing, 12.8 us symbol.  Legacy/VHT: 312.5 kHz, 3.2 us.
 HE_SYMBOL_US = 12.8
 LEGACY_SYMBOL_US = 3.2
-HE_GI_CHOICES = (0.8, 1.6, 3.2)
 LEGACY_GI_US = 0.8
 
 NOISE_FIGURE_DB = 7.0
-
-DCM_ALLOWED_INDICES = frozenset({0, 1, 3, 4})
-DCM_MAX_NSS = 2
-DEFAULT_DCM_GAIN_DB = 3.5  # stated for MCS0; applied to all allowed indices by default
 
 # (bits per modulation symbol, coding rate) per MCS index.  Indices 10-11 are
 # 1024-QAM and additionally require an RU of at least 242 tones.
@@ -57,13 +54,10 @@ class InvalidPhyConfig(ValueError):
 @dataclass(frozen=True)
 class Mcs:
     index: int
-    dcm: bool = False
 
     def __post_init__(self):
         if self.index not in MCS_TABLE:
             raise InvalidPhyConfig(f"unknown MCS index {self.index}")
-        if self.dcm and self.index not in DCM_ALLOWED_INDICES:
-            raise InvalidPhyConfig(f"DCM not allowed for MCS {self.index}")
 
     @property
     def bits_per_symbol(self) -> int:
@@ -74,20 +68,6 @@ class Mcs:
         return MCS_TABLE[self.index][1]
 
 
-@dataclass(frozen=True)
-class OfdmNumerology:
-    subcarrier_spacing_hz: float
-    symbol_duration_us: float
-
-    def __post_init__(self):
-        if abs(self.subcarrier_spacing_hz * self.symbol_duration_us * 1e-6 - 1.0) > 1e-9:
-            raise InvalidPhyConfig("spacing * symbol duration must equal 1")
-
-
-HE_NUMEROLOGY = OfdmNumerology(78_125.0, HE_SYMBOL_US)
-LEGACY_NUMEROLOGY = OfdmNumerology(312_500.0, LEGACY_SYMBOL_US)
-
-
 # PPDU formats as a duration model.  HE-MU carries the per-user resource map,
 # so its preamble is longer than HE-TB's, whose schedule arrived in the
 # trigger frame.
@@ -95,9 +75,6 @@ LEGACY_NUMEROLOGY = OfdmNumerology(312_500.0, LEGACY_SYMBOL_US)
 class PpduFormat:
     kind: str
     preamble_us: float
-
-
-LEGACY_PPDU = PpduFormat("legacy", 20.0)
 
 
 def vht_ppdu(nss: int) -> PpduFormat:
@@ -159,51 +136,8 @@ def mw_to_dbm(mw: float) -> float:
     return 10.0 * math.log10(mw)
 
 
-def sinr_db(signal_dbm: float, interferers_dbm: list[float], noise_dbm: float) -> float:
-    denom_mw = dbm_to_mw(noise_dbm) + sum(dbm_to_mw(p) for p in interferers_dbm)
-    return signal_dbm - mw_to_dbm(denom_mw)
-
-
 def noise_dbm(bandwidth_hz: float, noise_figure_db: float = NOISE_FIGURE_DB) -> float:
     return -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
-
-
-def he_rate(mcs: Mcs, data_subcarriers: int, nss: int, gi_us: float = 0.8) -> float:
-    """HE data rate in bits/s over all spatial streams."""
-    if not 1 <= nss <= 8:
-        raise InvalidPhyConfig(f"nss {nss} out of [1, 8]")
-    if gi_us not in HE_GI_CHOICES:
-        raise InvalidPhyConfig(f"GI {gi_us} not one of {HE_GI_CHOICES}")
-    if mcs.dcm and nss > DCM_MAX_NSS:
-        raise InvalidPhyConfig("DCM limited to 2 spatial streams")
-    rate = data_subcarriers * mcs.bits_per_symbol * float(mcs.coding_rate) * nss
-    rate /= (HE_SYMBOL_US + gi_us) * 1e-6
-    if mcs.dcm:
-        rate /= 2.0  # the same information rides both subcarriers of each pair
-    return rate
-
-
-def legacy_rate(mcs: Mcs, data_subcarriers: int, nss: int = 1) -> float:
-    """Legacy/VHT data rate in bits/s (3.2 us symbol + 0.8 us GI)."""
-    rate = data_subcarriers * mcs.bits_per_symbol * float(mcs.coding_rate) * nss
-    return rate / ((LEGACY_SYMBOL_US + LEGACY_GI_US) * 1e-6)
-
-
-def spectral_efficiency(gi_us: float, numerology: OfdmNumerology = HE_NUMEROLOGY) -> float:
-    if numerology is LEGACY_NUMEROLOGY and gi_us != LEGACY_GI_US:
-        raise InvalidPhyConfig("legacy numerology only supports 0.8 us GI")
-    if numerology is HE_NUMEROLOGY and gi_us not in HE_GI_CHOICES:
-        raise InvalidPhyConfig(f"GI {gi_us} invalid for HE")
-    return numerology.symbol_duration_us / (numerology.symbol_duration_us + gi_us)
-
-
-def dcm_rotation(k: int, n_sd: int) -> int:
-    """Rotation factor e^{j(k + n_sd/2)pi} applied to the paired subcarrier: +1 or -1."""
-    if n_sd % 2 != 0:
-        raise InvalidPhyConfig(f"DCM needs an even subcarrier count, got {n_sd}")
-    if not 0 <= k < n_sd // 2:
-        raise InvalidPhyConfig(f"subcarrier index {k} out of [0, {n_sd // 2})")
-    return 1 if (k + n_sd // 2) % 2 == 0 else -1
 
 
 @dataclass
@@ -214,13 +148,6 @@ class PerModel:
     slope_db: float = PER_SLOPE_DB
     ref_bits: int = PER_REF_BYTES * 8
     floor_margin: float = 2.0       # slope units below threshold where PER pins to 1
-    dcm_gain_db: dict[int, float] = field(
-        default_factory=lambda: {i: DEFAULT_DCM_GAIN_DB for i in DCM_ALLOWED_INDICES})
-
-    def effective_sinr(self, sinr: float, mcs: Mcs) -> float:
-        if mcs.dcm:
-            return sinr + self.dcm_gain_db[mcs.index]
-        return sinr
 
     def per_ref(self, effective_sinr: float, mcs: Mcs) -> float:
         x = (effective_sinr - self.thresholds_db[mcs.index]) / self.slope_db
@@ -244,32 +171,28 @@ class PerModel:
         return 1.0 - (1.0 - p_ref) ** (frame_bits / self.ref_bits)
 
     def select_mcs(self, effective_sinr: float, ru_tones: int,
-                   target_per: float = 0.1, max_index: int = 11,
-                   dcm: bool = False) -> Mcs:
+                   target_per: float = 0.1, max_index: int = 11) -> Mcs:
         """Highest-index MCS with reference-length PER <= target; MCS0 floor.
 
         1024-QAM (MCS 10/11) is only eligible on RUs of >= 242 tones.  The
         floor MCS0 may exceed the PER target on a degraded link; that is a
         degraded link, not an error.
         """
-        candidates = MCS_CANDIDATES[dcm]
-        best = candidates[0]
-        for candidate in candidates:
+        best = MCS_CANDIDATES[0]
+        for candidate in MCS_CANDIDATES:
             index = candidate.index
             if index > max_index:
                 break
             if index >= 10 and ru_tones < MIN_RU_TONES_FOR_1024QAM:
                 continue
-            if self.per_ref(self.effective_sinr(effective_sinr, candidate), candidate) <= target_per:
+            if self.per_ref(effective_sinr, candidate) <= target_per:
                 best = candidate
         return best
 
 
-# select_mcs's candidates in ascending index, per DCM setting (DCM only
-# where an index allows it), built once: Mcs is frozen, so they are shared.
-MCS_CANDIDATES = {dcm: tuple(Mcs(i, dcm=dcm and i in DCM_ALLOWED_INDICES)
-                             for i in sorted(MCS_TABLE))
-                  for dcm in (False, True)}
+# select_mcs's candidates in ascending index, built once: Mcs is frozen, so
+# they are shared.
+MCS_CANDIDATES = tuple(Mcs(i) for i in sorted(MCS_TABLE))
 
 # MU-MIMO receive abstraction: the receiver's array gives 10*log10(rx_ant /
 # streams) of combining headroom, and streams sharing an RU pay a fixed

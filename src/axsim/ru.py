@@ -183,15 +183,6 @@ def layout_catalog(bandwidth_mhz: int) -> tuple[RuLayout, ...]:
     return tuple(layouts)
 
 
-def dump_catalog(bandwidths=VALID_BANDWIDTHS_MHZ) -> str:
-    """One layout per line: `BW: tone,tone,...` for golden-file tests."""
-    lines = []
-    for bw in bandwidths:
-        for layout in layout_catalog(bw):
-            lines.append(f"{bw}: " + ",".join(str(t) for t in layout.tone_sizes))
-    return "\n".join(lines) + "\n"
-
-
 # --- preamble puncturing ------------------------------------------------------
 #
 # 20 MHz subchannel indices: 0 = primary 20, 1 = secondary 20, {2,3} =

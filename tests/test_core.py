@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from axsim.core import (DIFS, SEC, SIFS, SLOT_TIME, TXOP_LIMIT, US,
-                        PastEventError, RngSet, SimEvent, Simulator)
+from axsim.config import MacSection
+from axsim.core import (DIFS, SEC, SIFS, SLOT_TIME, US, PastEventError, RngSet,
+                        SimEvent, Simulator)
 
 
 def test_protocol_constants_are_exact_ns_multiples():
     assert SIFS == 16_000
     assert DIFS == 34_000
     assert DIFS - SIFS == 2 * SLOT_TIME
-    assert TXOP_LIMIT == 3_008_000
+    assert MacSection().txop_limit_us * US == 3_008_000
 
 
 def test_tiebreak_by_insertion_order():
@@ -53,7 +54,7 @@ def test_run_until_boundary_inclusive():
         sim.at(t, "e")
     assert sim.run_until(30) == 3
     assert sim.now == 30
-    assert sim.pending == 1
+    assert sim.scheduled - sim.processed == 1
 
 
 def _trace_of_run(seed: int) -> str:
@@ -89,10 +90,10 @@ def test_dequeue_times_monotone_and_no_event_loss(times):
     seen = []
     for t in times:
         sim.at(t, "e", fn=lambda t=t: seen.append(t))
-    assert sim.scheduled == sim.pending
+    assert sim.scheduled - sim.processed == len(times)
     sim.run_until(10_000)
-    assert sim.pending == 0
-    assert sim.processed == sim.scheduled
+    assert sim.scheduled - sim.processed == 0
+    assert sim.processed == len(times)
     assert seen == sorted(seen)
 
 

@@ -97,6 +97,16 @@ def test_uora_no_ra_rus_is_noop():
 
 # --- UORA transmit phase + full Fig. 18 two-round walkthrough ---------------------------
 
+def ru_outcomes(states, transmitted, n_ra_rus):
+    """Each RA RU's outcome from the candidate RUs of the STAs that
+    transmitted: the STA alone on it (success), "collision" for several,
+    None for an idle RU."""
+    on_ru = {i: [sta for sta in transmitted if states[sta].candidate_ru == i]
+             for i in range(n_ra_rus)}
+    return {i: stas[0] if len(stas) == 1 else "collision" if stas else None
+            for i, stas in on_ru.items()}
+
+
 def test_uora_fig18_two_rounds():
     # Round 1: five RA RUs, initial OBOs {3,5,7,8,7,0} for STA1..6.
     rng = ScriptedRng([3, 5, 7, 8, 7, 0])
@@ -111,12 +121,12 @@ def test_uora_fig18_two_rounds():
     # STA1 picks RU3 but its channel goes busy during SIFS; STA2 -> RU1,
     # STA6 -> RU4 transmit and are decoded.
     picks = ScriptedRng([2, 0, 3])   # RU indices for STA1, STA2, STA6
-    outcomes, updated, transmitted = uora_transmit_phase(
+    updated, transmitted = uora_transmit_phase(
         eligible, 5, carrier_idle=lambda sta: sta != 1, rng=picks)
     states.update(updated)
     assert transmitted == [2, 6]
-    assert outcomes[0].kind == "success" and outcomes[0].sta == 2
-    assert outcomes[3].kind == "success" and outcomes[3].sta == 6
+    assert ru_outcomes(states, transmitted, 5) == {0: 2, 1: None, 2: None, 3: 6,
+                                                   4: None}
     assert states[1].obo == 0 and states[1].candidate_ru is None
     mba = mba_for({2: (True,), 6: (True,)})
     assert mba.acked_stas == {2, 6}
@@ -138,13 +148,13 @@ def test_uora_fig18_two_rounds():
     assert sorted(eligible2) == [1, 3, 4, 5, 7]
 
     picks2 = ScriptedRng([1, 2, 4, 2, 0])  # STA1, STA3, STA4, STA5, STA7
-    outcomes2, updated2, transmitted2 = uora_transmit_phase(
+    updated2, transmitted2 = uora_transmit_phase(
         eligible2, 5, carrier_idle=lambda sta: sta != 7, rng=picks2)
     states.update(updated2)
     assert transmitted2 == [1, 3, 4, 5]
-    assert outcomes2[1] == mu.RuOutcome("success", 1)
-    assert outcomes2[2].kind == "collision"
-    assert outcomes2[4] == mu.RuOutcome("success", 4)
+    assert [states[sta].candidate_ru for sta in transmitted2] == [1, 2, 4, 2]
+    assert ru_outcomes(states, transmitted2, 5) == {0: None, 1: 1, 2: "collision",
+                                                    3: None, 4: 4}
     assert states[7].obo == 0 and states[7].candidate_ru is None
 
     mba2 = mba_for({1: (True,), 4: (True,)})
@@ -156,9 +166,9 @@ def test_uora_fig18_two_rounds():
 
 
 def test_zero_eligible_leaves_rus_idle():
-    outcomes, _, transmitted = uora_transmit_phase({}, 4, lambda s: True, ScriptedRng([]))
-    assert transmitted == []
-    assert all(o.kind == "idle" for o in outcomes.values())
+    states, transmitted = uora_transmit_phase({}, 4, lambda s: True, ScriptedRng([]))
+    assert states == {} and transmitted == []
+    assert ru_outcomes(states, transmitted, 4) == dict.fromkeys(range(4))
 
 
 # --- OCW evolution ------------------------------------------------------------------------

@@ -7,9 +7,8 @@ from hypothesis import given, strategies as st
 from axsim import phy, ru
 from axsim.config import PhySection
 from axsim.core import Simulator
-from axsim.medium import Medium
-from axsim.phy import (HE_NUMEROLOGY, LEGACY_NUMEROLOGY, InvalidPhyConfig,
-                       Mcs, PathLossModel, PerModel)
+from axsim.medium import SUBCHANNEL_HZ, Medium, Transmission
+from axsim.phy import Mcs, PathLossModel, PerModel
 
 
 # --- path loss -------------------------------------------------------------
@@ -91,28 +90,47 @@ def test_rx_power_at_cca_threshold():
 
 
 # --- SINR -------------------------------------------------------------------
+#
+# The medium's decode SINR: the desired power over noise plus the linear sum
+# of every interferer's power.
 
 def sinr_oracle(signal, interferers, noise):
     lin = lambda x: 10 ** (x / 10)
     return 10 * math.log10(lin(signal) / (sum(map(lin, interferers)) + lin(noise)))
 
 
+def medium_sinr(signal_dbm, interferers_dbm, noise_dbm):
+    """Medium.sinr_db at node 1 of a 20 MHz frame from node 0 received at
+    signal_dbm, under frames of the same airtime from nodes 2, 3, ...
+    received at interferers_dbm, over noise_dbm of noise in 20 MHz."""
+    n = 2 + len(interferers_dbm)
+    loss = np.zeros((n, n))
+    loss[0, 1] = -signal_dbm                    # every node sends at 0 dBm
+    loss[2:, 1] = [-p for p in interferers_dbm]
+    noise_figure_db = noise_dbm + 174.0 - 10 * math.log10(SUBCHANNEL_HZ)
+    medium = Medium(Simulator(), loss, noise_figure_db)
+    sent = [medium.transmit(Transmission(0, node, node, "ampdu", 0, 1000,
+                                         frozenset({0}), 0.0))
+            for node in range(n) if node != 1]
+    return medium.sinr_db(sent[0], 1, 0.0, SUBCHANNEL_HZ, 0)
+
+
 def test_sinr_without_interference_is_snr():
-    assert phy.sinr_db(-60.0, [], -94.0) == pytest.approx(34.0)
+    assert medium_sinr(-60.0, [], -94.0) == pytest.approx(34.0)
 
 
 def test_sinr_equal_power_interferer():
-    assert phy.sinr_db(-60.0, [-60.0], -200.0) == pytest.approx(0.0, abs=1e-6)
+    assert medium_sinr(-60.0, [-60.0], -200.0) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_sinr_matches_linear_sum_oracle():
-    got = phy.sinr_db(-60.0, [-70.0, -70.0], -94.0)
+    got = medium_sinr(-60.0, [-70.0, -70.0], -94.0)
     assert got == pytest.approx(sinr_oracle(-60.0, [-70.0, -70.0], -94.0), abs=1e-9)
 
 
 @given(st.floats(-90, -30), st.lists(st.floats(-110, -40), max_size=6), st.floats(-110, -80))
 def test_sinr_oracle_property(signal, interferers, noise):
-    assert phy.sinr_db(signal, interferers, noise) == \
+    assert medium_sinr(signal, interferers, noise) == \
         pytest.approx(sinr_oracle(signal, interferers, noise), abs=1e-9)
 
 
@@ -128,96 +146,14 @@ def test_noise_floor():
 def test_he_peak_rate_9607_8_mbps():
     # the engine's rate: data bits per OFDM symbol of a 2x996-tone RU at
     # MCS 11 over 8 streams (BssEngine._link) per 12.8 + 0.8 us HE symbol
-    # (frames.data_duration_ns)
+    # (frames.data_duration_ns); a 2x996-tone RU has 1960 data subcarriers
+    assert ru.data_subcarriers(1992) == 1960
     mcs = Mcs(11)
     bits = ru.data_subcarriers(1992) * mcs.bits_per_symbol * float(mcs.coding_rate) * 8
     assert bits / ((phy.HE_SYMBOL_US + 0.8) * 1e-6) == pytest.approx(9607.8e6, rel=5e-4)
 
 
-def test_he_rate_mcs0_26_tone():
-    # 24 * 1 * 1/2 / 13.6 us = 0.882 Mbps
-    rate = phy.he_rate(Mcs(0), data_subcarriers=24, nss=1, gi_us=0.8)
-    assert rate == pytest.approx(24 * 0.5 / 13.6e-6, abs=1)
-    assert rate == pytest.approx(0.882e6, rel=1e-3)
-
-
-def test_legacy_54_mbps_exact():
-    # 64-QAM 3/4 over 48 data subcarriers at 4 us per symbol
-    assert phy.legacy_rate(Mcs(6), data_subcarriers=48) == 54e6
-
-
-def test_dcm_halves_rate():
-    plain = phy.he_rate(Mcs(1), 234, 2, 0.8)
-    dcm = phy.he_rate(Mcs(1, dcm=True), 234, 2, 0.8)
-    assert dcm == pytest.approx(plain / 2)
-
-
-def test_dcm_rejects_wide_nss_and_bad_index():
-    with pytest.raises(InvalidPhyConfig):
-        phy.he_rate(Mcs(1, dcm=True), 234, 3, 0.8)
-    with pytest.raises(InvalidPhyConfig):
-        Mcs(7, dcm=True)
-
-
-@given(st.integers(0, 11), st.integers(0, 11), st.sampled_from([24, 48, 102, 234, 468, 980, 1960]),
-       st.integers(1, 8), st.sampled_from([0.8, 1.6, 3.2]))
-def test_rate_monotone_in_mcs_and_gi(i, j, ds, nss, gi):
-    lo, hi = sorted((i, j))
-    r_lo = phy.he_rate(Mcs(lo), ds, nss, gi)
-    r_hi = phy.he_rate(Mcs(hi), ds, nss, gi)
-    assert r_hi >= r_lo
-    assert phy.he_rate(Mcs(hi), ds, nss, 3.2) <= phy.he_rate(Mcs(hi), ds, nss, 0.8)
-    if nss > 1:
-        assert phy.he_rate(Mcs(hi), ds, nss, gi) > phy.he_rate(Mcs(hi), ds, nss - 1, gi)
-
-
-# --- spectral efficiency -----------------------------------------------------
-
-def test_spectral_efficiency_he_short_gi():
-    assert phy.spectral_efficiency(0.8) == pytest.approx(0.9412, abs=5e-5)
-
-
-def test_spectral_efficiency_legacy():
-    assert phy.spectral_efficiency(0.8, LEGACY_NUMEROLOGY) == pytest.approx(0.8)
-
-
-def test_spectral_efficiency_he_long_gi():
-    assert phy.spectral_efficiency(3.2, HE_NUMEROLOGY) == pytest.approx(12.8 / 16.0)
-
-
-# --- DCM rotation -------------------------------------------------------------
-
-def dcm_oracle(k, n_sd):
-    return complex(math.cos((k + n_sd / 2) * math.pi), math.sin((k + n_sd / 2) * math.pi))
-
-
-@pytest.mark.parametrize("k,n_sd,expected", [(0, 4, 1), (1, 4, -1), (0, 2, -1)])
-def test_dcm_rotation_examples(k, n_sd, expected):
-    assert phy.dcm_rotation(k, n_sd) == expected
-    assert dcm_oracle(k, n_sd).real == pytest.approx(expected, abs=1e-9)
-
-
-@given(st.integers(1, 100).map(lambda h: 2 * h))
-def test_dcm_rotation_pairing(n_sd):
-    factors = [phy.dcm_rotation(k, n_sd) for k in range(n_sd // 2)]
-    assert all(f in (1, -1) for f in factors)
-    for a, b in zip(factors, factors[1:]):
-        assert a == -b
-
-
-def test_dcm_rotation_rejects_odd_count():
-    with pytest.raises(InvalidPhyConfig):
-        phy.dcm_rotation(0, 5)
-
-
-# --- effective SINR and PER -----------------------------------------------------
-
-def test_dcm_gain_applied_only_with_dcm():
-    model = PerModel()
-    assert model.effective_sinr(5.0, Mcs(0, dcm=True)) == pytest.approx(8.5)
-    assert model.effective_sinr(5.0, Mcs(0)) == 5.0
-    assert model.effective_sinr(5.0, Mcs(7)) == 5.0
-
+# --- PER -----------------------------------------------------
 
 def test_per_half_at_threshold_reference_length():
     model = PerModel()
@@ -274,7 +210,7 @@ def test_select_mcs_respects_max_index_for_11ac():
     assert PerModel().select_mcs(200.0, ru_tones=1992, max_index=9).index == 9
 
 
-def select_mcs_reference(model, sinr, tones, target, max_index, dcm):
+def select_mcs_reference(model, sinr, tones, target, max_index):
     """select_mcs building each candidate per call, in table order."""
     best = None
     for index in sorted(phy.MCS_TABLE):
@@ -282,22 +218,20 @@ def select_mcs_reference(model, sinr, tones, target, max_index, dcm):
             break
         if index >= 10 and tones < phy.MIN_RU_TONES_FOR_1024QAM:
             continue
-        candidate = Mcs(index, dcm=dcm and index in phy.DCM_ALLOWED_INDICES)
-        if model.per_ref(model.effective_sinr(sinr, candidate), candidate) <= target:
+        candidate = Mcs(index)
+        if model.per_ref(sinr, candidate) <= target:
             best = candidate
-    return best if best is not None else Mcs(0, dcm=dcm)
+    return best if best is not None else Mcs(0)
 
 
-@pytest.mark.parametrize("dcm", [False, True])
-def test_select_mcs_matches_the_per_call_candidates(dcm):
+def test_select_mcs_matches_the_per_call_candidates():
     model = PerModel(thresholds_db={i: 1.0 + 2.7 * i for i in phy.MCS_TABLE})
     for sinr in np.arange(-10.0, 45.0, 0.37):
         for tones in (26, 106, 242, 996):
             for max_index in (0, 7, 9, 11):
                 for target in (0.01, 0.1):
-                    assert model.select_mcs(sinr, tones, target, max_index, dcm) == \
-                        select_mcs_reference(model, sinr, tones, target,
-                                             max_index, dcm)
+                    assert model.select_mcs(sinr, tones, target, max_index) == \
+                        select_mcs_reference(model, sinr, tones, target, max_index)
 
 
 @given(st.floats(-20, 80), st.sampled_from([26, 52, 106, 242, 484, 996, 1992]))

@@ -10,9 +10,10 @@ binds itself (its arguments and assignments) do not refer to the module.
 
 A class member is a method, property or annotated field of a class under
 ``src/axsim``; dunder methods, which Python calls itself, are left out.  It
-counts as read if some ``x.member`` loads it anywhere under ``src/axsim``.
-The match is by name alone, so a member shares its reads with every other
-member of that name.
+counts as read if some attribute load under ``src/axsim`` reads it.  A
+``self.member`` load in a method reads the member of the method's class, of
+its bases and of its subclasses, and no other.  Any other ``x.member`` load
+is matched by name alone, so it reads every member of that name.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "axsim"
 ENTRY_POINTS = [("runner", "run"), ("runner", "compare"), ("runner", "sweep"),
                 ("engine", "RunContext")]
 
+# frames.Mpdu goes with the benchmark's frames.mpdu_compares counter
+BENCH_MPDU = "bench probe: frames.mpdu_compares wraps Mpdu.__eq__"
+
 # Unreached names that stay, each with its reason.
 KEEP = {
-    ("baseline", "su_txop_exchange"): "ROADMAP item 2: oracle for one engine TXOP",
-    ("frames", "Ampdu"): "ROADMAP item 2: carried by su_txop_exchange's oracle",
-    ("core", "TXOP_LIMIT"): "ROADMAP item 2: su_txop_exchange's TXOP budget",
     ("ru", "PunctureMode"): "ROADMAP item 6: secondary-channel access",
     ("ru", "resolve_puncture"): "ROADMAP item 6: secondary-channel access",
     ("config", "RATE_SWEEPS_MBPS"): "ROADMAP item 7: the paper's load sweeps",
@@ -37,30 +38,22 @@ KEEP = {
     ("runner", "write_results_csv"): "ROADMAP item 7: results files",
     ("runner", "write_energy_csv"): "ROADMAP item 7: results files",
     ("runner", "summary_table"): "ROADMAP item 7: results table",
-    ("frames", "Mpdu"): "bench probe: frames.mpdu_compares wraps Mpdu.__eq__",
+    ("frames", "Mpdu"): BENCH_MPDU,
     ("spatial", "max_sr_tx_power"): "bench probe: spatial.max_sr_tx_power.calls",
     ("spatial", "obss_pd_level"): "test reference: the level max_sr_tx_power inverts",
     ("ru", "validate_layout"): "test reference: checks the engine's RU plan",
     ("ru", "layout_catalog"): "test reference: pins the 20 MHz RU divisions",
     ("config", "load_config"): "test reference: scenario files read into ScenarioConfig",
     ("core", "MS"): "test reference: the time unit tests write in",
-    ("phy", "he_rate"): "ROADMAP item 5, deferred: the paper's rate examples",
-    ("phy", "legacy_rate"): "ROADMAP item 5, deferred: the paper's rate examples",
-    ("phy", "spectral_efficiency"): "ROADMAP item 5, deferred: the paper's GI overheads",
-    ("phy", "dcm_rotation"): "ROADMAP item 5, deferred: the paper's DCM pairing",
-    ("phy", "sinr_db"): "ROADMAP item 5, deferred: linear-sum SINR reference",
-    ("ru", "dump_catalog"): "ROADMAP item 5, deferred: RU catalogue listing",
 }
 
 # Class members no code under src/axsim reads, each with its reason.
 KEEP_MEMBERS = {
-    ("baseline", "TxopResult", "requeued"): "ROADMAP item 2: su_txop_exchange's oracle",
-    ("baseline", "TxopResult", "success"): "ROADMAP item 2: su_txop_exchange's oracle",
-    ("baseline", "TxopResult", "airtime_ns"): "ROADMAP item 2: su_txop_exchange's oracle",
-    ("frames", "Mpdu", "destination"): "ROADMAP item 2: su_txop_exchange's oracle",
+    ("frames", "Mpdu", "destination"): BENCH_MPDU,
+    ("frames", "Mpdu", "payload_bytes"): BENCH_MPDU,
+    ("frames", "Mpdu", "seq"): BENCH_MPDU,
     ("power", "EnergyAccount", "total_ns"): "ROADMAP item 2: the ledger covers the run",
     ("metrics", "MetricsReport", "cdf"): "ROADMAP item 7: the paper's throughput CDFs",
-    ("mu", "RuOutcome", "sta"): "test reference: the Fig. 18 UORA walk-through",
     ("mu", "MultiStaBa", "acked_stas"): "test reference: the Fig. 18 UORA walk-through",
     ("medium", "Transmission", "payload"): "test reference: the MAC frame of a TF or MBA",
     ("phy", "PathLossModel", "indoor"): "test reference: the indoor loss profile",
@@ -140,16 +133,57 @@ def class_members(trees: dict[str, ast.Module]) -> set[tuple[str, str, str]]:
     return members
 
 
-def attribute_loads(trees: dict[str, ast.Module]) -> set[str]:
-    """Every attribute name that some ``x.attr`` reads; stores, augmented
+def class_family(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """Each class name -> itself, its bases and its subclasses, over the
+    classes under src/axsim (whose names are unique)."""
+    bases = {cls.name: {b.id for b in cls.bases if isinstance(b, ast.Name)}
+             for tree in trees.values() for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef)}
+
+    def ancestors(name):
+        out = set()
+        for base in bases.get(name, ()):
+            out |= {base} | ancestors(base)
+        return out
+
+    up = {name: ancestors(name) for name in bases}
+    return {name: {name} | up[name] | {sub for sub in bases if name in up[sub]}
+            for name in bases}
+
+
+def attribute_loads(trees: dict[str, ast.Module]
+                    ) -> tuple[set[str], set[tuple[str, str]]]:
+    """(attribute names some non-self ``x.attr`` reads, (class, attr) for
+    each ``self.attr`` a method of the class reads); stores, augmented
     assignments and deletions do not count."""
-    return {node.attr for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    by_name = set()
+    by_class = set()
+    for tree in trees.values():
+        self_loads = set()
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        or not item.args.args or item.args.args[0].arg != "self":
+                    continue
+                for node in ast.walk(item):
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                            and isinstance(node.value, ast.Name) and node.value.id == "self":
+                        by_class.add((cls.name, node.attr))
+                        self_loads.add(node)
+        by_name |= {node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and node not in self_loads}
+    return by_name, by_class
 
 
 def unread_members(trees: dict[str, ast.Module]) -> set[tuple[str, str, str]]:
-    loads = attribute_loads(trees)
-    return {key for key in class_members(trees) if key[2] not in loads}
+    by_name, by_class = attribute_loads(trees)
+    family = class_family(trees)
+    read = {(kin, attr) for cls, attr in by_class for kin in family[cls]}
+    return {key for key in class_members(trees)
+            if key[2] not in by_name and key[1:] not in read}
 
 
 def reach(roots):
@@ -203,3 +237,23 @@ def test_member_keep_set_holds_only_members_nothing_reads():
     trees = parse_sources()
     read = class_members(trees) - unread_members(trees)
     assert sorted(set(KEEP_MEMBERS) & read) == []
+
+
+def test_a_self_read_reaches_only_its_class_family():
+    # Other.late is read only as Base's self.late, and Base.run not at all;
+    # Sub.hook is read as Base's self.hook, Base.shared as Sub's self.shared
+    # and Other.named by name
+    tree = ast.parse(
+        "class Base:\n"
+        "    shared: int\n"
+        "    def run(self):\n"
+        "        return self.hook() + self.late\n"
+        "class Sub(Base):\n"
+        "    def hook(self):\n"
+        "        return self.shared\n"
+        "class Other:\n"
+        "    late: int\n"
+        "    named: int\n"
+        "def use(other):\n"
+        "    return other.named\n")
+    assert unread_members({"m": tree}) == {("m", "Base", "run"), ("m", "Other", "late")}
