@@ -146,8 +146,7 @@ def test_noise_floor():
 def test_he_peak_rate_9607_8_mbps():
     # the engine's rate: data bits per OFDM symbol of a 2x996-tone RU at
     # MCS 11 over 8 streams (BssEngine._link) per 12.8 + 0.8 us HE symbol
-    # (frames.data_duration_ns); a 2x996-tone RU has 1960 data subcarriers
-    assert ru.data_subcarriers(1992) == 1960
+    # (frames.data_duration_ns)
     mcs = Mcs(11)
     bits = ru.data_subcarriers(1992) * mcs.bits_per_symbol * float(mcs.coding_rate) * 8
     assert bits / ((phy.HE_SYMBOL_US + 0.8) * 1e-6) == pytest.approx(9607.8e6, rel=5e-4)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from axsim import engine, ru
+from axsim import engine, phy, ru
 from axsim.ru import (NoFitError, PunctureMode, RuLayout, RuPlanError,
                       layout_catalog, mu_mimo_admissible, resolve_puncture,
                       validate_layout)
@@ -11,6 +11,15 @@ from axsim.ru import (NoFitError, PunctureMode, RuLayout, RuPlanError,
 
 def test_242_tone_has_234_data_subcarriers():
     assert ru.data_subcarriers(242) == 234
+
+
+def test_1960_back_solves_from_peak_rate():
+    # data subcarriers of 2x996 recover the 9607.8 Mbps ceiling: MCS 11
+    # over 8 streams per 12.8 + 0.8 us HE symbol, as the engine rates a link
+    assert ru.data_subcarriers(1992) == 1960
+    mcs = phy.Mcs(11)
+    bits = ru.data_subcarriers(1992) * mcs.bits_per_symbol * float(mcs.coding_rate) * 8
+    assert bits / ((phy.HE_SYMBOL_US + 0.8) * 1e-6) == pytest.approx(9607.8e6, rel=5e-4)
 
 
 def test_26_tone_and_9x26_budget():
