@@ -31,6 +31,7 @@ SERVICE_TAIL_BITS = 22         # 16-bit SERVICE field + 6 tail bits per PPDU
 LEGACY_PREAMBLE_US = 20.0
 LEGACY_BASE_BITS_PER_SYMBOL = 24   # 6 Mbps: 48 subcarriers, BPSK 1/2
 LEGACY_FULL_SYMBOL_US = LEGACY_SYMBOL_US + LEGACY_GI_US  # 4.0 us
+HE_FULL_SYMBOL_US = HE_SYMBOL_US + 0.8     # every HE PPDU uses the 0.8 us GI
 
 
 def _us_to_ns(us: float) -> int:
@@ -55,16 +56,15 @@ def mba_bytes(n_stas: int) -> int:
 
 
 def data_duration_ns(ppdu: PpduFormat, total_bits: int, bits_per_symbol: float,
-                     gi_us: float = 0.8, he: bool = True) -> int:
+                     he: bool = True) -> int:
     """Preamble plus payload rounded up to whole OFDM symbols."""
-    symbol_us = (HE_SYMBOL_US + gi_us) if he else LEGACY_FULL_SYMBOL_US
+    symbol_us = HE_FULL_SYMBOL_US if he else LEGACY_FULL_SYMBOL_US
     symbols = max(1, math.ceil((total_bits + SERVICE_TAIL_BITS) / bits_per_symbol))
     return _us_to_ns(ppdu.preamble_us + symbols * symbol_us)
 
 
-def symbols_that_fit(duration_ns: int, ppdu: PpduFormat, gi_us: float = 0.8,
-                     he: bool = True) -> int:
-    symbol_us = (HE_SYMBOL_US + gi_us) if he else LEGACY_FULL_SYMBOL_US
+def symbols_that_fit(duration_ns: int, ppdu: PpduFormat, he: bool = True) -> int:
+    symbol_us = HE_FULL_SYMBOL_US if he else LEGACY_FULL_SYMBOL_US
     available = duration_ns - _us_to_ns(ppdu.preamble_us)
     if available <= 0:
         return 0
@@ -92,9 +92,9 @@ class Mpdu:
 
 
 def mpdus_that_fit(duration_ns: int, ppdu: PpduFormat, bits_per_symbol: float,
-                   mpdu_bits: int, cap: int, gi_us: float = 0.8, he: bool = True) -> int:
+                   mpdu_bits: int, cap: int, he: bool = True) -> int:
     """Largest A-MPDU (in MPDUs of equal size) whose airtime fits the duration."""
-    symbols = symbols_that_fit(duration_ns, ppdu, gi_us, he)
+    symbols = symbols_that_fit(duration_ns, ppdu, he)
     if symbols <= 0:
         return 0
     bits = symbols * bits_per_symbol - SERVICE_TAIL_BITS

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from collections.abc import Collection
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,28 @@ class RuPart:
         return self.assignment.tones * 78_125.0
 
 
+class Interferer(NamedTuple):
+    """A frame as the interferer lists of the frames it overlaps hold it:
+    what their decodes read of it, and nothing that keeps it alive."""
+
+    tx_node: int
+    bss_id: int
+    round_id: int
+    ru_index: int | None
+    subchannels: frozenset[int]
+    start_ns: int
+    end_ns: int
+    power_dbm: float                # per 20 MHz subchannel
+
+    @classmethod
+    def of(cls, tx: Transmission) -> Interferer:
+        # straight to tuple.__new__, past the NamedTuple's Python-level
+        # __new__: one record is made per frame
+        return tuple.__new__(cls, (tx.tx_node, tx.bss_id, tx.round_id,
+                                   tx.ru.ru_index if tx.ru else None, tx.subchannels,
+                                   tx.start_ns, tx.end_ns, tx._per_subchannel_dbm))
+
+
 @dataclass
 class Transmission:
     tx_id: int
@@ -47,11 +70,17 @@ class Transmission:
     nav_duration_ns: int = 0
     involves: frozenset[int] = frozenset()
     payload: object = None
-    interferers: list["Transmission"] = field(default_factory=list)
+    # while on the air: the frames on the air with it at any time, in the
+    # order they were handed over; emptied at its end
+    interferers: list[Interferer] = field(default_factory=list)
+    # from its end: what every decode and its NAV pass read of interferers
+    overlaps: Overlaps | None = None
     # received power on the primary 20 MHz at every node, while on the air
     rx_dbm: np.ndarray | None = None
     # carrier-sense rows derived from rx_dbm by the run (RunContext)
     cs_rows: tuple | None = None
+    # this frame in the interferer lists of others, made at handover
+    heard: Interferer | None = None
     _per_subchannel_dbm: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -73,52 +102,92 @@ def band_share_db(band_hz: float) -> float:
     return 10.0 * math.log10(min(band_hz, SUBCHANNEL_HZ) / SUBCHANNEL_HZ)
 
 
-def overlapping(tx: Transmission, subchannel: int, ru_index: int | None,
-                co_group: Collection[int]) -> list[tuple[Transmission, float]] | None:
-    """The frames that interfere with `tx` on `subchannel`, each with the
-    share of `tx`'s airtime it overlaps; None when `tx` is hard-corrupted.
+# transmitters, powers and shares of a frame that nothing overlaps
+NO_OVERLAPS = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))
+
+
+class Overlaps:
+    """The frames that interfere with one frame, in interferer order: each
+    one's transmitter, power per subchannel, share of the frame's airtime
+    and subchannels; and the (RU, transmitter) pairs of the frame's own MU
+    round, which decide a random-access collision."""
+
+    __slots__ = ("nodes", "powers", "shares", "subchannels", "round_pairs", "_common")
+
+    def __init__(self, nodes: list[int], powers: list[float], shares: list[float],
+                 subchannels: list[frozenset[int]], round_pairs: list[tuple[int, int]]):
+        self.nodes, self.powers, self.shares = (
+            np.array(nodes, dtype=np.intp), np.array(powers), np.array(shares)) \
+            if nodes else NO_OVERLAPS
+        self.subchannels = subchannels
+        self.round_pairs = round_pairs
+        # the subchannels every interferer covers
+        self._common = frozenset.intersection(*subchannels) if subchannels else None
+
+    def corrupts(self, ru_index: int | None, co_group: Collection[int]) -> bool:
+        """Whether a transmitter outside co_group shares the decoded RU of
+        the frame's round: two transmitters on one random-access RU always
+        corrupt each other (no capture on RA RUs)."""
+        for ru, node in self.round_pairs:
+            if ru == ru_index and node not in co_group:
+                return True
+        return False
+
+    def on(self, subchannel: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(transmitters, powers, shares) of the interferers on subchannel."""
+        if self._common is None or subchannel in self._common:
+            return self.nodes, self.powers, self.shares
+        keep = [k for k, subs in enumerate(self.subchannels) if subchannel in subs]
+        return self.nodes[keep], self.powers[keep], self.shares[keep]
+
+
+def overlapping(tx: Transmission) -> Overlaps:
+    """The one walk over `tx`'s interferer list.
 
     Transmissions of one MU round on different RUs are orthogonal, and
-    MU-MIMO partner streams (`co_group`) are covered by the stream penalty.
-    Two transmitters on one random-access RU always corrupt each other (no
-    capture on RA RUs).  Aligned control frames of the round are skipped.
+    MU-MIMO partner streams are covered by the stream penalty, so frames of
+    `tx`'s round enter only the round pairs; aligned control frames of the
+    round (no RU) not even those.  Frames of `tx`'s own transmitter and
+    frames that do not overlap it in time are left out.
     """
-    span = tx.end_ns - tx.start_ns
-    out = []
-    for other in tx.interferers:
-        if other.tx_node == tx.tx_node:
+    me, bss, start, end = tx.tx_node, tx.bss_id, tx.start_ns, tx.end_ns
+    span = end - start
+    round_id = tx.round_id if tx.round_id >= 0 else None    # None: no round
+    nodes, powers, shares, subchannels, round_pairs = [], [], [], [], []
+    for node, other_bss, other_round, ru_index, subs, other_start, other_end, power \
+            in tx.interferers:
+        if node == me:
             continue
-        if other.bss_id == tx.bss_id and other.round_id == tx.round_id \
-                and tx.round_id >= 0:
-            other_ru = other.ru.ru_index if other.ru else None
-            if other_ru is not None and ru_index is not None:
-                if other_ru != ru_index:
-                    continue            # orthogonal RU, same round
-                if other.tx_node in co_group:
-                    continue            # MU-MIMO partner stream
-                return None             # same RU: random-access collision
-            continue                    # aligned control/ack structure
-        if subchannel not in other.subchannels:
+        if other_round == round_id and other_bss == bss:
+            if ru_index is not None:
+                round_pairs.append((ru_index, node))
             continue
-        overlap = min(tx.end_ns, other.end_ns) - max(tx.start_ns, other.start_ns)
+        overlap = (other_end if other_end < end else end) \
+            - (other_start if other_start > start else start)
         if overlap <= 0 or span <= 0:
             continue
-        out.append((other, overlap / span))
-    return out
+        nodes.append(node)
+        powers.append(power)
+        shares.append(overlap / span)
+        subchannels.append(subs)
+    return Overlaps(nodes, powers, shares, subchannels, round_pairs)
 
 
 class Medium:
     """Keeps the set of in-flight transmissions and answers power questions.
 
-    Interference accounting is symmetric: when a transmission starts it is
-    recorded on every concurrently active transmission and vice versa, so at
-    any frame's end its interferer list holds every overlap.
+    Each frame keeps its own overlaps, as ns-3's InterferenceHelper does;
+    there are no running power sums.  When a frame is handed over, its
+    record (`Interferer`, made once) joins the interferer list of every
+    frame on the air, and theirs join its list, so at its end the list
+    holds every overlap.  `_finish` walks it once (`overlapping`), before
+    the end listeners run, and empties it: every decode of the frame and
+    its NAV pass read that walk.  A frame read while still on the air gets
+    the same walk over what its list holds so far.
 
-    A frame carries its received power at every node (`rx_dbm`) only while
-    it is on the air, and its interferer list until a frame it overlaps ends
-    after it: ended frames stay reachable through the lists of the frames
-    they overlap, and on a busy medium those chains would otherwise hold
-    every frame ever sent.
+    The lists hold records, not frames, so an ended frame, with its walk,
+    dies after its last decode.  A frame carries its received power at
+    every node (`rx_dbm`) only while it is on the air.
     """
 
     def __init__(self, sim: Simulator, loss_db: np.ndarray, noise_figure_db: float):
@@ -131,6 +200,7 @@ class Medium:
         self._version = 0            # bumped whenever `active` changes
         self._sensed_key: tuple[int, int] | None = None
         self._sensed: list[Transmission] = []
+        self._noise_by_band: dict[float, float] = {}
 
     def rx_power_dbm(self, tx_node: int, rx_node: int, power_dbm: float) -> float:
         return power_dbm - float(self.loss_db[tx_node, rx_node])
@@ -139,9 +209,10 @@ class Medium:
         tx.tx_id = self._next_id
         self._next_id += 1
         tx.rx_dbm = tx.power_per_subchannel_dbm() - self.loss_db[tx.tx_node]
+        heard = tx.heard = Interferer.of(tx)
         for other in self.active.values():
-            other.interferers.append(tx)
-            tx.interferers.append(other)
+            other.interferers.append(heard)
+            tx.interferers.append(other.heard)
         self.active[tx.tx_id] = tx
         self._version += 1
         for listener in self.listeners:
@@ -153,15 +224,11 @@ class Medium:
     def _finish(self, tx: Transmission) -> None:
         del self.active[tx.tx_id]
         self._version += 1
+        tx.overlaps = overlapping(tx)
+        tx.interferers.clear()
         for listener in self.listeners:
             listener("end", tx)
         tx.rx_dbm = tx.cs_rows = None
-        # a frame's interferer list is read only at its own end; drop those of
-        # the overlappers that ended earlier, so ended frames do not keep
-        # each other reachable
-        for other in tx.interferers:
-            if other.end_ns < tx.end_ns:
-                other.interferers = []
 
     # --- carrier sensing -------------------------------------------------------
 
@@ -180,22 +247,33 @@ class Medium:
 
     # --- decoding ---------------------------------------------------------------
 
+    def noise_mw(self, band_hz: float) -> float:
+        """Thermal noise in band_hz at every receiver, worked out once per band."""
+        noise = self._noise_by_band.get(band_hz)
+        if noise is None:
+            noise = self._noise_by_band[band_hz] = phy.dbm_to_mw(
+                phy.noise_dbm(band_hz, self.noise_figure_db))
+        return noise
+
     def sinr_db(self, tx: Transmission, rx_node: int, power_dbm: float,
                 band_hz: float, subchannel: int, ru_index: int | None = None,
                 co_group: Collection[int] = ()) -> float | None:
         """Decode SINR at rx_node of the part of tx sent at power_dbm; None
-        means hard corruption (see `overlapping`).  Every overlap enters the
-        interference sum, time-averaged over the frame."""
-        overlaps = overlapping(tx, subchannel, ru_index, co_group)
-        if overlaps is None:
+        means hard corruption (see `Overlaps.corrupts`).  Every overlap enters
+        the interference sum, time-averaged over the frame."""
+        overlaps = tx.overlaps or overlapping(tx)
+        if overlaps.corrupts(ru_index, co_group):
             return None
-        noise_mw = phy.dbm_to_mw(phy.noise_dbm(band_hz, self.noise_figure_db))
-        share_db = band_share_db(band_hz)
+        nodes, powers, shares = overlaps.on(subchannel)
+        noise_mw = self.noise_mw(band_hz)
         interference_mw = 0.0
-        for other, weight in overlaps:
-            leak = other.power_per_subchannel_dbm() + share_db
-            interference_mw += phy.dbm_to_mw(
-                self.rx_power_dbm(other.tx_node, rx_node, leak)) * weight
+        if len(nodes):
+            share_db = band_share_db(band_hz)
+            losses = self.loss_db.ravel().take(nodes * self.loss_db.shape[1] + rx_node)
+            for power, loss, share in zip(powers.tolist(), losses.tolist(),
+                                          shares.tolist()):
+                # phy.dbm_to_mw of the received leak, in Python floats
+                interference_mw += 10.0 ** ((power + share_db - loss) / 10.0) * share
         return self.rx_power_dbm(tx.tx_node, rx_node, power_dbm) \
             - phy.mw_to_dbm(noise_mw + interference_mw)
 
@@ -208,22 +286,24 @@ class Medium:
         20 MHz; a random-access collision corrupts the frame for every
         listener.
         """
-        overlaps = overlapping(tx, 0, tx.ru.ru_index if tx.ru else None,
-                               tx.ru.users if tx.ru else ())
-        if overlaps is None:
+        overlaps = tx.overlaps or overlapping(tx)
+        if overlaps.corrupts(tx.ru.ru_index if tx.ru else None,
+                             tx.ru.users if tx.ru else ()):
             return True, np.full(len(nodes), -np.inf)
+        sources, powers, shares = overlaps.on(0)
         desired = tx.power_per_subchannel_dbm() - self.loss_db[tx.tx_node, nodes]
-        noise_mw = phy.dbm_to_mw(phy.noise_dbm(SUBCHANNEL_HZ, self.noise_figure_db))
+        noise_mw = self.noise_mw(SUBCHANNEL_HZ)
         interference_mw = np.zeros(len(nodes))
-        if overlaps:
-            sources = [other.tx_node for other, _ in overlaps]
-            powers = np.array([other.power_per_subchannel_dbm()
-                               for other, _ in overlaps])
-            weights = np.array([weight for _, weight in overlaps])
-            p = powers[:, None] - self.loss_db[np.ix_(sources, nodes)]
-            terms = np.power(10.0, p / 10.0) * weights[:, None]
+        if len(sources):
+            # every interferer's received power at every node, in mW and
+            # weighted by its share, computed in place
+            terms = powers[:, None] - self.loss_db.ravel().take(
+                (sources * self.loss_db.shape[1])[:, None] + nodes)
+            terms /= 10.0
+            np.power(10.0, terms, out=terms)
+            terms *= shares[:, None]
             # summed in interferer order, one row after another
-            interference_mw = np.cumsum(terms, axis=0)[-1]
+            interference_mw = terms.sum(axis=0)
         return False, desired - 10.0 * np.log10(noise_mw + interference_mw)
 
     def interference_dbm(self, rx_node: int, band_hz: float, subchannel: int,

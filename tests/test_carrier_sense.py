@@ -1,15 +1,19 @@
-"""Carrier sense, contention and the NAV pass against scalar references.
+"""Carrier sense, contention, decode SINR and the NAV pass against scalar
+references.
 
 The engine derives carrier sense and NAV readability from one received-power
 row per frame, for all nodes at once.  These tests restate the rules one
 node and one frame at a time and compare, and check that a frame's rows are
 released once it has ended.  Contenders are called back only when their
 node's carrier state disagrees with their armed attempt; the contention
-tests check that none is left out of step.
+tests check that none is left out of step.  Decode SINR and NAV
+readability read one walk of each frame's interferers; the references walk
+the whole frames on the air with it, one by one.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -20,7 +24,7 @@ from axsim.config import default_config
 from axsim.baseline import BackoffState
 from axsim.core import DIFS, SLOT_TIME, US
 from axsim.engine import EIFS, MIN_SR_TXPWR_DBM, Contender, RunContext, cap_at
-from axsim.medium import SUBCHANNEL_HZ, RuPart, Transmission
+from axsim.medium import SUBCHANNEL_HZ, Medium, RuPart, Transmission
 
 MULTI = dict(n_bss=3, stas_per_bss=8, per_sta_rate_mbps=13)
 
@@ -192,39 +196,130 @@ def test_a_frozen_attempt_resumes_with_the_slots_left():
     assert attempts == [resume + DIFS + 6 * SLOT_TIME]
 
 
-# --- NAV readability ----------------------------------------------------------------
+# --- the interferer list walk -------------------------------------------------------
 
-def reference_nav_sinr(ctx: RunContext, tx: Transmission) -> tuple[bool, np.ndarray]:
-    """Readability SINR at every node, summing interferers in list order."""
-    medium = ctx.medium
-    n = ctx.loss_db.shape[0]
-    desired = tx.power_per_subchannel_dbm() - ctx.loss_db[tx.tx_node]
-    noise_mw = phy.dbm_to_mw(phy.noise_dbm(SUBCHANNEL_HZ))
-    interference_mw = np.zeros(n)
+class Handovers:
+    """Every frame's interferers as whole frames, from a "start" listener
+    over `medium.active`: the frames on the air at its handover, then those
+    handed over while it is on the air, in that order."""
+
+    def __init__(self, ctx: RunContext):
+        self.medium = ctx.medium
+        self.lists: dict[int, list[Transmission]] = {}
+        ctx.medium.listeners.insert(0, self.start)
+
+    def start(self, event: str, tx: Transmission) -> None:
+        if event != "start":
+            return
+        live = [other for other in self.medium.active.values()
+                if other is not tx]
+        for other in live:
+            self.lists[other.tx_id].append(tx)
+        self.lists[tx.tx_id] = live
+
+    def __call__(self, tx: Transmission) -> list[Transmission]:
+        return self.lists[tx.tx_id]
+
+
+def reference_overlapping(tx: Transmission, interferers: list[Transmission],
+                          subchannel: int, ru_index: int | None,
+                          co_group) -> list[tuple[Transmission, float]] | None:
+    """The frames that interfere with tx on subchannel, each with the share
+    of tx's airtime it overlaps, walking its interferers one by one; None
+    when another transmitter of tx's MU round shares the decoded RU."""
     span = tx.end_ns - tx.start_ns
-    for other in tx.interferers:
+    out = []
+    for other in interferers:
         if other.tx_node == tx.tx_node:
             continue
         if other.bss_id == tx.bss_id and other.round_id == tx.round_id \
                 and tx.round_id >= 0:
-            if other.ru is not None and tx.ru is not None:
-                if other.ru.ru_index != tx.ru.ru_index or other.tx_node in tx.ru.users:
-                    continue
-                return True, np.full(n, -np.inf)
-            continue
-        if 0 not in other.subchannels:
+            if other.ru is not None and ru_index is not None:
+                if other.ru.ru_index != ru_index or other.tx_node in co_group:
+                    continue        # orthogonal RU, or MU-MIMO partner stream
+                return None         # same RU: random-access collision
+            continue                # aligned control frame of the round
+        if subchannel not in other.subchannels:
             continue
         overlap = min(tx.end_ns, other.end_ns) - max(tx.start_ns, other.start_ns)
         if overlap <= 0 or span <= 0:
             continue
-        p = other.power_per_subchannel_dbm() - medium.loss_db[other.tx_node]
-        interference_mw += np.power(10.0, p / 10.0) * (overlap / span)
+        out.append((other, overlap / span))
+    return out
+
+
+# --- decode SINR --------------------------------------------------------------------
+
+def reference_sinr_db(ctx: RunContext, interferers: list[Transmission],
+                      tx: Transmission, rx_node: int, power_dbm: float,
+                      band_hz: float, subchannel: int, ru_index: int | None = None,
+                      co_group=()) -> float | None:
+    """Decode SINR at rx_node, summing interferers in list order."""
+    overlaps = reference_overlapping(tx, interferers, subchannel, ru_index, co_group)
+    if overlaps is None:
+        return None
+    noise_mw = phy.dbm_to_mw(phy.noise_dbm(band_hz, ctx.medium.noise_figure_db))
+    share_db = 10.0 * math.log10(min(band_hz, SUBCHANNEL_HZ) / SUBCHANNEL_HZ)
+    interference_mw = 0.0
+    for other, weight in overlaps:
+        leak = other.power_per_subchannel_dbm() + share_db
+        interference_mw += phy.dbm_to_mw(
+            leak - float(ctx.loss_db[other.tx_node, rx_node])) * weight
+    return power_dbm - float(ctx.loss_db[tx.tx_node, rx_node]) \
+        - phy.mw_to_dbm(noise_mw + interference_mw)
+
+
+@pytest.mark.parametrize("kind, scheme, overrides, ra_ru_fraction", [
+    ("indoor_multi", "ac_baseline", MULTI, None),
+    ("outdoor_multi", "ax_sr", dict(n_bss=4, stas_per_bss=6, per_sta_rate_mbps=20), 0.34),
+])
+def test_every_decode_sinr_equals_the_list_walk(monkeypatch, kind, scheme, overrides,
+                                                ra_ru_fraction):
+    ctx = started(scheme, kind=kind, duration_s=0.1, **overrides)
+    if ra_ru_fraction is not None:
+        ctx.cfg.mac.ra_ru_fraction = ra_ru_fraction     # UORA: RA-RU collisions
+    interferers = Handovers(ctx)
+    sinr_db = Medium.sinr_db
+    seen = Counter()
+
+    def checked(medium, tx, *args, **kwargs):
+        got = sinr_db(medium, tx, *args, **kwargs)
+        assert got == reference_sinr_db(ctx, interferers(tx), tx, *args, **kwargs), \
+            (ctx.sim.now, tx.kind)
+        alone = reference_sinr_db(ctx, [], tx, *args, **kwargs)
+        seen["corrupt" if got is None else "interfered" if got < alone else "alone"] += 1
+        return got
+
+    monkeypatch.setattr(Medium, "sinr_db", checked)
+    ctx.sim.run_until(ctx.cfg.duration_ns)
+    assert seen["interfered"] > 50, seen
+    if ra_ru_fraction is not None:
+        assert seen["corrupt"] > 0, seen
+
+
+# --- NAV readability ----------------------------------------------------------------
+
+def reference_nav_sinr(ctx: RunContext, interferers: list[Transmission],
+                       tx: Transmission) -> tuple[bool, np.ndarray]:
+    """Readability SINR at every node, summing interferers in list order."""
+    n = ctx.loss_db.shape[0]
+    desired = tx.power_per_subchannel_dbm() - ctx.loss_db[tx.tx_node]
+    noise_mw = phy.dbm_to_mw(phy.noise_dbm(SUBCHANNEL_HZ))
+    overlaps = reference_overlapping(tx, interferers, 0, tx.ru.ru_index if tx.ru else None,
+                                     tx.ru.users if tx.ru else ())
+    if overlaps is None:
+        return True, np.full(n, -np.inf)
+    interference_mw = np.zeros(n)
+    for other, weight in overlaps:
+        p = other.power_per_subchannel_dbm() - ctx.loss_db[other.tx_node]
+        interference_mw += np.power(10.0, p / 10.0) * weight
     return False, desired - 10.0 * np.log10(noise_mw + interference_mw)
 
 
 def test_nav_sinr_at_hearing_nodes_equals_the_all_node_reference():
     ctx = started("ax_sr", duration_s=0.1, **MULTI)
     ctx.cfg.mac.ra_ru_fraction = 0.34       # UORA: random-access collisions
+    interferers = Handovers(ctx)
     cca = ctx.cfg.phy.cca_threshold_dbm
     outcomes = []
 
@@ -235,7 +330,7 @@ def test_nav_sinr_at_hearing_nodes_equals_the_all_node_reference():
         hearing = hearing[hearing != tx.tx_node]
         for nodes in (hearing, np.arange(len(ctx.nodes))):
             corrupt, sinr = ctx.medium.nav_sinr_vector(tx, nodes)
-            ref_corrupt, ref_sinr = reference_nav_sinr(ctx, tx)
+            ref_corrupt, ref_sinr = reference_nav_sinr(ctx, interferers(tx), tx)
             assert corrupt == ref_corrupt
             np.testing.assert_array_equal(sinr, ref_sinr[nodes])
         outcomes.append(corrupt)
@@ -251,6 +346,7 @@ def test_random_access_collision_corrupts_the_frame_at_every_node():
     engine = ctx.engines[0]
     a, b = engine.stas[:2]
     ru = engine.layout.rus[0]
+    interferers = Handovers(ctx)
     txs = [ctx.medium.transmit(Transmission(
         0, sta.node_id, engine.bss_id, "he-tb", 0, 100 * US, ru.subchannels,
         15.0, color=sta.color, round_id=7, ru=RuPart(0, ru, 15.0)))
@@ -258,7 +354,7 @@ def test_random_access_collision_corrupts_the_frame_at_every_node():
     nodes = np.array([engine.ap.node_id, engine.stas[2].node_id])
     corrupt, sinr = ctx.medium.nav_sinr_vector(txs[0], nodes)
     assert corrupt and sinr.tolist() == [-np.inf, -np.inf]
-    assert reference_nav_sinr(ctx, txs[0])[0]
+    assert reference_nav_sinr(ctx, interferers(txs[0]), txs[0])[0]
 
 
 # --- memory -------------------------------------------------------------------------
@@ -293,6 +389,7 @@ class ReferenceNavPass:
     def __init__(self, ctx: RunContext):
         n = len(ctx.nodes)
         self.ctx = ctx
+        self.interferers = Handovers(ctx)
         self.intra = [0] * n
         self.basic = [0] * n
         self.eifs = [0] * n
@@ -302,7 +399,7 @@ class ReferenceNavPass:
         ctx = self.ctx
         if tx.nav_duration_ns <= 0 and tx.kind != "cf-end":
             return
-        corrupt, sinr = reference_nav_sinr(ctx, tx)
+        corrupt, sinr = reference_nav_sinr(ctx, self.interferers(tx), tx)
         now = ctx.sim.now
         expiry = now + tx.nav_duration_ns
         for i, node in sorted(ctx.nodes.items()):

@@ -10,7 +10,7 @@ moves no delivery still shows.
 
 The file ``golden_results.json`` pins the simulator's behaviour as it is,
 defects included.  In particular the multi-BSS points show the channel
-capture of ROADMAP item 2(a): a third-party NAV outlasts the TXOP, so one
+capture of ROADMAP item 1(a): a third-party NAV outlasts the TXOP, so one
 BSS keeps the channel and p5 reads 0 on ``indoor_multi``.  A change that
 fixes such a defect regenerates the file and states why in CHANGES.md; any
 other change must reproduce it unchanged.

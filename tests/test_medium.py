@@ -1,5 +1,5 @@
 """The interferer rule that decode SINR and NAV readability share, and how
-long a frame's interferer list lives."""
+long an ended frame lives."""
 
 from __future__ import annotations
 
@@ -11,9 +11,9 @@ import pytest
 
 from axsim import phy
 from axsim.config import default_config
-from axsim.core import Simulator
+from axsim.core import US, Simulator
 from axsim.engine import RunContext
-from axsim.medium import (SUBCHANNEL_HZ, Medium, RuPart, Transmission,
+from axsim.medium import (SUBCHANNEL_HZ, Interferer, Medium, RuPart, Transmission,
                           overlapping)
 from axsim.ru import RuAssignment
 
@@ -46,20 +46,33 @@ SKIPPED = [
 COLLIDER = frame(3, 0, 0, 1000, round_id=5, ru=1)     # same RA-RU, same round
 
 
+def heard(*frames: Transmission) -> list[Interferer]:
+    """An interferer list holding frames, as handover fills it."""
+    return [Interferer.of(f) for f in frames]
+
+
 def test_overlapping_keeps_the_interferers_with_their_airtime_share():
     tx = frame(**TX)
-    tx.interferers = SKIPPED[:3] + [FAR] + SKIPPED[3:] + [OTHER_ROUND]
-    assert overlapping(tx, 0, 1, (0, 1)) == [(FAR, 0.5), (OTHER_ROUND, 1.0)]
+    tx.interferers = heard(*SKIPPED[:3], FAR, *SKIPPED[3:], OTHER_ROUND)
+    overlaps = overlapping(tx)
+    nodes, powers, shares = overlaps.on(0)
+    assert (nodes.tolist(), powers.tolist(), shares.tolist()) == \
+        ([4, 2], [15.0, 15.0], [0.5, 1.0])
+    nodes, _, shares = overlaps.on(2)
+    assert (nodes.tolist(), shares.tolist()) == ([4], [1.0])    # the other subchannel
+    assert not overlaps.corrupts(1, (0, 1))
     # without an RU to decode, same-round frames are aligned structure
-    tx.interferers.append(COLLIDER)
-    assert overlapping(tx, 0, None, ()) == [(FAR, 0.5), (OTHER_ROUND, 1.0)]
-    assert overlapping(tx, 0, 1, (0, 1)) is None
+    tx.interferers += heard(COLLIDER)
+    overlaps = overlapping(tx)
+    assert overlaps.on(0)[0].tolist() == [4, 2]
+    assert not overlaps.corrupts(None, ())
+    assert overlaps.corrupts(1, (0, 1))
 
 
 def test_decode_and_nav_sinr_apply_the_same_rule():
     medium = Medium(Simulator(), LOSS, phy.NOISE_FIGURE_DB)
     tx = frame(**TX)
-    tx.interferers = SKIPPED + [FAR, OTHER_ROUND]
+    tx.interferers = heard(*SKIPPED, FAR, OTHER_ROUND)
     nodes = np.arange(1, 5)
     corrupt, nav = medium.nav_sinr_vector(tx, nodes)
     assert not corrupt
@@ -73,7 +86,7 @@ def test_decode_and_nav_sinr_apply_the_same_rule():
         expected = desired - phy.mw_to_dbm(noise_mw + interference_mw)
         assert sinr == pytest.approx(expected, abs=1e-9)
         assert nav[k] == pytest.approx(expected, abs=1e-9)
-    tx.interferers.append(COLLIDER)
+    tx.interferers += heard(COLLIDER)
     assert medium.sinr_db(tx, 3, 15.0, SUBCHANNEL_HZ, 0, ru_index=1,
                           co_group=(0, 1)) is None
     corrupt, nav = medium.nav_sinr_vector(tx, nodes)
@@ -83,20 +96,35 @@ def test_decode_and_nav_sinr_apply_the_same_rule():
 
 def test_ended_frames_do_not_stay_reachable():
     """On a medium that is never idle, every frame overlaps one that is
-    still on the air.  Ended frames drop their interferer lists, so the
-    frames alive at any time stay a few dozen, not every frame sent."""
+    still on the air.  Interferer lists hold records, not frames, so a
+    frame dies after its last decode: none outlives its end by more than
+    one TXOP limit, and the frames alive at any time stay a few dozen, not
+    every frame sent."""
     cfg = default_config("outdoor_multi", n_bss=7, stas_per_bss=16,
                          duration_s=0.15)
     ctx = RunContext(cfg, "ax_sr")
     for engine in ctx.engines:
         engine.kick()
-    sent = []
-    ctx.medium.listeners.append(
-        lambda event, tx: event == "start" and sent.append(weakref.ref(tx)))
-    live = []
-    for k in (1, 2, 3):
-        ctx.sim.run_until(cfg.duration_ns * k // 3)
-        gc.collect()
-        live.append(sum(ref() is not None for ref in sent))
-    assert len(sent) > 1000
-    assert max(live) < 100
+    alive = {}          # tx_id -> (weak reference, end)
+    lived_past_end = []
+    most_alive = 0
+
+    def watch(event, tx):
+        nonlocal most_alive
+        if event != "start":
+            return
+
+        def died(_ref, tx_id=tx.tx_id):
+            lived_past_end.append(ctx.sim.now - alive.pop(tx_id)[1])
+
+        alive[tx.tx_id] = (weakref.ref(tx, died), tx.end_ns)
+        most_alive = max(most_alive, len(alive))
+
+    ctx.medium.listeners.append(watch)
+    ctx.sim.run_until(cfg.duration_ns)
+    gc.collect()
+    txop_limit_ns = cfg.mac.txop_limit_us * US
+    assert len(lived_past_end) > 1000
+    assert max(lived_past_end) <= txop_limit_ns
+    assert all(end_ns >= ctx.sim.now - txop_limit_ns for _, end_ns in alive.values())
+    assert most_alive < 100
