@@ -13,19 +13,18 @@ if TYPE_CHECKING:
     from .engine import SimNode
     from .traffic import CbrFlow
 
-CW_MIN = 15
-CW_MAX = 1023
-
 
 @dataclass
 class BackoffState:
-    cw_min: int = CW_MIN
-    cw_max: int = CW_MAX
-    cw: int = field(default=-1)
+    """A node's EDCA contention window between the MacSection's cw_min and
+    cw_max, starting at cw_min."""
+
+    cw_min: int
+    cw_max: int
+    cw: int = field(init=False)
 
     def __post_init__(self):
-        if self.cw < 0:
-            self.cw = self.cw_min
+        self.cw = self.cw_min
 
     def draw(self, rng) -> int:
         return rng.randint(0, self.cw)

@@ -1,5 +1,9 @@
 """Scenario and scheme configuration: dataclass defaults per scenario table,
-INI-file loading with strict key checking, and the scheme feature matrix."""
+INI-file loading with strict key checking, and the scheme feature matrix.
+
+This module is the only place that holds a model parameter's value.  The
+rule modules take every value from a ``ScenarioConfig`` or one of its
+sections, and hold no default of their own."""
 
 from __future__ import annotations
 
@@ -128,8 +132,14 @@ class ScenarioConfig:
             problems.append("warmup fraction must be in [0, 1)")
         if self.per_sta_rate_mbps < 0:
             problems.append("per-STA rate must be non-negative")
+        if self.packet_bytes < 1:
+            problems.append("packets must hold at least one byte")
+        if self.mac.cw_min < 0 or self.mac.ocw_min < 0:
+            problems.append("contention window min must be non-negative")
         if self.mac.cw_min > self.mac.cw_max or self.mac.ocw_min > self.mac.ocw_max:
             problems.append("contention window min above max")
+        if not 0 <= self.mac.ra_ru_fraction <= 1:
+            problems.append("random-access RU fraction must be in [0, 1]")
         if self.sr.obss_pd_min_dbm > self.sr.obss_pd_max_dbm:
             problems.append("OBSS_PD min above max")
         return problems
@@ -144,31 +154,21 @@ class ScenarioConfig:
 
 
 def default_config(kind: str, **overrides) -> ScenarioConfig:
-    """Scenario defaults per the four parameter tables."""
-    if kind == INDOOR_SINGLE:
-        cfg = ScenarioConfig(kind=kind)
-    elif kind == OUTDOOR_SINGLE:
-        cfg = ScenarioConfig(kind=kind)
-        cfg.phy.pathloss_near_exponent = 3.0
-        cfg.phy.pathloss_far_exponent = 3.0
-        cfg.phy.pathloss_breakpoint_m = 1.0
-        cfg.phy.shadowing_sigma_db = 8.0
-        cfg.phy.mu_stream_penalty_db = 5.5
-    elif kind == INDOOR_MULTI:
-        cfg = ScenarioConfig(kind=kind, n_bss=32, per_sta_rate_mbps=3.0)
-        cfg.radio.ap_antennas = 2
-        cfg.radio.sta_antennas = 2
-    elif kind == OUTDOOR_MULTI:
-        cfg = ScenarioConfig(kind=kind, n_bss=19, per_sta_rate_mbps=3.0)
-        cfg.radio.ap_antennas = 2
-        cfg.radio.sta_antennas = 2
-        cfg.phy.pathloss_near_exponent = 3.0
-        cfg.phy.pathloss_far_exponent = 3.0
-        cfg.phy.pathloss_breakpoint_m = 1.0
-        cfg.phy.shadowing_sigma_db = 8.0
-        cfg.phy.mu_stream_penalty_db = 5.5
-    else:
+    """Scenario defaults per the four parameter tables: the multi-BSS tables
+    change the BSS count, load and antennas, the outdoor ones the path loss
+    and the MU-MIMO stream penalty."""
+    if kind not in SCENARIO_KINDS:
         raise ConfigError(f"unknown scenario kind {kind!r}")
+    cfg = ScenarioConfig(kind=kind)
+    if kind in (INDOOR_MULTI, OUTDOOR_MULTI):
+        cfg.n_bss = 32 if kind == INDOOR_MULTI else 19
+        cfg.per_sta_rate_mbps = 3.0
+        cfg.radio.ap_antennas = cfg.radio.sta_antennas = 2
+    if kind in (OUTDOOR_SINGLE, OUTDOOR_MULTI):
+        cfg.phy.pathloss_near_exponent = cfg.phy.pathloss_far_exponent = 3.0
+        cfg.phy.pathloss_breakpoint_m = 1.0
+        cfg.phy.shadowing_sigma_db = 8.0
+        cfg.phy.mu_stream_penalty_db = 5.5
     for key, value in overrides.items():
         if not hasattr(cfg, key):
             raise ConfigError(f"unknown scenario field {key!r}")

@@ -10,11 +10,12 @@ import numpy as np
 
 from . import frames, mu, phy, ru, spatial
 from .baseline import BackoffState, Txop
-from .config import DL, UL, ScenarioConfig, Scheme, scheme_features
+from .config import (DL, INDOOR_MULTI, INDOOR_SINGLE, OUTDOOR_MULTI, OUTDOOR_SINGLE,
+                     ScenarioConfig, Scheme, scheme_features)
 from .core import DIFS, SIFS, SLOT_TIME, US, RngSet, RngStream, Simulator
 from .medium import Medium, RuPart, Transmission
 from .power import PowerState, intra_ppdu_doze
-from .spatial import INTRA_BSS, ObssPdConfig, TwoNav
+from .spatial import INTRA_BSS, TwoNav
 from .traffic import NO_SEQS, CbrFlow, FlowStats
 
 EIFS = SIFS + 44 * US + DIFS          # SIFS + legacy ACK airtime + DIFS
@@ -40,7 +41,7 @@ class SimNode:
     color: int
     power: PowerState = field(default_factory=PowerState)
     backoff: BackoffState | None = None
-    flow: CbrFlow | None = None               # UL traffic (STA side)
+    flow: CbrFlow | None = None               # a STA's traffic, either direction
     obo: mu.OboState | None = None
     sr_cap_dbm: float | None = None           # power cap for an SR-won TXOP
     in_txop: bool = False                     # holder side of a running exchange
@@ -51,12 +52,12 @@ class SimNode:
 
 
 class Contender:
-    """Arms and freezes one node's EDCA attempt around medium transitions."""
+    """Arms and freezes one node's EDCA attempt around medium transitions;
+    its AIFS is DIFS."""
 
-    def __init__(self, engine: "BssEngine", node: SimNode, aifs_ns: int):
+    def __init__(self, engine: "BssEngine", node: SimNode):
         self.engine = engine
         self.node = node
-        self.aifs_ns = aifs_ns
         self.gen = 0
         self.pending = False        # an attempt event is armed
         self.counter: int | None = None
@@ -96,7 +97,7 @@ class Contender:
         self.gen += 1
         self.pending = True
         self.armed_at = start
-        fire_at = start + self.aifs_ns + self.counter * SLOT_TIME
+        fire_at = start + DIFS + self.counter * SLOT_TIME
         gen = self.gen
         sim.at(fire_at, "backoff-attempt", i, lambda: self._fire(gen))
 
@@ -123,7 +124,7 @@ class Contender:
         medium, keeping the whole slots counted down since AIFS, or arm one
         on an idle medium under the SR power cap `cap`."""
         if blocked:
-            elapsed = self.engine.sim.now - (self.armed_at + self.aifs_ns)
+            elapsed = self.engine.sim.now - (self.armed_at + DIFS)
             if elapsed > 0 and self.counter:
                 self.counter = max(0, self.counter - elapsed // SLOT_TIME)
             self.pending = False
@@ -164,7 +165,6 @@ class BssEngine:
         self.nss = min(self.cfg.radio.sta_antennas, self.cfg.radio.ap_antennas)
         self.contending: tuple[SimNode, ...] = ()   # the nodes that run EDCA
         self.contenders: dict[int, Contender] = {}
-        self.dl_flows: dict[int, CbrFlow] = {}
         self.mpdu_bits = frames.mpdu_bits(self.cfg.packet_bytes)
 
     # --- carrier sensing / doze ----------------------------------------------------
@@ -297,9 +297,7 @@ class BssEngine:
             - self.ctx.effective_noise_dbm(rx, tones, self.bss_id) \
             + phy.mu_mimo_sinr_adjustment_db(rx.antennas, streams or self.nss,
                                              shared, self.cfg.phy.mu_stream_penalty_db)
-        mcs = self.ctx.per_model.select_mcs(snr, tones or 0,
-                                            self.cfg.phy.mcs_target_per,
-                                            self.features.max_mcs)
+        mcs = self.ctx.per_model.select_mcs(snr, tones or 0, self.features.max_mcs)
         subcarriers = VHT_DATA_SUBCARRIERS[self.cfg.bandwidth_mhz] \
             if tones is None else ru.data_subcarriers(tones)
         return mcs, subcarriers * mcs.bits_per_symbol * float(mcs.coding_rate) \
@@ -326,18 +324,13 @@ class BssEngine:
         for sta in self.stas:
             phase = rng.randint(0, max(1, int(8 * self.cfg.packet_bytes * 1e9
                                               / max(rate, 1e-9))))
-            if self.cfg.direction == UL:
-                sta.flow = CbrFlow(sta.node_id, rate, self.cfg.packet_bytes, phase)
-            else:
-                self.dl_flows[sta.node_id] = CbrFlow(
-                    sta.node_id, rate, self.cfg.packet_bytes, phase)
+            sta.flow = CbrFlow(sta.node_id, rate, self.cfg.packet_bytes, phase)
             self.ctx.stats[sta.node_id] = FlowStats()
 
     def kick(self) -> None:
         for node in self.contending:
-            node.backoff = BackoffState(cw_min=self.cfg.mac.cw_min,
-                                        cw_max=self.cfg.mac.cw_max)
-            self.contenders[node.node_id] = Contender(self, node, DIFS)
+            node.backoff = BackoffState(self.cfg.mac.cw_min, self.cfg.mac.cw_max)
+            self.contenders[node.node_id] = Contender(self, node)
         self.sim.at(0, "kick", self.ap.node_id, self._poll_traffic)
 
     def _poll_traffic(self) -> None:
@@ -350,12 +343,7 @@ class BssEngine:
     def has_work(self, node: SimNode) -> bool:
         """Whether node has traffic to contend for: a STA for its own uplink
         flow, the AP for every flow of the BSS it serves or triggers."""
-        if self.cfg.direction == DL:
-            flows = self.dl_flows.values()
-        elif node.is_ap:
-            flows = (sta.flow for sta in self.stas)
-        else:
-            flows = (node.flow,)
+        flows = (sta.flow for sta in self.stas) if node.is_ap else (node.flow,)
         now = self.sim.now
         return any(f.backlog_count(now) > 0 for f in flows)
 
@@ -376,13 +364,12 @@ class AcBssEngine(BssEngine):
 
     def on_backoff_complete(self, holder: SimNode) -> None:
         now = self.sim.now
-        if holder.is_ap:
-            candidates = [s for s, f in self.dl_flows.items()
-                          if f.backlog_count(now) > 0]
+        if holder.is_ap:            # downlink: one backlogged STA at random
+            candidates = [s for s in self.stas if s.flow.backlog_count(now) > 0]
             if not candidates:
                 return
-            peer = self.by_id[self.rng_sched.choice(candidates)]
-            flow = self.dl_flows[peer.node_id]
+            peer = self.rng_sched.choice(candidates)
+            flow = peer.flow
         else:
             peer, flow = self.ap, holder.flow
             if flow.backlog_count(now) == 0:
@@ -482,8 +469,7 @@ class AxBssEngine(BssEngine):
         if self.features.ul_mu_mimo:
             self.users_per_ru = max(1, min(2, self.cfg.radio.ap_antennas // self.nss))
         for sta in stas:
-            sta.obo = mu.OboState(ocw_min=self.cfg.mac.ocw_min,
-                                  ocw_max=self.cfg.mac.ocw_max)
+            sta.obo = mu.OboState(self.cfg.mac.ocw_min, self.cfg.mac.ocw_max)
 
     # --- TXOP structure -----------------------------------------------------------------
 
@@ -590,9 +576,7 @@ class AxBssEngine(BssEngine):
             if sta.aid in queued and sta.flow.backlog_count(now) == 0:
                 self.bsr.ingest(sta.aid, 0)
         tf = mu.build_schedule(self.bsr.backlogged(), self.layout, self.rng_sched,
-                               ra_fraction=self.cfg.mac.ra_ru_fraction,
-                               users_per_ru=self.users_per_ru,
-                               nss_of=lambda aid: self.nss)
+                               self.cfg.mac.ra_ru_fraction, self.users_per_ru, self.nss)
         if tf is None:
             self._finish_txop(txop, txop.any_data)
             return
@@ -739,11 +723,9 @@ class AxBssEngine(BssEngine):
 
     def _dl_round(self, txop: Txop) -> None:
         now = self.sim.now
-        backlogged = [sta.aid for sta in self.stas
-                      if self.dl_flows[sta.node_id].backlog_count(now) > 0]
-        tf = mu.build_schedule(backlogged, self.layout, self.rng_sched,
-                               users_per_ru=self.users_per_ru,
-                               nss_of=lambda aid: self.nss)
+        backlogged = [sta.aid for sta in self.stas if sta.flow.backlog_count(now) > 0]
+        tf = mu.build_schedule(backlogged, self.layout, self.rng_sched, 0.0,
+                               self.users_per_ru, self.nss)
         if tf is None:
             self._finish_txop(txop, txop.any_data)
             return
@@ -763,7 +745,7 @@ class AxBssEngine(BssEngine):
                                       self.ap, self.by_id[sta_id], tones,
                                       self.nss * users, users > 1)
                 backlog = min(self.features.ampdu_cap,
-                              self.dl_flows[sta_id].backlog_count(now))
+                              self.by_id[sta_id].flow.backlog_count(now))
                 air = frames.data_duration_ns(phy.HE_MU_PPDU,
                                               backlog * self.mpdu_bits, bps)
                 plan[sta_id] = (ru_index, mcs, bps)
@@ -787,7 +769,7 @@ class AxBssEngine(BssEngine):
                 bps = plan[sta_id][2]
                 n = frames.mpdus_that_fit(dl_duration, phy.HE_MU_PPDU, bps,
                                           self.mpdu_bits, self.features.ampdu_cap)
-                seqs = self.dl_flows[sta_id].take(now, n)
+                seqs = self.by_id[sta_id].flow.take(now, n)
                 if len(seqs):
                     taken[sta_id] = seqs
                     served.append(sta_id)
@@ -822,12 +804,11 @@ class AxBssEngine(BssEngine):
                 eff = sinr + phy.mu_mimo_sinr_adjustment_db(
                     sta.antennas, self.nss * users_on_ru, users_on_ru > 1,
                     self.cfg.phy.mu_stream_penalty_db)
-            outcomes[sta_id] = self.mpdu_outcomes(self.dl_flows[sta_id], seqs,
-                                                  eff, mcs)
+            outcomes[sta_id] = self.mpdu_outcomes(sta.flow, seqs, eff, mcs)
         responders = [s for s, (survivors, _) in outcomes.items() if len(survivors)]
         if not responders:
             for sta_id in outcomes:
-                self.dl_flows[sta_id].requeue(taken[sta_id])
+                self.by_id[sta_id].flow.requeue(taken[sta_id])
             self.sim.after(EIFS, "eifs-expiry", self.ap.node_id,
                            lambda: self._finish_txop(txop, success=False))
             return
@@ -851,8 +832,8 @@ class AxBssEngine(BssEngine):
             if self.mcs0_decodes(self._ru_sinr(ba), frames.BA_BYTES):
                 acked.add(sta_id)
         for sta_id, (_, failed) in outcomes.items():
-            self.dl_flows[sta_id].requeue(failed if sta_id in acked
-                                          else taken[sta_id])
+            self.by_id[sta_id].flow.requeue(failed if sta_id in acked
+                                            else taken[sta_id])
         if not acked:
             self.sim.after(EIFS, "eifs-expiry", self.ap.node_id,
                            lambda: self._finish_txop(txop, success=False))
@@ -917,42 +898,23 @@ class RunContext:
         self.features = scheme_features(scheme)
         self.sim = Simulator(trace=trace)
         self.rng = RngSet(cfg.seed)
-        self.per_model = phy.PerModel(
-            thresholds_db={i: cfg.phy.per_threshold_base_db
-                           + cfg.phy.per_threshold_step_db * i
-                           for i in phy.MCS_TABLE},
-            slope_db=cfg.phy.per_slope_db)
-        self.obss_cfg = ObssPdConfig(cfg.sr.obss_pd_min_dbm,
-                                     cfg.sr.obss_pd_max_dbm,
-                                     cfg.sr.txpwr_ref_dbm)
+        self.per_model = phy.PerModel(cfg.phy)
         self.intra_ppdu_doze = intra_ppdu_doze
         self.poll_interval_ns = 20 * 1000 * US
         self.subchannels = frozenset(range(cfg.bandwidth_mhz // 20))
 
-        placement_rng = self.rng.stream("placement")
-        kind = cfg.kind
-        if kind == "indoor_single":
-            topology = topo.gen_indoor_single(placement_rng, cfg.stas_per_bss,
-                                              cfg.room_area_m2)
-        elif kind == "outdoor_single":
-            topology = topo.gen_outdoor_single(placement_rng, cfg.stas_per_bss,
-                                               cfg.cell_inradius_m)
-        elif kind == "indoor_multi":
-            topology = topo.gen_indoor_multi(placement_rng, cfg.n_bss,
-                                             cfg.stas_per_bss, cfg.room_area_m2)
-        else:
-            topology = topo.gen_outdoor_multi(placement_rng, cfg.n_bss,
-                                              cfg.stas_per_bss, cfg.ap_spacing_m)
-        self.topology = topology
+        generate = {INDOOR_SINGLE: topo.gen_indoor_single,
+                    OUTDOOR_SINGLE: topo.gen_outdoor_single,
+                    INDOOR_MULTI: topo.gen_indoor_multi,
+                    OUTDOOR_MULTI: topo.gen_outdoor_multi}[cfg.kind]
+        topology = self.topology = generate(self.rng.stream("placement"), cfg)
 
         n = len(topology.placements)
-        model = phy.PathLossModel(
-            cfg.phy.pathloss_near_exponent, cfg.phy.pathloss_far_exponent,
-            cfg.phy.pathloss_breakpoint_m, cfg.phy.shadowing_sigma_db)
         self.loss_db = loss_matrix(
             np.array([p.x for p in topology.placements]),
             np.array([p.y for p in topology.placements]),
-            model, cfg.radio.frequency_ghz, self.rng.stream("shadowing"))
+            phy.PathLossModel(cfg.phy), cfg.radio.frequency_ghz,
+            self.rng.stream("shadowing"))
         self.medium = Medium(self.sim, self.loss_db, cfg.radio.noise_figure_db)
         self._round_counter = 0
         self._cs_sensed: list[Transmission] | None = None
@@ -1030,7 +992,7 @@ class RunContext:
             if not self.features.spatial_reuse:
                 tx.cs_rows = (hears, None)
                 return tx.cs_rows
-            allowed = spatial.max_sr_tx_power_row(p, self.obss_cfg)
+            allowed = spatial.max_sr_tx_power_row(p, self.cfg.sr)
             snr = allowed - self.worst_loss \
                 - phy.noise_dbm(20e6, self.cfg.radio.noise_figure_db)
             # where no cap exists allowed is NaN, every comparison with it is
@@ -1089,7 +1051,7 @@ class RunContext:
             # an inter-BSS frame under the OBSS_PD maximum: some reduced
             # transmit power clears its OBSS_PD level, so skip the basic NAV
             # and control power when contending
-            keep = intra | (tx.rx_dbm[hearing] >= self.obss_cfg.level_max_dbm)
+            keep = intra | (tx.rx_dbm[hearing] >= self.cfg.sr.obss_pd_max_dbm)
             hearing = hearing[keep]
             intra = intra[keep]
         self.nav.update(hearing, intra, now, tx.nav_duration_ns,
@@ -1111,7 +1073,7 @@ class RunContext:
         noise_mw = phy.dbm_to_mw(
             phy.noise_dbm(band, self.cfg.radio.noise_figure_db))
         interference = self.medium.interference_dbm(
-            rx.node_id, min(band, 20e6), 0, own_bss, self.sim.now)
+            rx.node_id, min(band, 20e6), own_bss, self.sim.now)
         return phy.mw_to_dbm(noise_mw + phy.dbm_to_mw(interference))
 
     def deliver(self, flow: CbrFlow, seqs: np.ndarray) -> None:

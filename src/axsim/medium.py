@@ -90,12 +90,6 @@ class Transmission:
     def power_per_subchannel_dbm(self) -> float:
         return self._per_subchannel_dbm
 
-    def power_into_hz(self, band_hz: float, subchannel: int) -> float | None:
-        """Power this transmission leaks into band_hz of the given subchannel."""
-        if subchannel not in self.subchannels:
-            return None
-        return self._per_subchannel_dbm + band_share_db(band_hz)
-
 
 def band_share_db(band_hz: float) -> float:
     """The share of one 20 MHz subchannel's power that falls in band_hz."""
@@ -306,15 +300,15 @@ class Medium:
             interference_mw = terms.sum(axis=0)
         return False, desired - 10.0 * np.log10(noise_mw + interference_mw)
 
-    def interference_dbm(self, rx_node: int, band_hz: float, subchannel: int,
-                         exclude_bss: int, now_ns: int) -> float:
-        """Current other-BSS energy at a receiver, for link adaptation."""
+    def interference_dbm(self, rx_node: int, band_hz: float, exclude_bss: int,
+                         now_ns: int) -> float:
+        """Current other-BSS energy at a receiver in band_hz of the primary
+        20 MHz, for link adaptation."""
+        share_db = band_share_db(band_hz)
         total_mw = 0.0
         for tx in self.active.values():
-            if tx.bss_id == exclude_bss or tx.end_ns <= now_ns:
+            if tx.bss_id == exclude_bss or tx.end_ns <= now_ns or 0 not in tx.subchannels:
                 continue
-            leak = tx.power_into_hz(band_hz, subchannel)
-            if leak is None:
-                continue
+            leak = tx._per_subchannel_dbm + share_db
             total_mw += phy.dbm_to_mw(self.rx_power_dbm(tx.tx_node, rx_node, leak))
         return phy.mw_to_dbm(total_mw)

@@ -83,9 +83,9 @@ def validate_tf(tf: TriggerFrame) -> list[str]:
 
 @dataclass
 class OboState:
-    ocw_min: int = 7            # defaults ride in the Beacon
-    ocw_max: int = 31
-    ocw: int = field(default=-1)
+    ocw_min: int                # the MacSection's; they ride in the Beacon
+    ocw_max: int
+    ocw: int = field(default=-1)    # -1: start at ocw_min
     obo: int | None = None      # None until the first draw
     candidate_ru: int | None = None   # index into the TF's RA RUs, this round
 
@@ -95,15 +95,15 @@ class OboState:
 
 
 def uora_update(state: OboState, n_ra_rus: int, rng,
-                boundary_eligible: bool = True) -> tuple[bool, OboState]:
+                boundary_eligible: bool) -> tuple[bool, OboState]:
     """One TF round of OFDMA backoff.
 
     The counter drops by the number of random-access RUs; reaching (or
     crossing) zero makes the STA eligible to pick a candidate RU now.  The
     stated rule only says "below the number of RUs", but the worked example
-    transmits at obo == n_ra_rus, so the boundary counts as eligible by
-    default; set boundary_eligible=False for the strict-less reading
-    (eligible at the next TF).
+    transmits at obo == n_ra_rus, so boundary_eligible (the MacSection's
+    uora_boundary_eligible) counts that boundary as eligible; without it
+    the strict-less reading holds (eligible at the next TF).
     """
     if n_ra_rus < 1:
         return False, state  # this TF round does not support random access
@@ -170,13 +170,12 @@ class BsrTable:
 
 # --- scheduling -----------------------------------------------------------------------
 
-def build_schedule(backlogged: list[int], layout: RuLayout, rng,
-                   ra_fraction: float = 0.0, users_per_ru: int = 1,
-                   nss_of=lambda sta: 1) -> TriggerFrame | None:
-    """Hybrid schedule over a validated layout: a configured fraction of RUs
+def build_schedule(backlogged: list[int], layout: RuLayout, rng, ra_fraction: float,
+                   users_per_ru: int, nss: int) -> TriggerFrame | None:
+    """Hybrid schedule over a validated layout: ra_fraction of the RUs
     opens for random access, the rest go to uniformly random STAs of the
     backlogged AIDs, given ascending (the baseline policy).  MU-MIMO packs
-    users_per_ru where admissible."""
+    users_per_ru where admissible; every user sends nss streams."""
     n_rus = len(layout.rus)
     n_ra = round(ra_fraction * n_rus)
     ra_indices = range(n_rus - n_ra, n_rus)
@@ -194,8 +193,7 @@ def build_schedule(backlogged: list[int], layout: RuLayout, rng,
         placed = 0
         while pool and placed < group:
             sta = pool.pop()
-            users.append(TfUser(sta, ru_index, n_ss=nss_of(sta),
-                                ss_start=placed * nss_of(sta)))
+            users.append(TfUser(sta, ru_index, n_ss=nss, ss_start=placed * nss))
             placed += 1
         if placed > 1:
             mu_mode = 1

@@ -6,10 +6,12 @@ symbol (``BssEngine._link``) over the symbol time (``frames``)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .config import PhySection
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -17,8 +19,6 @@ SPEED_OF_LIGHT = 299_792_458.0
 HE_SYMBOL_US = 12.8
 LEGACY_SYMBOL_US = 3.2
 LEGACY_GI_US = 0.8
-
-NOISE_FIGURE_DB = 7.0
 
 # (bits per modulation symbol, coding rate) per MCS index.  Indices 10-11 are
 # 1024-QAM and additionally require an RU of at least 242 tones.
@@ -39,12 +39,14 @@ MCS_TABLE: dict[int, tuple[int, Fraction]] = {
 
 MIN_RU_TONES_FOR_1024QAM = 242
 
-# Per-MCS SINR thresholds (dB) where PER at the 1500-byte reference length is
-# 0.5; spaced 2.5 dB from 2 dB, logistic slope 1 dB.  Acceptance checks use
-# throughput ratios, so only monotonicity and spacing matter.
-PER_REF_BYTES = 1500
-PER_SLOPE_DB = 1.0
-MCS_SINR_THRESHOLD_DB = {i: 2.0 + 2.5 * i for i in MCS_TABLE}
+# PER is a logistic in SINR at a 1500-byte reference length, stretched to a
+# frame's length; below PER_FLOOR_MARGIN slope units under an MCS's
+# threshold it pins to 1.  The thresholds and the slope are PhySection's.
+PER_REF_BITS = 1500 * 8
+PER_FLOOR_MARGIN = 2.0
+
+# Distances below this are taken as this, so the log-distance loss stays finite.
+MIN_DISTANCE_M = 0.1
 
 
 class InvalidPhyConfig(ValueError):
@@ -85,35 +87,26 @@ HE_MU_PPDU = PpduFormat("HE-MU", 56.0)
 HE_TB_PPDU = PpduFormat("HE-TB", 48.0)
 
 
-@dataclass
 class PathLossModel:
-    """Log-distance loss around a 1 m free-space reference, with optional
-    lognormal shadowing and an indoor dual-slope breakpoint.
+    """Log-distance loss around a 1 m free-space reference, with lognormal
+    shadowing and a dual-slope breakpoint, as the PhySection sets them.
 
     Below ``breakpoint_m`` the near exponent applies; beyond it the far
     exponent takes over, continuously.  Outdoor uses a single slope.
     """
 
-    near_exponent: float = 2.0
-    far_exponent: float = 3.5
-    breakpoint_m: float = 10.0
-    shadowing_sigma_db: float = 0.0
-    min_distance_m: float = 0.1
-
-    @classmethod
-    def indoor(cls, sigma_db: float = 0.0) -> "PathLossModel":
-        return cls(2.0, 3.5, 10.0, sigma_db)
-
-    @classmethod
-    def outdoor(cls, sigma_db: float = 0.0) -> "PathLossModel":
-        return cls(3.0, 3.0, 1.0, sigma_db)
+    def __init__(self, phy: PhySection):
+        self.near_exponent = phy.pathloss_near_exponent
+        self.far_exponent = phy.pathloss_far_exponent
+        self.breakpoint_m = phy.pathloss_breakpoint_m
+        self.shadowing_sigma_db = phy.shadowing_sigma_db
 
     def loss_db(self, distance_m: float | np.ndarray, frequency_ghz: float,
                 shadow_db: float | np.ndarray = 0.0) -> float | np.ndarray:
         """Loss in dB at a distance, or element-wise over an array of
         distances (with a shadowing term or an array of them); a scalar
         distance gives a float."""
-        d = np.maximum(distance_m, self.min_distance_m)
+        d = np.maximum(distance_m, MIN_DISTANCE_M)
         ref = fspl_db(1.0, frequency_ghz)
         near = ref + 10.0 * self.near_exponent * np.log10(d)
         far = ref + 10.0 * self.near_exponent * math.log10(self.breakpoint_m) \
@@ -136,18 +129,21 @@ def mw_to_dbm(mw: float) -> float:
     return 10.0 * math.log10(mw)
 
 
-def noise_dbm(bandwidth_hz: float, noise_figure_db: float = NOISE_FIGURE_DB) -> float:
+def noise_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
     return -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
 
 
-@dataclass
 class PerModel:
-    """Logistic reference-length PER stretched to frame length by bit-error independence."""
+    """Logistic reference-length PER stretched to frame length by bit-error
+    independence, and link adaptation against it, as the PhySection sets
+    them: MCS i's threshold (PER 0.5 at the reference length) lies at
+    base + step * i dB."""
 
-    thresholds_db: dict[int, float] = field(default_factory=lambda: dict(MCS_SINR_THRESHOLD_DB))
-    slope_db: float = PER_SLOPE_DB
-    ref_bits: int = PER_REF_BYTES * 8
-    floor_margin: float = 2.0       # slope units below threshold where PER pins to 1
+    def __init__(self, phy: PhySection):
+        self.thresholds_db = {i: phy.per_threshold_base_db + phy.per_threshold_step_db * i
+                              for i in MCS_TABLE}
+        self.slope_db = phy.per_slope_db
+        self.target_per = phy.mcs_target_per
 
     def per_ref(self, effective_sinr: float, mcs: Mcs) -> float:
         x = (effective_sinr - self.thresholds_db[mcs.index]) / self.slope_db
@@ -161,24 +157,25 @@ class PerModel:
         if frame_bits <= 0:
             raise InvalidPhyConfig("frame_bits must be positive")
         x = (effective_sinr - self.thresholds_db[mcs.index]) / self.slope_db
-        if x <= -self.floor_margin:
+        if x <= -PER_FLOOR_MARGIN:
             # below the waterfall the bit-error independence assumption breaks;
             # short frames must not length-scale their way into surviving
             return 1.0
         p_ref = self.per_ref(effective_sinr, mcs)
         if p_ref >= 1.0:
             return 1.0
-        return 1.0 - (1.0 - p_ref) ** (frame_bits / self.ref_bits)
+        return 1.0 - (1.0 - p_ref) ** (frame_bits / PER_REF_BITS)
 
-    def select_mcs(self, effective_sinr: float, ru_tones: int,
-                   target_per: float = 0.1, max_index: int = 11) -> Mcs:
-        """Highest-index MCS with reference-length PER <= target; MCS0 floor.
+    def select_mcs(self, effective_sinr: float, ru_tones: int, max_index: int) -> Mcs:
+        """Highest-index MCS up to max_index with reference-length PER at most
+        the target PER; MCS0 floor.
 
         1024-QAM (MCS 10/11) is only eligible on RUs of >= 242 tones.  The
         floor MCS0 may exceed the PER target on a degraded link; that is a
         degraded link, not an error.
         """
         best = MCS_CANDIDATES[0]
+        target_per = self.target_per
         for candidate in MCS_CANDIDATES:
             index = candidate.index
             if index > max_index:
@@ -196,9 +193,8 @@ MCS_CANDIDATES = tuple(Mcs(i) for i in sorted(MCS_TABLE))
 
 # MU-MIMO receive abstraction: the receiver's array gives 10*log10(rx_ant /
 # streams) of combining headroom, and streams sharing an RU pay a fixed
-# separation penalty.  This recreates "MU-MIMO underperforms in poor channels"
-# without waveform simulation.
-MU_MIMO_STREAM_PENALTY_DB = 3.0
+# separation penalty (PhySection.mu_stream_penalty_db).  This recreates
+# "MU-MIMO underperforms in poor channels" without waveform simulation.
 
 
 def array_gain_db(rx_antennas: int, total_streams: int) -> float:
@@ -208,7 +204,7 @@ def array_gain_db(rx_antennas: int, total_streams: int) -> float:
 
 
 def mu_mimo_sinr_adjustment_db(rx_antennas: int, total_streams: int, shared: bool,
-                               penalty_db: float = MU_MIMO_STREAM_PENALTY_DB) -> float:
+                               penalty_db: float) -> float:
     adj = array_gain_db(rx_antennas, total_streams)
     if shared:
         adj -= penalty_db

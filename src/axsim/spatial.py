@@ -3,16 +3,12 @@ OBSS_PD level and spatial-reuse power cap."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .config import SrSection
 
 INTRA_BSS = "intra_bss"
 INTER_BSS = "inter_bss"
-
-
-class SpatialReuseError(ValueError):
-    pass
 
 
 def intra_bss(frame_color: int, colors: int | np.ndarray) -> bool | np.ndarray:
@@ -60,34 +56,21 @@ class TwoNav:
 
 # --- OBSS_PD ---------------------------------------------------------------------------
 
-@dataclass
-class ObssPdConfig:
-    level_min_dbm: float = -82.0
-    level_max_dbm: float = -62.0
-    txpwr_ref_dbm: float = 21.0
-
-    def __post_init__(self):
-        if self.level_min_dbm > self.level_max_dbm:
-            raise SpatialReuseError("OBSS_PD min above max")
+def obss_pd_level(txpwr_dbm: float, sr: SrSection) -> float:
+    return max(sr.obss_pd_min_dbm,
+               min(sr.obss_pd_max_dbm,
+                   sr.obss_pd_min_dbm + (sr.txpwr_ref_dbm - txpwr_dbm)))
 
 
-def obss_pd_level(txpwr_dbm: float, cfg: ObssPdConfig = ObssPdConfig()) -> float:
-    return max(cfg.level_min_dbm,
-               min(cfg.level_max_dbm,
-                   cfg.level_min_dbm + (cfg.txpwr_ref_dbm - txpwr_dbm)))
-
-
-def max_sr_tx_power(rx_power_dbm: float, cfg: ObssPdConfig = ObssPdConfig()) -> float | None:
+def max_sr_tx_power(rx_power_dbm: float, sr: SrSection) -> float | None:
     """Largest transmit power whose OBSS_PD level still exceeds the sensed frame."""
-    if rx_power_dbm >= cfg.level_max_dbm:
+    if rx_power_dbm >= sr.obss_pd_max_dbm:
         return None
-    return cfg.txpwr_ref_dbm + cfg.level_min_dbm - rx_power_dbm
+    return sr.txpwr_ref_dbm + sr.obss_pd_min_dbm - rx_power_dbm
 
 
-def max_sr_tx_power_row(rx_power_dbm: np.ndarray,
-                        cfg: ObssPdConfig = ObssPdConfig()) -> np.ndarray:
+def max_sr_tx_power_row(rx_power_dbm: np.ndarray, sr: SrSection) -> np.ndarray:
     """max_sr_tx_power element-wise over an array of sensed levels, with NaN
     where it is None."""
-    return np.where(rx_power_dbm >= cfg.level_max_dbm, np.nan,
-                    cfg.txpwr_ref_dbm + cfg.level_min_dbm - rx_power_dbm)
-
+    return np.where(rx_power_dbm >= sr.obss_pd_max_dbm, np.nan,
+                    sr.txpwr_ref_dbm + sr.obss_pd_min_dbm - rx_power_dbm)

@@ -1,10 +1,19 @@
 """Scenario geometry: indoor room-grid districts, outdoor hexagonal cells,
-and their multi-BSS tilings."""
+and their multi-BSS tilings.  Each generator lays out the BSSs, STAs and
+sizes of a ScenarioConfig."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+from .config import ScenarioConfig
+
+# An indoor district is a square grid of ROOMS_PER_SIDE x ROOMS_PER_SIDE
+# rooms ROOM_GAP_M apart; districts sit DISTRICT_GAP_M apart.
+ROOMS_PER_SIDE = 4
+ROOM_GAP_M = 1.0
+DISTRICT_GAP_M = 1.0
 
 
 @dataclass(frozen=True)
@@ -37,20 +46,18 @@ class Topology:
         return [p for p in self.placements if p.bss_id == bss_id]
 
 
-def _indoor_district(rng, bss_id, ap_xy, next_id, stas_per_bss=64,
-                     room_area_m2=4.0, rooms_per_side=4, gap_m=1.0):
+def _indoor_district(rng, bss_id, ap_xy, next_id, cfg: ScenarioConfig):
     """One AP centred among a symmetric grid of rooms, STAs uniform per room."""
-    side = math.sqrt(room_area_m2)
-    pitch = side + gap_m
-    extent = rooms_per_side * side + (rooms_per_side - 1) * gap_m
-    origin = -extent / 2
+    side = math.sqrt(cfg.room_area_m2)
+    pitch = side + ROOM_GAP_M
+    origin = -indoor_district_extent_m(cfg.room_area_m2) / 2
     placements = [Placement(next_id, bss_id, True, *ap_xy)]
     next_id += 1
-    n_rooms = rooms_per_side * rooms_per_side
-    per_room, extra = divmod(stas_per_bss, n_rooms)
+    n_rooms = ROOMS_PER_SIDE * ROOMS_PER_SIDE
+    per_room, extra = divmod(cfg.stas_per_bss, n_rooms)
     room_index = 0
-    for j in range(rooms_per_side):
-        for i in range(rooms_per_side):
+    for j in range(ROOMS_PER_SIDE):
+        for i in range(ROOMS_PER_SIDE):
             x0 = ap_xy[0] + origin + i * pitch
             y0 = ap_xy[1] + origin + j * pitch
             count = per_room + (1 if room_index < extra else 0)
@@ -63,15 +70,15 @@ def _indoor_district(rng, bss_id, ap_xy, next_id, stas_per_bss=64,
     return placements, next_id
 
 
-def indoor_district_extent_m(room_area_m2=4.0, rooms_per_side=4, gap_m=1.0) -> float:
+def indoor_district_extent_m(room_area_m2: float) -> float:
     side = math.sqrt(room_area_m2)
-    return rooms_per_side * side + (rooms_per_side - 1) * gap_m
+    return ROOMS_PER_SIDE * side + (ROOMS_PER_SIDE - 1) * ROOM_GAP_M
 
 
-def point_in_hexagon(x: float, y: float, inradius: float,
-                     cx: float = 0.0, cy: float = 0.0) -> bool:
-    """Flat-top hexagon with the given inradius (centre-to-edge distance)."""
-    dx, dy = abs(x - cx), abs(y - cy)
+def point_in_hexagon(x: float, y: float, inradius: float) -> bool:
+    """Whether (x, y) lies in the flat-top hexagon about the origin with the
+    given inradius (centre-to-edge distance)."""
+    dx, dy = abs(x), abs(y)
     if dy > inradius:
         return False
     # remaining two edge pairs at +-60 degrees
@@ -87,7 +94,7 @@ def _hex_uniform(rng, inradius, cx, cy):
             return (cx + x, cy + y)
 
 
-def _outdoor_cell(rng, bss_id, ap_xy, next_id, stas_per_bss=64, inradius_m=65.0):
+def _outdoor_cell(rng, bss_id, ap_xy, next_id, stas_per_bss, inradius_m):
     placements = [Placement(next_id, bss_id, True, *ap_xy)]
     next_id += 1
     for _ in range(stas_per_bss):
@@ -101,38 +108,38 @@ def _assign_colors(n_bss: int) -> dict[int, int]:
     return {b: 1 + (b % 63) for b in range(n_bss)}
 
 
-def gen_indoor_single(rng, stas_per_bss=64, room_area_m2=4.0) -> Topology:
-    placements, _ = _indoor_district(rng, 0, (0.0, 0.0), 0, stas_per_bss, room_area_m2)
+def gen_indoor_single(rng, cfg: ScenarioConfig) -> Topology:
+    placements, _ = _indoor_district(rng, 0, (0.0, 0.0), 0, cfg)
     return Topology(placements, _assign_colors(1))
 
 
-def gen_outdoor_single(rng, stas_per_bss=64, cell_inradius_m=65.0) -> Topology:
-    placements, _ = _outdoor_cell(rng, 0, (0.0, 0.0), 0, stas_per_bss, cell_inradius_m)
+def gen_outdoor_single(rng, cfg: ScenarioConfig) -> Topology:
+    placements, _ = _outdoor_cell(rng, 0, (0.0, 0.0), 0, cfg.stas_per_bss,
+                                  cfg.cell_inradius_m)
     return Topology(placements, _assign_colors(1))
 
 
-def gen_indoor_multi(rng, n_bss=32, stas_per_bss=64, room_area_m2=4.0,
-                     district_gap_m=1.0) -> Topology:
+def gen_indoor_multi(rng, cfg: ScenarioConfig) -> Topology:
     """Districts tiled as a near-square matrix (4 x 8 at the full 32)."""
+    n_bss = cfg.n_bss
     rows = int(math.sqrt(n_bss))
     while n_bss % rows:
         rows -= 1
     cols = n_bss // rows
-    pitch = indoor_district_extent_m(room_area_m2) + district_gap_m
+    pitch = indoor_district_extent_m(cfg.room_area_m2) + DISTRICT_GAP_M
     placements: list[Placement] = []
     next_id = 0
     bss = 0
     for r in range(rows):
         for c in range(cols):
             ap_xy = (c * pitch, r * pitch)
-            district, next_id = _indoor_district(rng, bss, ap_xy, next_id,
-                                                 stas_per_bss, room_area_m2)
+            district, next_id = _indoor_district(rng, bss, ap_xy, next_id, cfg)
             placements.extend(district)
             bss += 1
     return Topology(placements, _assign_colors(n_bss))
 
 
-def hex_ring_centers(ap_spacing_m: float, rings: int = 2) -> list[tuple[float, float]]:
+def hex_ring_centers(ap_spacing_m: float, rings: int) -> list[tuple[float, float]]:
     """Centres of a hexagonal lattice out to the given ring count (2 rings = 19)."""
     centers = [(0.0, 0.0)]
     for ring in range(1, rings + 1):
@@ -151,7 +158,10 @@ def hex_ring_centers(ap_spacing_m: float, rings: int = 2) -> list[tuple[float, f
     return centers[:1 + 3 * rings * (rings + 1)]
 
 
-def gen_outdoor_multi(rng, n_bss=19, stas_per_bss=64, ap_spacing_m=130.0) -> Topology:
+def gen_outdoor_multi(rng, cfg: ScenarioConfig) -> Topology:
+    """Hexagonal cells of inradius ap_spacing_m / 2 in rings around the first
+    (19 cells fill two rings)."""
+    n_bss, ap_spacing_m = cfg.n_bss, cfg.ap_spacing_m
     rings = 1
     while 1 + 3 * rings * (rings + 1) < n_bss:
         rings += 1
@@ -159,7 +169,7 @@ def gen_outdoor_multi(rng, n_bss=19, stas_per_bss=64, ap_spacing_m=130.0) -> Top
     placements: list[Placement] = []
     next_id = 0
     for bss, center in enumerate(centers):
-        cell, next_id = _outdoor_cell(rng, bss, center, next_id, stas_per_bss,
-                                      inradius_m=ap_spacing_m / 2)
+        cell, next_id = _outdoor_cell(rng, bss, center, next_id, cfg.stas_per_bss,
+                                      ap_spacing_m / 2)
         placements.extend(cell)
     return Topology(placements, _assign_colors(n_bss))

@@ -31,11 +31,13 @@ MULTI = dict(n_bss=3, stas_per_bss=8, per_sta_rate_mbps=13)
 
 def started(scheme: str, kind: str = "indoor_multi", direction: str = "ul",
             duration_s: float = 0.05, sr: dict | None = None, doze: bool = False,
-            **overrides) -> RunContext:
+            noise_figure_db: float | None = None, **overrides) -> RunContext:
     cfg = default_config(kind, direction=direction, duration_s=duration_s,
                          **overrides)
     for key, value in (sr or {}).items():
         setattr(cfg.sr, key, value)
+    if noise_figure_db is not None:
+        cfg.radio.noise_figure_db = noise_figure_db
     ctx = RunContext(cfg, scheme, intra_ppdu_doze=doze)
     for engine in ctx.engines:
         engine.kick()
@@ -62,10 +64,11 @@ def reference_cs_state(ctx: RunContext, node_id: int) -> tuple[bool, float | Non
             return True, None
         if spatial.classify_frame(tx.color, node.color) != spatial.INTER_BSS:
             return True, None
-        allowed = spatial.max_sr_tx_power(p, ctx.obss_cfg)
+        allowed = spatial.max_sr_tx_power(p, ctx.cfg.sr)
         if allowed is None or allowed < MIN_SR_TXPWR_DBM:
             return True, None
-        if allowed - worst - phy.noise_dbm(20e6) < ctx.per_model.thresholds_db[0]:
+        noise = phy.noise_dbm(20e6, ctx.cfg.radio.noise_figure_db)
+        if allowed - worst - noise < ctx.per_model.thresholds_db[0]:
             return True, None
         cap = allowed if cap is None else min(cap, allowed)
     return False, cap
@@ -102,10 +105,13 @@ def test_cs_state_matches_the_scalar_rule_without_spatial_reuse():
 
 # With the default OBSS_PD range every cap clears MIN_SR_TXPWR_DBM; a higher
 # OBSS_PD maximum lets stronger frames set caps below it, and indoor links
-# are short enough for such caps to pass the worst-link test.
+# are short enough for such caps to pass the worst-link test.  A 12 dB noise
+# figure moves that test.
 @pytest.mark.parametrize("kind, overrides, sr", [
     ("outdoor_multi", dict(n_bss=4, stas_per_bss=6, per_sta_rate_mbps=20), {}),
     ("indoor_multi", MULTI, {"obss_pd_max_dbm": -40.0}),
+    ("outdoor_multi", dict(n_bss=4, stas_per_bss=6, per_sta_rate_mbps=20,
+                           noise_figure_db=12.0), {}),
 ])
 def test_cs_state_matches_the_scalar_rule_with_spatial_reuse(kind, overrides, sr):
     ctx = started("ax_sr", kind=kind, sr=sr, **overrides)
@@ -162,8 +168,8 @@ def test_a_frozen_attempt_resumes_with_the_slots_left():
         ctx.loss_db[a.node_id, b.node_id] = ctx.loss_db[b.node_id, a.node_id] = loss
     attempts = []
     engine.on_backoff_complete = lambda node: attempts.append(ctx.sim.now)
-    sta.backoff = BackoffState()
-    contender = engine.contenders[sta.node_id] = Contender(engine, sta, DIFS)
+    sta.backoff = BackoffState(ctx.cfg.mac.cw_min, ctx.cfg.mac.cw_max)
+    contender = engine.contenders[sta.node_id] = Contender(engine, sta)
     contender.counter = 10
     contender.start()
     assert contender.pending and contender.armed_at == 0
@@ -258,7 +264,7 @@ def reference_sinr_db(ctx: RunContext, interferers: list[Transmission],
     overlaps = reference_overlapping(tx, interferers, subchannel, ru_index, co_group)
     if overlaps is None:
         return None
-    noise_mw = phy.dbm_to_mw(phy.noise_dbm(band_hz, ctx.medium.noise_figure_db))
+    noise_mw = phy.dbm_to_mw(phy.noise_dbm(band_hz, ctx.cfg.radio.noise_figure_db))
     share_db = 10.0 * math.log10(min(band_hz, SUBCHANNEL_HZ) / SUBCHANNEL_HZ)
     interference_mw = 0.0
     for other, weight in overlaps:
@@ -304,7 +310,7 @@ def reference_nav_sinr(ctx: RunContext, interferers: list[Transmission],
     """Readability SINR at every node, summing interferers in list order."""
     n = ctx.loss_db.shape[0]
     desired = tx.power_per_subchannel_dbm() - ctx.loss_db[tx.tx_node]
-    noise_mw = phy.dbm_to_mw(phy.noise_dbm(SUBCHANNEL_HZ))
+    noise_mw = phy.dbm_to_mw(phy.noise_dbm(SUBCHANNEL_HZ, ctx.cfg.radio.noise_figure_db))
     overlaps = reference_overlapping(tx, interferers, 0, tx.ru.ru_index if tx.ru else None,
                                      tx.ru.users if tx.ru else ())
     if overlaps is None:
@@ -316,9 +322,9 @@ def reference_nav_sinr(ctx: RunContext, interferers: list[Transmission],
     return False, desired - 10.0 * np.log10(noise_mw + interference_mw)
 
 
-def test_nav_sinr_at_hearing_nodes_equals_the_all_node_reference():
-    ctx = started("ax_sr", duration_s=0.1, **MULTI)
-    ctx.cfg.mac.ra_ru_fraction = 0.34       # UORA: random-access collisions
+def compare_nav_sinr_over_run(ctx: RunContext) -> list[bool]:
+    """Compare nav_sinr_vector with the reference at every frame end, at the
+    hearing nodes and at all nodes; returns whether each frame was corrupt."""
     interferers = Handovers(ctx)
     cca = ctx.cfg.phy.cca_threshold_dbm
     outcomes = []
@@ -337,8 +343,20 @@ def test_nav_sinr_at_hearing_nodes_equals_the_all_node_reference():
 
     ctx.medium.listeners.append(check)
     ctx.sim.run_until(ctx.cfg.duration_ns)
+    return outcomes
+
+
+def test_nav_sinr_at_hearing_nodes_equals_the_all_node_reference():
+    ctx = started("ax_sr", duration_s=0.1, **MULTI)
+    ctx.cfg.mac.ra_ru_fraction = 0.34       # UORA: random-access collisions
+    outcomes = compare_nav_sinr_over_run(ctx)
     assert outcomes.count(False) > 100
     assert outcomes.count(True) > 0
+
+
+def test_nav_sinr_equals_the_reference_at_another_noise_figure():
+    ctx = started("ax_sr", duration_s=0.05, noise_figure_db=12.0, **MULTI)
+    assert compare_nav_sinr_over_run(ctx).count(False) > 50
 
 
 def test_random_access_collision_corrupts_the_frame_at_every_node():
@@ -415,7 +433,7 @@ class ReferenceNavPass:
             cls = spatial.INTRA_BSS
             if ctx.features.spatial_reuse:
                 cls = spatial.classify_frame(tx.color, node.color)
-                if cls == spatial.INTER_BSS and tx.rx_dbm[i] < ctx.obss_cfg.level_max_dbm:
+                if cls == spatial.INTER_BSS and tx.rx_dbm[i] < ctx.cfg.sr.obss_pd_max_dbm:
                     self.seen["sr_skip"] += 1
                     continue
             if cls == spatial.INTER_BSS:

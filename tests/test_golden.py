@@ -6,7 +6,9 @@ integers.  ``report_row`` rounds, so a change that moves one PER or backoff
 draw can leave every row in place; it cannot leave these counts in place.
 ``golden_state.json`` pins each run's event count and every node's final
 intra-BSS NAV, basic NAV and EIFS deadline, so a change to the NAV pass that
-moves no delivery still shows.
+moves no delivery still shows.  Every point also keeps two invariants of its
+run: each node's energy ledger covers the whole run, and each flow delivers
+only packets that arrived by its end.
 
 The file ``golden_results.json`` pins the simulator's behaviour as it is,
 defects included.  In particular the multi-BSS points show the channel
@@ -24,6 +26,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from axsim import runner
@@ -113,6 +116,21 @@ def test_golden_flows(point_id):
 def test_golden_state(point_id):
     golden = json.loads(GOLDEN_STATE.read_text())
     assert run_state(point_id) == golden[point_id]
+
+
+@pytest.mark.parametrize("point_id", sorted(POINTS))
+def test_ledgers_cover_the_run_and_flows_deliver_only_arrived_packets(point_id):
+    cfg, scheme, doze = _config(point_id)
+    ctx = RunContext(cfg, Scheme(scheme), intra_ppdu_doze=doze)
+    stats = ctx.run()
+    delivered = 0
+    for node in ctx.nodes.values():
+        assert node.power.account.total_ns == cfg.duration_ns, node.node_id
+        if node.flow is not None:
+            seqs = np.flatnonzero(stats[node.flow.flow_id].delivered)
+            assert (seqs < node.flow.arrivals_by(cfg.duration_ns)).all(), node.node_id
+            delivered += len(seqs)
+    assert delivered > 0
 
 
 def test_golden_file_covers_every_point():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from axsim import phy, spatial
-from axsim.config import default_config
+from axsim.config import RadioSection, default_config
 from axsim.core import US
 from axsim.engine import MIN_SR_TXPWR_DBM, VHT_DATA_SUBCARRIERS, RunContext
 from axsim.medium import SUBCHANNEL_HZ, Transmission
@@ -39,8 +39,7 @@ def budget_mcs(ctx: RunContext, power_dbm: float, tx, rx, band_hz: float,
         + 10.0 * math.log10(rx.antennas / min(streams, rx.antennas))
     if shared:
         snr -= cfg.phy.mu_stream_penalty_db
-    mcs = ctx.per_model.select_mcs(snr, ru_tones, cfg.phy.mcs_target_per,
-                                   ctx.features.max_mcs)
+    mcs = ctx.per_model.select_mcs(snr, ru_tones, ctx.features.max_mcs)
     nss = min(cfg.radio.sta_antennas, cfg.radio.ap_antennas)
     return mcs, subcarriers * mcs.bits_per_symbol * float(mcs.coding_rate) * nss
 
@@ -186,6 +185,7 @@ def test_configured_noise_figure_sets_every_noise_floor():
     # a frame from every node in turn: each blocks the nodes whose capped
     # power could not close their BSS's worst link over the configured noise
     threshold = ctx.per_model.thresholds_db[0]
+    default_nf = RadioSection().noise_figure_db
     differs_at_default = 0
     for node in ctx.nodes.values():
         tx = frame(node)
@@ -195,12 +195,12 @@ def test_configured_noise_figure_sets_every_noise_floor():
             if i == node.node_id or p < cfg.phy.cca_threshold_dbm:
                 assert not blocked[i]
                 continue
-            allowed = spatial.max_sr_tx_power(p, ctx.obss_cfg)
+            allowed = spatial.max_sr_tx_power(p, cfg.sr)
             if ctx.colors[i] == node.color or allowed is None \
                     or allowed < MIN_SR_TXPWR_DBM:
                 assert blocked[i]
                 continue
             margin = allowed - ctx.worst_loss[i] - threshold
             assert blocked[i] == (margin < phy.noise_dbm(20e6, nf))
-            differs_at_default += blocked[i] != (margin < phy.noise_dbm(20e6))
+            differs_at_default += blocked[i] != (margin < phy.noise_dbm(20e6, default_nf))
     assert differs_at_default > 0

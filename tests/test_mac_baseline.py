@@ -11,6 +11,14 @@ from axsim.medium import Transmission
 from axsim.traffic import CbrFlow
 
 
+MAC = MacSection()
+
+
+def backoff() -> BackoffState:
+    """A contention window as the scenario tables set it."""
+    return BackoffState(MAC.cw_min, MAC.cw_max)
+
+
 class FixedRng:
     def randint(self, a, b):
         return a
@@ -19,7 +27,7 @@ class FixedRng:
 # --- backoff ---------------------------------------------------------------------
 
 def test_backoff_uniform_chi_square():
-    state = BackoffState()
+    state = backoff()
     rng = RngSet(11).stream("backoff")
     n = 100_000
     counts = [0] * 16
@@ -31,19 +39,19 @@ def test_backoff_uniform_chi_square():
 
 
 def test_backoff_degenerate_window():
-    state = BackoffState(cw=0)
+    state = BackoffState(0, 0)
     assert state.draw(FixedRng()) == 0
 
 
 def test_cw_doubling_saturates_at_1023():
-    state = BackoffState()
+    state = backoff()
     for _ in range(6):
         state.on_failure()
     assert state.cw == min(1023, 2 ** 6 * 16 - 1) == 1023
 
 
 def test_cw_resets_after_any_success():
-    state = BackoffState()
+    state = backoff()
     for _ in range(4):
         state.on_failure()
     assert state.cw > 15
@@ -87,8 +95,8 @@ def test_cs_virtual_dominates():
     engine, sta = sensing_sta(-90.0)
     nav = engine.ctx.nav
     nav.update(np.array([sta.node_id]), np.array([True]), engine.sim.now, 500 * US)
-    sta.backoff = BackoffState()
-    contender = Contender(engine, sta, DIFS)
+    sta.backoff = backoff()
+    contender = Contender(engine, sta)
     contender.start()
     assert contender.pending
     assert contender.armed_at == nav.intra_expiry_ns[sta.node_id] == 500 * US + 1

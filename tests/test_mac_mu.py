@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from axsim import mu
+from axsim.config import MacSection
 from axsim.core import RngSet
 from axsim.mu import (ACCESS_FAILURE, AID_RANDOM_ACCESS, AID_RESERVED,
                       BsrTable, OboState, TfUser, TriggerFrame,
@@ -27,6 +28,19 @@ class ScriptedRng:
 
     def shuffle(self, seq):
         pass
+
+
+MAC = MacSection()
+
+
+def obo(**fields) -> OboState:
+    """A STA's OFDMA backoff under the scenario tables' OCW range (7 to 31)."""
+    return OboState(MAC.ocw_min, MAC.ocw_max, **fields)
+
+
+def schedule(backlogged, layout, rng, ra_fraction=0.0, users_per_ru=1):
+    """build_schedule of single-stream users."""
+    return build_schedule(backlogged, layout, rng, ra_fraction, users_per_ru, nss=1)
 
 
 def fig17_layout():
@@ -71,10 +85,10 @@ def test_ra_ru_never_carries_streams():
 def test_uora_fig18_round1_updates():
     initial = [3, 5, 7, 8, 7, 0]
     rng = ScriptedRng(initial)
-    states = {sta: OboState(ocw=15) for sta in range(1, 7)}
+    states = {sta: obo(ocw=15) for sta in range(1, 7)}
     eligible = {}
     for sta in range(1, 7):
-        ok, states[sta] = uora_update(states[sta], 5, rng)
+        ok, states[sta] = uora_update(states[sta], 5, rng, MAC.uora_boundary_eligible)
         eligible[sta] = ok
     assert [sta for sta, ok in eligible.items() if ok] == [1, 2, 6]
     assert [states[s].obo for s in (3, 4, 5)] == [2, 3, 2]
@@ -83,15 +97,15 @@ def test_uora_fig18_round1_updates():
 
 def test_uora_boundary_configurable():
     rng = ScriptedRng([])
-    ok, state = uora_update(OboState(obo=5), 5, rng)
+    ok, state = uora_update(obo(obo=5), 5, rng, boundary_eligible=True)
     assert ok and state.obo == 0
-    ok, state = uora_update(OboState(obo=5), 5, rng, boundary_eligible=False)
+    ok, state = uora_update(obo(obo=5), 5, rng, boundary_eligible=False)
     assert not ok and state.obo == 0  # eligible at the next TF
 
 
 def test_uora_no_ra_rus_is_noop():
-    state = OboState(obo=4)
-    ok, after = uora_update(state, 0, ScriptedRng([]))
+    state = obo(obo=4)
+    ok, after = uora_update(state, 0, ScriptedRng([]), MAC.uora_boundary_eligible)
     assert not ok and after.obo == 4
 
 
@@ -110,10 +124,10 @@ def ru_outcomes(states, transmitted, n_ra_rus):
 def test_uora_fig18_two_rounds():
     # Round 1: five RA RUs, initial OBOs {3,5,7,8,7,0} for STA1..6.
     rng = ScriptedRng([3, 5, 7, 8, 7, 0])
-    states = {sta: OboState(ocw=15) for sta in range(1, 7)}
+    states = {sta: obo(ocw=15) for sta in range(1, 7)}
     eligible = {}
     for sta in sorted(states):
-        ok, states[sta] = uora_update(states[sta], 5, rng)
+        ok, states[sta] = uora_update(states[sta], 5, rng, MAC.uora_boundary_eligible)
         if ok:
             eligible[sta] = states[sta]
     assert sorted(eligible) == [1, 2, 6]
@@ -138,11 +152,11 @@ def test_uora_fig18_two_rounds():
     # counter reaches zero.  STA3 and STA5 pick the same RU and collide,
     # STA1 and STA4 succeed, STA7 defers on its NAV.
     del states[2], states[6]
-    states[7] = OboState(ocw=15)
+    states[7] = obo(ocw=15)
     rng2 = ScriptedRng([4])          # only STA7 still needs a draw
     eligible2 = {}
     for sta in sorted(states):
-        ok, states[sta] = uora_update(states[sta], 5, rng2)
+        ok, states[sta] = uora_update(states[sta], 5, rng2, MAC.uora_boundary_eligible)
         if ok:
             eligible2[sta] = states[sta]
     assert sorted(eligible2) == [1, 3, 4, 5, 7]
@@ -174,14 +188,14 @@ def test_zero_eligible_leaves_rus_idle():
 # --- OCW evolution ------------------------------------------------------------------------
 
 def test_ocw_restore_and_double():
-    assert ocw_on_result(OboState(ocw=7), acked=True).ocw == 7  # ocw_min default 7
-    assert ocw_on_result(OboState(ocw=7, ocw_max=31), acked=False).ocw == 15
-    assert ocw_on_result(OboState(ocw=31, ocw_max=31), acked=False).ocw == 31
+    assert ocw_on_result(obo(ocw=7), acked=True).ocw == 7  # the tables' ocw_min 7
+    assert ocw_on_result(obo(ocw=7), acked=False).ocw == 15
+    assert ocw_on_result(obo(ocw=31), acked=False).ocw == 31     # ocw_max 31
 
 
 @given(st.integers(0, 8))
 def test_ocw_never_exceeds_max(failures):
-    state = OboState(ocw_min=7, ocw_max=31)
+    state = obo()
     for _ in range(failures):
         state = ocw_on_result(state, acked=False)
         assert state.ocw_min <= state.ocw <= state.ocw_max
@@ -214,7 +228,7 @@ def test_build_schedule_uniform_assignment():
         table = BsrTable()
         for sta in (1, 2, 3):
             table.ingest(sta, 1500)
-        tf = build_schedule(table.backlogged(), layout, rng)
+        tf = schedule(table.backlogged(), layout, rng)
         assert sorted(u.aid12 for u in tf.per_user) == [1, 2, 3]
         for slot, user in enumerate(tf.per_user):
             counts[(slot, user.aid12)] += 1
@@ -227,8 +241,7 @@ def test_build_schedule_marks_ra_fraction():
     table = BsrTable()
     table.ingest(1, 1500)
     layout = RuLayout(20, tuple(RuAssignment(26, 0) for _ in range(9)))
-    tf = build_schedule(table.backlogged(), layout, RngSet(0).stream("s"),
-                        ra_fraction=1 / 3)
+    tf = schedule(table.backlogged(), layout, RngSet(0).stream("s"), ra_fraction=1 / 3)
     assert len(tf.ra_ru_indices) == 3
 
 
@@ -237,15 +250,14 @@ def test_build_schedule_mu_mimo_falls_back_on_small_ru():
     for sta in range(1, 7):
         table.ingest(sta, 1500)
     layout = RuLayout(20, (RuAssignment(106, 0), RuAssignment(26, 0)))
-    tf = build_schedule(table.backlogged(), layout, RngSet(1).stream("s"),
-                        users_per_ru=2)
+    tf = schedule(table.backlogged(), layout, RngSet(1).stream("s"), users_per_ru=2)
     by_ru = [len(tf.users_of(i)) for i in range(len(layout.rus))]
     assert by_ru == [2, 1]        # pairing only on the 106-tone RU
     assert validate_tf(tf) == []
 
 
 def test_build_schedule_empty_pool_defers():
-    assert build_schedule([], fig17_layout(), RngSet(0).stream("s")) is None
+    assert schedule([], fig17_layout(), RngSet(0).stream("s")) is None
 
 
 # --- round outcomes -----------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from axsim import phy
-from axsim.config import default_config
+from axsim.config import RadioSection, default_config
 from axsim.core import US, Simulator
 from axsim.engine import RunContext
 from axsim.medium import (SUBCHANNEL_HZ, Interferer, Medium, RuPart, Transmission,
@@ -70,13 +70,14 @@ def test_overlapping_keeps_the_interferers_with_their_airtime_share():
 
 
 def test_decode_and_nav_sinr_apply_the_same_rule():
-    medium = Medium(Simulator(), LOSS, phy.NOISE_FIGURE_DB)
+    nf = RadioSection().noise_figure_db
+    medium = Medium(Simulator(), LOSS, nf)
     tx = frame(**TX)
     tx.interferers = heard(*SKIPPED, FAR, OTHER_ROUND)
     nodes = np.arange(1, 5)
     corrupt, nav = medium.nav_sinr_vector(tx, nodes)
     assert not corrupt
-    noise_mw = phy.dbm_to_mw(phy.noise_dbm(SUBCHANNEL_HZ))
+    noise_mw = phy.dbm_to_mw(phy.noise_dbm(SUBCHANNEL_HZ, nf))
     for k, node in enumerate(nodes):
         desired = medium.rx_power_dbm(0, node, tx.power_per_subchannel_dbm())
         sinr = medium.sinr_db(tx, node, tx.power_per_subchannel_dbm(), SUBCHANNEL_HZ,

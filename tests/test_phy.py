@@ -5,10 +5,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from axsim import phy, ru
-from axsim.config import PhySection
+from axsim.config import (INDOOR_SINGLE, OUTDOOR_SINGLE, PhySection, RadioSection,
+                          default_config)
 from axsim.core import Simulator
 from axsim.medium import SUBCHANNEL_HZ, Medium, Transmission
 from axsim.phy import Mcs, PathLossModel, PerModel
+
+NOISE_FIGURE_DB = RadioSection().noise_figure_db
+
+
+def loss_model(kind: str) -> PathLossModel:
+    """The path loss of a scenario's default parameter table."""
+    return PathLossModel(default_config(kind).phy)
 
 
 # --- path loss -------------------------------------------------------------
@@ -25,38 +33,41 @@ def test_free_space_reference_at_1m():
 
 def test_single_slope_indoor_formula():
     # exponent-3.5 log-distance evaluation: FSPL(1 m) + 35 dB at 10 m
-    model = PathLossModel(near_exponent=3.5, far_exponent=3.5, breakpoint_m=1.0)
+    model = PathLossModel(PhySection(pathloss_near_exponent=3.5, pathloss_far_exponent=3.5,
+                                     pathloss_breakpoint_m=1.0))
     assert model.loss_db(10.0, 5.57) == pytest.approx(fspl_oracle(1.0, 5.57e9) + 35.0, abs=1e-6)
 
 
 def test_outdoor_exponent_3():
-    model = PathLossModel.outdoor()
+    model = loss_model(OUTDOOR_SINGLE)
     assert model.loss_db(100.0, 5.57) == pytest.approx(fspl_oracle(1.0, 5.57e9) + 60.0, abs=1e-6)
 
 
 def test_distance_clamped_below_10cm():
-    model = PathLossModel.outdoor()
+    model = loss_model(OUTDOOR_SINGLE)
     assert model.loss_db(0.01, 5.57) == model.loss_db(0.1, 5.57)
 
 
 def test_dual_slope_indoor_is_continuous_at_breakpoint():
-    model = PathLossModel.indoor()
+    model = loss_model(INDOOR_SINGLE)
+    assert (model.near_exponent, model.far_exponent, model.breakpoint_m) == \
+        (2.0, 3.5, 10.0)
     below = model.loss_db(model.breakpoint_m - 1e-9, 5.57)
     above = model.loss_db(model.breakpoint_m + 1e-9, 5.57)
     assert below == pytest.approx(above, abs=1e-6)
 
 
 def test_shadowing_term_is_additive():
-    model = PathLossModel.indoor()
+    model = loss_model(INDOOR_SINGLE)
     assert model.loss_db(5.0, 5.57, shadow_db=4.2) == \
         pytest.approx(model.loss_db(5.0, 5.57) + 4.2)
 
 
-@pytest.mark.parametrize("model", [PathLossModel.indoor(), PathLossModel.outdoor()],
-                         ids=["indoor", "outdoor"])
-def test_loss_db_on_arrays_equals_loss_db_on_scalars(model):
+@pytest.mark.parametrize("kind", [INDOOR_SINGLE, OUTDOOR_SINGLE], ids=["indoor", "outdoor"])
+def test_loss_db_on_arrays_equals_loss_db_on_scalars(kind):
+    model = loss_model(kind)
     bp = model.breakpoint_m
-    d = np.array([0.0, 0.01, model.min_distance_m / 2, model.min_distance_m,
+    d = np.array([0.0, 0.01, phy.MIN_DISTANCE_M / 2, phy.MIN_DISTANCE_M,
                   0.7, bp - 1e-9, bp, bp + 1e-9, 37.0, 480.0])
     shadow = np.linspace(-9.0, 9.0, len(d))
     arr = model.loss_db(d, 5.57, shadow)
@@ -75,7 +86,7 @@ def test_loss_db_on_arrays_equals_loss_db_on_scalars(model):
 
 def received(tx_dbm: float, loss_db: float) -> float:
     medium = Medium(Simulator(), np.array([[0.0, loss_db], [loss_db, 0.0]]),
-                    phy.NOISE_FIGURE_DB)
+                    NOISE_FIGURE_DB)
     return medium.rx_power_dbm(0, 1, tx_dbm)
 
 
@@ -137,8 +148,10 @@ def test_sinr_oracle_property(signal, interferers, noise):
 # --- noise --------------------------------------------------------------------
 
 def test_noise_floor():
-    # -174 dBm/Hz + 10log10(20 MHz) + 7 dB NF
-    assert phy.noise_dbm(20e6) == pytest.approx(-174 + 10 * math.log10(20e6) + 7)
+    # -174 dBm/Hz + 10log10(20 MHz) + the 7 dB NF of the scenario tables
+    assert NOISE_FIGURE_DB == 7.0
+    assert phy.noise_dbm(20e6, NOISE_FIGURE_DB) == \
+        pytest.approx(-174 + 10 * math.log10(20e6) + 7)
 
 
 # --- rates -------------------------------------------------------------------
@@ -155,32 +168,32 @@ def test_he_peak_rate_9607_8_mbps():
 # --- PER -----------------------------------------------------
 
 def test_per_half_at_threshold_reference_length():
-    model = PerModel()
+    model = PerModel(PhySection())
     m = Mcs(4)
     t = model.thresholds_db[4]
-    assert model.per(t, m, model.ref_bits) == pytest.approx(0.5)
+    assert model.per(t, m, phy.PER_REF_BITS) == pytest.approx(0.5)
 
 
 def test_per_vanishes_at_high_sinr():
-    model = PerModel()
-    assert model.per(200.0, Mcs(4), model.ref_bits) == 0.0
+    model = PerModel(PhySection())
+    assert model.per(200.0, Mcs(4), phy.PER_REF_BITS) == 0.0
 
 
 def test_per_closed_form_above_threshold():
-    model = PerModel()
+    model = PerModel(PhySection())
     m = Mcs(4)
     t = model.thresholds_db[4]
     p_ref = 1 / (1 + math.exp(10.0))  # sinr = T + 10w
-    assert model.per(t + 10 * model.slope_db, m, model.ref_bits) == pytest.approx(p_ref, rel=1e-9)
+    assert model.per(t + 10 * model.slope_db, m, phy.PER_REF_BITS) == pytest.approx(p_ref, rel=1e-9)
     # length scaling by bit-error independence
-    assert model.per(t + 10 * model.slope_db, m, 3 * model.ref_bits) == \
+    assert model.per(t + 10 * model.slope_db, m, 3 * phy.PER_REF_BITS) == \
         pytest.approx(1 - (1 - p_ref) ** 3, rel=1e-9)
 
 
 @given(st.floats(-10, 60), st.floats(-10, 60), st.integers(0, 11),
        st.integers(100, 40_000), st.integers(100, 40_000))
 def test_per_monotonicity(s1, s2, idx, b1, b2):
-    model = PerModel()
+    model = PerModel(PhySection())
     m = Mcs(idx)
     lo, hi = sorted((s1, s2))
     assert model.per(hi, m, 12_000) <= model.per(lo, m, 12_000) + 1e-12
@@ -191,22 +204,22 @@ def test_per_monotonicity(s1, s2, idx, b1, b2):
 # --- MCS selection -------------------------------------------------------------
 
 def test_select_mcs_saturates_at_11_on_wide_ru():
-    assert PerModel().select_mcs(200.0, ru_tones=1992).index == 11
+    assert PerModel(PhySection()).select_mcs(200.0, 1992, max_index=11).index == 11
 
 
 def test_select_mcs_caps_at_9_below_242_tones():
-    assert PerModel().select_mcs(200.0, ru_tones=106).index == 9
+    assert PerModel(PhySection()).select_mcs(200.0, 106, max_index=11).index == 9
 
 
 def test_select_mcs_floor_is_mcs0():
-    model = PerModel()
-    weak = model.select_mcs(-50.0, ru_tones=242)
+    model = PerModel(PhySection())
+    weak = model.select_mcs(-50.0, 242, max_index=11)
     assert weak.index == 0
-    assert model.per_ref(-50.0, weak) > 0.1
+    assert model.per_ref(-50.0, weak) > model.target_per
 
 
 def test_select_mcs_respects_max_index_for_11ac():
-    assert PerModel().select_mcs(200.0, ru_tones=1992, max_index=9).index == 9
+    assert PerModel(PhySection()).select_mcs(200.0, 1992, max_index=9).index == 9
 
 
 def select_mcs_reference(model, sinr, tones, target, max_index):
@@ -224,18 +237,19 @@ def select_mcs_reference(model, sinr, tones, target, max_index):
 
 
 def test_select_mcs_matches_the_per_call_candidates():
-    model = PerModel(thresholds_db={i: 1.0 + 2.7 * i for i in phy.MCS_TABLE})
-    for sinr in np.arange(-10.0, 45.0, 0.37):
-        for tones in (26, 106, 242, 996):
-            for max_index in (0, 7, 9, 11):
-                for target in (0.01, 0.1):
-                    assert model.select_mcs(sinr, tones, target, max_index) == \
+    for target in (0.01, 0.1):
+        model = PerModel(PhySection(per_threshold_base_db=1.0, per_threshold_step_db=2.7,
+                                    mcs_target_per=target))
+        for sinr in np.arange(-10.0, 45.0, 0.37):
+            for tones in (26, 106, 242, 996):
+                for max_index in (0, 7, 9, 11):
+                    assert model.select_mcs(sinr, tones, max_index) == \
                         select_mcs_reference(model, sinr, tones, target, max_index)
 
 
 @given(st.floats(-20, 80), st.sampled_from([26, 52, 106, 242, 484, 996, 1992]))
 def test_select_mcs_never_1024qam_below_242(sinr, tones):
-    m = PerModel().select_mcs(sinr, tones)
+    m = PerModel(PhySection()).select_mcs(sinr, tones, max_index=11)
     if tones < 242:
         assert m.index < 10
 
@@ -245,5 +259,8 @@ def test_select_mcs_never_1024qam_below_242(sinr, tones):
 def test_array_gain_and_stream_penalty():
     assert phy.array_gain_db(8, 4) == pytest.approx(10 * math.log10(2))
     assert phy.array_gain_db(8, 8) == 0.0
-    assert phy.mu_mimo_sinr_adjustment_db(8, 8, shared=True) == pytest.approx(-3.0)
-    assert phy.mu_mimo_sinr_adjustment_db(8, 4, shared=False) == pytest.approx(3.0, abs=0.02)
+    penalty = PhySection().mu_stream_penalty_db
+    assert penalty == 3.0
+    assert phy.mu_mimo_sinr_adjustment_db(8, 8, True, penalty) == pytest.approx(-3.0)
+    assert phy.mu_mimo_sinr_adjustment_db(8, 4, False, penalty) == \
+        pytest.approx(3.0, abs=0.02)

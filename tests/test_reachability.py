@@ -52,12 +52,10 @@ KEEP_MEMBERS = {
     ("frames", "Mpdu", "destination"): BENCH_MPDU,
     ("frames", "Mpdu", "payload_bytes"): BENCH_MPDU,
     ("frames", "Mpdu", "seq"): BENCH_MPDU,
-    ("power", "EnergyAccount", "total_ns"): "ROADMAP item 2: the ledger covers the run",
+    ("power", "EnergyAccount", "total_ns"): "test reference: the ledger covers the run",
     ("metrics", "MetricsReport", "cdf"): "ROADMAP item 7: the paper's throughput CDFs",
     ("mu", "MultiStaBa", "acked_stas"): "test reference: the Fig. 18 UORA walk-through",
     ("medium", "Transmission", "payload"): "test reference: the MAC frame of a TF or MBA",
-    ("phy", "PathLossModel", "indoor"): "test reference: the indoor loss profile",
-    ("phy", "PathLossModel", "outdoor"): "test reference: the outdoor loss profile",
     ("topo", "Placement", "pos"): "test reference: node spacing in the topologies",
     ("topo", "Topology", "aps"): "test reference: AP counts of the topologies",
 }

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from axsim import spatial
-from axsim.spatial import (INTER_BSS, INTRA_BSS, ObssPdConfig, TwoNav,
-                           classify_frame, obss_pd_level)
+from axsim.config import ScenarioConfig
+from axsim.spatial import INTER_BSS, INTRA_BSS, TwoNav, classify_frame, obss_pd_level
+
+SR = ScenarioConfig().sr
 
 
 # --- classification ------------------------------------------------------------
@@ -94,21 +96,19 @@ def test_idle_iff_both_expired(frames):
 
 @pytest.mark.parametrize("txpwr,expected", [(21.0, -82.0), (11.0, -72.0), (1.0, -62.0)])
 def test_obss_pd_level_table(txpwr, expected):
-    assert obss_pd_level(txpwr) == pytest.approx(expected)
+    assert obss_pd_level(txpwr, SR) == pytest.approx(expected)
 
 
 @given(st.floats(-10, 30), st.floats(-10, 30))
 def test_obss_pd_monotone_and_clamped(p1, p2):
-    cfg = ObssPdConfig()
     lo, hi = sorted((p1, p2))
-    assert obss_pd_level(hi, cfg) <= obss_pd_level(lo, cfg)
-    assert cfg.level_min_dbm <= obss_pd_level(p1, cfg) <= cfg.level_max_dbm
+    assert obss_pd_level(hi, SR) <= obss_pd_level(lo, SR)
+    assert SR.obss_pd_min_dbm <= obss_pd_level(p1, SR) <= SR.obss_pd_max_dbm
 
 
 def test_max_sr_tx_power_matches_level_formula():
-    cfg = ObssPdConfig()
-    cap = spatial.max_sr_tx_power(-70.0, cfg)
+    cap = spatial.max_sr_tx_power(-70.0, SR)
     assert cap == pytest.approx(9.0)
-    assert -70.0 < obss_pd_level(cap - 1e-9, cfg)
-    assert spatial.max_sr_tx_power(-60.0, cfg) is None
+    assert -70.0 < obss_pd_level(cap - 1e-9, SR)
+    assert spatial.max_sr_tx_power(-60.0, SR) is None
 

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from axsim.config import (INDOOR_MULTI, INDOOR_SINGLE, OUTDOOR_MULTI, OUTDOOR_SINGLE,
+                          default_config)
 from axsim.core import RngSet
 from axsim.topo import (gen_indoor_multi, gen_indoor_single, gen_outdoor_multi,
                         gen_outdoor_single, hex_ring_centers,
@@ -12,32 +14,36 @@ def rng(seed=0):
     return RngSet(seed).stream("placement")
 
 
+INDOOR = default_config(INDOOR_SINGLE)
+OUTDOOR = default_config(OUTDOOR_SINGLE)
+
+
 def test_indoor_single_counts():
-    topo = gen_indoor_single(rng())
+    topo = gen_indoor_single(rng(), INDOOR)
     assert len(topo.aps) == 1
     assert len(topo.stas) == 64
 
 
 def test_indoor_single_deterministic():
-    a = gen_indoor_single(rng(5))
-    b = gen_indoor_single(rng(5))
+    a = gen_indoor_single(rng(5), INDOOR)
+    b = gen_indoor_single(rng(5), INDOOR)
     assert [(p.x, p.y) for p in a.placements] == [(p.x, p.y) for p in b.placements]
 
 
 def test_indoor_geometry_bound():
     # 4x4 grid of 2 m rooms with 1 m gaps spans 11 m; the farthest STA sits
     # within half the diagonal of that square district.
-    extent = indoor_district_extent_m()
+    extent = indoor_district_extent_m(INDOOR.room_area_m2)
     assert extent == pytest.approx(11.0)
     bound = math.hypot(extent / 2, extent / 2) + 1e-9
-    topo = gen_indoor_single(rng(1))
+    topo = gen_indoor_single(rng(1), INDOOR)
     ap = topo.aps[0]
     for sta in topo.stas:
         assert math.dist(ap.pos, sta.pos) <= bound
 
 
 def test_indoor_four_stas_per_room():
-    topo = gen_indoor_single(rng(2))
+    topo = gen_indoor_single(rng(2), INDOOR)
     # 64 STAs over 16 rooms; rooms tile the district on a 3 m pitch
     rooms = {}
     for sta in topo.stas:
@@ -48,10 +54,10 @@ def test_indoor_four_stas_per_room():
 
 
 def test_outdoor_single_within_hexagon():
-    topo = gen_outdoor_single(rng(3))
+    topo = gen_outdoor_single(rng(3), OUTDOOR)
     assert len(topo.stas) == 64
     for sta in topo.stas:
-        assert point_in_hexagon(sta.x, sta.y, 65.0)
+        assert point_in_hexagon(sta.x, sta.y, OUTDOOR.cell_inradius_m)
 
 
 def test_point_in_hexagon_oracle():
@@ -62,21 +68,21 @@ def test_point_in_hexagon_oracle():
 
 
 def test_indoor_multi_counts():
-    topo = gen_indoor_multi(rng(4), n_bss=32)
+    topo = gen_indoor_multi(rng(4), default_config(INDOOR_MULTI))
     assert len(topo.aps) == 32
     assert len(topo.stas) == 32 * 64
     assert len(topo.colors) == 32
 
 
 def test_indoor_multi_desk_scale_grid():
-    topo = gen_indoor_multi(rng(4), n_bss=9, stas_per_bss=8)
+    topo = gen_indoor_multi(rng(4), default_config(INDOOR_MULTI, n_bss=9, stas_per_bss=8))
     assert len(topo.aps) == 9
     xs = sorted({round(p.x, 6) for p in topo.aps})
     assert len(xs) == 3  # 3x3 matrix
 
 
 def test_outdoor_multi_19_aps_at_130m():
-    topo = gen_outdoor_multi(rng(6), n_bss=19, stas_per_bss=4)
+    topo = gen_outdoor_multi(rng(6), default_config(OUTDOOR_MULTI, stas_per_bss=4))
     assert len(topo.aps) == 19
     aps = topo.aps
     min_d = min(math.dist(a.pos, b.pos)

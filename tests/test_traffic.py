@@ -134,7 +134,7 @@ def test_one_draw_per_mpdu_in_order():
                          duration_s=0.05)
     ctx = RunContext(cfg, "ax_ofdma")
     engine = ctx.engines[0]
-    flow = next(iter(engine.dl_flows.values()))
+    flow = engine.stas[0].flow
     mcs = phy.Mcs(5)
     ref = RngStream(engine.rng_per.seed, engine.rng_per.stream_id)
     seqs = np.array([11, 3, 4, 5, 9, 12, 13], dtype=np.int64)
