@@ -110,7 +110,6 @@ class ScenarioConfig:
     packet_bytes: int = 1500
     room_area_m2: float = 4.0
     cell_inradius_m: float = 65.0
-    ap_spacing_m: float = 130.0
     radio: RadioSection = field(default_factory=RadioSection)
     mac: MacSection = field(default_factory=MacSection)
     phy: PhySection = field(default_factory=PhySection)
@@ -134,6 +133,10 @@ class ScenarioConfig:
             problems.append("per-STA rate must be non-negative")
         if self.packet_bytes < 1:
             problems.append("packets must hold at least one byte")
+        if self.radio.frequency_ghz <= 0:
+            problems.append("carrier frequency must be positive")
+        if self.radio.ap_antennas < 1 or self.radio.sta_antennas < 1:
+            problems.append("every AP and STA needs at least one antenna")
         if self.mac.cw_min < 0 or self.mac.ocw_min < 0:
             problems.append("contention window min must be non-negative")
         if self.mac.cw_min > self.mac.cw_max or self.mac.ocw_min > self.mac.ocw_max:

@@ -99,7 +99,7 @@ class Contender:
         self.armed_at = start
         fire_at = start + DIFS + self.counter * SLOT_TIME
         gen = self.gen
-        sim.at(fire_at, "backoff-attempt", i, lambda: self._fire(gen))
+        sim.at(fire_at, lambda: self._fire(gen))
 
     def _fire(self, gen: int) -> None:
         if gen != self.gen or not self.active:
@@ -209,8 +209,7 @@ class BssEngine:
                 wake_at = intra_ppdu_doze(node.power, self.sim.now, cls,
                                           ppdu_end_ns=tx.end_ns)
             if wake_at is not None:
-                self.sim.at(wake_at, "doze-wake", node.node_id,
-                            lambda n=node: n.power.wake(self.sim.now))
+                self.sim.at(wake_at, lambda n=node: n.power.wake(self.sim.now))
 
     # --- transmit helpers -------------------------------------------------------------
 
@@ -237,7 +236,7 @@ class BssEngine:
                           **fields)
         self.medium.transmit(tx)
         if then is not None:
-            self.sim.at(end, f"{kind}-end", node.node_id, lambda: then(tx))
+            self.sim.at(end, lambda: then(tx))
         return tx
 
     def send_control(self, node: SimNode, kind: str, n_bytes: int, start: int,
@@ -331,14 +330,13 @@ class BssEngine:
         for node in self.contending:
             node.backoff = BackoffState(self.cfg.mac.cw_min, self.cfg.mac.cw_max)
             self.contenders[node.node_id] = Contender(self, node)
-        self.sim.at(0, "kick", self.ap.node_id, self._poll_traffic)
+        self.sim.at(0, self._poll_traffic)
 
     def _poll_traffic(self) -> None:
         for node in self.contending:
             if self.has_work(node):
                 self.contenders[node.node_id].start()
-        self.sim.after(self.ctx.poll_interval_ns, "traffic-poll",
-                       self.ap.node_id, self._poll_traffic)
+        self.sim.after(self.ctx.poll_interval_ns, self._poll_traffic)
 
     def has_work(self, node: SimNode) -> bool:
         """Whether node has traffic to contend for: a STA for its own uplink
@@ -393,8 +391,7 @@ class AcBssEngine(BssEngine):
         else:
             timeout = self.sim.now + SIFS + \
                 frames.legacy_frame_duration_ns(frames.CTS_BYTES) + SLOT_TIME
-            self.sim.at(timeout, "cts-timeout", txop.holder.node_id,
-                        lambda: self._finish_txop(txop, success=False))
+            self.sim.at(timeout, lambda: self._finish_txop(txop, success=False))
 
     def _cts_done(self, txop: Txop, cts) -> None:
         if self.control_decodes(cts, txop.holder, frames.CTS_BYTES):
@@ -557,8 +554,7 @@ class AxBssEngine(BssEngine):
                 continue
             txs.append((sta, self._he_tb(sta, user.ru_index, start,
                                          start + report_ns, round_id, polled)))
-        self.sim.at(start + report_ns, "bsrp-end", self.ap.node_id,
-                    lambda: self._bsrp_done(txop, txs))
+        self.sim.at(start + report_ns, lambda: self._bsrp_done(txop, txs))
 
     def _bsrp_done(self, txop: Txop, txs) -> None:
         now = self.sim.now
@@ -566,8 +562,7 @@ class AxBssEngine(BssEngine):
             if self.mcs0_decodes(self._ru_sinr(tx), frames.BSR_REPORT_BYTES):
                 self.bsr.ingest(sta.aid, sta.flow.backlog_bytes(now))
         # BSRP rounds end without an MBA
-        self.sim.after(SIFS, "post-bsrp", self.ap.node_id,
-                       lambda: self._ul_data_round(txop))
+        self.sim.after(SIFS, lambda: self._ul_data_round(txop))
 
     def _ul_data_round(self, txop: Txop) -> None:
         now = self.sim.now
@@ -636,8 +631,7 @@ class AxBssEngine(BssEngine):
                              partners, nav_ns=txop.deadline_ns - end)
             txs.append((sta, tx, seqs, mcs))
         uora_txs = self._uora_phase(tf, start, end, round_id, solicited)
-        self.sim.at(end, "ul-round-end", self.ap.node_id,
-                    lambda: self._ul_round_end(txop, txs + uora_txs))
+        self.sim.at(end, lambda: self._ul_round_end(txop, txs + uora_txs))
 
     def _uora_phase(self, tf, start, end, round_id, solicited):
         ra_indices = tf.ra_ru_indices
@@ -716,8 +710,7 @@ class AxBssEngine(BssEngine):
             if sta.obo is not None and sta.obo.obo == 0 and \
                     sta.obo.candidate_ru is not None:
                 sta.obo = mu.ocw_on_result(sta.obo, acked)
-        self.sim.after(SIFS, "cascade", self.ap.node_id,
-                       lambda: self._ul_step(txop))
+        self.sim.after(SIFS, lambda: self._ul_step(txop))
 
     # --- downlink ----------------------------------------------------------------------------
 
@@ -809,8 +802,7 @@ class AxBssEngine(BssEngine):
         if not responders:
             for sta_id in outcomes:
                 self.by_id[sta_id].flow.requeue(taken[sta_id])
-            self.sim.after(EIFS, "eifs-expiry", self.ap.node_id,
-                           lambda: self._finish_txop(txop, success=False))
+            self.sim.after(EIFS, lambda: self._finish_txop(txop, success=False))
             return
         txop.any_data = True
         start = now + SIFS
@@ -823,7 +815,7 @@ class AxBssEngine(BssEngine):
             ba = self._he_tb(self.by_id[sta_id], ru_index, start,
                              start + ba_on_ru_ns, tx.round_id, solicited, partners)
             ba_txs.append((sta_id, ba))
-        self.sim.at(start + ba_on_ru_ns, "dl-ba-end", self.ap.node_id,
+        self.sim.at(start + ba_on_ru_ns,
                     lambda: self._dl_ba_done(txop, taken, outcomes, ba_txs))
 
     def _dl_ba_done(self, txop: Txop, taken, outcomes, ba_txs) -> None:
@@ -835,11 +827,9 @@ class AxBssEngine(BssEngine):
             self.by_id[sta_id].flow.requeue(failed if sta_id in acked
                                             else taken[sta_id])
         if not acked:
-            self.sim.after(EIFS, "eifs-expiry", self.ap.node_id,
-                           lambda: self._finish_txop(txop, success=False))
+            self.sim.after(EIFS, lambda: self._finish_txop(txop, success=False))
             return
-        self.sim.after(SIFS, "cascade", self.ap.node_id,
-                       lambda: self._dl_round(txop))
+        self.sim.after(SIFS, lambda: self._dl_round(txop))
 
 
 # --- run assembly ------------------------------------------------------------------------------
@@ -891,12 +881,12 @@ class RunContext:
     """Builds nodes, gain matrix and engines for one (scenario, scheme) run."""
 
     def __init__(self, cfg: ScenarioConfig, scheme: Scheme,
-                 trace=None, intra_ppdu_doze: bool = False):
+                 intra_ppdu_doze: bool = False):
         from . import topo
         self.cfg = cfg
         self.scheme = Scheme(scheme)
         self.features = scheme_features(scheme)
-        self.sim = Simulator(trace=trace)
+        self.sim = Simulator()
         self.rng = RngSet(cfg.seed)
         self.per_model = phy.PerModel(cfg.phy)
         self.intra_ppdu_doze = intra_ppdu_doze

@@ -211,8 +211,7 @@ class Medium:
         self._version += 1
         for listener in self.listeners:
             listener("start", tx)
-        self.sim.at(tx.end_ns, "tx-end", tx.tx_node, lambda: self._finish(tx),
-                    detail=tx.kind)
+        self.sim.at(tx.end_ns, lambda: self._finish(tx))
         return tx
 
     def _finish(self, tx: Transmission) -> None:

@@ -16,13 +16,12 @@ RESULT_COLUMNS = ["scenario", "scheme", "bw_mhz", "direction", "offered_mbps",
                   "thpt_mbps", "p5_mbps", "delay_ms", "per", "energy_units"]
 
 
-def run(cfg: ScenarioConfig, scheme: Scheme | str, trace=None,
+def run(cfg: ScenarioConfig, scheme: Scheme | str,
         intra_ppdu_doze: bool = False) -> MetricsReport:
     problems = cfg.validate()
     if problems:
         raise ConfigError("; ".join(problems))
-    ctx = RunContext(cfg, Scheme(scheme), trace=trace,
-                     intra_ppdu_doze=intra_ppdu_doze)
+    ctx = RunContext(cfg, Scheme(scheme), intra_ppdu_doze=intra_ppdu_doze)
     stats = ctx.run()
     window_s = cfg.duration_s * (1 - cfg.warmup_fraction)
     per_sta = {}

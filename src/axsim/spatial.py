@@ -33,7 +33,7 @@ class TwoNav:
         self.basic_expiry_ns = np.zeros(n_nodes, dtype=np.int64)
 
     def update(self, nodes: np.ndarray, intra_mask: np.ndarray, now_ns: int,
-               duration_ns: int, is_cf_end: bool = False) -> None:
+               duration_ns: int, *, is_cf_end: bool) -> None:
         """A frame of duration_ns heard at nodes, intra-BSS where intra_mask
         holds: intra-BSS frames load the intra-BSS NAV and inter-BSS frames
         the basic NAV, each keeping the later expiry."""

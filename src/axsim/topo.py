@@ -159,17 +159,18 @@ def hex_ring_centers(ap_spacing_m: float, rings: int) -> list[tuple[float, float
 
 
 def gen_outdoor_multi(rng, cfg: ScenarioConfig) -> Topology:
-    """Hexagonal cells of inradius ap_spacing_m / 2 in rings around the first
-    (19 cells fill two rings)."""
-    n_bss, ap_spacing_m = cfg.n_bss, cfg.ap_spacing_m
+    """Hexagonal cells of inradius cell_inradius_m in rings around the first
+    (19 cells fill two rings); neighbouring APs sit two inradii apart, so
+    the cells tile the plane."""
+    n_bss, inradius_m = cfg.n_bss, cfg.cell_inradius_m
     rings = 1
     while 1 + 3 * rings * (rings + 1) < n_bss:
         rings += 1
-    centers = hex_ring_centers(ap_spacing_m, rings)[:n_bss]
+    centers = hex_ring_centers(2 * inradius_m, rings)[:n_bss]
     placements: list[Placement] = []
     next_id = 0
     for bss, center in enumerate(centers):
         cell, next_id = _outdoor_cell(rng, bss, center, next_id, cfg.stas_per_bss,
-                                      ap_spacing_m / 2)
+                                      inradius_m)
         placements.extend(cell)
     return Topology(placements, _assign_colors(n_bss))

@@ -27,7 +27,6 @@ class CbrFlow:
     def __init__(self, flow_id: int, rate_bps: float, packet_bytes: int,
                  phase_ns: int):
         self.flow_id = flow_id
-        self.rate_bps = rate_bps
         self.packet_bytes = packet_bytes
         self.phase_ns = phase_ns
         self.interval_ns = (math.inf if rate_bps <= 0

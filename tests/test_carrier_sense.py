@@ -176,7 +176,7 @@ def test_a_frozen_attempt_resumes_with_the_slots_left():
     old_fire = DIFS + 10 * SLOT_TIME
 
     def send(node, start, end, nav_ns=0):
-        ctx.sim.at(start, "send", node.node_id, lambda: ctx.medium.transmit(
+        ctx.sim.at(start, lambda: ctx.medium.transmit(
             Transmission(0, node.node_id, 0, "ampdu", start, end, ctx.subchannels,
                          0.0 if node is other else 20.0, nav_duration_ns=nav_ns)))
 
@@ -483,9 +483,9 @@ def inject_collisions(ctx: RunContext, every_ns: int) -> None:
                 0, sta.node_id, engine.bss_id, "he-tb", now, now + 100 * US,
                 ru.subchannels, 15.0, color=sta.color, round_id=round_id,
                 ru=RuPart(0, ru, 15.0), nav_duration_ns=200 * US))
-        ctx.sim.after(every_ns, "collide", a.node_id, collide)
+        ctx.sim.after(every_ns, collide)
 
-    ctx.sim.at(every_ns, "collide", a.node_id, collide)
+    ctx.sim.at(every_ns, collide)
 
 
 @pytest.mark.parametrize("kind, scheme, overrides, doze, cases", [

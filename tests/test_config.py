@@ -45,16 +45,21 @@ def test_rejects(tmp_path, text):
         load_config(write_ini(tmp_path, text))
 
 
-# Each of these passed validation once and then failed the run partway
-# through: a negative RU index, a zero packet interval, a negative draw range.
+# Each of these passed validation once and then failed the run: a negative
+# RU index, a zero packet interval, a negative draw range, the log of a zero
+# frequency in set-up, zero spatial streams partway through.
 @pytest.mark.parametrize("text", [
     "[scenario]\n[mac]\nra_ru_fraction = 1.5\n",
     "[scenario]\n[mac]\nra_ru_fraction = -0.1\n",
     "[scenario]\npacket_bytes = 0\n",
     "[scenario]\n[mac]\ncw_min = -1\n",
     "[scenario]\n[mac]\nocw_min = -1\n",
+    "[scenario]\n[radio]\nfrequency_ghz = 0\n",
+    "[scenario]\n[radio]\nap_antennas = 0\n",
+    "[scenario]\n[radio]\nsta_antennas = 0\n",
 ], ids=["ra-ru-fraction-above-1", "ra-ru-fraction-below-0", "zero-packet-bytes",
-        "negative-cw-min", "negative-ocw-min"])
+        "negative-cw-min", "negative-ocw-min", "zero-frequency", "zero-ap-antennas",
+        "zero-sta-antennas"])
 def test_rejects_values_a_run_cannot_use(tmp_path, text):
     with pytest.raises(ConfigError):
         load_config(write_ini(tmp_path, text))

@@ -1,12 +1,10 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from axsim.config import MacSection
 from axsim.core import (DIFS, SEC, SIFS, SLOT_TIME, US, PastEventError, RngSet,
-                        SimEvent, Simulator)
+                        Simulator)
 
 
 def test_protocol_constants_are_exact_ns_multiples():
@@ -19,8 +17,8 @@ def test_protocol_constants_are_exact_ns_multiples():
 def test_tiebreak_by_insertion_order():
     sim = Simulator()
     fired = []
-    sim.at(100, "a", fn=lambda: fired.append("first"))
-    sim.at(100, "b", fn=lambda: fired.append("second"))
+    sim.at(100, lambda: fired.append("first"))
+    sim.at(100, lambda: fired.append("second"))
     sim.run_until(100)
     assert fired == ["first", "second"]
 
@@ -28,9 +26,9 @@ def test_tiebreak_by_insertion_order():
 def test_event_at_now_runs_before_later_events():
     sim = Simulator()
     fired = []
-    sim.at(50, "later", fn=lambda: fired.append("later"))
+    sim.at(50, lambda: fired.append("later"))
     sim.run_until(10)
-    sim.at(10, "now", fn=lambda: fired.append("now"))
+    sim.at(10, lambda: fired.append("now"))
     sim.run_until(SEC)
     assert fired == ["now", "later"]
 
@@ -39,7 +37,7 @@ def test_scheduling_in_the_past_aborts():
     sim = Simulator()
     sim.run_until(100)
     with pytest.raises(PastEventError, match="past event"):
-        sim.at(99, "stale")
+        sim.at(99, lambda: None)
 
 
 def test_run_until_empty_queue_advances_clock():
@@ -51,29 +49,31 @@ def test_run_until_empty_queue_advances_clock():
 def test_run_until_boundary_inclusive():
     sim = Simulator()
     for t in (10, 20, 30, 40):
-        sim.at(t, "e")
+        sim.at(t, lambda: None)
     assert sim.run_until(30) == 3
     assert sim.now == 30
     assert sim.scheduled - sim.processed == 1
 
 
-def _trace_of_run(seed: int) -> str:
-    # Small self-scheduling workload: each event reschedules a random follow-up.
-    buf = io.StringIO()
-    sim = Simulator(trace=buf)
+def _trace_of_run(seed: int) -> list[tuple[int, int]]:
+    # Small self-scheduling workload: each event records (time, node) and
+    # reschedules a random follow-up.
+    trace = []
+    sim = Simulator()
     rng = RngSet(seed).stream("workload")
 
     def hop(node: int):
         def fire():
+            trace.append((sim.now, node))
             if sim.now < 900 * US:
                 delay = rng.randint(1, 50) * US
-                sim.after(delay, "hop", node, hop(rng.randint(0, 7)), detail=f"d={delay}")
+                sim.after(delay, hop(rng.randint(0, 7)))
         return fire
 
     for node in range(4):
-        sim.at(node * US, "hop", node, hop(node))
+        sim.at(node * US, hop(node))
     sim.run_until(1000 * US)
-    return buf.getvalue()
+    return trace
 
 
 def test_replayed_run_has_byte_identical_trace():
@@ -89,7 +89,7 @@ def test_dequeue_times_monotone_and_no_event_loss(times):
     sim = Simulator()
     seen = []
     for t in times:
-        sim.at(t, "e", fn=lambda t=t: seen.append(t))
+        sim.at(t, lambda t=t: seen.append(t))
     assert sim.scheduled - sim.processed == len(times)
     sim.run_until(10_000)
     assert sim.scheduled - sim.processed == 0
@@ -125,7 +125,7 @@ def test_gauss_array_equals_repeated_gauss(sigma):
         assert got.shape == (k,)
         # numpy's log, cos and sin may differ from math's in the last ulp
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-        assert fast.rng.gauss_next == slow.rng.gauss_next
+        assert fast.gauss_next == slow.gauss_next
         assert fast.random() == slow.random()
     assert fast.gauss(0.0, sigma) == slow.gauss(0.0, sigma)
     assert fast.random() == slow.random()
@@ -134,7 +134,7 @@ def test_gauss_array_equals_repeated_gauss(sigma):
 def test_gauss_array_of_nothing_leaves_the_stream():
     fast = RngSet(3).stream("shadowing")
     assert fast.gauss_array(0, 5.0).shape == (0,)
-    assert fast.rng.getstate() == RngSet(3).stream("shadowing").rng.getstate()
+    assert fast.getstate() == RngSet(3).stream("shadowing").getstate()
 
 
 @pytest.mark.parametrize("carried", [False, True])
@@ -145,14 +145,14 @@ def test_random_array_equals_repeated_random(carried):
         # one gauss call leaves the pair's second normal in gauss_next,
         # which uniform draws must neither use nor clear
         assert fast.gauss(0.0, 1.0) == slow.gauss(0.0, 1.0)
-        assert fast.rng.gauss_next is not None
+        assert fast.gauss_next is not None
     for k in (0, 1, 2, 7, 0, 7, 1, 2, 1000):
         got = fast.random_array(k)
         want = [slow.random() for _ in range(k)]
         assert got.shape == (k,)
         assert got.tolist() == want
-        assert fast.rng.gauss_next == slow.rng.gauss_next
+        assert fast.gauss_next == slow.gauss_next
         assert fast.random() == slow.random()
     assert fast.gauss(0.0, 2.0) == slow.gauss(0.0, 2.0)
     assert fast.gauss(0.0, 2.0) == slow.gauss(0.0, 2.0)
-    assert fast.rng.getstate() == slow.rng.getstate()
+    assert fast.getstate() == slow.getstate()

@@ -60,7 +60,7 @@ def check(ctx: RunContext):
     ref, distances, shadowing = scalar_reference(ctx)
     np.testing.assert_allclose(loss, ref, rtol=0.0, atol=1e-9)
     # the build leaves the shadowing stream where the pair loop leaves it
-    assert ctx.rng.stream("shadowing").rng.getstate() == shadowing.rng.getstate()
+    assert ctx.rng.stream("shadowing").getstate() == shadowing.getstate()
     return distances
 
 
@@ -94,5 +94,5 @@ def test_loss_matrix_without_shadowing_draws_nothing():
     cfg.phy.shadowing_sigma_db = 0.0
     ctx = RunContext(cfg, "ac_baseline")
     check(ctx)
-    assert ctx.rng.stream("shadowing").rng.getstate() == \
-        RngSet(4).stream("shadowing").rng.getstate()
+    assert ctx.rng.stream("shadowing").getstate() == \
+        RngSet(4).stream("shadowing").getstate()

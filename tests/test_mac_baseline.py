@@ -94,7 +94,8 @@ def test_cs_threshold_is_busy_inclusive():
 def test_cs_virtual_dominates():
     engine, sta = sensing_sta(-90.0)
     nav = engine.ctx.nav
-    nav.update(np.array([sta.node_id]), np.array([True]), engine.sim.now, 500 * US)
+    nav.update(np.array([sta.node_id]), np.array([True]), engine.sim.now, 500 * US,
+               is_cf_end=False)
     sta.backoff = backoff()
     contender = Contender(engine, sta)
     contender.start()

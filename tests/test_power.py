@@ -105,7 +105,8 @@ def test_no_doze_for_inter_bss_ppdu():
 def test_nav_untouched_by_doze_transitions():
     ctx, engine, tx = bss_hearing_an_ap_ppdu()
     sta = engine.stas[1]
-    ctx.nav.update(np.array([sta.node_id]), np.array([True]), 0, 5 * MS)
+    ctx.nav.update(np.array([sta.node_id]), np.array([True]), 0, 5 * MS,
+                   is_cf_end=False)
     before = (ctx.nav.intra_expiry_ns.tolist(), ctx.nav.basic_expiry_ns.tolist())
     engine._doze_phase(tx)
     assert sta.power.dozing

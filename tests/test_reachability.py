@@ -9,7 +9,8 @@ or ``m.x`` on a module imported with ``from . import m``.  Names a function
 binds itself (its arguments and assignments) do not refer to the module.
 
 A class member is a method, property or annotated field of a class under
-``src/axsim``; dunder methods, which Python calls itself, are left out.  It
+``src/axsim``, or an attribute one of its methods stores through
+``self.x = ...``; dunder methods, which Python calls itself, are left out.  It
 counts as read if some attribute load under ``src/axsim`` reads it.  A
 ``self.member`` load in a method reads the member of the method's class, of
 its bases and of its subclasses, and no other.  Any other ``x.member`` load
@@ -58,6 +59,8 @@ KEEP_MEMBERS = {
     ("medium", "Transmission", "payload"): "test reference: the MAC frame of a TF or MBA",
     ("topo", "Placement", "pos"): "test reference: node spacing in the topologies",
     ("topo", "Topology", "aps"): "test reference: AP counts of the topologies",
+    ("engine", "RunContext", "topology"): "test reference: test_loss_matrix",
+    ("core", "Simulator", "processed"): "bench core.events, golden event counts",
 }
 
 
@@ -111,9 +114,20 @@ def parse_sources() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
 
 
+def self_attributes(item: ast.AST, ctx: type) -> list[ast.Attribute]:
+    """The ``self.x`` nodes of context ctx (``ast.Load`` or ``ast.Store``)
+    in a class item that is a method taking self; none in any other item."""
+    if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+            or not item.args.args or item.args.args[0].arg != "self":
+        return []
+    return [node for node in ast.walk(item)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"]
+
+
 def class_members(trees: dict[str, ast.Module]) -> set[tuple[str, str, str]]:
-    """(module, class, member) for every method, property and annotated
-    field of every class, dunder methods left out."""
+    """(module, class, member) for every method, property, annotated field
+    and ``self.x`` store of every class, dunder methods left out."""
     members = set()
     for module, tree in trees.items():
         for cls in ast.walk(tree):
@@ -121,13 +135,14 @@ def class_members(trees: dict[str, ast.Module]) -> set[tuple[str, str, str]]:
                 continue
             for item in cls.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    name = item.name
+                    names = [item.name]
                 elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    name = item.target.id
+                    names = [item.target.id]
                 else:
                     continue
-                if not (name.startswith("__") and name.endswith("__")):
-                    members.add((module, cls.name, name))
+                names += [node.attr for node in self_attributes(item, ast.Store)]
+                members |= {(module, cls.name, name) for name in names
+                            if not (name.startswith("__") and name.endswith("__"))}
     return members
 
 
@@ -162,14 +177,9 @@ def attribute_loads(trees: dict[str, ast.Module]
             if not isinstance(cls, ast.ClassDef):
                 continue
             for item in cls.body:
-                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                        or not item.args.args or item.args.args[0].arg != "self":
-                    continue
-                for node in ast.walk(item):
-                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
-                            and isinstance(node.value, ast.Name) and node.value.id == "self":
-                        by_class.add((cls.name, node.attr))
-                        self_loads.add(node)
+                for node in self_attributes(item, ast.Load):
+                    by_class.add((cls.name, node.attr))
+                    self_loads.add(node)
         by_name |= {node.attr for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
                     and node not in self_loads}
@@ -255,3 +265,19 @@ def test_a_self_read_reaches_only_its_class_family():
         "def use(other):\n"
         "    return other.named\n")
     assert unread_members({"m": tree}) == {("m", "Base", "run"), ("m", "Other", "late")}
+
+
+def test_attributes_stored_through_self_are_members():
+    # Node stores kept, dead and count through self; kept is read, count
+    # only by its own augmented assignment, which is no read
+    tree = ast.parse(
+        "class Node:\n"
+        "    def __init__(self):\n"
+        "        self.kept = self.dead = 0\n"
+        "        self.count = 0\n"
+        "    def step(self):\n"
+        "        self.count += 1\n"
+        "        return self.kept\n"
+        "def use(node):\n"
+        "    return node.step()\n")
+    assert unread_members({"m": tree}) == {("m", "Node", "dead"), ("m", "Node", "count")}

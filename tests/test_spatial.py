@@ -60,7 +60,7 @@ def test_both_navs_zero_is_idle():
 def test_inter_bss_frames_load_basic_nav():
     nav = TwoNav(3)
     # one frame, inter-BSS at node 0 and intra-BSS at node 2; node 1 does not hear it
-    nav.update(np.array([0, 2]), np.array([False, True]), 0, 700)
+    nav.update(np.array([0, 2]), np.array([False, True]), 0, 700, is_cf_end=False)
     assert nav.basic_expiry_ns.tolist() == [700, 0, 0]
     assert nav.intra_expiry_ns.tolist() == [0, 0, 700]
     hear(nav, INTER_BSS, 100, 200, nodes=(0, 2))    # node 0 keeps the later expiry

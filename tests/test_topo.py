@@ -90,6 +90,19 @@ def test_outdoor_multi_19_aps_at_130m():
     assert min_d == pytest.approx(130.0, rel=1e-6)
 
 
+def test_outdoor_multi_cells_follow_the_inradius():
+    cfg = default_config(OUTDOOR_MULTI, n_bss=7, stas_per_bss=16, cell_inradius_m=20.0)
+    topo = gen_outdoor_multi(rng(7), cfg)
+    ap_of = {ap.bss_id: ap for ap in topo.aps}
+    for sta in topo.stas:
+        ap = ap_of[sta.bss_id]
+        assert point_in_hexagon(sta.x - ap.x, sta.y - ap.y, 20.0)
+    aps = topo.aps
+    min_d = min(math.dist(a.pos, b.pos)
+                for i, a in enumerate(aps) for b in aps[i + 1:])
+    assert min_d == pytest.approx(40.0, rel=1e-6)
+
+
 def test_hex_rings_count():
     assert len(hex_ring_centers(130.0, 2)) == 19
     assert len(hex_ring_centers(130.0, 1)) == 7

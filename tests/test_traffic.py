@@ -9,7 +9,7 @@ import numpy as np
 
 from axsim import phy
 from axsim.config import default_config
-from axsim.core import RngStream
+from axsim.core import RngSet
 from axsim.engine import RunContext
 from axsim.traffic import CbrFlow, FlowStats
 
@@ -136,7 +136,7 @@ def test_one_draw_per_mpdu_in_order():
     engine = ctx.engines[0]
     flow = engine.stas[0].flow
     mcs = phy.Mcs(5)
-    ref = RngStream(engine.rng_per.seed, engine.rng_per.stream_id)
+    ref = RngSet(cfg.seed).stream(f"per-{engine.bss_id}")
     seqs = np.array([11, 3, 4, 5, 9, 12, 13], dtype=np.int64)
     # an effective SINR on the waterfall, so some MPDUs fail and some survive
     sinr = ctx.per_model.thresholds_db[5] + 1.0
