@@ -53,24 +53,29 @@ class SimNode:
 
 class Contender:
     """Arms and freezes one node's EDCA attempt around medium transitions;
-    its AIFS is DIFS."""
+    its AIFS is DIFS.  Whether the node wants the channel and whether an
+    attempt is armed are RunContext.active and .pending at its node id."""
 
     def __init__(self, engine: "BssEngine", node: SimNode):
         self.engine = engine
+        self.ctx = engine.ctx
         self.node = node
         self.gen = 0
-        self.pending = False        # an attempt event is armed
         self.counter: int | None = None
         self.armed_at = 0
-        self.active = False         # node currently wants the channel
 
     def start(self) -> None:
-        if self.active or self.node.in_txop:
+        ctx = self.ctx
+        i = self.node.node_id
+        if ctx.active[i] or self.node.in_txop:
             return
-        self.active = True
+        ctx.active[i] = True
+        ctx.n_active += 1
         if self.counter is None:
             self.counter = self.node.backoff.draw(self.engine.rng_backoff)
-        self._try_arm()
+        blocked, cap = self.engine.cs_state()
+        if not blocked.item(i):
+            self._arm(cap_at(cap, i))
 
     def redraw(self, success: bool) -> None:
         if success:
@@ -79,43 +84,39 @@ class Contender:
             self.node.backoff.on_failure()
         self.counter = self.node.backoff.draw(self.engine.rng_backoff)
 
-    def _try_arm(self) -> None:
-        blocked, cap = self.engine.cs_state()
-        i = self.node.node_id
-        if not blocked.item(i):
-            self._arm(cap_at(cap, i))
-
     def _arm(self, cap: float | None) -> None:
         """Arm the attempt on an idle medium, deferring to both NAVs and
         EIFS; cap is the SR power cap the node then transmits under."""
         sim = self.engine.sim
-        ctx = self.engine.ctx
+        ctx = self.ctx
         i = self.node.node_id
         start = max(sim.now, ctx.nav.intra_expiry_ns.item(i),
                     ctx.nav.basic_expiry_ns.item(i), ctx.eifs_until_ns.item(i))
         self.node.sr_cap_dbm = cap
         self.gen += 1
-        self.pending = True
+        ctx.pending[i] = True
         self.armed_at = start
         fire_at = start + DIFS + self.counter * SLOT_TIME
         gen = self.gen
         sim.at(fire_at, lambda: self._fire(gen))
 
     def _fire(self, gen: int) -> None:
-        if gen != self.gen or not self.active:
-            return
-        self.pending = False
-        blocked, cap = self.engine.cs_state()
+        ctx = self.ctx
         i = self.node.node_id
+        if gen != self.gen or not ctx.active[i]:
+            return
+        ctx.pending[i] = False
+        blocked, cap = self.engine.cs_state()
         if blocked.item(i):
             return              # re-armed by the medium change that clears it
         cap = cap_at(cap, i)
-        if not self.engine.ctx.nav.idle(i, self.engine.sim.now):
+        if not ctx.nav.idle(i, self.engine.sim.now):
             self._arm(cap)
             return
         self.node.sr_cap_dbm = cap
         self.counter = None
-        self.active = False
+        ctx.active[i] = False
+        ctx.n_active -= 1
         self.engine.on_backoff_complete(self.node)
 
     def on_medium_change(self, blocked: bool, cap: float | None) -> None:
@@ -127,7 +128,7 @@ class Contender:
             elapsed = self.engine.sim.now - (self.armed_at + DIFS)
             if elapsed > 0 and self.counter:
                 self.counter = max(0, self.counter - elapsed // SLOT_TIME)
-            self.pending = False
+            self.ctx.pending[self.node.node_id] = False
             self.gen += 1
         else:
             self._arm(cap)
@@ -164,7 +165,6 @@ class BssEngine:
         self.rng_uora = ctx.rng.stream(f"uora-{bss_id}")
         self.nss = min(self.cfg.radio.sta_antennas, self.cfg.radio.ap_antennas)
         self.contending: tuple[SimNode, ...] = ()   # the nodes that run EDCA
-        self.contenders: dict[int, Contender] = {}
         self.mpdu_bits = frames.mpdu_bits(self.cfg.packet_bytes)
 
     # --- carrier sensing / doze ----------------------------------------------------
@@ -178,26 +178,9 @@ class BssEngine:
             return self.ctx.cs_idle
         return self.ctx.carrier_state(sensed)
 
-    def on_air(self, event: str, tx: Transmission) -> None:
-        if self.ctx.intra_ppdu_doze and event == "start" and \
-                tx.kind in ("ampdu", "he-mu", "he-tb"):
-            self._doze_phase(tx)
-        # Only an active contender whose attempt disagrees with its node's
-        # carrier state (armed on a busy medium, or not armed on an idle
-        # one) has anything to do.  The state is read once the first active
-        # contender turns up, and the callbacks run in dict order.
-        blocked = cap = None
-        for contender in self.contenders.values():
-            if not contender.active:
-                continue
-            if blocked is None:
-                blocked, cap = self.cs_state()
-            i = contender.node.node_id
-            busy = blocked.item(i)
-            if busy == contender.pending:
-                contender.on_medium_change(busy, None if busy else cap_at(cap, i))
-
-    def _doze_phase(self, tx: Transmission) -> None:
+    def on_air(self, tx: Transmission) -> None:
+        """Doze phase at the start of a data PPDU: STAs the PPDU does not
+        involve and that sense it doze until its end, if they may."""
         for node in self.stas:
             if node.node_id == tx.tx_node or node.node_id in tx.involves:
                 continue
@@ -307,7 +290,7 @@ class BssEngine:
     def _finish_txop(self, txop: Txop, success: bool) -> None:
         holder = txop.holder
         holder.in_txop = False
-        contender = self.contenders[holder.node_id]
+        contender = self.ctx.contenders[holder.node_id]
         contender.redraw(success)
         if success and txop.deadline_ns - self.sim.now > \
                 frames.legacy_frame_duration_ns(frames.CF_END_BYTES):
@@ -329,13 +312,13 @@ class BssEngine:
     def kick(self) -> None:
         for node in self.contending:
             node.backoff = BackoffState(self.cfg.mac.cw_min, self.cfg.mac.cw_max)
-            self.contenders[node.node_id] = Contender(self, node)
+            self.ctx.contenders[node.node_id] = Contender(self, node)
         self.sim.at(0, self._poll_traffic)
 
     def _poll_traffic(self) -> None:
         for node in self.contending:
             if self.has_work(node):
-                self.contenders[node.node_id].start()
+                self.ctx.contenders[node.node_id].start()
         self.sim.after(self.ctx.poll_interval_ns, self._poll_traffic)
 
     def has_work(self, node: SimNode) -> bool:
@@ -943,13 +926,30 @@ class RunContext:
         # the EIFS deferral after an unreadable frame
         self.nav = TwoNav(n)
         self.eifs_until_ns = np.zeros(n, dtype=np.int64)
+        # EDCA per node, indexed by node id: its Contender, whether it wants
+        # the channel, whether its attempt is armed; and how many want it
+        self.contenders: dict[int, Contender] = {}
+        self.active = np.zeros(n, dtype=bool)
+        self.pending = np.zeros(n, dtype=bool)
+        self.n_active = 0
         self.medium.listeners.append(self._dispatch_air)
 
     def _dispatch_air(self, event: str, tx: Transmission) -> None:
         if event == "end":
             self._nav_pass(tx)
-        for engine in self.engines:
-            engine.on_air(event, tx)
+        elif self.intra_ppdu_doze and tx.kind in ("ampdu", "he-mu", "he-tb"):
+            for engine in self.engines:
+                engine.on_air(tx)
+        if not self.n_active:
+            return
+        # Only an active contender whose attempt disagrees with its node's
+        # carrier state (armed on a busy medium, or not armed on an idle one)
+        # has anything to do.  Ascending node id is engine order, then each
+        # engine's contending order.
+        blocked, cap = self.engines[0].cs_state()
+        for i in (self.active & (self.pending == blocked)).nonzero()[0].tolist():
+            busy = blocked.item(i)
+            self.contenders[i].on_medium_change(busy, None if busy else cap_at(cap, i))
 
     def classify(self, node: SimNode, tx: Transmission) -> str:
         """Intra- or inter-BSS, as node classifies the frame tx: by BSS

@@ -6,7 +6,8 @@ row per frame, for all nodes at once.  These tests restate the rules one
 node and one frame at a time and compare, and check that a frame's rows are
 released once it has ended.  Contenders are called back only when their
 node's carrier state disagrees with their armed attempt; the contention
-tests check that none is left out of step.  Decode SINR and NAV
+tests check that none is left out of step, and that each medium change
+reads the carrier state at most once.  Decode SINR and NAV
 readability read one walk of each frame's interferers; the references walk
 the whole frames on the air with it, one by one.
 """
@@ -23,7 +24,8 @@ from axsim import phy, spatial
 from axsim.config import default_config
 from axsim.baseline import BackoffState
 from axsim.core import DIFS, SLOT_TIME, US
-from axsim.engine import EIFS, MIN_SR_TXPWR_DBM, Contender, RunContext, cap_at
+from axsim.engine import (EIFS, MIN_SR_TXPWR_DBM, BssEngine, Contender, RunContext,
+                          cap_at)
 from axsim.medium import SUBCHANNEL_HZ, Medium, RuPart, Transmission
 
 MULTI = dict(n_bss=3, stas_per_bss=8, per_sta_rate_mbps=13)
@@ -134,9 +136,11 @@ def test_active_contenders_are_armed_exactly_when_their_node_is_not_blocked(
     on_medium_change = Contender.on_medium_change
 
     def acting(contender, blocked, cap):
-        before = (contender.gen, contender.pending)
+        pending = contender.ctx.pending
+        i = contender.node.node_id
+        before = (contender.gen, pending.item(i))
         on_medium_change(contender, blocked, cap)
-        assert (contender.gen, contender.pending) != before
+        assert (contender.gen, pending.item(i)) != before
         seen["freeze" if blocked else "arm"] += 1
 
     monkeypatch.setattr(Contender, "on_medium_change", acting)
@@ -145,16 +149,50 @@ def test_active_contenders_are_armed_exactly_when_their_node_is_not_blocked(
 
     def check(*_):          # runs after RunContext._dispatch_air
         blocked, _ = ctx.engines[0].cs_state()
-        for engine in ctx.engines:
-            for contender in engine.contenders.values():
-                if contender.active:
-                    i = contender.node.node_id
-                    assert contender.pending != blocked.item(i), (ctx.sim.now, i)
-                    seen["active"] += 1
+        for i, contender in ctx.contenders.items():
+            assert contender.node.node_id == i
+            if ctx.active[i]:
+                assert ctx.pending[i] != blocked[i], (ctx.sim.now, i)
+                seen["active"] += 1
 
     ctx.medium.listeners.append(check)
     ctx.sim.run_until(ctx.cfg.duration_ns)
     assert seen["freeze"] > 0 and seen["arm"] > 0 and seen["active"] > 100, seen
+
+
+# (any contender active, carrier-state reads) per medium change: STAs contend
+# all through the UL run; the DL run's only contender, the AP, is never
+# active while the medium changes, since only its own TXOPs change it.
+@pytest.mark.parametrize("kind, scheme, direction, overrides, common", [
+    ("indoor_multi", "ac_baseline", "ul", MULTI, (True, 1)),
+    ("indoor_single", "ax_ofdma", "dl", dict(stas_per_bss=8), (False, 0)),
+])
+def test_a_medium_change_reads_the_carrier_state_once_if_a_contender_is_active(
+        monkeypatch, kind, scheme, direction, overrides, common):
+    """The contention gate of RunContext._dispatch_air reads the carrier
+    state once per medium change, and not at all while no contender is
+    active; neither the NAV pass nor the doze phase reads it."""
+    reads = Counter()
+    dispatches = Counter()
+    cs_state = BssEngine.cs_state
+    dispatch = RunContext._dispatch_air
+
+    def counting(engine):
+        reads["cs_state"] += 1
+        return cs_state(engine)
+
+    def dispatching(ctx, event, tx):
+        active = bool(ctx.active.any())
+        before = reads["cs_state"]
+        dispatch(ctx, event, tx)
+        dispatches[active, reads["cs_state"] - before] += 1
+
+    monkeypatch.setattr(BssEngine, "cs_state", counting)
+    monkeypatch.setattr(RunContext, "_dispatch_air", dispatching)
+    ctx = started(scheme, kind=kind, direction=direction, doze=True, **overrides)
+    ctx.sim.run_until(ctx.cfg.duration_ns)
+    assert set(dispatches) <= {(True, 1), (False, 0)}, dispatches
+    assert dispatches[common] > 100, dispatches
 
 
 def test_a_frozen_attempt_resumes_with_the_slots_left():
@@ -169,10 +207,11 @@ def test_a_frozen_attempt_resumes_with_the_slots_left():
     attempts = []
     engine.on_backoff_complete = lambda node: attempts.append(ctx.sim.now)
     sta.backoff = BackoffState(ctx.cfg.mac.cw_min, ctx.cfg.mac.cw_max)
-    contender = engine.contenders[sta.node_id] = Contender(engine, sta)
+    i = sta.node_id
+    contender = ctx.contenders[i] = Contender(engine, sta)
     contender.counter = 10
     contender.start()
-    assert contender.pending and contender.armed_at == 0
+    assert ctx.pending[i] and contender.armed_at == 0
     old_fire = DIFS + 10 * SLOT_TIME
 
     def send(node, start, end, nav_ns=0):
@@ -186,18 +225,17 @@ def test_a_frozen_attempt_resumes_with_the_slots_left():
     send(other, DIFS + 4 * SLOT_TIME, 150 * US)
     send(ap, sensed_at, 200 * US, nav_ns=100 * US)
     ctx.sim.run_until(sensed_at)
-    assert not contender.pending and contender.counter == 6
-    frozen = (contender.gen, contender.pending, contender.counter)
+    assert not ctx.pending[i] and contender.counter == 6
+    frozen = (contender.gen, ctx.pending[i], contender.counter)
     ctx.sim.run_until(old_fire)         # the old attempt fires and is stale
-    assert (contender.gen, contender.pending, contender.counter) == frozen
+    assert (contender.gen, ctx.pending[i], contender.counter) == frozen
     assert attempts == []
 
     ctx.sim.run_until(200 * US)         # the AP's frame ends: idle again
-    i = sta.node_id
     resume = max(200 * US, ctx.nav.intra_expiry_ns[i], ctx.nav.basic_expiry_ns[i],
                  ctx.eifs_until_ns[i])
     assert resume == 300 * US           # the NAV the AP's frame set
-    assert contender.pending and contender.armed_at == resume
+    assert ctx.pending[i] and contender.armed_at == resume
     ctx.sim.run_until(ctx.cfg.duration_ns)
     assert attempts == [resume + DIFS + 6 * SLOT_TIME]
 

@@ -99,7 +99,7 @@ def test_cs_virtual_dominates():
     sta.backoff = backoff()
     contender = Contender(engine, sta)
     contender.start()
-    assert contender.pending
+    assert engine.ctx.pending[sta.node_id]
     assert contender.armed_at == nav.intra_expiry_ns[sta.node_id] == 500 * US + 1
 
 

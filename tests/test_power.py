@@ -90,7 +90,7 @@ def bss_hearing_an_ap_ppdu():
 
 def test_no_doze_when_addressed():
     _, engine, tx = bss_hearing_an_ap_ppdu()
-    engine._doze_phase(tx)
+    engine.on_air(tx)
     addressed, *others = engine.stas
     assert not addressed.power.dozing
     assert all(sta.power.dozing for sta in others)
@@ -108,7 +108,7 @@ def test_nav_untouched_by_doze_transitions():
     ctx.nav.update(np.array([sta.node_id]), np.array([True]), 0, 5 * MS,
                    is_cf_end=False)
     before = (ctx.nav.intra_expiry_ns.tolist(), ctx.nav.basic_expiry_ns.tolist())
-    engine._doze_phase(tx)
+    engine.on_air(tx)
     assert sta.power.dozing
     ctx.sim.run_until(MS)                   # the PPDU ends and the STA wakes
     assert not sta.power.dozing

@@ -106,3 +106,25 @@ def test_outdoor_multi_cells_follow_the_inradius():
 def test_hex_rings_count():
     assert len(hex_ring_centers(130.0, 2)) == 19
     assert len(hex_ring_centers(130.0, 1)) == 7
+
+
+@pytest.mark.parametrize("generate, kind, overrides", [
+    (gen_indoor_single, INDOOR_SINGLE, dict(stas_per_bss=8)),
+    (gen_outdoor_single, OUTDOOR_SINGLE, dict(stas_per_bss=8)),
+    (gen_indoor_multi, INDOOR_MULTI, dict(n_bss=4, stas_per_bss=5)),
+    (gen_outdoor_multi, OUTDOOR_MULTI, dict(n_bss=7, stas_per_bss=5)),
+])
+def test_node_ids_run_bss_by_bss_with_the_ap_first(generate, kind, overrides):
+    """Node ids run 0..n-1 in placement order, each BSS holds one run of
+    them, the runs follow in ascending BSS id, and each starts with the AP.
+    So ascending node id, the order RunContext calls contenders back in, is
+    engine order and then each engine's node order."""
+    cfg = default_config(kind, **overrides)
+    topo = generate(rng(8), cfg)
+    assert [p.node_id for p in topo.placements] == list(range(len(topo.placements)))
+    bss_ids = [p.bss_id for p in topo.placements]
+    assert bss_ids == sorted(bss_ids)
+    assert len(set(bss_ids)) == cfg.n_bss
+    for bss_id in set(bss_ids):
+        roles = [p.is_ap for p in topo.of_bss(bss_id)]
+        assert roles == [True] + [False] * cfg.stas_per_bss
