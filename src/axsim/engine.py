@@ -12,6 +12,7 @@ from . import frames, mu, phy, ru, spatial
 from .baseline import BackoffState, Txop
 from .config import (DL, INDOOR_MULTI, INDOOR_SINGLE, OUTDOOR_MULTI, OUTDOOR_SINGLE,
                      ScenarioConfig, Scheme, scheme_features)
+from .contention import Contender
 from .core import DIFS, SIFS, SLOT_TIME, US, RngSet, RngStream, Simulator
 from .medium import Medium, RuPart, Transmission
 from .power import PowerState, intra_ppdu_doze
@@ -43,103 +44,11 @@ class SimNode:
     backoff: BackoffState | None = None
     flow: CbrFlow | None = None               # a STA's traffic, either direction
     obo: mu.OboState | None = None
-    sr_cap_dbm: float | None = None           # power cap for an SR-won TXOP
     in_txop: bool = False                     # holder side of a running exchange
     # A STA's AID: its 1-based position among its BSS's STAs, so ascending
     # with node id as build_schedule expects.  Node ids would reach the
     # reserved AID12 2045 in large layouts.  0 for an AP.
     aid: int = 0
-
-
-class Contender:
-    """Arms and freezes one node's EDCA attempt around medium transitions;
-    its AIFS is DIFS.  Whether the node wants the channel and whether an
-    attempt is armed are RunContext.active and .pending at its node id."""
-
-    def __init__(self, engine: "BssEngine", node: SimNode):
-        self.engine = engine
-        self.ctx = engine.ctx
-        self.node = node
-        self.gen = 0
-        self.counter: int | None = None
-        self.armed_at = 0
-
-    def start(self) -> None:
-        ctx = self.ctx
-        i = self.node.node_id
-        if ctx.active[i] or self.node.in_txop:
-            return
-        ctx.active[i] = True
-        ctx.n_active += 1
-        if self.counter is None:
-            self.counter = self.node.backoff.draw(self.engine.rng_backoff)
-        blocked, cap = self.engine.cs_state()
-        if not blocked.item(i):
-            self._arm(cap_at(cap, i))
-
-    def redraw(self, success: bool) -> None:
-        if success:
-            self.node.backoff.on_success()
-        else:
-            self.node.backoff.on_failure()
-        self.counter = self.node.backoff.draw(self.engine.rng_backoff)
-
-    def _arm(self, cap: float | None) -> None:
-        """Arm the attempt on an idle medium, deferring to both NAVs and
-        EIFS; cap is the SR power cap the node then transmits under."""
-        sim = self.engine.sim
-        ctx = self.ctx
-        i = self.node.node_id
-        start = max(sim.now, ctx.nav.intra_expiry_ns.item(i),
-                    ctx.nav.basic_expiry_ns.item(i), ctx.eifs_until_ns.item(i))
-        self.node.sr_cap_dbm = cap
-        self.gen += 1
-        ctx.pending[i] = True
-        self.armed_at = start
-        fire_at = start + DIFS + self.counter * SLOT_TIME
-        gen = self.gen
-        sim.at(fire_at, lambda: self._fire(gen))
-
-    def _fire(self, gen: int) -> None:
-        ctx = self.ctx
-        i = self.node.node_id
-        if gen != self.gen or not ctx.active[i]:
-            return
-        ctx.pending[i] = False
-        blocked, cap = self.engine.cs_state()
-        if blocked.item(i):
-            return              # re-armed by the medium change that clears it
-        cap = cap_at(cap, i)
-        if not ctx.nav.idle(i, self.engine.sim.now):
-            self._arm(cap)
-            return
-        self.node.sr_cap_dbm = cap
-        self.counter = None
-        ctx.active[i] = False
-        ctx.n_active -= 1
-        self.engine.on_backoff_complete(self.node)
-
-    def on_medium_change(self, blocked: bool, cap: float | None) -> None:
-        """The carrier state at an active contender's node no longer matches
-        its attempt (pending == blocked): freeze the armed attempt on a busy
-        medium, keeping the whole slots counted down since AIFS, or arm one
-        on an idle medium under the SR power cap `cap`."""
-        if blocked:
-            elapsed = self.engine.sim.now - (self.armed_at + DIFS)
-            if elapsed > 0 and self.counter:
-                self.counter = max(0, self.counter - elapsed // SLOT_TIME)
-            self.ctx.pending[self.node.node_id] = False
-            self.gen += 1
-        else:
-            self._arm(cap)
-
-
-def cap_at(cap: np.ndarray | None, i: int) -> float | None:
-    """Node i's SR power cap from a cs_state cap row; None for no cap."""
-    if cap is None:
-        return None
-    value = cap.item(i)
-    return None if value == math.inf else value
 
 
 class BssEngine:
@@ -169,14 +78,11 @@ class BssEngine:
 
     # --- carrier sensing / doze ----------------------------------------------------
 
-    def cs_state(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """(blocked, cap) rows over all nodes, indexed by node id, from the
-        frames the medium senses now; see RunContext.carrier_state for the
-        rule.  The only caller of Medium.sensed."""
-        sensed = self.medium.sensed(self.sim.now)
-        if not sensed:
-            return self.ctx.cs_idle
-        return self.ctx.carrier_state(sensed)
+    def cs_state(self) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
+        """(blocked row over all nodes, cap rows) from the frames the medium
+        senses now; see RunContext.carrier_state for the rule.  The only
+        caller of Medium.sensed."""
+        return self.ctx.carrier_state(self.medium.sensed(self.sim.now))
 
     def on_air(self, tx: Transmission) -> None:
         """Doze phase at the start of a data PPDU: STAs the PPDU does not
@@ -197,13 +103,14 @@ class BssEngine:
     # --- transmit helpers -------------------------------------------------------------
 
     def node_power(self, node: SimNode) -> float:
-        cap = node.sr_cap_dbm
-        if not node.is_ap and self.ap.sr_cap_dbm is not None:
-            # triggered STAs follow the AP's spatial-reuse power control
-            cap = self.ap.sr_cap_dbm if cap is None else min(cap, self.ap.sr_cap_dbm)
-        if cap is None:
+        if not self.features.spatial_reuse:     # only spatial reuse caps power
             return node.tx_power_dbm
-        return min(node.tx_power_dbm, cap)
+        cap = self.ctx.contention.sr_cap_dbm
+        power = min(node.tx_power_dbm, cap.item(node.node_id))
+        if not node.is_ap:
+            # triggered STAs follow the AP's spatial-reuse power control
+            power = min(power, cap.item(self.ap.node_id))
+        return power
 
     def send(self, node: SimNode, kind: str, start: int, end: int,
              then=None, **fields) -> Transmission:
@@ -290,13 +197,13 @@ class BssEngine:
     def _finish_txop(self, txop: Txop, success: bool) -> None:
         holder = txop.holder
         holder.in_txop = False
-        contender = self.ctx.contenders[holder.node_id]
-        contender.redraw(success)
+        contention = self.ctx.contention
+        contention.redraw(holder, success)
         if success and txop.deadline_ns - self.sim.now > \
                 frames.legacy_frame_duration_ns(frames.CF_END_BYTES):
             self.send_control(holder, "cf-end", frames.CF_END_BYTES, self.sim.now)
         if self.has_work(holder):
-            contender.start()
+            contention.start(holder)
 
     # --- traffic wiring -----------------------------------------------------------------
 
@@ -311,14 +218,13 @@ class BssEngine:
 
     def kick(self) -> None:
         for node in self.contending:
-            node.backoff = BackoffState(self.cfg.mac.cw_min, self.cfg.mac.cw_max)
-            self.ctx.contenders[node.node_id] = Contender(self, node)
+            self.ctx.contention.join(self, node)
         self.sim.at(0, self._poll_traffic)
 
     def _poll_traffic(self) -> None:
         for node in self.contending:
             if self.has_work(node):
-                self.ctx.contenders[node.node_id].start()
+                self.ctx.contention.start(node)
         self.sim.after(self.ctx.poll_interval_ns, self._poll_traffic)
 
     def has_work(self, node: SimNode) -> bool:
@@ -861,7 +767,8 @@ def loss_matrix(x: np.ndarray, y: np.ndarray, model: phy.PathLossModel,
 
 
 class RunContext:
-    """Builds nodes, gain matrix and engines for one (scenario, scheme) run."""
+    """Builds nodes, loss matrix (dB) and engines for one (scenario, scheme)
+    run."""
 
     def __init__(self, cfg: ScenarioConfig, scheme: Scheme,
                  intra_ppdu_doze: bool = False):
@@ -890,11 +797,14 @@ class RunContext:
             self.rng.stream("shadowing"))
         self.medium = Medium(self.sim, self.loss_db, cfg.radio.noise_figure_db)
         self._round_counter = 0
+        # carrier sense: the last list of sensed frames, the block row of
+        # each of its frames by tx_id, per node how many of them block it,
+        # and the carrier state they give
         self._cs_sensed: list[Transmission] | None = None
-        self._cs_key: tuple[int, ...] = ()
-        self._cs_state: tuple[np.ndarray, np.ndarray | None] | None = None
-        # carrier state while no frame is sensed
-        self.cs_idle: tuple[np.ndarray, None] = (np.zeros(n, dtype=bool), None)
+        self._counted: dict[int, np.ndarray] = {}
+        self.busy_count = np.zeros(n, dtype=np.int32)
+        self._cs_state: tuple[np.ndarray, tuple[np.ndarray, ...] | None] = (
+            np.zeros(n, dtype=bool), None)
 
         self.nodes: dict[int, SimNode] = {}
         self.stats: dict[int, FlowStats] = {}
@@ -926,12 +836,7 @@ class RunContext:
         # the EIFS deferral after an unreadable frame
         self.nav = TwoNav(n)
         self.eifs_until_ns = np.zeros(n, dtype=np.int64)
-        # EDCA per node, indexed by node id: its Contender, whether it wants
-        # the channel, whether its attempt is armed; and how many want it
-        self.contenders: dict[int, Contender] = {}
-        self.active = np.zeros(n, dtype=bool)
-        self.pending = np.zeros(n, dtype=bool)
-        self.n_active = 0
+        self.contention = Contender(self, n)
         self.medium.listeners.append(self._dispatch_air)
 
     def _dispatch_air(self, event: str, tx: Transmission) -> None:
@@ -940,16 +845,10 @@ class RunContext:
         elif self.intra_ppdu_doze and tx.kind in ("ampdu", "he-mu", "he-tb"):
             for engine in self.engines:
                 engine.on_air(tx)
-        if not self.n_active:
-            return
-        # Only an active contender whose attempt disagrees with its node's
-        # carrier state (armed on a busy medium, or not armed on an idle one)
-        # has anything to do.  Ascending node id is engine order, then each
-        # engine's contending order.
-        blocked, cap = self.engines[0].cs_state()
-        for i in (self.active & (self.pending == blocked)).nonzero()[0].tolist():
-            busy = blocked.item(i)
-            self.contenders[i].on_medium_change(busy, None if busy else cap_at(cap, i))
+        # every active contender follows its node's carrier state, read once
+        # per medium change
+        if self.contention.n_active:
+            self.contention.on_medium_change(*self.engines[0].cs_state())
 
     def classify(self, node: SimNode, tx: Transmission) -> str:
         """Intra- or inter-BSS, as node classifies the frame tx: by BSS
@@ -962,7 +861,8 @@ class RunContext:
 
     def _cs_rows(self, tx: Transmission) -> tuple[np.ndarray, np.ndarray | None]:
         """(blocks, cap) rows of one sensed frame over all nodes: whether the
-        frame blocks the node, and the SR power cap it sets (inf for none).
+        frame blocks the node, and the SR power cap it sets (inf for none;
+        the cap row is None if the frame caps no node).
 
         A frame below CCA neither blocks nor caps.  Above it, an intra-BSS
         frame blocks; with spatial reuse, an inter-BSS one (another colour;
@@ -990,29 +890,39 @@ class RunContext:
             sr_ok = ~spatial.intra_bss(tx.color, self.colors) \
                 & (allowed >= MIN_SR_TXPWR_DBM) \
                 & (snr >= self.per_model.thresholds_db[0])
-            tx.cs_rows = (hears & ~sr_ok, np.where(hears & sr_ok, allowed, np.inf))
+            capped = hears & sr_ok
+            tx.cs_rows = (hears & ~sr_ok,
+                          np.where(capped, allowed, np.inf) if capped.any() else None)
         return tx.cs_rows
 
     def carrier_state(self, sensed: list[Transmission]
-                      ) -> tuple[np.ndarray, np.ndarray | None]:
-        """(blocked, cap) over all nodes for a list of sensed frames: a node is
-        blocked if any frame blocks it, else its SR power cap is the lowest
-        any frame sets (inf for none; cap is None without spatial reuse)."""
+                      ) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
+        """(blocked, caps) for a list of sensed frames: a node is blocked if
+        any frame blocks it; caps are the cap rows of the frames that cap
+        some node, None for none, and contention.cap_at reads a node's SR
+        power cap from them.
+
+        busy_count holds, per node, how many frames of the list block it.
+        Only the frames that entered or left the list since the last call
+        change it, and an exact integer count needs no rebuild."""
         if sensed is not self._cs_sensed:
             self._cs_sensed = sensed
-            key = tuple(tx.tx_id for tx in sensed)
-            if key != self._cs_key:
-                self._cs_key = key
-                rows = [self._cs_rows(tx) for tx in sensed]
-                blocked = rows[0][0]
-                for b, _ in rows[1:]:
-                    blocked = blocked | b
-                cap = None
+            counted = self._counted
+            entering = [tx for tx in sensed if tx.tx_id not in counted]
+            left = len(counted) + len(entering) - len(sensed)
+            if left:
+                live = {tx.tx_id for tx in sensed}
+                for tx_id in [k for k in counted if k not in live]:
+                    self.busy_count -= counted.pop(tx_id)
+            for tx in entering:
+                blocks = counted[tx.tx_id] = self._cs_rows(tx)[0]
+                self.busy_count += blocks
+            if left or entering:
+                caps = None
                 if self.features.spatial_reuse:
-                    cap = rows[0][1]
-                    for _, c in rows[1:]:
-                        cap = np.minimum(cap, c)
-                self._cs_state = (blocked, cap)
+                    caps = tuple(tx.cs_rows[1] for tx in sensed
+                                 if tx.cs_rows[1] is not None) or None
+                self._cs_state = (self.busy_count > 0, caps)
         return self._cs_state
 
     def _nav_pass(self, tx: Transmission) -> None:

@@ -4,10 +4,13 @@ references.
 The engine derives carrier sense and NAV readability from one received-power
 row per frame, for all nodes at once.  These tests restate the rules one
 node and one frame at a time and compare, and check that a frame's rows are
-released once it has ended.  Contenders are called back only when their
-node's carrier state disagrees with their armed attempt; the contention
-tests check that none is left out of step, and that each medium change
-reads the carrier state at most once.  Decode SINR and NAV
+released once it has ended.  The run keeps, per node, a count of the
+sensed frames that block it; the references count them one by one.  One
+batched step per medium change freezes and arms exactly the contenders
+whose attempt disagrees with their node's carrier state; the contention
+tests check that none is left out of step, that each medium change reads
+the carrier state at most once, and that attempts keep their place among
+events of the same instant.  Decode SINR and NAV
 readability read one walk of each frame's interferers; the references walk
 the whole frames on the air with it, one by one.
 """
@@ -22,10 +25,9 @@ import pytest
 
 from axsim import phy, spatial
 from axsim.config import default_config
-from axsim.baseline import BackoffState
 from axsim.core import DIFS, SLOT_TIME, US
-from axsim.engine import (EIFS, MIN_SR_TXPWR_DBM, BssEngine, Contender, RunContext,
-                          cap_at)
+from axsim.contention import cap_at
+from axsim.engine import EIFS, MIN_SR_TXPWR_DBM, BssEngine, Contender, RunContext
 from axsim.medium import SUBCHANNEL_HZ, Medium, RuPart, Transmission
 
 MULTI = dict(n_bss=3, stas_per_bss=8, per_sta_rate_mbps=13)
@@ -46,14 +48,18 @@ def started(scheme: str, kind: str = "indoor_multi", direction: str = "ul",
     return ctx
 
 
-def reference_cs_state(ctx: RunContext, node_id: int) -> tuple[bool, float | None]:
-    """Carrier sense of one node, one active frame at a time: a frame on the
-    primary 20 MHz that started before now and reaches CCA blocks, unless
-    spatial reuse lets the node cap its power under an inter-BSS frame's
-    OBSS_PD level at a power that still closes its BSS's worst link."""
+def reference_cs_state(ctx: RunContext, node_id: int) -> tuple[int, float | None]:
+    """Carrier sense of one node, one active frame at a time: how many frames
+    block it, and the lowest SR power cap the others set (None for none).
+    A frame on the primary 20 MHz that started before now and reaches CCA
+    blocks, unless spatial reuse lets the node cap its power under an
+    inter-BSS frame's OBSS_PD level at a power that still closes its BSS's
+    worst link."""
     node = ctx.nodes[node_id]
     engine = next(e for e in ctx.engines if e.bss_id == node.bss_id)
     worst = max(ctx.loss(engine.ap, sta) for sta in engine.stas)
+    noise = phy.noise_dbm(20e6, ctx.cfg.radio.noise_figure_db)
+    count = 0
     cap = None
     for tx in ctx.medium.active.values():
         if tx.tx_node == node_id or tx.start_ns >= ctx.sim.now \
@@ -62,37 +68,67 @@ def reference_cs_state(ctx: RunContext, node_id: int) -> tuple[bool, float | Non
         p = tx.power_per_subchannel_dbm() - ctx.loss_db[tx.tx_node, node_id]
         if p < ctx.cfg.phy.cca_threshold_dbm:
             continue
-        if not ctx.features.spatial_reuse:
-            return True, None
-        if spatial.classify_frame(tx.color, node.color) != spatial.INTER_BSS:
-            return True, None
+        if not ctx.features.spatial_reuse \
+                or spatial.classify_frame(tx.color, node.color) != spatial.INTER_BSS:
+            count += 1
+            continue
         allowed = spatial.max_sr_tx_power(p, ctx.cfg.sr)
-        if allowed is None or allowed < MIN_SR_TXPWR_DBM:
-            return True, None
-        noise = phy.noise_dbm(20e6, ctx.cfg.radio.noise_figure_db)
-        if allowed - worst - noise < ctx.per_model.thresholds_db[0]:
-            return True, None
+        if allowed is None or allowed < MIN_SR_TXPWR_DBM \
+                or allowed - worst - noise < ctx.per_model.thresholds_db[0]:
+            count += 1
+            continue
         cap = allowed if cap is None else min(cap, allowed)
-    return False, cap
+    return count, cap
 
 
-def compare_cs_over_run(ctx: RunContext, step_ns: int) -> dict[str, int]:
-    """Compare cs_state with the reference for every node at every frame
-    start and end and on a time grid; counts what was seen."""
-    seen = {"instants": 0, "busy": 0, "capped": 0}
+def compare_cs_over_run(ctx: RunContext, step_ns: int) -> Counter:
+    """Compare the carrier state with the reference for every node at every
+    frame start and end and on a time grid: each node's busy count with the
+    frames that block it, `count > 0` with the OR of the sensed frames'
+    block rows (all counts zero when nothing is sensed) and an unblocked
+    node's SR power cap with the lowest the frames set.  At every medium
+    change, each node the change arms must transmit under that cap.  Counts
+    what was seen."""
+    seen = Counter()
     nodes = sorted(ctx.nodes)
+    contention = ctx.contention
+    seqs_before = []
 
     def check(*_):
         seen["instants"] += 1
-        blocked, cap = ctx.engines[0].cs_state()
+        blocked, caps = ctx.engines[0].cs_state()
+        busy = ctx.busy_count
+        sensed = ctx.medium.sensed(ctx.sim.now)
+        if sensed:
+            rows = np.logical_or.reduce([tx.cs_rows[0] for tx in sensed])
+            np.testing.assert_array_equal(busy > 0, rows)
+        else:
+            assert not busy.any(), ctx.sim.now
+            seen["idle"] += 1
         for node_id in nodes:
-            got = (True, None) if blocked.item(node_id) \
-                else (False, cap_at(cap, node_id))
-            assert got == reference_cs_state(ctx, node_id), (ctx.sim.now, node_id)
-            seen["busy"] += got[0]
-            seen["capped"] += got[1] is not None
+            count, cap = reference_cs_state(ctx, node_id)
+            assert (busy[node_id], blocked[node_id]) == (count, count > 0), \
+                (ctx.sim.now, node_id)
+            if not count:
+                assert cap_at(caps, node_id) == (math.inf if cap is None else cap), \
+                    (ctx.sim.now, node_id)
+            seen["busy"] += count > 0
+            seen["capped"] += not count and cap is not None
 
-    ctx.medium.listeners.append(check)
+    def before_change(*_):          # runs before RunContext._dispatch_air
+        seqs_before.append(contention.seq.copy())
+
+    def after_change(*_):
+        check()
+        armed = contention.pending & (contention.seq != seqs_before.pop())
+        for node_id in armed.nonzero()[0].tolist():
+            _, cap = reference_cs_state(ctx, node_id)
+            assert contention.sr_cap_dbm[node_id] == (math.inf if cap is None else cap)
+            seen["armed"] += 1
+            seen["armed_capped"] += cap is not None
+
+    ctx.medium.listeners.insert(0, before_change)
+    ctx.medium.listeners.append(after_change)
     for t in range(step_ns, ctx.cfg.duration_ns + 1, step_ns):
         ctx.sim.run_until(t)
         check()
@@ -103,6 +139,17 @@ def test_cs_state_matches_the_scalar_rule_without_spatial_reuse():
     ctx = started("ac_baseline", **MULTI)
     seen = compare_cs_over_run(ctx, 97 * US)
     assert seen["busy"] > 0 and seen["capped"] == 0
+
+
+# The golden multi-BSS points (tests/test_golden.py), with and without
+# spatial reuse: every medium change of the whole run.
+@pytest.mark.parametrize("scheme, direction", [
+    ("ac_baseline", "ul"), ("ac_baseline", "dl"), ("ax_sr", "ul"), ("ax_sr", "dl"),
+])
+def test_busy_counts_match_the_sensed_frames_over_the_golden_runs(scheme, direction):
+    ctx = started(scheme, direction=direction, duration_s=0.2, **MULTI)
+    seen = compare_cs_over_run(ctx, 97 * US)
+    assert seen["busy"] > 0 and seen["idle"] > 0 and seen["armed"] > 50, seen
 
 
 # With the default OBSS_PD range every cap clears MIN_SR_TXPWR_DBM; a higher
@@ -120,6 +167,7 @@ def test_cs_state_matches_the_scalar_rule_with_spatial_reuse(kind, overrides, sr
     seen = compare_cs_over_run(ctx, 97 * US)
     assert seen["busy"] > 0
     assert seen["capped"] > 0       # some node may transmit at an SR power cap
+    assert seen["armed_capped"] > 0, seen
 
 
 # --- contention ----------------------------------------------------------------------
@@ -135,25 +183,28 @@ def test_active_contenders_are_armed_exactly_when_their_node_is_not_blocked(
     seen = Counter()
     on_medium_change = Contender.on_medium_change
 
-    def acting(contender, blocked, cap):
-        pending = contender.ctx.pending
-        i = contender.node.node_id
-        before = (contender.gen, pending.item(i))
-        on_medium_change(contender, blocked, cap)
-        assert (contender.gen, pending.item(i)) != before
-        seen["freeze" if blocked else "arm"] += 1
+    def acting(contention, blocked, caps):
+        # the nodes out of step, and only they, change; gen counts the
+        # steps that change some node
+        out_of_step = contention.active & (contention.pending == blocked)
+        gen, pending = contention.gen, contention.pending.copy()
+        on_medium_change(contention, blocked, caps)
+        np.testing.assert_array_equal(contention.pending != pending, out_of_step)
+        assert (contention.gen != gen) == out_of_step.any()
+        seen["freeze"] += int((out_of_step & blocked).sum())
+        seen["arm"] += int((out_of_step & ~blocked).sum())
 
     monkeypatch.setattr(Contender, "on_medium_change", acting)
     ctx = started(scheme, kind=kind, direction=direction, duration_s=0.1,
                   doze=doze, **overrides)
+    contention = ctx.contention
 
     def check(*_):          # runs after RunContext._dispatch_air
         blocked, _ = ctx.engines[0].cs_state()
-        for i, contender in ctx.contenders.items():
-            assert contender.node.node_id == i
-            if ctx.active[i]:
-                assert ctx.pending[i] != blocked[i], (ctx.sim.now, i)
-                seen["active"] += 1
+        for i in contention.active.nonzero()[0].tolist():
+            assert i in contention.engine_of
+            assert contention.pending[i] != blocked[i], (ctx.sim.now, i)
+            seen["active"] += 1
 
     ctx.medium.listeners.append(check)
     ctx.sim.run_until(ctx.cfg.duration_ns)
@@ -182,7 +233,7 @@ def test_a_medium_change_reads_the_carrier_state_once_if_a_contender_is_active(
         return cs_state(engine)
 
     def dispatching(ctx, event, tx):
-        active = bool(ctx.active.any())
+        active = bool(ctx.contention.active.any())
         before = reads["cs_state"]
         dispatch(ctx, event, tx)
         dispatches[active, reads["cs_state"] - before] += 1
@@ -206,12 +257,12 @@ def test_a_frozen_attempt_resumes_with_the_slots_left():
         ctx.loss_db[a.node_id, b.node_id] = ctx.loss_db[b.node_id, a.node_id] = loss
     attempts = []
     engine.on_backoff_complete = lambda node: attempts.append(ctx.sim.now)
-    sta.backoff = BackoffState(ctx.cfg.mac.cw_min, ctx.cfg.mac.cw_max)
+    contention = ctx.contention
+    contention.join(engine, sta)
     i = sta.node_id
-    contender = ctx.contenders[i] = Contender(engine, sta)
-    contender.counter = 10
-    contender.start()
-    assert ctx.pending[i] and contender.armed_at == 0
+    contention.counter[i] = 10
+    contention.start(sta)
+    assert contention.pending[i] and contention.armed_at[i] == 0
     old_fire = DIFS + 10 * SLOT_TIME
 
     def send(node, start, end, nav_ns=0):
@@ -219,25 +270,115 @@ def test_a_frozen_attempt_resumes_with_the_slots_left():
             Transmission(0, node.node_id, 0, "ampdu", start, end, ctx.subchannels,
                          0.0 if node is other else 20.0, nav_duration_ns=nav_ns)))
 
+    def state():
+        return (contention.seq[i], contention.pending[i], contention.counter[i])
+
     # a frame is sensed from after its first instant, so the contender meets
     # `other`'s frame at the next medium change, the AP's frame start
     sensed_at = DIFS + 4 * SLOT_TIME + SLOT_TIME // 3
     send(other, DIFS + 4 * SLOT_TIME, 150 * US)
     send(ap, sensed_at, 200 * US, nav_ns=100 * US)
     ctx.sim.run_until(sensed_at)
-    assert not ctx.pending[i] and contender.counter == 6
-    frozen = (contender.gen, ctx.pending[i], contender.counter)
+    assert not contention.pending[i] and contention.counter[i] == 6
+    frozen = state()
     ctx.sim.run_until(old_fire)         # the old attempt fires and is stale
-    assert (contender.gen, ctx.pending[i], contender.counter) == frozen
+    assert state() == frozen
     assert attempts == []
 
     ctx.sim.run_until(200 * US)         # the AP's frame ends: idle again
     resume = max(200 * US, ctx.nav.intra_expiry_ns[i], ctx.nav.basic_expiry_ns[i],
                  ctx.eifs_until_ns[i])
     assert resume == 300 * US           # the NAV the AP's frame set
-    assert ctx.pending[i] and contender.armed_at == resume
+    assert contention.pending[i] and contention.armed_at[i] == resume
     ctx.sim.run_until(ctx.cfg.duration_ns)
     assert attempts == [resume + DIFS + 6 * SLOT_TIME]
+
+
+# --- same-instant order ------------------------------------------------------------
+#
+# One BSS of four STAs and no traffic; the tests join STAs to the contention
+# by hand, fix their counters, and hand over frames whose Duration is 0, so
+# no NAV or EIFS defers anyone.  `hears` sets which STAs hear which sender.
+
+def order_bench(hears: dict[int, tuple[int, ...]]):
+    ctx = RunContext(default_config("indoor_single", stas_per_bss=4,
+                                    duration_s=0.01), "ac_baseline")
+    engine = ctx.engines[0]
+    stas = engine.stas
+    for sender, listeners in hears.items():
+        for sta in stas:
+            if sta is not stas[sender]:
+                loss = 60.0 if stas.index(sta) in listeners else 200.0
+                ctx.loss_db[stas[sender].node_id, sta.node_id] = loss
+    fired = []
+    engine.on_backoff_complete = lambda node: fired.append(
+        ("attempt", node.node_id, ctx.sim.now))
+    ctx.medium.listeners.append(lambda event, tx: fired.append(
+        (event, tx.tx_node, ctx.sim.now)) if event == "end" else None)
+    return ctx, stas, fired
+
+
+def hand_over(ctx, node, end):
+    return ctx.medium.transmit(Transmission(0, node.node_id, 0, "ampdu", ctx.sim.now,
+                                            end, ctx.subchannels, 20.0))
+
+
+def contend(ctx, engine, node, counter):
+    ctx.contention.join(engine, node)
+    ctx.contention.counter[node.node_id] = counter
+    ctx.contention.start(node)
+
+
+def test_attempts_armed_in_one_step_at_one_instant_fire_in_ascending_node_id():
+    ctx, stas, fired = order_bench({0: (1, 2)})
+    engine = ctx.engines[0]
+    low, high = stas[1], stas[2]
+    end = 50 * US
+    hand_over(ctx, stas[0], end)
+    ctx.sim.run_until(1)
+    for node in (high, low):                # started in descending node id
+        contend(ctx, engine, node, 3)
+    contention = ctx.contention
+    assert not contention.pending[[low.node_id, high.node_id]].any()
+    ctx.sim.run_until(end)                  # one step arms both
+    seqs = contention.seq[[low.node_id, high.node_id]].tolist()
+    assert seqs[1] == seqs[0] + 1
+    ctx.sim.run_until(ctx.cfg.duration_ns)
+    at = end + DIFS + 3 * SLOT_TIME
+    assert fired == [("end", stas[0].node_id, end),
+                     ("attempt", low.node_id, at), ("attempt", high.node_id, at)]
+
+
+def test_an_attempt_armed_by_start_fires_before_one_armed_later_at_its_instant():
+    ctx, stas, fired = order_bench({0: (1,)})
+    engine = ctx.engines[0]
+    low, high = stas[1], stas[2]
+    end = 1 + 3 * SLOT_TIME
+    hand_over(ctx, stas[0], end)            # heard by `low` only
+    ctx.sim.run_until(1)
+    contend(ctx, engine, high, 5)           # armed now
+    contend(ctx, engine, low, 2)            # blocked; armed at the frame end
+    assert ctx.contention.pending.tolist().count(True) == 1
+    ctx.sim.run_until(ctx.cfg.duration_ns)
+    at = 1 + DIFS + 5 * SLOT_TIME
+    assert at == end + DIFS + 2 * SLOT_TIME
+    assert fired == [("end", stas[0].node_id, end),
+                     ("attempt", high.node_id, at), ("attempt", low.node_id, at)]
+
+
+def test_a_frame_end_scheduled_before_an_arm_runs_before_the_attempt_at_its_instant():
+    ctx, stas, fired = order_bench({0: (1,), 3: ()})
+    engine = ctx.engines[0]
+    node = stas[1]
+    end = 50 * US
+    at = end + DIFS + 2 * SLOT_TIME
+    hand_over(ctx, stas[0], end)            # blocks `node` until `end`
+    hand_over(ctx, stas[3], at)             # unheard; ends at the attempt
+    ctx.sim.run_until(1)
+    contend(ctx, engine, node, 2)
+    ctx.sim.run_until(ctx.cfg.duration_ns)
+    assert fired == [("end", stas[0].node_id, end), ("end", stas[3].node_id, at),
+                     ("attempt", node.node_id, at)]
 
 
 # --- the interferer list walk -------------------------------------------------------

@@ -46,7 +46,8 @@ def test_edca_contention_holds_at_full_scale(monkeypatch):
     report = runner.run(cfg, "ac_baseline")
     assert report.aggregate_bps > 0
     ctx, = ran
-    assert len(ctx.contenders) == 19 * 64
-    assert ctx.active.sum() > 1000
+    contention = ctx.contention
+    assert len(contention.engine_of) == 19 * 64
+    assert contention.active.sum() > 1000
     # every active contender is armed exactly when its node is not blocked
-    assert not (ctx.active & (ctx.pending == last["blocked"])).any()
+    assert not (contention.active & (contention.pending == last["blocked"])).any()

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from axsim.baseline import BackoffState
 from axsim.config import MacSection, default_config
+from axsim.contention import cap_at
 from axsim.core import DIFS, SIFS, SLOT_TIME, US, RngSet
-from axsim.engine import Contender, RunContext, cap_at
+from axsim.engine import RunContext
 from axsim.medium import Transmission
 from axsim.traffic import CbrFlow
 
@@ -82,13 +83,13 @@ def sensing_sta(rx_dbm):
 def test_cs_idle_below_threshold():
     engine, sta = sensing_sta(-90.0)
     blocked, cap = engine.cs_state()
-    assert (blocked.item(sta.node_id), cap_at(cap, sta.node_id)) == (False, None)
+    assert (blocked.item(sta.node_id), cap_at(cap, sta.node_id)) == (False, math.inf)
 
 
 def test_cs_threshold_is_busy_inclusive():
     engine, sta = sensing_sta(-82.0)
     blocked, cap = engine.cs_state()
-    assert (blocked.item(sta.node_id), cap_at(cap, sta.node_id)) == (True, None)
+    assert (blocked.item(sta.node_id), cap_at(cap, sta.node_id)) == (True, math.inf)
 
 
 def test_cs_virtual_dominates():
@@ -96,11 +97,12 @@ def test_cs_virtual_dominates():
     nav = engine.ctx.nav
     nav.update(np.array([sta.node_id]), np.array([True]), engine.sim.now, 500 * US,
                is_cf_end=False)
-    sta.backoff = backoff()
-    contender = Contender(engine, sta)
-    contender.start()
-    assert engine.ctx.pending[sta.node_id]
-    assert contender.armed_at == nav.intra_expiry_ns[sta.node_id] == 500 * US + 1
+    contention = engine.ctx.contention
+    contention.join(engine, sta)
+    contention.start(sta)
+    assert contention.pending[sta.node_id]
+    assert contention.armed_at[sta.node_id] == nav.intra_expiry_ns[sta.node_id] \
+        == 500 * US + 1
 
 
 # --- TXOP exchange ----------------------------------------------------------------------

@@ -61,6 +61,7 @@ KEEP_MEMBERS = {
     ("topo", "Topology", "aps"): "test reference: AP counts of the topologies",
     ("engine", "RunContext", "topology"): "test reference: test_loss_matrix",
     ("core", "Simulator", "processed"): "bench core.events, golden event counts",
+    ("contention", "Contender", "gen"): "bench probe: engine.on_medium_change flips",
 }
 
 

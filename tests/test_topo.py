@@ -117,8 +117,8 @@ def test_hex_rings_count():
 def test_node_ids_run_bss_by_bss_with_the_ap_first(generate, kind, overrides):
     """Node ids run 0..n-1 in placement order, each BSS holds one run of
     them, the runs follow in ascending BSS id, and each starts with the AP.
-    So ascending node id, the order RunContext calls contenders back in, is
-    engine order and then each engine's node order."""
+    So ascending node id, the order in which one medium change arms
+    contenders, is engine order and then each engine's node order."""
     cfg = default_config(kind, **overrides)
     topo = generate(rng(8), cfg)
     assert [p.node_id for p in topo.placements] == list(range(len(topo.placements)))
