@@ -30,6 +30,15 @@ def cap_at(caps: tuple[np.ndarray, ...] | None, ids):
     return np.minimum.reduce([row[ids] for row in caps])
 
 
+def attempt_times(maximum, now, intra_nav_ns, basic_nav_ns, eifs_ns, counter):
+    """(AIFS start, fire time) of an attempt armed at `now`: AIFS starts once
+    both NAVs and EIFS have expired, and the attempt fires `counter` slots
+    after AIFS.  Takes one node's values with maximum=max, or arrays of them
+    with maximum=np.maximum."""
+    start = maximum(maximum(intra_nav_ns, basic_nav_ns), maximum(eifs_ns, now))
+    return start, start + DIFS + counter * SLOT_TIME
+
+
 class Contender:
     """Arms and freezes the EDCA attempts of every contending node around
     medium changes; a node's AIFS is DIFS.
@@ -106,41 +115,39 @@ class Contender:
             self._arm_all(ids[~busy], caps)
 
     def _arm(self, i: int, caps: tuple[np.ndarray, ...] | None) -> None:
-        """Arm an attempt at node i on an idle medium: it starts AIFS once
-        both NAVs and EIFS have expired, and the node transmits under the SR
-        power cap `caps` set there."""
+        """Arm an attempt at node i on an idle medium, under the SR power cap
+        `caps` set there."""
         nav = self.ctx.nav
-        start = max(self.sim.now, nav.intra_expiry_ns.item(i),
-                    nav.basic_expiry_ns.item(i), self.ctx.eifs_until_ns.item(i))
+        start, fire_at = attempt_times(
+            max, self.sim.now, nav.intra_expiry_ns.item(i),
+            nav.basic_expiry_ns.item(i), self.ctx.eifs_until_ns.item(i),
+            self.counter.item(i))
         self.armed_at[i] = start
         self.pending[i] = True
         self.sr_cap_dbm[i] = cap_at(caps, i)
-        seq = self.seq[i] = self.sim.reserve(1)
-        self.sim.at_seq(start + DIFS + self.counter.item(i) * SLOT_TIME, seq,
-                        partial(self._fire, i, seq))
+        seq = self.seq[i] = self.sim.scheduled
+        self.sim.at(fire_at, partial(self._fire, i, seq))
 
     def _arm_all(self, ids: np.ndarray, caps: tuple[np.ndarray, ...] | None) -> None:
         """_arm at every node of `ids`, in ascending node id, in numpy
         expressions: the attempts take consecutive seqs, the places as many
         _arm calls would give them.  start and _fire arm their one node
         through _arm, since a numpy call costs about a microsecond however
-        short its array: for one node, 11 us here against 2 us in _arm on a
-        2-vCPU host (CPython 3.11, numpy 2.4)."""
+        short its array: for one node, 6.2 us here against 1.7 us in _arm on
+        a 2-vCPU host (CPython 3.11, numpy 2.4)."""
         nav = self.ctx.nav
-        start = np.maximum(
-            np.maximum(nav.intra_expiry_ns[ids], nav.basic_expiry_ns[ids]),
-            np.maximum(self.ctx.eifs_until_ns[ids], self.sim.now))
+        start, fire_at = attempt_times(
+            np.maximum, self.sim.now, nav.intra_expiry_ns[ids],
+            nav.basic_expiry_ns[ids], self.ctx.eifs_until_ns[ids],
+            self.counter[ids])
         self.armed_at[ids] = start
         self.pending[ids] = True
         self.sr_cap_dbm[ids] = cap_at(caps, ids)
-        first = self.sim.reserve(len(ids))
-        seqs = range(first, first + len(ids))
-        self.seq[ids] = np.arange(first, first + len(ids))
-        fire_at = start + DIFS + self.counter[ids] * SLOT_TIME
-        at_seq = self.sim.at_seq
+        sim = self.sim
+        self.seq[ids] = np.arange(sim.scheduled, sim.scheduled + len(ids))
         fire = self._fire
-        for i, t, seq in zip(ids.tolist(), fire_at.tolist(), seqs):
-            at_seq(t, seq, partial(fire, i, seq))
+        for i, t in zip(ids.tolist(), fire_at.tolist()):
+            sim.at(t, partial(fire, i, sim.scheduled))
 
     def _fire(self, i: int, seq: int) -> None:
         if self.seq.item(i) != seq:

@@ -29,9 +29,9 @@ class PastEventError(RuntimeError):
 
 class Simulator:
     """Single-threaded event loop over one heap of (fire_time, seq, fn)
-    entries.  seq is the count of events scheduled (or seqs reserved)
-    before, so events at one time fire in the order they were scheduled.
-    One instance per run; no shared state between runs."""
+    entries.  seq is the count of events scheduled before, so events at one
+    time fire in the order they were scheduled.  One instance per run; no
+    shared state between runs."""
 
     def __init__(self):
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
@@ -47,20 +47,6 @@ class Simulator:
 
     def after(self, delay: int, fn: Callable[[], None]) -> None:
         self.at(self.now + delay, fn)
-
-    def reserve(self, k: int) -> int:
-        """Take k consecutive seqs now and return the first; events that
-        at_seq schedules under them fire in the places k calls of at() now
-        would have given them."""
-        first = self.scheduled
-        self.scheduled += k
-        return first
-
-    def at_seq(self, fire_time: int, seq: int, fn: Callable[[], None]) -> None:
-        """at(), under a seq taken from reserve."""
-        if fire_time < self.now:
-            raise PastEventError(f"past event: fire_time={fire_time} now={self.now}")
-        heapq.heappush(self._heap, (fire_time, seq, fn))
 
     def run_until(self, t_end: int) -> int:
         """Process every event with fire_time <= t_end; leaves now == t_end."""

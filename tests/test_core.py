@@ -40,28 +40,6 @@ def test_scheduling_in_the_past_aborts():
         sim.at(99, lambda: None)
 
 
-def test_reserved_seqs_keep_the_place_at_would_have_given():
-    sim = Simulator()
-    fired = []
-    sim.at(100, lambda: fired.append("before"))
-    first = sim.reserve(2)
-    sim.at(100, lambda: fired.append("after"))
-    # scheduled later, in reverse, under the seqs taken between the two
-    sim.at_seq(100, first + 1, lambda: fired.append("reserved 2"))
-    sim.at_seq(100, first, lambda: fired.append("reserved 1"))
-    assert sim.scheduled == 4
-    sim.run_until(100)
-    assert fired == ["before", "reserved 1", "reserved 2", "after"]
-
-
-def test_scheduling_at_a_reserved_seq_in_the_past_aborts():
-    sim = Simulator()
-    first = sim.reserve(1)
-    sim.run_until(100)
-    with pytest.raises(PastEventError, match="past event"):
-        sim.at_seq(99, first, lambda: None)
-
-
 def test_run_until_empty_queue_advances_clock():
     sim = Simulator()
     assert sim.run_until(SEC) == 0
