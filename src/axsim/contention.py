@@ -47,9 +47,15 @@ class Contender:
     whether an attempt is armed (`pending`), its backoff counter (-1 while
     none is drawn), when its armed attempt's AIFS starts (`armed_at`), the
     seq of that attempt's event, and the SR power cap it transmits under
-    (inf for none).  A freeze or re-arm leaves the old event in the queue;
-    it does nothing when it fires under a seq that is no longer its
-    node's.  `gen` counts the medium changes that froze or armed a node.
+    (inf for none).  An attempt is stale once its node no longer holds its
+    seq: a freeze writes -1, a re-arm a new seq.
+
+    The attempts one step arms share one heap entry at a time
+    (`_fire_batch`): it sits at the earliest of them, and when it pops it
+    pushes the next whose node still holds its seq, so every live attempt
+    fires at its own (time, seq) place and stale ones cost no event,
+    except a batch head frozen while in the queue, which pops and does
+    nothing.  `gen` counts the medium changes that froze or armed a node.
     """
 
     def __init__(self, ctx: RunContext, n: int):
@@ -129,12 +135,13 @@ class Contender:
         self.sim.at(fire_at, partial(self._fire, i, seq))
 
     def _arm_all(self, ids: np.ndarray, caps: tuple[np.ndarray, ...] | None) -> None:
-        """_arm at every node of `ids`, in ascending node id, in numpy
-        expressions: the attempts take consecutive seqs, the places as many
-        _arm calls would give them.  start and _fire arm their one node
-        through _arm, since a numpy call costs about a microsecond however
-        short its array: for one node, 6.2 us here against 1.7 us in _arm on
-        a 2-vCPU host (CPython 3.11, numpy 2.4)."""
+        """_arm at every node of `ids`, in numpy expressions: the attempts
+        take consecutive seqs in ascending node id, the places as many _arm
+        calls would give them, and go into the queue as one batch ordered
+        by (fire time, seq).  start and _fire arm their one node through
+        _arm, since a numpy call costs about a microsecond however short
+        its array: for one node, 6.2 us here against 1.7 us in _arm on a
+        2-vCPU host (CPython 3.11, numpy 2.4)."""
         nav = self.ctx.nav
         start, fire_at = attempt_times(
             np.maximum, self.sim.now, nav.intra_expiry_ns[ids],
@@ -143,11 +150,26 @@ class Contender:
         self.armed_at[ids] = start
         self.pending[ids] = True
         self.sr_cap_dbm[ids] = cap_at(caps, ids)
-        sim = self.sim
-        self.seq[ids] = np.arange(sim.scheduled, sim.scheduled + len(ids))
-        fire = self._fire
-        for i, t in zip(ids.tolist(), fire_at.tolist()):
-            sim.at(t, partial(fire, i, sim.scheduled))
+        first = self.sim.reserve(len(ids))
+        self.seq[ids] = np.arange(first, first + len(ids))
+        # seqs ascend with ids, so a stable sort on time orders by (time, seq)
+        order = np.argsort(fire_at, kind="stable")
+        batch = (ids[order].tolist(), fire_at[order].tolist(),
+                 (order + first).tolist())
+        self.sim.at_seq(batch[1][0], batch[2][0], partial(self._fire_batch, batch, 0))
+
+    def _fire_batch(self, batch: tuple[list[int], list[int], list[int]],
+                    k: int) -> None:
+        """Fire the k-th attempt of a batch (nodes, fire times, seqs), then
+        push the first later one whose node still holds its seq: a stale
+        attempt stays stale, as no seq is handed out twice."""
+        nodes, times, seqs = batch
+        self._fire(nodes[k], seqs[k])
+        seq = self.seq
+        for j in range(k + 1, len(nodes)):
+            if seq.item(nodes[j]) == seqs[j]:
+                self.sim.at_seq(times[j], seqs[j], partial(self._fire_batch, batch, j))
+                return
 
     def _fire(self, i: int, seq: int) -> None:
         if self.seq.item(i) != seq:

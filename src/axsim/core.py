@@ -29,9 +29,12 @@ class PastEventError(RuntimeError):
 
 class Simulator:
     """Single-threaded event loop over one heap of (fire_time, seq, fn)
-    entries.  seq is the count of events scheduled before, so events at one
-    time fire in the order they were scheduled.  One instance per run; no
-    shared state between runs."""
+    entries.  seq is the count of seqs handed out before, so events at one
+    time fire in the order their seqs were handed out.  `at` hands out one
+    seq and pushes at it; `reserve` hands out a run of seqs that `at_seq`
+    pushes at later, each at most once, so an event pushed late keeps the
+    place it was given.  `scheduled` counts the seqs handed out, reserved
+    ones included.  One instance per run; no shared state between runs."""
 
     def __init__(self):
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
@@ -39,11 +42,24 @@ class Simulator:
         self.scheduled = 0
         self.processed = 0
 
-    def at(self, fire_time: int, fn: Callable[[], None]) -> None:
+    def reserve(self, k: int) -> int:
+        """Hand out k consecutive seqs; returns the first."""
+        first = self.scheduled
+        self.scheduled = first + k
+        return first
+
+    def at_seq(self, fire_time: int, seq: int, fn: Callable[[], None]) -> None:
+        """Push fn at (fire_time, seq), a seq handed out by `reserve` or `at`."""
         if fire_time < self.now:
             raise PastEventError(f"past event: fire_time={fire_time} now={self.now}")
-        heapq.heappush(self._heap, (fire_time, self.scheduled, fn))
-        self.scheduled += 1
+        if not 0 <= seq < self.scheduled:
+            raise ValueError(f"seq {seq} was never handed out")
+        heapq.heappush(self._heap, (fire_time, seq, fn))
+
+    def at(self, fire_time: int, fn: Callable[[], None]) -> None:
+        seq = self.scheduled
+        self.scheduled = seq + 1
+        self.at_seq(fire_time, seq, fn)
 
     def after(self, delay: int, fn: Callable[[], None]) -> None:
         self.at(self.now + delay, fn)

@@ -191,9 +191,10 @@ class Medium:
         self.active: dict[int, Transmission] = {}
         self.listeners: list = []    # callables (event, transmission)
         self._next_id = 0
-        self._version = 0            # bumped whenever `active` changes
-        self._sensed_key: tuple[int, int] | None = None
+        # the sensed list, and the last instant it holds at: a frame end
+        # sets -1, and a primary frame handed over lowers it to its start
         self._sensed: list[Transmission] = []
+        self._sensed_until: float = math.inf
         self._noise_by_band: dict[float, float] = {}
 
     def rx_power_dbm(self, tx_node: int, rx_node: int, power_dbm: float) -> float:
@@ -208,7 +209,8 @@ class Medium:
             other.interferers.append(heard)
             tx.interferers.append(other.heard)
         self.active[tx.tx_id] = tx
-        self._version += 1
+        if 0 in tx.subchannels and tx.start_ns < self._sensed_until:
+            self._sensed_until = tx.start_ns
         for listener in self.listeners:
             listener("start", tx)
         self.sim.at(tx.end_ns, lambda: self._finish(tx))
@@ -216,7 +218,7 @@ class Medium:
 
     def _finish(self, tx: Transmission) -> None:
         del self.active[tx.tx_id]
-        self._version += 1
+        self._sensed_until = -1
         tx.overlaps = overlapping(tx)
         tx.interferers.clear()
         for listener in self.listeners:
@@ -230,12 +232,17 @@ class Medium:
         at every node is their `rx_dbm`; a node ignores its own.  Those
         starting at or after `now_ns` are not yet sensed: decisions taken in
         the same slot boundary collide rather than defer.  The list is shared
-        by every caller until the time or the set of active frames changes."""
-        key = (now_ns, self._version)
-        if key != self._sensed_key:
-            self._sensed_key = key
-            self._sensed = [tx for tx in self.active.values()
-                            if tx.start_ns < now_ns and 0 in tx.subchannels]
+        by every caller until a frame ends or `now_ns` passes the start of a
+        primary frame not yet sensed; `now_ns` never decreases."""
+        if now_ns > self._sensed_until:
+            sensed, until = [], math.inf
+            for tx in self.active.values():
+                if 0 in tx.subchannels:
+                    if tx.start_ns < now_ns:
+                        sensed.append(tx)
+                    elif tx.start_ns < until:
+                        until = tx.start_ns
+            self._sensed, self._sensed_until = sensed, until
         return self._sensed
 
     # --- decoding ---------------------------------------------------------------

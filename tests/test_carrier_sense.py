@@ -5,12 +5,14 @@ The engine derives carrier sense and NAV readability from one received-power
 row per frame, for all nodes at once.  These tests restate the rules one
 node and one frame at a time and compare, and check that a frame's rows are
 released once it has ended.  The run keeps, per node, a count of the
-sensed frames that block it; the references count them one by one.  One
-batched step per medium change freezes and arms exactly the contenders
-whose attempt disagrees with their node's carrier state; the contention
-tests check that none is left out of step, that each medium change reads
-the carrier state at most once, and that attempts keep their place among
-events of the same instant.  Decode SINR and NAV
+sensed frames that block it; the references count them one by one, and
+the shared list of sensed frames is checked against a filter built anew at
+every read.  One batched step per medium change freezes and arms exactly
+the contenders whose attempt disagrees with their node's carrier state; the
+contention tests check that none is left out of step, that each medium
+change reads the carrier state at most once, and that attempts keep their
+place among events of the same instant, also when they wait in the queue
+behind a frozen or re-armed attempt of their batch.  Decode SINR and NAV
 readability read one walk of each frame's interferers; the references walk
 the whole frames on the air with it, one by one.
 """
@@ -25,7 +27,7 @@ import pytest
 
 from axsim import phy, spatial
 from axsim.config import default_config
-from axsim.core import DIFS, SLOT_TIME, US
+from axsim.core import DIFS, SLOT_TIME, US, Simulator
 from axsim.contention import cap_at
 from axsim.engine import EIFS, MIN_SR_TXPWR_DBM, BssEngine, Contender, RunContext
 from axsim.medium import SUBCHANNEL_HZ, Medium, RuPart, Transmission
@@ -150,6 +152,36 @@ def test_busy_counts_match_the_sensed_frames_over_the_golden_runs(scheme, direct
     ctx = started(scheme, direction=direction, duration_s=0.2, **MULTI)
     seen = compare_cs_over_run(ctx, 97 * US)
     assert seen["busy"] > 0 and seen["idle"] > 0 and seen["armed"] > 50, seen
+
+
+@pytest.mark.parametrize("scheme, direction", [
+    ("ac_baseline", "ul"), ("ac_baseline", "dl"), ("ax_sr", "ul"), ("ax_sr", "dl"),
+])
+def test_the_shared_sensed_list_equals_the_filter_over_the_golden_runs(
+        monkeypatch, scheme, direction):
+    """At every read, Medium.sensed's list holds the frames of the filter
+    over the frames on the air, in their order, though it is rebuilt only
+    when a frame ends or a handed-over frame starts being sensed: reads at
+    later instants share it too."""
+    seen = Counter()
+    sensed = Medium.sensed
+    last, last_ns = None, -1
+
+    def reading(medium, now_ns):
+        nonlocal last, last_ns
+        got = sensed(medium, now_ns)
+        want = [tx for tx in medium.active.values()
+                if tx.start_ns < now_ns and 0 in tx.subchannels]
+        assert [id(tx) for tx in got] == [id(tx) for tx in want], now_ns
+        seen["shared later"] += got is last and now_ns > last_ns
+        seen["frames"] += len(got)
+        last, last_ns = got, now_ns
+        return got
+
+    monkeypatch.setattr(Medium, "sensed", reading)
+    ctx = started(scheme, direction=direction, duration_s=0.2, **MULTI)
+    ctx.sim.run_until(ctx.cfg.duration_ns)
+    assert seen["shared later"] > 50 and seen["frames"] > 50, seen
 
 
 # With the default OBSS_PD range every cap clears MIN_SR_TXPWR_DBM; a higher
@@ -379,6 +411,82 @@ def test_a_frame_end_scheduled_before_an_arm_runs_before_the_attempt_at_its_inst
     ctx.sim.run_until(ctx.cfg.duration_ns)
     assert fired == [("end", stas[0].node_id, end), ("end", stas[3].node_id, at),
                      ("attempt", node.node_id, at)]
+
+
+# --- the batch queue ---------------------------------------------------------------
+#
+# One step's attempts share one heap entry at a time.  `low` and `high`
+# both hear STA 0's frame and are armed together at its end; only `low`
+# hears STA 3, whose frame freezes it once sensed, after its first instant,
+# at the next medium change: the handover of a second frame of STA 3.
+
+def armed_together(low_counter, high_counter):
+    ctx, stas, fired = order_bench({0: (1, 2), 3: (1,)})
+    engine = ctx.engines[0]
+    low, high = stas[1], stas[2]
+    end = 50 * US
+    hand_over(ctx, stas[0], end)
+    ctx.sim.run_until(1)
+    contend(ctx, engine, low, low_counter)
+    contend(ctx, engine, high, high_counter)
+    ctx.sim.run_until(end)                  # one step arms both
+    seq = ctx.contention.seq
+    assert seq[high.node_id] == seq[low.node_id] + 1
+    return ctx, stas, fired, end
+
+
+def freeze_low(ctx, stas, until):
+    hand_over(ctx, stas[3], until)
+    ctx.sim.run_until(ctx.sim.now + 1)
+    hand_over(ctx, stas[3], until)
+    assert not ctx.contention.pending[stas[1].node_id]
+    assert ctx.contention.pending[stas[2].node_id]
+
+
+def test_a_batch_whose_first_attempt_froze_fires_the_next_at_its_place():
+    ctx, stas, fired, end = armed_together(2, 5)
+    low, high = stas[1], stas[2]
+    freeze_low(ctx, stas, 200 * US)         # `low`'s attempt was the batch's first
+    at = end + DIFS + 5 * SLOT_TIME
+    ctx.sim.at(at, lambda: fired.append(("after the arm", None, ctx.sim.now)))
+    ctx.sim.run_until(ctx.cfg.duration_ns)
+    attempts = [f for f in fired if f[0] != "end"]
+    assert attempts[:2] == [("attempt", high.node_id, at), ("after the arm", None, at)]
+    assert [f[1] for f in attempts[2:]] == [low.node_id]    # resumed after 200 us
+
+
+def test_a_node_re_armed_by_a_later_step_fires_once():
+    ctx, stas, fired, end = armed_together(5, 2)
+    low, high = stas[1], stas[2]
+    freeze_low(ctx, stas, end + 10 * US)    # re-armed at that end, in a new step
+    ctx.sim.run_until(end + 10 * US)
+    contention = ctx.contention
+    assert contention.pending[low.node_id]
+    assert contention.seq[low.node_id] > contention.seq[high.node_id]
+    ctx.sim.run_until(ctx.cfg.duration_ns)
+    assert [f for f in fired if f[0] != "end"] == [
+        ("attempt", high.node_id, end + DIFS + 2 * SLOT_TIME),
+        ("attempt", low.node_id, end + 10 * US + DIFS + 5 * SLOT_TIME)]
+
+
+@pytest.mark.parametrize("scheme, direction", [
+    ("ac_baseline", "ul"), ("ac_baseline", "dl"), ("ax_sr", "ul"), ("ax_sr", "dl"),
+])
+def test_no_seq_is_pushed_twice_over_the_golden_runs(monkeypatch, scheme, direction):
+    """Two heap entries never tie on (time, seq), so heapq never compares
+    their callbacks."""
+    pushed = set()
+    at_seq = Simulator.at_seq
+
+    def pushing(sim, fire_time, seq, fn):
+        assert seq not in pushed, seq
+        pushed.add(seq)
+        at_seq(sim, fire_time, seq, fn)
+
+    monkeypatch.setattr(Simulator, "at_seq", pushing)
+    ctx = started(scheme, direction=direction, duration_s=0.2, **MULTI)
+    ctx.sim.run_until(ctx.cfg.duration_ns)
+    assert len(pushed) > ctx.sim.processed / 2
 
 
 # --- the interferer list walk -------------------------------------------------------

@@ -40,6 +40,36 @@ def test_scheduling_in_the_past_aborts():
         sim.at(99, lambda: None)
 
 
+def test_reserved_seqs_keep_the_place_at_would_have_given():
+    sim = Simulator()
+    fired = []
+    first = sim.reserve(2)
+    sim.at(100, lambda: fired.append("after the reserve"))
+    # pushed last and out of order, fired in the order of their seqs
+    sim.at_seq(100, first + 1, lambda: fired.append("second reserved"))
+    sim.at_seq(100, first, lambda: fired.append("first reserved"))
+    assert sim.scheduled == 3
+    sim.run_until(100)
+    assert fired == ["first reserved", "second reserved", "after the reserve"]
+
+
+def test_a_push_at_a_reserved_seq_in_the_past_aborts():
+    sim = Simulator()
+    seq = sim.reserve(1)
+    sim.run_until(100)
+    with pytest.raises(PastEventError, match="past event"):
+        sim.at_seq(99, seq, lambda: None)
+
+
+def test_a_push_at_a_seq_never_handed_out_is_rejected():
+    sim = Simulator()
+    sim.reserve(2)
+    for seq in (2, -1):
+        with pytest.raises(ValueError, match="never handed out"):
+            sim.at_seq(0, seq, lambda: None)
+    assert sim._heap == []
+
+
 def test_run_until_empty_queue_advances_clock():
     sim = Simulator()
     assert sim.run_until(SEC) == 0
