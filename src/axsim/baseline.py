@@ -40,7 +40,10 @@ class BackoffState:
 class Txop:
     """A running TXOP: its holder, the instant its reservation ends, and
     whether any data got through yet.  A single-user exchange also fixes its
-    peer, the flow it serves and the link (MCS, data bits per symbol)."""
+    peer, the flow it serves and the link (MCS, data bits per symbol).
+    Every frame of the TXOP goes out through ``BssEngine.send`` with it,
+    which sets the frame's Duration to what is left of the reservation
+    after the frame ends."""
 
     holder: SimNode
     deadline_ns: int

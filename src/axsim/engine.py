@@ -113,16 +113,19 @@ class BssEngine:
         return power
 
     def send(self, node: SimNode, kind: str, start: int, end: int,
-             then=None, **fields) -> Transmission:
+             then=None, txop: Txop | None = None, **fields) -> Transmission:
         """Put node's PPDU on the air from start to end, charging its transmit
-        energy from now; then(tx), if given, runs at end.  fields are further
-        Transmission fields; the PPDU spans the whole channel unless they
-        give its subchannels."""
+        energy from now; then(tx), if given, runs at end.  A frame of txop
+        carries as Duration what is left of the TXOP after its end; any
+        other frame carries none.  fields are further Transmission fields;
+        the PPDU spans the whole channel unless they give its subchannels."""
         now = self.sim.now
         node.power.mark_tx(now, end - now)
         fields.setdefault("subchannels", self.ctx.subchannels)
         tx = Transmission(0, node.node_id, self.bss_id, kind, start, end,
                           power_dbm=self.node_power(node), color=node.color,
+                          nav_duration_ns=0 if txop is None
+                          else max(0, txop.deadline_ns - end),
                           **fields)
         self.medium.transmit(tx)
         if then is not None:
@@ -130,11 +133,11 @@ class BssEngine:
         return tx
 
     def send_control(self, node: SimNode, kind: str, n_bytes: int, start: int,
-                     then=None, **fields) -> Transmission:
+                     then=None, txop: Txop | None = None, **fields) -> Transmission:
         """send for a frame of n_bytes at the legacy control rate."""
         return self.send(node, kind, start,
                          start + frames.legacy_frame_duration_ns(n_bytes),
-                         then, **fields)
+                         then, txop=txop, **fields)
 
     def control_decodes(self, tx: Transmission, node: SimNode, n_bytes: int) -> bool:
         if node.power.dozing:
@@ -265,8 +268,7 @@ class AcBssEngine(BssEngine):
         txop = Txop(holder, now + self.cfg.mac.txop_limit_us * US, peer=peer,
                     flow=flow, link=self._link(self.node_power(holder), holder, peer))
         self.send_control(holder, "rts", frames.RTS_BYTES, now,
-                          lambda rts: self._rts_done(txop, rts),
-                          nav_duration_ns=txop.deadline_ns - now,
+                          lambda rts: self._rts_done(txop, rts), txop=txop,
                           involves=frozenset({peer.node_id}))
 
     def _rts_done(self, txop: Txop, rts) -> None:
@@ -274,8 +276,7 @@ class AcBssEngine(BssEngine):
         if self.control_decodes(rts, peer, frames.RTS_BYTES):
             start = self.sim.now + SIFS
             self.send_control(peer, "cts", frames.CTS_BYTES, start,
-                              lambda cts: self._cts_done(txop, cts),
-                              nav_duration_ns=txop.deadline_ns - start,
+                              lambda cts: self._cts_done(txop, cts), txop=txop,
                               involves=frozenset({txop.holder.node_id}))
         else:
             timeout = self.sim.now + SIFS + \
@@ -306,8 +307,7 @@ class AcBssEngine(BssEngine):
                                               len(seqs) * self.mpdu_bits, bps,
                                               he=False)
         self.send(txop.holder, "ampdu", start, end,
-                  lambda tx: self._data_done(txop, tx, seqs, mcs),
-                  nav_duration_ns=txop.deadline_ns - end,
+                  lambda tx: self._data_done(txop, tx, seqs, mcs), txop=txop,
                   involves=frozenset({txop.peer.node_id}))
 
     def _data_done(self, txop: Txop, tx, seqs, mcs) -> None:
@@ -326,8 +326,7 @@ class AcBssEngine(BssEngine):
         start = self.sim.now + SIFS
         self.send_control(peer, "ba", frames.BA_BYTES, start,
                           lambda ba: self._ba_done(txop, ba, failed, seqs),
-                          nav_duration_ns=max(0, txop.deadline_ns - start),
-                          involves=frozenset({txop.holder.node_id}))
+                          txop=txop, involves=frozenset({txop.holder.node_id}))
 
     def _ba_done(self, txop: Txop, ba, failed, sent) -> None:
         if self.control_decodes(ba, txop.holder, frames.BA_BYTES):
@@ -373,17 +372,17 @@ class AxBssEngine(BssEngine):
                  users: tuple[int, ...] = ()) -> RuPart:
         return RuPart(ru_index, self.layout.rus[ru_index], power_dbm, users)
 
-    def _he_tb(self, sta: SimNode, ru_index: int, start: int, end: int,
+    def _he_tb(self, txop: Txop, sta: SimNode, ru_index: int, start: int, end: int,
                round_id: int, solicited: frozenset[int],
-               partners: tuple[int, ...] = (), nav_ns: int = 0) -> Transmission:
-        """Put one STA's trigger-based response on the air in its RU, which
-        it shares with its MU-MIMO partners.  The PPDU involves the AP and
-        every STA the round's trigger solicited, so no responder dozes
-        through another's response."""
+               partners: tuple[int, ...] = ()) -> Transmission:
+        """Put one STA's trigger-based response in txop on the air in its
+        RU, which it shares with its MU-MIMO partners.  The PPDU involves the
+        AP and every STA the round's trigger solicited, so no responder
+        dozes through another's response."""
         part = self._ru_part(ru_index, self.node_power(sta), partners)
-        return self.send(sta, "he-tb", start, end,
+        return self.send(sta, "he-tb", start, end, txop=txop,
                          subchannels=part.assignment.subchannels,
-                         round_id=round_id, ru=part, nav_duration_ns=nav_ns,
+                         round_id=round_id, ru=part,
                          involves=solicited | {self.ap.node_id})
 
     def _ru_sinr(self, tx: Transmission) -> float | None:
@@ -429,8 +428,7 @@ class AxBssEngine(BssEngine):
             return
         self.send_control(self.ap, "tf-bsrp", tf_bytes, now,
                           lambda ctrl: self._bsrp_responses(txop, ctrl, tf, report_ns),
-                          nav_duration_ns=txop.deadline_ns - now,
-                          involves=self._node_ids(polled), payload=tf)
+                          txop=txop, involves=self._node_ids(polled), payload=tf)
 
     def _bsrp_responses(self, txop: Txop, ctrl, tf, report_ns) -> None:
         start = self.sim.now + SIFS
@@ -441,7 +439,7 @@ class AxBssEngine(BssEngine):
             sta = self.stas[user.aid12 - 1]
             if not self.control_decodes(ctrl, sta, frames.TF_BASE_BYTES):
                 continue
-            txs.append((sta, self._he_tb(sta, user.ru_index, start,
+            txs.append((sta, self._he_tb(txop, sta, user.ru_index, start,
                                          start + report_ns, round_id, polled)))
         self.sim.at(start + report_ns, lambda: self._bsrp_done(txop, txs))
 
@@ -490,8 +488,7 @@ class AxBssEngine(BssEngine):
         self.send_control(self.ap, "tf", tf_bytes, now,
                           lambda ctrl: self._ul_data_phase(txop, ctrl, tf, plan,
                                                            ul_duration),
-                          nav_duration_ns=txop.deadline_ns - now,
-                          involves=self._node_ids(plan), payload=tf)
+                          txop=txop, involves=self._node_ids(plan), payload=tf)
 
     def _ul_data_phase(self, txop: Txop, ctrl, tf, plan, ul_duration) -> None:
         now = self.sim.now
@@ -516,13 +513,13 @@ class AxBssEngine(BssEngine):
                 continue
             partners = tuple(self.stas[u.aid12 - 1].node_id
                              for u in tf.users_of(user.ru_index) if u.aid12 != aid)
-            tx = self._he_tb(sta, user.ru_index, start, end, round_id, solicited,
-                             partners, nav_ns=txop.deadline_ns - end)
+            tx = self._he_tb(txop, sta, user.ru_index, start, end, round_id,
+                             solicited, partners)
             txs.append((sta, tx, seqs, mcs))
-        uora_txs = self._uora_phase(tf, start, end, round_id, solicited)
+        uora_txs = self._uora_phase(txop, tf, start, end, round_id, solicited)
         self.sim.at(end, lambda: self._ul_round_end(txop, txs + uora_txs))
 
-    def _uora_phase(self, tf, start, end, round_id, solicited):
+    def _uora_phase(self, txop, tf, start, end, round_id, solicited):
         ra_indices = tf.ra_ru_indices
         if not ra_indices:
             return []
@@ -558,7 +555,7 @@ class AxBssEngine(BssEngine):
             n = frames.mpdus_that_fit(end - start, phy.HE_TB_PPDU, bps,
                                       self.mpdu_bits, self.features.ampdu_cap)
             seqs = sta.flow.take(now, max(1, n))
-            tx = self._he_tb(sta, ru_index, start, end, round_id, solicited)
+            tx = self._he_tb(txop, sta, ru_index, start, end, round_id, solicited)
             txs.append((sta, tx, seqs, mcs))
         return txs
 
@@ -588,7 +585,7 @@ class AxBssEngine(BssEngine):
         start = now + SIFS
         self.send_control(self.ap, "mba", frames.mba_bytes(len(decoded)), start,
                           lambda mba: self._mba_done(txop, mba, results, decoded),
-                          involves=self._node_ids(decoded),
+                          txop=txop, involves=self._node_ids(decoded),
                           payload=mu.mba_for(decoded))
 
     def _mba_done(self, txop: Txop, mba, results, decoded) -> None:
@@ -663,8 +660,8 @@ class AxBssEngine(BssEngine):
         end = now + dl_duration
         self.send(self.ap, "he-mu", now, end,
                   lambda tx: self._dl_data_done(txop, tx, plan, taken, ba_on_ru_ns),
-                  round_id=self.ctx.new_round(), ru_parts=tuple(parts),
-                  nav_duration_ns=txop.deadline_ns - end, involves=frozenset(taken))
+                  txop=txop, round_id=self.ctx.new_round(), ru_parts=tuple(parts),
+                  involves=frozenset(taken))
 
     def _dl_data_done(self, txop: Txop, tx, plan, taken, ba_on_ru_ns) -> None:
         now = self.sim.now
@@ -701,7 +698,7 @@ class AxBssEngine(BssEngine):
             ru_index = plan[sta_id][0]
             partners = tuple(s for s in responders
                              if s != sta_id and plan[s][0] == ru_index)
-            ba = self._he_tb(self.by_id[sta_id], ru_index, start,
+            ba = self._he_tb(txop, self.by_id[sta_id], ru_index, start,
                              start + ba_on_ru_ns, tx.round_id, solicited, partners)
             ba_txs.append((sta_id, ba))
         self.sim.at(start + ba_on_ru_ns,
@@ -940,7 +937,9 @@ class RunContext:
             sinr = sinr[awake]
         now = self.sim.now
         # an unreadable frame sets no reservation but an EIFS deferral; a
-        # corrupted one reads -inf everywhere, so is unreadable at every node
+        # corrupted one reads -inf everywhere, so is unreadable at every node.
+        # An unreadable CF-End defers too: EIFS follows any frame received in
+        # error (IEEE 802.11-2020, 10.3.2.3.7), whatever kind it would have been
         readable = sinr >= self.per_model.thresholds_db[0]
         self.eifs_until_ns[hearing[~readable]] = now + (EIFS - DIFS)
         hearing = hearing[readable]

@@ -67,6 +67,8 @@ class Transmission:
     round_id: int = -1              # aligned MU round marker; -1 = standalone
     ru: RuPart | None = None        # set for per-RU (HE-TB style) transmissions
     ru_parts: tuple[RuPart, ...] = ()   # set for HE-MU downlink PPDUs
+    # Duration, counted from the frame's end: BssEngine.send sets it to what
+    # is left of the frame's TXOP then, and to 0 outside a TXOP
     nav_duration_ns: int = 0
     involves: frozenset[int] = frozenset()
     payload: object = None

@@ -10,21 +10,28 @@ moves no delivery still shows.  Every point also keeps two invariants of its
 run: each node's energy ledger covers the whole run, and each flow delivers
 only packets that arrived by its end.
 
+Every frame of a TXOP carries as Duration what is left of the TXOP after
+the frame ends, and the CF-End carries none; the TXOP tests check that rule
+on every frame of every point, that no NAV the frames set outlasts their
+TXOP, and that every BSS of each multi-BSS point wins TXOPs.
+
 The file ``golden_results.json`` pins the simulator's behaviour as it is,
-defects included.  In particular the multi-BSS points show the channel
-capture of ROADMAP item 1(a): a third-party NAV outlasts the TXOP, so one
-BSS keeps the channel and p5 reads 0 on ``indoor_multi``.  A change that
-fixes such a defect regenerates the file and states why in CHANGES.md; any
-other change must reproduce it unchanged.
+defects included.  In particular the multi-BSS points show the starvation
+of ROADMAP item 1(f): one BSS of the three wins only a few TXOPs on some
+points, and p5 reads 0 on six of the ten ``indoor_multi`` points.  A change
+that fixes such a defect regenerates the file and states why in
+CHANGES.md; any other change must reproduce it unchanged.
 
 Regenerate all three files with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -131,6 +138,85 @@ def test_ledgers_cover_the_run_and_flows_deliver_only_arrived_packets(point_id):
             assert (seqs < node.flow.arrivals_by(cfg.duration_ns)).all(), node.node_id
             delivered += len(seqs)
     assert delivered > 0
+
+
+class TxopRun(NamedTuple):
+    """A run's TXOPs as its frames show them.  won: per BSS, the TXOPs its
+    nodes sent frames in, as (holder, deadline).  frames: every frame that
+    ended, as (kind, end, Duration, its TXOP's deadline or None, the latest
+    NAV expiry its NAV pass set or None)."""
+
+    won: list[set[tuple[int, int]]]
+    frames: list[tuple[str, int, int, int | None, int | None]]
+
+
+@functools.cache
+def txop_run(point_id: str) -> TxopRun:
+    cfg, scheme, doze = _config(point_id)
+    ctx = RunContext(cfg, Scheme(scheme), intra_ppdu_doze=doze)
+    run = TxopRun([set() for _ in ctx.engines], [])
+    deadline_of = {}
+    for engine in ctx.engines:
+        def send(node, kind, start, end, then=None, txop=None, _send=engine.send,
+                 **fields):
+            tx = _send(node, kind, start, end, then, txop=txop, **fields)
+            deadline_of[tx.tx_id] = None if txop is None else txop.deadline_ns
+            if txop is not None:
+                run.won[txop.holder.bss_id].add((txop.holder.node_id,
+                                                 txop.deadline_ns))
+            return tx
+
+        engine.send = send
+    nav = ctx.nav
+    before = []
+
+    def before_nav_pass(event, tx):
+        if event == "end":
+            before.append((nav.intra_expiry_ns.copy(), nav.basic_expiry_ns.copy()))
+
+    def after_nav_pass(event, tx):
+        if event != "end":
+            return
+        intra, basic = before.pop()
+        set_ = np.concatenate([nav.intra_expiry_ns[nav.intra_expiry_ns > intra],
+                               nav.basic_expiry_ns[nav.basic_expiry_ns > basic]])
+        run.frames.append((tx.kind, tx.end_ns, tx.nav_duration_ns,
+                           deadline_of.pop(tx.tx_id),
+                           int(set_.max()) if len(set_) else None))
+
+    ctx.medium.listeners.insert(0, before_nav_pass)
+    ctx.medium.listeners.append(after_nav_pass)
+    ctx.run()
+    return run
+
+
+@pytest.mark.parametrize("point_id", sorted(POINTS))
+def test_every_frame_of_a_txop_carries_what_is_left_of_it(point_id):
+    """Duration is the TXOP left after the frame, 0 once the frame ends at or
+    after the deadline; the CF-End, the one frame outside a TXOP, carries 0.
+    So no NAV set by a TXOP's frames expires after the TXOP's deadline, and
+    a CF-End reserves nothing."""
+    run = txop_run(point_id)
+    for frame in run.frames:
+        kind, end, duration, deadline, nav_set = frame
+        if deadline is None:
+            assert kind == "cf-end" and duration == 0, frame
+            assert nav_set is None or nav_set <= end, frame
+        else:
+            assert kind != "cf-end", frame
+            assert (end + duration == deadline) if end < deadline else duration == 0, \
+                frame
+            assert nav_set is None or nav_set <= deadline, frame
+    assert sum(f[4] is not None for f in run.frames) > 50
+
+
+@pytest.mark.parametrize("point_id", [p for p in sorted(POINTS)
+                                      if p.startswith("indoor_multi/")])
+def test_every_bss_of_a_multi_bss_point_wins_txops(point_id):
+    """No NAV outlasts its TXOP, so no BSS keeps the channel to itself."""
+    won = txop_run(point_id).won
+    assert len(won) == MULTI["n_bss"]
+    assert all(won), [len(w) for w in won]
 
 
 def test_golden_file_covers_every_point():
