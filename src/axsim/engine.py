@@ -794,14 +794,10 @@ class RunContext:
             self.rng.stream("shadowing"))
         self.medium = Medium(self.sim, self.loss_db, cfg.radio.noise_figure_db)
         self._round_counter = 0
-        # carrier sense: the last list of sensed frames, the block row of
-        # each of its frames by tx_id, per node how many of them block it,
-        # and the carrier state they give
-        self._cs_sensed: list[Transmission] | None = None
-        self._counted: dict[int, np.ndarray] = {}
+        # carrier sense: per node, how many sensed frames block it, and the
+        # carrier state they give, None until the first read after a change
         self.busy_count = np.zeros(n, dtype=np.int32)
-        self._cs_state: tuple[np.ndarray, tuple[np.ndarray, ...] | None] = (
-            np.zeros(n, dtype=bool), None)
+        self._cs_state: tuple[np.ndarray, tuple[np.ndarray, ...] | None] | None = None
 
         self.nodes: dict[int, SimNode] = {}
         self.stats: dict[int, FlowStats] = {}
@@ -837,6 +833,12 @@ class RunContext:
         self.medium.listeners.append(self._dispatch_air)
 
     def _dispatch_air(self, event: str, tx: Transmission) -> None:
+        if 0 in tx.subchannels:     # the medium's sensed list changed
+            self._cs_state = None
+            if event == "start":
+                self.busy_count += self._cs_rows(tx)[0]
+            else:
+                self.busy_count -= tx.cs_rows[0]
         if event == "end":
             self._nav_pass(tx)
         elif self.intra_ppdu_doze and tx.kind in ("ampdu", "he-mu", "he-tb"):
@@ -894,32 +896,20 @@ class RunContext:
 
     def carrier_state(self, sensed: list[Transmission]
                       ) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
-        """(blocked, caps) for a list of sensed frames: a node is blocked if
-        any frame blocks it; caps are the cap rows of the frames that cap
-        some node, None for none, and contention.cap_at reads a node's SR
-        power cap from them.
+        """(blocked, caps) for the medium's list of sensed frames: a node is
+        blocked if any frame blocks it; caps are the cap rows of the frames
+        that cap some node, None for none, and contention.cap_at reads a
+        node's SR power cap from them.
 
-        busy_count holds, per node, how many frames of the list block it.
-        Only the frames that entered or left the list since the last call
-        change it, and an exact integer count needs no rebuild."""
-        if sensed is not self._cs_sensed:
-            self._cs_sensed = sensed
-            counted = self._counted
-            entering = [tx for tx in sensed if tx.tx_id not in counted]
-            left = len(counted) + len(entering) - len(sensed)
-            if left:
-                live = {tx.tx_id for tx in sensed}
-                for tx_id in [k for k in counted if k not in live]:
-                    self.busy_count -= counted.pop(tx_id)
-            for tx in entering:
-                blocks = counted[tx.tx_id] = self._cs_rows(tx)[0]
-                self.busy_count += blocks
-            if left or entering:
-                caps = None
-                if self.features.spatial_reuse:
-                    caps = tuple(tx.cs_rows[1] for tx in sensed
-                                 if tx.cs_rows[1] is not None) or None
-                self._cs_state = (self.busy_count > 0, caps)
+        busy_count holds, per node, how many frames of the list block it: a
+        frame adds its block row at its start and subtracts it at its end,
+        and an exact integer count needs no rebuild."""
+        if self._cs_state is None:
+            caps = None
+            if self.features.spatial_reuse:
+                caps = tuple(tx.cs_rows[1] for tx in sensed
+                             if tx.cs_rows[1] is not None) or None
+            self._cs_state = (self.busy_count > 0, caps)
         return self._cs_state
 
     def _nav_pass(self, tx: Transmission) -> None:
@@ -972,7 +962,7 @@ class RunContext:
         noise_mw = phy.dbm_to_mw(
             phy.noise_dbm(band, self.cfg.radio.noise_figure_db))
         interference = self.medium.interference_dbm(
-            rx.node_id, min(band, 20e6), own_bss, self.sim.now)
+            rx.node_id, min(band, 20e6), own_bss)
         return phy.mw_to_dbm(noise_mw + phy.dbm_to_mw(interference))
 
     def deliver(self, flow: CbrFlow, seqs: np.ndarray) -> None:

@@ -53,7 +53,7 @@ class Interferer(NamedTuple):
                                    tx.start_ns, tx.end_ns, tx._per_subchannel_dbm))
 
 
-@dataclass
+@dataclass(eq=False)          # a frame equals only itself
 class Transmission:
     tx_id: int
     tx_node: int
@@ -170,20 +170,24 @@ def overlapping(tx: Transmission) -> Overlaps:
 
 
 class Medium:
-    """Keeps the set of in-flight transmissions and answers power questions.
+    """Keeps the frames handed over and not yet ended (`active`) and answers
+    power questions.  A frame is on the air from its start event to its end
+    event; carrier sense and link adaptation read one list of the primary
+    channel's frames on the air, as ns-3's ChannelAccessManager hears of
+    every signal at its start.
 
     Each frame keeps its own overlaps, as ns-3's InterferenceHelper does;
     there are no running power sums.  When a frame is handed over, its
     record (`Interferer`, made once) joins the interferer list of every
-    frame on the air, and theirs join its list, so at its end the list
-    holds every overlap.  `_finish` walks it once (`overlapping`), before
-    the end listeners run, and empties it: every decode of the frame and
-    its NAV pass read that walk.  A frame read while still on the air gets
-    the same walk over what its list holds so far.
+    active frame, and theirs join its list, so at its end the list holds
+    every overlap.  `_finish` walks it once (`overlapping`), before the end
+    listeners run, and empties it: every decode of the frame and its NAV
+    pass read that walk.  A frame read while still on the air gets the same
+    walk over what its list holds so far.
 
     The lists hold records, not frames, so an ended frame, with its walk,
     dies after its last decode.  A frame carries its received power at
-    every node (`rx_dbm`) only while it is on the air.
+    every node (`rx_dbm`) only while it is active.
     """
 
     def __init__(self, sim: Simulator, loss_db: np.ndarray, noise_figure_db: float):
@@ -193,16 +197,20 @@ class Medium:
         self.active: dict[int, Transmission] = {}
         self.listeners: list = []    # callables (event, transmission)
         self._next_id = 0
-        # the sensed list, and the last instant it holds at: a frame end
-        # sets -1, and a primary frame handed over lowers it to its start
-        self._sensed: list[Transmission] = []
-        self._sensed_until: float = math.inf
+        # the primary-channel frames on the air, in the order they started
+        self._on_air: list[Transmission] = []
         self._noise_by_band: dict[float, float] = {}
 
     def rx_power_dbm(self, tx_node: int, rx_node: int, power_dbm: float) -> float:
         return power_dbm - float(self.loss_db[tx_node, rx_node])
 
     def transmit(self, tx: Transmission) -> Transmission:
+        """Hand tx over: it joins the interferer lists now, and its start and
+        end events, which run the listeners, are pushed in that order.  An
+        attempt armed at t fires no earlier than t + DIFS, and a frame starts
+        at most SIFS after its handover, so an attempt that fires at a
+        frame's start instant was armed before the handover: it pops before
+        the start event, senses the medium idle, transmits and collides."""
         tx.tx_id = self._next_id
         self._next_id += 1
         tx.rx_dbm = tx.power_per_subchannel_dbm() - self.loss_db[tx.tx_node]
@@ -211,16 +219,20 @@ class Medium:
             other.interferers.append(heard)
             tx.interferers.append(other.heard)
         self.active[tx.tx_id] = tx
-        if 0 in tx.subchannels and tx.start_ns < self._sensed_until:
-            self._sensed_until = tx.start_ns
-        for listener in self.listeners:
-            listener("start", tx)
+        self.sim.at(tx.start_ns, lambda: self._start(tx))
         self.sim.at(tx.end_ns, lambda: self._finish(tx))
         return tx
 
+    def _start(self, tx: Transmission) -> None:
+        if 0 in tx.subchannels:
+            self._on_air.append(tx)
+        for listener in self.listeners:
+            listener("start", tx)
+
     def _finish(self, tx: Transmission) -> None:
         del self.active[tx.tx_id]
-        self._sensed_until = -1
+        if 0 in tx.subchannels:
+            self._on_air.remove(tx)
         tx.overlaps = overlapping(tx)
         tx.interferers.clear()
         for listener in self.listeners:
@@ -230,22 +242,10 @@ class Medium:
     # --- carrier sensing -------------------------------------------------------
 
     def sensed(self, now_ns: int) -> list[Transmission]:
-        """Active transmissions on the primary 20 MHz subchannel, whose power
-        at every node is their `rx_dbm`; a node ignores its own.  Those
-        starting at or after `now_ns` are not yet sensed: decisions taken in
-        the same slot boundary collide rather than defer.  The list is shared
-        by every caller until a frame ends or `now_ns` passes the start of a
-        primary frame not yet sensed; `now_ns` never decreases."""
-        if now_ns > self._sensed_until:
-            sensed, until = [], math.inf
-            for tx in self.active.values():
-                if 0 in tx.subchannels:
-                    if tx.start_ns < now_ns:
-                        sensed.append(tx)
-                    elif tx.start_ns < until:
-                        until = tx.start_ns
-            self._sensed, self._sensed_until = sensed, until
-        return self._sensed
+        """The frames on the air on the primary 20 MHz at now_ns, whose power
+        at every node is their `rx_dbm`; a node ignores its own.  One list,
+        changed only by start and end events and shared by every caller."""
+        return self._on_air
 
     # --- decoding ---------------------------------------------------------------
 
@@ -308,14 +308,13 @@ class Medium:
             interference_mw = terms.sum(axis=0)
         return False, desired - 10.0 * np.log10(noise_mw + interference_mw)
 
-    def interference_dbm(self, rx_node: int, band_hz: float, exclude_bss: int,
-                         now_ns: int) -> float:
-        """Current other-BSS energy at a receiver in band_hz of the primary
-        20 MHz, for link adaptation."""
+    def interference_dbm(self, rx_node: int, band_hz: float, exclude_bss: int) -> float:
+        """Other-BSS energy on the air at a receiver in band_hz of the
+        primary 20 MHz, for link adaptation."""
         share_db = band_share_db(band_hz)
         total_mw = 0.0
-        for tx in self.active.values():
-            if tx.bss_id == exclude_bss or tx.end_ns <= now_ns or 0 not in tx.subchannels:
+        for tx in self._on_air:
+            if tx.bss_id == exclude_bss:
                 continue
             leak = tx._per_subchannel_dbm + share_db
             total_mw += phy.dbm_to_mw(self.rx_power_dbm(tx.tx_node, rx_node, leak))

@@ -4,10 +4,14 @@ references.
 The engine derives carrier sense and NAV readability from one received-power
 row per frame, for all nodes at once.  These tests restate the rules one
 node and one frame at a time and compare, and check that a frame's rows are
-released once it has ended.  The run keeps, per node, a count of the
-sensed frames that block it; the references count them one by one, and
-the shared list of sensed frames is checked against a filter built anew at
-every read.  One batched step per medium change freezes and arms exactly
+released once it has ended.  A frame is sensed from its start event until
+its end event.  The run keeps, per node, a count of the sensed frames that
+block it; the references count them one by one over the frames whose start
+listener has run, and the medium's one list of frames on the air is checked
+against that filter at every read.  An attempt that fires at a frame's
+start instant was armed before the frame's handover, so it fires before
+the start event and transmits; one that fires later meets the frame.  One
+batched step per medium change freezes and arms exactly
 the contenders whose attempt disagrees with their node's carrier state; the
 contention tests check that none is left out of step, that each medium
 change reads the carrier state at most once, and that attempts keep their
@@ -27,7 +31,7 @@ import pytest
 
 from axsim import phy, spatial
 from axsim.config import default_config
-from axsim.core import DIFS, SLOT_TIME, US, Simulator
+from axsim.core import DIFS, SIFS, SLOT_TIME, US, Simulator
 from axsim.contention import cap_at
 from axsim.engine import EIFS, MIN_SR_TXPWR_DBM, BssEngine, Contender, RunContext
 from axsim.medium import SUBCHANNEL_HZ, Medium, RuPart, Transmission
@@ -50,10 +54,41 @@ def started(scheme: str, kind: str = "indoor_multi", direction: str = "ul",
     return ctx
 
 
-def reference_cs_state(ctx: RunContext, node_id: int) -> tuple[int, float | None]:
-    """Carrier sense of one node, one active frame at a time: how many frames
-    block it, and the lowest SR power cap the others set (None for none).
-    A frame on the primary 20 MHz that started before now and reaches CCA
+class OnAir:
+    """The frames whose start listener has run and whose end has not, as a
+    listener that runs before every other sees them."""
+
+    def __init__(self, ctx: RunContext):
+        self.ctx = ctx
+        self.ids: set[int] = set()
+        ctx.medium.listeners.insert(0, self.note)
+
+    def note(self, event: str, tx: Transmission) -> None:
+        if event == "start":
+            self.ids.add(tx.tx_id)
+        else:
+            self.ids.discard(tx.tx_id)
+
+    def __call__(self) -> list[Transmission]:
+        """The started frames, in the order they were handed over.  A frame
+        has started by now if it starts before now, and not if it starts
+        after now."""
+        now = self.ctx.sim.now
+        out = []
+        for tx in self.ctx.medium.active.values():
+            if tx.tx_id in self.ids:
+                assert tx.start_ns <= now, (now, tx.tx_id)
+                out.append(tx)
+            else:
+                assert tx.start_ns >= now, (now, tx.tx_id)
+        return out
+
+
+def reference_cs_state(ctx: RunContext, on_air: OnAir,
+                       node_id: int) -> tuple[int, float | None]:
+    """Carrier sense of one node, one started frame at a time: how many
+    frames block it, and the lowest SR power cap the others set (None for
+    none).  A frame on the primary 20 MHz that has started and reaches CCA
     blocks, unless spatial reuse lets the node cap its power under an
     inter-BSS frame's OBSS_PD level at a power that still closes its BSS's
     worst link."""
@@ -63,9 +98,8 @@ def reference_cs_state(ctx: RunContext, node_id: int) -> tuple[int, float | None
     noise = phy.noise_dbm(20e6, ctx.cfg.radio.noise_figure_db)
     count = 0
     cap = None
-    for tx in ctx.medium.active.values():
-        if tx.tx_node == node_id or tx.start_ns >= ctx.sim.now \
-                or 0 not in tx.subchannels:
+    for tx in on_air():
+        if tx.tx_node == node_id or 0 not in tx.subchannels:
             continue
         p = tx.power_per_subchannel_dbm() - ctx.loss_db[tx.tx_node, node_id]
         if p < ctx.cfg.phy.cca_threshold_dbm:
@@ -95,6 +129,7 @@ def compare_cs_over_run(ctx: RunContext, step_ns: int) -> Counter:
     nodes = sorted(ctx.nodes)
     contention = ctx.contention
     seqs_before = []
+    on_air = OnAir(ctx)
 
     def check(*_):
         seen["instants"] += 1
@@ -108,7 +143,7 @@ def compare_cs_over_run(ctx: RunContext, step_ns: int) -> Counter:
             assert not busy.any(), ctx.sim.now
             seen["idle"] += 1
         for node_id in nodes:
-            count, cap = reference_cs_state(ctx, node_id)
+            count, cap = reference_cs_state(ctx, on_air, node_id)
             assert (busy[node_id], blocked[node_id]) == (count, count > 0), \
                 (ctx.sim.now, node_id)
             if not count:
@@ -124,7 +159,7 @@ def compare_cs_over_run(ctx: RunContext, step_ns: int) -> Counter:
         check()
         armed = contention.pending & (contention.seq != seqs_before.pop())
         for node_id in armed.nonzero()[0].tolist():
-            _, cap = reference_cs_state(ctx, node_id)
+            _, cap = reference_cs_state(ctx, on_air, node_id)
             assert contention.sr_cap_dbm[node_id] == (math.inf if cap is None else cap)
             seen["armed"] += 1
             seen["armed_capped"] += cap is not None
@@ -159,10 +194,11 @@ def test_busy_counts_match_the_sensed_frames_over_the_golden_runs(scheme, direct
 ])
 def test_the_shared_sensed_list_equals_the_filter_over_the_golden_runs(
         monkeypatch, scheme, direction):
-    """At every read, Medium.sensed's list holds the frames of the filter
-    over the frames on the air, in their order, though it is rebuilt only
-    when a frame ends or a handed-over frame starts being sensed: reads at
-    later instants share it too."""
+    """At every read, Medium.sensed's list holds the started frames on the
+    primary 20 MHz, in the order they started: by start time, and at one
+    start time in handover order, as their start events were pushed.  It is
+    changed only by start and end events: reads at later instants share
+    it."""
     seen = Counter()
     sensed = Medium.sensed
     last, last_ns = None, -1
@@ -170,8 +206,8 @@ def test_the_shared_sensed_list_equals_the_filter_over_the_golden_runs(
     def reading(medium, now_ns):
         nonlocal last, last_ns
         got = sensed(medium, now_ns)
-        want = [tx for tx in medium.active.values()
-                if tx.start_ns < now_ns and 0 in tx.subchannels]
+        want = sorted((tx for tx in on_air() if 0 in tx.subchannels),
+                      key=lambda tx: tx.start_ns)
         assert [id(tx) for tx in got] == [id(tx) for tx in want], now_ns
         seen["shared later"] += got is last and now_ns > last_ns
         seen["frames"] += len(got)
@@ -180,8 +216,42 @@ def test_the_shared_sensed_list_equals_the_filter_over_the_golden_runs(
 
     monkeypatch.setattr(Medium, "sensed", reading)
     ctx = started(scheme, direction=direction, duration_s=0.2, **MULTI)
+    on_air = OnAir(ctx)
     ctx.sim.run_until(ctx.cfg.duration_ns)
     assert seen["shared later"] > 50 and seen["frames"] > 50, seen
+
+
+@pytest.mark.parametrize("kind, direction, overrides", [
+    ("indoor_multi", "ul", MULTI),
+    ("outdoor_multi", "dl", dict(n_bss=4, stas_per_bss=6, per_sta_rate_mbps=20)),
+])
+def test_link_adaptation_reads_the_frames_carrier_sense_reads(
+        monkeypatch, kind, direction, overrides):
+    """Medium.interference_dbm sums the other-BSS power of the started frames
+    on the primary 20 MHz, in the order they started, as Medium.sensed
+    lists them: a frame handed over but not yet started adds nothing."""
+    seen = Counter()
+    interference_dbm = Medium.interference_dbm
+
+    def reading(medium, rx_node, band_hz, exclude_bss):
+        got = interference_dbm(medium, rx_node, band_hz, exclude_bss)
+        share_db = 10.0 * math.log10(min(band_hz, SUBCHANNEL_HZ) / SUBCHANNEL_HZ)
+        total_mw = 0.0
+        for tx in sorted(on_air(), key=lambda tx: tx.start_ns):
+            if tx.bss_id != exclude_bss and 0 in tx.subchannels:
+                leak = tx.power_per_subchannel_dbm() + share_db
+                total_mw += phy.dbm_to_mw(leak - float(medium.loss_db[tx.tx_node, rx_node]))
+        assert got == phy.mw_to_dbm(total_mw), (medium.sim.now, rx_node)
+        seen["interfered" if total_mw else "quiet"] += 1
+        seen["left out"] += sum(tx.bss_id != exclude_bss and tx.start_ns > medium.sim.now
+                                for tx in medium.active.values())
+        return got
+
+    monkeypatch.setattr(Medium, "interference_dbm", reading)
+    ctx = started("ax_sr", kind=kind, direction=direction, duration_s=0.2, **overrides)
+    on_air = OnAir(ctx)
+    ctx.sim.run_until(ctx.cfg.duration_ns)
+    assert seen["interfered"] > 20 and seen["quiet"] > 20 and seen["left out"] > 0, seen
 
 
 # With the default OBSS_PD range every cap clears MIN_SR_TXPWR_DBM; a higher
@@ -283,12 +353,11 @@ def test_a_medium_change_reads_the_carrier_state_once_if_a_contender_is_active(
 def test_a_frozen_attempt_resumes_with_the_slots_left():
     """Arm 10 slots, sense a frame 4 slots and a fraction into the countdown,
     then resume with 6 slots after the NAV the frame set."""
-    ctx = RunContext(default_config("indoor_single", stas_per_bss=2,
+    ctx = RunContext(default_config("indoor_single", stas_per_bss=1,
                                     duration_s=0.01), "ac_baseline")
     engine = ctx.engines[0]
-    ap, sta, other = engine.ap, *engine.stas
-    for a, b, loss in ((ap, sta, 60.0), (other, sta, 65.0), (ap, other, 60.0)):
-        ctx.loss_db[a.node_id, b.node_id] = ctx.loss_db[b.node_id, a.node_id] = loss
+    ap, sta = engine.ap, engine.stas[0]
+    ctx.loss_db[ap.node_id, sta.node_id] = ctx.loss_db[sta.node_id, ap.node_id] = 60.0
     attempts = []
     engine.on_backoff_complete = lambda node: attempts.append(ctx.sim.now)
     contention = ctx.contention
@@ -299,19 +368,13 @@ def test_a_frozen_attempt_resumes_with_the_slots_left():
     assert contention.pending[i] and contention.armed_at[i] == 0
     old_fire = DIFS + 10 * SLOT_TIME
 
-    def send(node, start, end, nav_ns=0):
-        ctx.sim.at(start, lambda: ctx.medium.transmit(
-            Transmission(0, node.node_id, 0, "ampdu", start, end, ctx.subchannels,
-                         0.0 if node is other else 20.0, nav_duration_ns=nav_ns)))
-
     def state():
         return (contention.seq[i], contention.pending[i], contention.counter[i])
 
-    # a frame is sensed from after its first instant, so the contender meets
-    # `other`'s frame at the next medium change, the AP's frame start
     sensed_at = DIFS + 4 * SLOT_TIME + SLOT_TIME // 3
-    send(other, DIFS + 4 * SLOT_TIME, 150 * US)
-    send(ap, sensed_at, 200 * US, nav_ns=100 * US)
+    ctx.sim.at(sensed_at, lambda: ctx.medium.transmit(
+        Transmission(0, ap.node_id, 0, "ampdu", sensed_at, 200 * US, ctx.subchannels,
+                     20.0, nav_duration_ns=100 * US)))
     ctx.sim.run_until(sensed_at)
     assert not contention.pending[i] and contention.counter[i] == 6
     frozen = state()
@@ -415,12 +478,36 @@ def test_a_frame_end_scheduled_before_an_arm_runs_before_the_attempt_at_its_inst
                      ("attempt", node.node_id, at)]
 
 
+def test_an_attempt_at_a_frame_start_transmits_and_one_a_slot_later_freezes():
+    """Both attempts are armed before the frame is handed over, SIFS ahead
+    of its start.  The one that fires at the start instant pops before the
+    start event and transmits; the one due a slot later meets the frame at
+    its start and freezes with that slot left."""
+    ctx, stas, fired = order_bench({0: (1, 2)})
+    engine = ctx.engines[0]
+    early, late = stas[1], stas[2]
+    ctx.sim.run_until(1)
+    contend(ctx, engine, early, 3)
+    contend(ctx, engine, late, 4)
+    start = 1 + DIFS + 3 * SLOT_TIME
+    end = start + 100 * US
+    ctx.sim.at(start - SIFS, lambda: ctx.medium.transmit(Transmission(
+        0, stas[0].node_id, 0, "ampdu", start, end, ctx.subchannels, 20.0)))
+    ctx.sim.run_until(start)
+    contention = ctx.contention
+    assert fired == [("attempt", early.node_id, start)]
+    assert not contention.pending[late.node_id]
+    assert contention.counter[late.node_id] == 1
+    ctx.sim.run_until(ctx.cfg.duration_ns)
+    assert fired[1:] == [("end", stas[0].node_id, end),
+                         ("attempt", late.node_id, end + DIFS + SLOT_TIME)]
+
+
 # --- the batch queue ---------------------------------------------------------------
 #
 # One step's attempts share one heap entry at a time.  `low` and `high`
 # both hear STA 0's frame and are armed together at its end; only `low`
-# hears STA 3, whose frame freezes it once sensed, after its first instant,
-# at the next medium change: the handover of a second frame of STA 3.
+# hears STA 3, whose frame freezes it at its start.
 
 def armed_together(low_counter, high_counter):
     ctx, stas, fired = order_bench({0: (1, 2), 3: (1,)})
@@ -439,8 +526,7 @@ def armed_together(low_counter, high_counter):
 
 def freeze_low(ctx, stas, until):
     hand_over(ctx, stas[3], until)
-    ctx.sim.run_until(ctx.sim.now + 1)
-    hand_over(ctx, stas[3], until)
+    ctx.sim.run_until(ctx.sim.now)
     assert not ctx.contention.pending[stas[1].node_id]
     assert ctx.contention.pending[stas[2].node_id]
 
@@ -494,23 +580,24 @@ def test_no_seq_is_pushed_twice_over_the_golden_runs(monkeypatch, scheme, direct
 # --- the interferer list walk -------------------------------------------------------
 
 class Handovers:
-    """Every frame's interferers as whole frames, from a "start" listener
-    over `medium.active`: the frames on the air at its handover, then those
-    handed over while it is on the air, in that order."""
+    """Every frame's interferers as whole frames, from a wrapper of the
+    medium's `transmit` reading `medium.active`: the frames handed over and
+    not ended at its handover, then those handed over before its end, in
+    that order."""
 
     def __init__(self, ctx: RunContext):
         self.medium = ctx.medium
         self.lists: dict[int, list[Transmission]] = {}
-        ctx.medium.listeners.insert(0, self.start)
+        self.transmit = ctx.medium.transmit
+        ctx.medium.transmit = self.hand_over
 
-    def start(self, event: str, tx: Transmission) -> None:
-        if event != "start":
-            return
-        live = [other for other in self.medium.active.values()
-                if other is not tx]
+    def hand_over(self, tx: Transmission) -> Transmission:
+        live = list(self.medium.active.values())
+        self.transmit(tx)
         for other in live:
             self.lists[other.tx_id].append(tx)
         self.lists[tx.tx_id] = live
+        return tx
 
     def __call__(self, tx: Transmission) -> list[Transmission]:
         return self.lists[tx.tx_id]

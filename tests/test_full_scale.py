@@ -28,8 +28,8 @@ def test_uplink_schedules_by_aid_not_node_id():
 def test_edca_contention_holds_at_full_scale(monkeypatch):
     # 1,216 STAs contend.  Hardly a packet has arrived at the first traffic
     # poll, at 0, and the next is at 20 ms, so contention runs for the last
-    # 10 ms.  A frame is sensed only after its first instant, so the carrier
-    # state the contenders follow is the one at the last medium change.
+    # 10 ms.  The carrier state the contenders follow is the one at the last
+    # medium change, a frame's start or end.
     ran = []
     last = {}
     run = RunContext.run

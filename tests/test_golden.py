@@ -15,10 +15,14 @@ the frame ends, and the CF-End carries none; the TXOP tests check that rule
 on every frame of every point, that no NAV the frames set outlasts their
 TXOP, and that every BSS of each multi-BSS point wins TXOPs.
 
+Every frame enters carrier sense at its start event: the 1(d) test checks,
+on every multi-BSS point, that no attempt fires past a frame it could have
+sensed, and the 1(f) test that every BSS still wins TXOPs late in a 1 s
+run on the three points where one used to starve.
+
 The file ``golden_results.json`` pins the simulator's behaviour as it is,
-defects included.  In particular the multi-BSS points show the starvation
-of ROADMAP item 1(f): one BSS of the three wins only a few TXOPs on some
-points, and p5 reads 0 on six of the ten ``indoor_multi`` points.  A change
+defects included.  In particular p5 reads 0 on four of the ten
+``indoor_multi`` points, which ROADMAP item 1(f) still holds open.  A change
 that fixes such a defect regenerates the file and states why in
 CHANGES.md; any other change must reproduce it unchanged.
 
@@ -38,6 +42,8 @@ import pytest
 
 from axsim import runner
 from axsim.config import Scheme, default_config
+from axsim.contention import Contender
+from axsim.core import SIFS, US
 from axsim.engine import RunContext
 
 GOLDEN = Path(__file__).with_name("golden_results.json")
@@ -71,9 +77,13 @@ def _points() -> dict[str, tuple]:
 POINTS = _points()
 
 
-def _config(point_id: str):
+MULTI_POINTS = [p for p in sorted(POINTS) if p.startswith("indoor_multi/")]
+
+
+def _config(point_id: str, **changes):
+    """The point's (config, scheme, doze), with `changes` to its overrides."""
     kind, scheme, direction, overrides, mac, doze = POINTS[point_id]
-    cfg = default_config(kind, direction=direction, **overrides)
+    cfg = default_config(kind, direction=direction, **{**overrides, **changes})
     for key, value in mac.items():
         setattr(cfg.mac, key, value)
     return cfg, scheme, doze
@@ -151,8 +161,8 @@ class TxopRun(NamedTuple):
 
 
 @functools.cache
-def txop_run(point_id: str) -> TxopRun:
-    cfg, scheme, doze = _config(point_id)
+def txop_run(point_id: str, **changes) -> TxopRun:
+    cfg, scheme, doze = _config(point_id, **changes)
     ctx = RunContext(cfg, Scheme(scheme), intra_ppdu_doze=doze)
     run = TxopRun([set() for _ in ctx.engines], [])
     deadline_of = {}
@@ -210,13 +220,79 @@ def test_every_frame_of_a_txop_carries_what_is_left_of_it(point_id):
     assert sum(f[4] is not None for f in run.frames) > 50
 
 
-@pytest.mark.parametrize("point_id", [p for p in sorted(POINTS)
-                                      if p.startswith("indoor_multi/")])
+@pytest.mark.parametrize("point_id", MULTI_POINTS)
 def test_every_bss_of_a_multi_bss_point_wins_txops(point_id):
     """No NAV outlasts its TXOP, so no BSS keeps the channel to itself."""
     won = txop_run(point_id).won
     assert len(won) == MULTI["n_bss"]
     assert all(won), [len(w) for w in won]
+
+
+@pytest.mark.parametrize("point_id", ["indoor_multi/ac_baseline/dl",
+                                      "indoor_multi/ax_ofdma/ul",
+                                      "indoor_multi/ax_sr/ul"])
+def test_every_bss_wins_txops_in_the_second_half_of_a_second(point_id):
+    """ROADMAP 1(f): no BSS of the golden config starves over 1 s.  While a
+    frame entered carrier sense only at the first query after its start,
+    contenders fired into the CTS, BA and HE-TB frames they should have
+    frozen on, and the last TXOP of a starving BSS started at 45 ms under
+    ax_ofdma UL, at 63 ms under ax_sr UL, and at 312 ms and 324 ms (two
+    BSSs) under ac_baseline DL."""
+    cfg, _, _ = _config(point_id, duration_s=1.0)
+    limit_ns = cfg.mac.txop_limit_us * US
+    last_start = [max(deadline for _, deadline in won) - limit_ns
+                  for won in txop_run(point_id, duration_s=1.0).won]
+    assert len(last_start) == MULTI["n_bss"]
+    assert min(last_start) >= cfg.duration_ns // 2, last_start
+
+
+@pytest.mark.parametrize("point_id", MULTI_POINTS)
+def test_no_attempt_fires_past_a_frame_it_could_sense(monkeypatch, point_id):
+    """ROADMAP 1(d): a frame enters carrier sense at its start event.  A frame
+    starts at most SIFS after its handover, and an attempt fires at least
+    DIFS after it is armed, so no attempt armed after a frame's handover
+    fires at or before the frame's start; and no live attempt fires on a
+    node that a frame on the air blocks."""
+    cfg, scheme, doze = _config(point_id)
+    ctx = RunContext(cfg, Scheme(scheme), intra_ppdu_doze=doze)
+    latest_start = -1           # of the frames handed over so far
+    transmit = ctx.medium.transmit
+
+    def handing_over(tx):
+        nonlocal latest_start
+        assert ctx.sim.now <= tx.start_ns <= ctx.sim.now + SIFS, tx.kind
+        latest_start = max(latest_start, tx.start_ns)
+        return transmit(tx)
+
+    # per node, latest_start when its attempt was armed
+    known = np.full(len(ctx.nodes), -1, dtype=np.int64)
+    arm, arm_all, fire = Contender._arm, Contender._arm_all, Contender._fire
+    live = 0
+
+    def arming(contention, i, caps):
+        known[i] = latest_start
+        arm(contention, i, caps)
+
+    def arming_all(contention, ids, caps):
+        known[ids] = latest_start
+        arm_all(contention, ids, caps)
+
+    def firing(contention, i, seq):
+        nonlocal live
+        if contention.seq.item(i) == seq:
+            now = ctx.sim.now
+            assert now > known[i], (now, i)
+            blocked, _ = contention.engine_of[i].cs_state()
+            assert not blocked[i], (now, i)
+            live += 1
+        fire(contention, i, seq)
+
+    ctx.medium.transmit = handing_over
+    monkeypatch.setattr(Contender, "_arm", arming)
+    monkeypatch.setattr(Contender, "_arm_all", arming_all)
+    monkeypatch.setattr(Contender, "_fire", firing)
+    ctx.run()
+    assert live > 50, live
 
 
 def test_golden_file_covers_every_point():

@@ -166,9 +166,15 @@ def test_configured_noise_figure_sets_every_noise_floor():
     nodes = np.arange(len(ctx.nodes))
 
     def frame(node):
-        return ctx.medium.transmit(Transmission(
-            0, node.node_id, node.bss_id, "ampdu", 0, 100 * US, ctx.subchannels,
-            node.tx_power_dbm, color=node.color, nav_duration_ns=1000 * US))
+        """A frame of node from now for 100 us, on the air alone."""
+        now = ctx.sim.now
+        tx = ctx.medium.transmit(Transmission(
+            0, node.node_id, node.bss_id, "ampdu", now, now + 100 * US,
+            ctx.subchannels, node.tx_power_dbm, color=node.color,
+            nav_duration_ns=1000 * US))
+        ctx.sim.run_until(now)                      # its start event
+        assert ctx.medium.sensed(now) == [tx]
+        return tx
 
     ap = ctx.engines[0].ap
     tx = frame(ap)                                   # alone on the medium
@@ -188,8 +194,9 @@ def test_configured_noise_figure_sets_every_noise_floor():
     default_nf = RadioSection().noise_figure_db
     differs_at_default = 0
     for node in ctx.nodes.values():
+        ctx.sim.run_until(ctx.sim.now + 200 * US)   # the last frame has ended
         tx = frame(node)
-        blocked, _ = ctx.carrier_state([tx])
+        blocked, _ = ctx.engines[0].cs_state()
         for i in nodes.tolist():
             p = tx.rx_dbm[i]
             if i == node.node_id or p < cfg.phy.cca_threshold_dbm:

@@ -76,7 +76,7 @@ def sensing_sta(rx_dbm):
     ctx.loss_db[ap.node_id, sta.node_id] = ctx.loss_db[sta.node_id, ap.node_id] = 60.0
     ctx.medium.transmit(Transmission(0, ap.node_id, 0, "ampdu", 0, 1000 * US,
                                      ctx.subchannels, rx_dbm + 60.0))
-    ctx.sim.run_until(1)        # a frame is sensed from after its first instant
+    ctx.sim.run_until(1)        # past the frame's start event, at 0
     return engine, sta
 
 
