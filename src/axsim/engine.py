@@ -82,7 +82,7 @@ class BssEngine:
         """(blocked row over all nodes, cap rows) from the frames the medium
         senses now; see RunContext.carrier_state for the rule.  The only
         caller of Medium.sensed."""
-        return self.ctx.carrier_state(self.medium.sensed(self.sim.now))
+        return self.ctx.carrier_state(self.medium.sensed())
 
     def on_air(self, tx: Transmission) -> None:
         """Doze phase at the start of a data PPDU: STAs the PPDU does not
@@ -115,7 +115,8 @@ class BssEngine:
     def send(self, node: SimNode, kind: str, start: int, end: int,
              then=None, txop: Txop | None = None, **fields) -> Transmission:
         """Put node's PPDU on the air from start to end, charging its transmit
-        energy from now; then(tx), if given, runs at end.  A frame of txop
+        energy from now; then(tx), if given, runs in its end event, after
+        the medium's end listeners.  A frame of txop
         carries as Duration what is left of the TXOP after its end; any
         other frame carries none.  fields are further Transmission fields;
         the PPDU spans the whole channel unless they give its subchannels."""
@@ -127,10 +128,7 @@ class BssEngine:
                           nav_duration_ns=0 if txop is None
                           else max(0, txop.deadline_ns - end),
                           **fields)
-        self.medium.transmit(tx)
-        if then is not None:
-            self.sim.at(end, lambda: then(tx))
-        return tx
+        return self.medium.transmit(tx, then)
 
     def send_control(self, node: SimNode, kind: str, n_bytes: int, start: int,
                      then=None, txop: Txop | None = None, **fields) -> Transmission:
@@ -185,8 +183,9 @@ class BssEngine:
         spatial streams in all at rx (default nss); `shared` when MU-MIMO
         streams share the RU.  The MCS is selected against the SNR over the
         noise plus the other-BSS interference rx sees now."""
+        band = self.cfg.bandwidth_mhz * 1e6 if tones is None else tones * 78_125.0
         snr = power_dbm - self.ctx.loss(tx, rx) \
-            - self.ctx.effective_noise_dbm(rx, tones, self.bss_id) \
+            - self.medium.interference_dbm(rx.node_id, band, self.bss_id) \
             + phy.mu_mimo_sinr_adjustment_db(rx.antennas, streams or self.nss,
                                              shared, self.cfg.phy.mu_stream_penalty_db)
         mcs = self.ctx.per_model.select_mcs(snr, tones or 0, self.features.max_mcs)
@@ -952,18 +951,6 @@ class RunContext:
     def new_round(self) -> int:
         self._round_counter += 1
         return self._round_counter
-
-    def effective_noise_dbm(self, rx: SimNode, tones: int | None,
-                            own_bss: int) -> float:
-        """Noise plus current other-BSS interference in the receiver's band,
-        the quantity link adaptation selects MCS against."""
-        band = (tones * 78_125.0 if tones is not None
-                else self.cfg.bandwidth_mhz * 1e6)
-        noise_mw = phy.dbm_to_mw(
-            phy.noise_dbm(band, self.cfg.radio.noise_figure_db))
-        interference = self.medium.interference_dbm(
-            rx.node_id, min(band, 20e6), own_bss)
-        return phy.mw_to_dbm(noise_mw + phy.dbm_to_mw(interference))
 
     def deliver(self, flow: CbrFlow, seqs: np.ndarray) -> None:
         now = self.sim.now

@@ -1,5 +1,16 @@
 """Shared radio medium: active-transmission bookkeeping, per-RU interference,
-carrier-sense queries, and decode SINR evaluation."""
+carrier-sense queries, and decode SINR evaluation.
+
+Power lives in two domains.  Thresholds and link budgets are in dB: carrier
+sense at CCA, the OBSS_PD levels and SR caps, MCS0 readability and every
+desired signal compare or subtract dB values.  Every sum is in mW: a
+frame's interference at a decode, at the NAV pass and at link adaptation
+adds received powers in mW.  A received power crosses from dBm to mW once,
+in `Medium.transmit`, which makes each frame's row over all nodes; thermal
+noise, one value per band, is the only other crossing (`Medium.noise_mw`).
+Every sum goes back to dB through `phy.mw_to_dbm`, the one function decode,
+NAV and link adaptation all call.
+"""
 
 from __future__ import annotations
 
@@ -42,15 +53,15 @@ class Interferer(NamedTuple):
     subchannels: frozenset[int]
     start_ns: int
     end_ns: int
-    power_dbm: float                # per 20 MHz subchannel
+    rx_mw: np.ndarray               # received power per 20 MHz subchannel, by node
 
     @classmethod
-    def of(cls, tx: Transmission) -> Interferer:
+    def of(cls, tx: Transmission, rx_mw: np.ndarray) -> Interferer:
         # straight to tuple.__new__, past the NamedTuple's Python-level
         # __new__: one record is made per frame
         return tuple.__new__(cls, (tx.tx_node, tx.bss_id, tx.round_id,
                                    tx.ru.ru_index if tx.ru else None, tx.subchannels,
-                                   tx.start_ns, tx.end_ns, tx._per_subchannel_dbm))
+                                   tx.start_ns, tx.end_ns, rx_mw))
 
 
 @dataclass(eq=False)          # a frame equals only itself
@@ -77,7 +88,8 @@ class Transmission:
     interferers: list[Interferer] = field(default_factory=list)
     # from its end: what every decode and its NAV pass read of interferers
     overlaps: Overlaps | None = None
-    # received power on the primary 20 MHz at every node, while on the air
+    # received power on the primary 20 MHz at every node, while active; its
+    # mW twin lives in `heard`
     rx_dbm: np.ndarray | None = None
     # carrier-sense rows derived from rx_dbm by the run (RunContext)
     cs_rows: tuple | None = None
@@ -93,28 +105,18 @@ class Transmission:
         return self._per_subchannel_dbm
 
 
-def band_share_db(band_hz: float) -> float:
-    """The share of one 20 MHz subchannel's power that falls in band_hz."""
-    return 10.0 * math.log10(min(band_hz, SUBCHANNEL_HZ) / SUBCHANNEL_HZ)
-
-
-# transmitters, powers and shares of a frame that nothing overlaps
-NO_OVERLAPS = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))
-
-
 class Overlaps:
     """The frames that interfere with one frame, in interferer order: each
-    one's transmitter, power per subchannel, share of the frame's airtime
-    and subchannels; and the (RU, transmitter) pairs of the frame's own MU
+    one's received power row in mW, share of the frame's airtime and
+    subchannels; and the (RU, transmitter) pairs of the frame's own MU
     round, which decide a random-access collision."""
 
-    __slots__ = ("nodes", "powers", "shares", "subchannels", "round_pairs", "_common")
+    __slots__ = ("rows", "shares", "subchannels", "round_pairs", "_common")
 
-    def __init__(self, nodes: list[int], powers: list[float], shares: list[float],
+    def __init__(self, rows: list[np.ndarray], shares: list[float],
                  subchannels: list[frozenset[int]], round_pairs: list[tuple[int, int]]):
-        self.nodes, self.powers, self.shares = (
-            np.array(nodes, dtype=np.intp), np.array(powers), np.array(shares)) \
-            if nodes else NO_OVERLAPS
+        self.rows = rows
+        self.shares = shares
         self.subchannels = subchannels
         self.round_pairs = round_pairs
         # the subchannels every interferer covers
@@ -129,12 +131,12 @@ class Overlaps:
                 return True
         return False
 
-    def on(self, subchannel: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(transmitters, powers, shares) of the interferers on subchannel."""
+    def on(self, subchannel: int) -> tuple[list[np.ndarray], list[float]]:
+        """(rows, shares) of the interferers on subchannel."""
         if self._common is None or subchannel in self._common:
-            return self.nodes, self.powers, self.shares
+            return self.rows, self.shares
         keep = [k for k, subs in enumerate(self.subchannels) if subchannel in subs]
-        return self.nodes[keep], self.powers[keep], self.shares[keep]
+        return [self.rows[k] for k in keep], [self.shares[k] for k in keep]
 
 
 def overlapping(tx: Transmission) -> Overlaps:
@@ -149,8 +151,8 @@ def overlapping(tx: Transmission) -> Overlaps:
     me, bss, start, end = tx.tx_node, tx.bss_id, tx.start_ns, tx.end_ns
     span = end - start
     round_id = tx.round_id if tx.round_id >= 0 else None    # None: no round
-    nodes, powers, shares, subchannels, round_pairs = [], [], [], [], []
-    for node, other_bss, other_round, ru_index, subs, other_start, other_end, power \
+    rows, shares, subchannels, round_pairs = [], [], [], []
+    for node, other_bss, other_round, ru_index, subs, other_start, other_end, rx_mw \
             in tx.interferers:
         if node == me:
             continue
@@ -162,11 +164,10 @@ def overlapping(tx: Transmission) -> Overlaps:
             - (other_start if other_start > start else start)
         if overlap <= 0 or span <= 0:
             continue
-        nodes.append(node)
-        powers.append(power)
+        rows.append(rx_mw)
         shares.append(overlap / span)
         subchannels.append(subs)
-    return Overlaps(nodes, powers, shares, subchannels, round_pairs)
+    return Overlaps(rows, shares, subchannels, round_pairs)
 
 
 class Medium:
@@ -187,7 +188,11 @@ class Medium:
 
     The lists hold records, not frames, so an ended frame, with its walk,
     dies after its last decode.  A frame carries its received power at
-    every node (`rx_dbm`) only while it is active.
+    every node in dBm (`rx_dbm`), for the thresholds, only while it is
+    active; its record carries the same row in mW (`Interferer.rx_mw`),
+    made once at handover, for every sum, and every sum goes back to dB
+    through `phy.mw_to_dbm`.  ns-3's InterferenceHelper likewise keeps
+    powers linear and converts once in each direction.
     """
 
     def __init__(self, sim: Simulator, loss_db: np.ndarray, noise_figure_db: float):
@@ -204,23 +209,24 @@ class Medium:
     def rx_power_dbm(self, tx_node: int, rx_node: int, power_dbm: float) -> float:
         return power_dbm - float(self.loss_db[tx_node, rx_node])
 
-    def transmit(self, tx: Transmission) -> Transmission:
+    def transmit(self, tx: Transmission, then=None) -> Transmission:
         """Hand tx over: it joins the interferer lists now, and its start and
-        end events, which run the listeners, are pushed in that order.  An
-        attempt armed at t fires no earlier than t + DIFS, and a frame starts
-        at most SIFS after its handover, so an attempt that fires at a
-        frame's start instant was armed before the handover: it pops before
-        the start event, senses the medium idle, transmits and collides."""
+        end events, which run the listeners, are pushed in that order; then(tx),
+        if given, runs at the end of its end event.  An attempt armed at t
+        fires no earlier than t + DIFS, and a frame starts at most SIFS after
+        its handover, so an attempt that fires at a frame's start instant
+        was armed before the handover: it pops before the start event,
+        senses the medium idle, transmits and collides."""
         tx.tx_id = self._next_id
         self._next_id += 1
         tx.rx_dbm = tx.power_per_subchannel_dbm() - self.loss_db[tx.tx_node]
-        heard = tx.heard = Interferer.of(tx)
+        heard = tx.heard = Interferer.of(tx, np.power(10.0, tx.rx_dbm / 10.0))
         for other in self.active.values():
             other.interferers.append(heard)
             tx.interferers.append(other.heard)
         self.active[tx.tx_id] = tx
         self.sim.at(tx.start_ns, lambda: self._start(tx))
-        self.sim.at(tx.end_ns, lambda: self._finish(tx))
+        self.sim.at(tx.end_ns, lambda: self._finish(tx, then))
         return tx
 
     def _start(self, tx: Transmission) -> None:
@@ -229,7 +235,7 @@ class Medium:
         for listener in self.listeners:
             listener("start", tx)
 
-    def _finish(self, tx: Transmission) -> None:
+    def _finish(self, tx: Transmission, then) -> None:
         del self.active[tx.tx_id]
         if 0 in tx.subchannels:
             self._on_air.remove(tx)
@@ -238,13 +244,15 @@ class Medium:
         for listener in self.listeners:
             listener("end", tx)
         tx.rx_dbm = tx.cs_rows = None
+        if then is not None:
+            then(tx)
 
     # --- carrier sensing -------------------------------------------------------
 
-    def sensed(self, now_ns: int) -> list[Transmission]:
-        """The frames on the air on the primary 20 MHz at now_ns, whose power
-        at every node is their `rx_dbm`; a node ignores its own.  One list,
-        changed only by start and end events and shared by every caller."""
+    def sensed(self) -> list[Transmission]:
+        """The frames on the air on the primary 20 MHz, whose power at every
+        node is their `rx_dbm`; a node ignores its own.  One list, changed
+        only by start and end events and shared by every caller."""
         return self._on_air
 
     # --- decoding ---------------------------------------------------------------
@@ -262,27 +270,24 @@ class Medium:
                 co_group: Collection[int] = ()) -> float | None:
         """Decode SINR at rx_node of the part of tx sent at power_dbm; None
         means hard corruption (see `Overlaps.corrupts`).  Every overlap enters
-        the interference sum, time-averaged over the frame."""
+        the interference sum, time-averaged over the frame, in interferer
+        order, as `nav_sinr_vector` sums it."""
         overlaps = tx.overlaps or overlapping(tx)
         if overlaps.corrupts(ru_index, co_group):
             return None
-        nodes, powers, shares = overlaps.on(subchannel)
-        noise_mw = self.noise_mw(band_hz)
+        rows, shares = overlaps.on(subchannel)
         interference_mw = 0.0
-        if len(nodes):
-            share_db = band_share_db(band_hz)
-            losses = self.loss_db.ravel().take(nodes * self.loss_db.shape[1] + rx_node)
-            for power, loss, share in zip(powers.tolist(), losses.tolist(),
-                                          shares.tolist()):
-                # phy.dbm_to_mw of the received leak, in Python floats
-                interference_mw += 10.0 ** ((power + share_db - loss) / 10.0) * share
-        return self.rx_power_dbm(tx.tx_node, rx_node, power_dbm) \
-            - phy.mw_to_dbm(noise_mw + interference_mw)
+        for row, share in zip(rows, shares):
+            interference_mw += row.item(rx_node) * share
+        if band_hz < SUBCHANNEL_HZ:     # the band's share of a subchannel
+            interference_mw *= band_hz / SUBCHANNEL_HZ
+        return float(self.rx_power_dbm(tx.tx_node, rx_node, power_dbm)
+                     - phy.mw_to_dbm(self.noise_mw(band_hz) + interference_mw))
 
     def nav_sinr_vector(self, tx: Transmission,
                         nodes: np.ndarray) -> tuple[bool, np.ndarray]:
         """Frame-readability SINR at the given nodes at once, for NAV
-        bookkeeping.
+        bookkeeping: each node's value is what `sinr_db` reads for it.
 
         Returns (hard_corrupt, sinr_db per node of `nodes`) over the primary
         20 MHz; a random-access collision corrupts the frame for every
@@ -292,30 +297,29 @@ class Medium:
         if overlaps.corrupts(tx.ru.ru_index if tx.ru else None,
                              tx.ru.users if tx.ru else ()):
             return True, np.full(len(nodes), -np.inf)
-        sources, powers, shares = overlaps.on(0)
+        rows, shares = overlaps.on(0)
         desired = tx.power_per_subchannel_dbm() - self.loss_db[tx.tx_node, nodes]
-        noise_mw = self.noise_mw(SUBCHANNEL_HZ)
-        interference_mw = np.zeros(len(nodes))
-        if len(sources):
-            # every interferer's received power at every node, in mW and
-            # weighted by its share, computed in place
-            terms = powers[:, None] - self.loss_db.ravel().take(
-                (sources * self.loss_db.shape[1])[:, None] + nodes)
-            terms /= 10.0
-            np.power(10.0, terms, out=terms)
-            terms *= shares[:, None]
-            # summed in interferer order, one row after another
-            interference_mw = terms.sum(axis=0)
-        return False, desired - 10.0 * np.log10(noise_mw + interference_mw)
+        interference_mw = 0.0
+        if rows:
+            # every interferer's power at every node, weighted by its share
+            # and added in interferer order, one row after another, whatever
+            # the number of nodes (a sum over axis 0 adds pairwise or by
+            # rows depending on the shape)
+            terms = np.concatenate([row[nodes] for row in rows]).reshape(len(rows), -1)
+            terms *= np.array(shares)[:, None]
+            interference_mw = np.add.accumulate(terms)[-1]
+        return False, desired - phy.mw_to_dbm(self.noise_mw(SUBCHANNEL_HZ)
+                                              + interference_mw)
 
     def interference_dbm(self, rx_node: int, band_hz: float, exclude_bss: int) -> float:
-        """Other-BSS energy on the air at a receiver in band_hz of the
-        primary 20 MHz, for link adaptation."""
-        share_db = band_share_db(band_hz)
-        total_mw = 0.0
+        """Noise in band_hz plus the other-BSS energy on the air in the part
+        of band_hz on the primary 20 MHz, at a receiver, in dBm: the level
+        link adaptation selects the MCS against.  The frames add in the
+        order they started."""
+        interference_mw = 0.0
         for tx in self._on_air:
-            if tx.bss_id == exclude_bss:
-                continue
-            leak = tx._per_subchannel_dbm + share_db
-            total_mw += phy.dbm_to_mw(self.rx_power_dbm(tx.tx_node, rx_node, leak))
-        return phy.mw_to_dbm(total_mw)
+            if tx.bss_id != exclude_bss:
+                interference_mw += tx.heard.rx_mw.item(rx_node)
+        if band_hz < SUBCHANNEL_HZ:     # the band's share of a subchannel
+            interference_mw *= band_hz / SUBCHANNEL_HZ
+        return float(phy.mw_to_dbm(self.noise_mw(band_hz) + interference_mw))

@@ -123,10 +123,12 @@ def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-def mw_to_dbm(mw: float) -> float:
-    if mw <= 0.0:
-        return -math.inf
-    return 10.0 * math.log10(mw)
+def mw_to_dbm(mw: float | np.ndarray) -> float | np.ndarray:
+    """dBm of a power sum in mW, or of each of an array of them: the one way
+    back from a sum.  numpy's log10 gives an element the same value alone as
+    in an array of any length, so a scalar and a vector caller agree to the
+    bit; math.log10 need not agree with it."""
+    return 10.0 * np.log10(mw)
 
 
 def noise_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:

@@ -18,7 +18,9 @@ change reads the carrier state at most once, and that attempts keep their
 place among events of the same instant, also when they wait in the queue
 behind a frozen or re-armed attempt of their batch.  Decode SINR and NAV
 readability read one walk of each frame's interferers; the references walk
-the whole frames on the air with it, one by one.
+the whole frames on the air with it, one by one.  Every power sum, theirs
+too, adds received powers in mW, each frame's row made once with numpy's
+power, and goes back to dB through numpy's log10, so they compare with ==.
 """
 
 from __future__ import annotations
@@ -52,6 +54,16 @@ def started(scheme: str, kind: str = "indoor_multi", direction: str = "ul",
     for engine in ctx.engines:
         engine.kick()
     return ctx
+
+
+def rx_mw(ctx: RunContext, tx: Transmission) -> np.ndarray:
+    """tx's received power per 20 MHz subchannel at every node, in mW: the
+    one conversion from dBm, a numpy power over the whole row."""
+    return np.power(10.0, (tx.power_per_subchannel_dbm() - ctx.loss_db[tx.tx_node]) / 10.0)
+
+
+def noise_mw(ctx: RunContext, band_hz: float) -> float:
+    return phy.dbm_to_mw(phy.noise_dbm(band_hz, ctx.cfg.radio.noise_figure_db))
 
 
 class OnAir:
@@ -135,7 +147,7 @@ def compare_cs_over_run(ctx: RunContext, step_ns: int) -> Counter:
         seen["instants"] += 1
         blocked, caps = ctx.engines[0].cs_state()
         busy = ctx.busy_count
-        sensed = ctx.medium.sensed(ctx.sim.now)
+        sensed = ctx.medium.sensed()
         if sensed:
             rows = np.logical_or.reduce([tx.cs_rows[0] for tx in sensed])
             np.testing.assert_array_equal(busy > 0, rows)
@@ -203,9 +215,10 @@ def test_the_shared_sensed_list_equals_the_filter_over_the_golden_runs(
     sensed = Medium.sensed
     last, last_ns = None, -1
 
-    def reading(medium, now_ns):
+    def reading(medium):
         nonlocal last, last_ns
-        got = sensed(medium, now_ns)
+        now_ns = medium.sim.now
+        got = sensed(medium)
         want = sorted((tx for tx in on_air() if 0 in tx.subchannels),
                       key=lambda tx: tx.start_ns)
         assert [id(tx) for tx in got] == [id(tx) for tx in want], now_ns
@@ -227,21 +240,23 @@ def test_the_shared_sensed_list_equals_the_filter_over_the_golden_runs(
 ])
 def test_link_adaptation_reads_the_frames_carrier_sense_reads(
         monkeypatch, kind, direction, overrides):
-    """Medium.interference_dbm sums the other-BSS power of the started frames
-    on the primary 20 MHz, in the order they started, as Medium.sensed
-    lists them: a frame handed over but not yet started adds nothing."""
+    """Medium.interference_dbm adds to the noise the other-BSS power of the
+    started frames on the primary 20 MHz, in the order they started, as
+    Medium.sensed lists them: a frame handed over but not yet started adds
+    nothing."""
     seen = Counter()
     interference_dbm = Medium.interference_dbm
 
     def reading(medium, rx_node, band_hz, exclude_bss):
         got = interference_dbm(medium, rx_node, band_hz, exclude_bss)
-        share_db = 10.0 * math.log10(min(band_hz, SUBCHANNEL_HZ) / SUBCHANNEL_HZ)
         total_mw = 0.0
         for tx in sorted(on_air(), key=lambda tx: tx.start_ns):
             if tx.bss_id != exclude_bss and 0 in tx.subchannels:
-                leak = tx.power_per_subchannel_dbm() + share_db
-                total_mw += phy.dbm_to_mw(leak - float(medium.loss_db[tx.tx_node, rx_node]))
-        assert got == phy.mw_to_dbm(total_mw), (medium.sim.now, rx_node)
+                total_mw += rx_mw(ctx, tx)[rx_node]
+        if band_hz < SUBCHANNEL_HZ:
+            total_mw *= band_hz / SUBCHANNEL_HZ
+        assert got == 10.0 * np.log10(noise_mw(ctx, band_hz) + total_mw), \
+            (medium.sim.now, rx_node)
         seen["interfered" if total_mw else "quiet"] += 1
         seen["left out"] += sum(tx.bss_id != exclude_bss and tx.start_ns > medium.sim.now
                                 for tx in medium.active.values())
@@ -591,9 +606,9 @@ class Handovers:
         self.transmit = ctx.medium.transmit
         ctx.medium.transmit = self.hand_over
 
-    def hand_over(self, tx: Transmission) -> Transmission:
+    def hand_over(self, tx: Transmission, then=None) -> Transmission:
         live = list(self.medium.active.values())
-        self.transmit(tx)
+        self.transmit(tx, then)
         for other in live:
             self.lists[other.tx_id].append(tx)
         self.lists[tx.tx_id] = live
@@ -636,19 +651,18 @@ def reference_sinr_db(ctx: RunContext, interferers: list[Transmission],
                       tx: Transmission, rx_node: int, power_dbm: float,
                       band_hz: float, subchannel: int, ru_index: int | None = None,
                       co_group=()) -> float | None:
-    """Decode SINR at rx_node, summing interferers in list order."""
+    """Decode SINR at rx_node, summing interferers in list order, in mW, and
+    scaling the sum to the band's share of a subchannel."""
     overlaps = reference_overlapping(tx, interferers, subchannel, ru_index, co_group)
     if overlaps is None:
         return None
-    noise_mw = phy.dbm_to_mw(phy.noise_dbm(band_hz, ctx.cfg.radio.noise_figure_db))
-    share_db = 10.0 * math.log10(min(band_hz, SUBCHANNEL_HZ) / SUBCHANNEL_HZ)
     interference_mw = 0.0
     for other, weight in overlaps:
-        leak = other.power_per_subchannel_dbm() + share_db
-        interference_mw += phy.dbm_to_mw(
-            leak - float(ctx.loss_db[other.tx_node, rx_node])) * weight
+        interference_mw += rx_mw(ctx, other)[rx_node] * weight
+    if band_hz < SUBCHANNEL_HZ:
+        interference_mw *= band_hz / SUBCHANNEL_HZ
     return power_dbm - float(ctx.loss_db[tx.tx_node, rx_node]) \
-        - phy.mw_to_dbm(noise_mw + interference_mw)
+        - 10.0 * np.log10(noise_mw(ctx, band_hz) + interference_mw)
 
 
 @pytest.mark.parametrize("kind, scheme, overrides, ra_ru_fraction", [
@@ -683,19 +697,18 @@ def test_every_decode_sinr_equals_the_list_walk(monkeypatch, kind, scheme, overr
 
 def reference_nav_sinr(ctx: RunContext, interferers: list[Transmission],
                        tx: Transmission) -> tuple[bool, np.ndarray]:
-    """Readability SINR at every node, summing interferers in list order."""
+    """Readability SINR at every node, summing interferers in list order, in
+    mW."""
     n = ctx.loss_db.shape[0]
     desired = tx.power_per_subchannel_dbm() - ctx.loss_db[tx.tx_node]
-    noise_mw = phy.dbm_to_mw(phy.noise_dbm(SUBCHANNEL_HZ, ctx.cfg.radio.noise_figure_db))
     overlaps = reference_overlapping(tx, interferers, 0, tx.ru.ru_index if tx.ru else None,
                                      tx.ru.users if tx.ru else ())
     if overlaps is None:
         return True, np.full(n, -np.inf)
     interference_mw = np.zeros(n)
     for other, weight in overlaps:
-        p = other.power_per_subchannel_dbm() - ctx.loss_db[other.tx_node]
-        interference_mw += np.power(10.0, p / 10.0) * weight
-    return False, desired - 10.0 * np.log10(noise_mw + interference_mw)
+        interference_mw += rx_mw(ctx, other) * weight
+    return False, desired - 10.0 * np.log10(noise_mw(ctx, SUBCHANNEL_HZ) + interference_mw)
 
 
 def compare_nav_sinr_over_run(ctx: RunContext) -> list[bool]:

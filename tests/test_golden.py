@@ -15,6 +15,10 @@ the frame ends, and the CF-End carries none; the TXOP tests check that rule
 on every frame of every point, that no NAV the frames set outlasts their
 TXOP, and that every BSS of each multi-BSS point wins TXOPs.
 
+Decode and the NAV pass read one power rule: on every point, each
+control-frame decode reads the SINR the NAV pass computes for the same
+frame and node, to the bit.
+
 Every frame enters carrier sense at its start event: the 1(d) test checks,
 on every multi-BSS point, that no attempt fires past a frame it could have
 sensed, and the 1(f) test that every BSS still wins TXOPs late in a 1 s
@@ -34,6 +38,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -45,6 +50,7 @@ from axsim.config import Scheme, default_config
 from axsim.contention import Contender
 from axsim.core import SIFS, US
 from axsim.engine import RunContext
+from axsim.medium import SUBCHANNEL_HZ, Medium
 
 GOLDEN = Path(__file__).with_name("golden_results.json")
 GOLDEN_FLOWS = Path(__file__).with_name("golden_flows.json")
@@ -258,11 +264,11 @@ def test_no_attempt_fires_past_a_frame_it_could_sense(monkeypatch, point_id):
     latest_start = -1           # of the frames handed over so far
     transmit = ctx.medium.transmit
 
-    def handing_over(tx):
+    def handing_over(tx, then=None):
         nonlocal latest_start
         assert ctx.sim.now <= tx.start_ns <= ctx.sim.now + SIFS, tx.kind
         latest_start = max(latest_start, tx.start_ns)
-        return transmit(tx)
+        return transmit(tx, then)
 
     # per node, latest_start when its attempt was armed
     known = np.full(len(ctx.nodes), -1, dtype=np.int64)
@@ -293,6 +299,34 @@ def test_no_attempt_fires_past_a_frame_it_could_sense(monkeypatch, point_id):
     monkeypatch.setattr(Contender, "_fire", firing)
     ctx.run()
     assert live > 50, live
+
+
+def test_every_control_decode_reads_the_nav_sinr(monkeypatch):
+    """ROADMAP item 12: over every point, each control-frame decode
+    (subchannel 0, 20 MHz, the frame's power per subchannel, no RU) equals,
+    with ==, what nav_sinr_vector reads for the same frame and node.  The
+    HE downlink points decode no control frame this way."""
+    sinr_db = Medium.sinr_db
+    compared = Counter()
+    point_id = None
+
+    def decoding(medium, tx, rx_node, power_dbm, band_hz, subchannel,
+                 ru_index=None, co_group=()):
+        got = sinr_db(medium, tx, rx_node, power_dbm, band_hz, subchannel,
+                      ru_index, co_group)
+        if (subchannel, band_hz, ru_index, tx.ru) == (0, SUBCHANNEL_HZ, None, None) \
+                and power_dbm == tx.power_per_subchannel_dbm():
+            corrupt, nav = medium.nav_sinr_vector(tx, np.array([rx_node]))
+            assert not corrupt and got == nav[0], \
+                (point_id, medium.sim.now, tx.kind, rx_node)
+            compared[point_id] += 1
+        return got
+
+    monkeypatch.setattr(Medium, "sinr_db", decoding)
+    for point_id in sorted(POINTS):
+        cfg, scheme, doze = _config(point_id)
+        RunContext(cfg, Scheme(scheme), intra_ppdu_doze=doze).run()
+    assert len(compared) == 8 and sum(compared.values()) > 4000, compared
 
 
 def test_golden_file_covers_every_point():

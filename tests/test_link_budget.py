@@ -173,7 +173,7 @@ def test_configured_noise_figure_sets_every_noise_floor():
             ctx.subchannels, node.tx_power_dbm, color=node.color,
             nav_duration_ns=1000 * US))
         ctx.sim.run_until(now)                      # its start event
-        assert ctx.medium.sensed(now) == [tx]
+        assert ctx.medium.sensed() == [tx]
         return tx
 
     ap = ctx.engines[0].ap

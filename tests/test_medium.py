@@ -1,5 +1,9 @@
 """The interferer rule that decode SINR and NAV readability share, and how
-long an ended frame lives."""
+long an ended frame lives.
+
+Every sum is of received powers in mW, made once per frame from its dBm row
+with numpy's power, and goes back to dB through numpy's log10; the
+expectations here restate that, so they compare with `==`."""
 
 from __future__ import annotations
 
@@ -7,7 +11,6 @@ import gc
 import weakref
 
 import numpy as np
-import pytest
 
 from axsim import phy
 from axsim.config import RadioSection, default_config
@@ -46,25 +49,32 @@ SKIPPED = [
 COLLIDER = frame(3, 0, 0, 1000, round_id=5, ru=1)     # same RA-RU, same round
 
 
+def rx_mw(f: Transmission, loss: np.ndarray = LOSS) -> np.ndarray:
+    """f's received power per subchannel at every node, in mW."""
+    return np.power(10.0, (f.power_per_subchannel_dbm() - loss[f.tx_node]) / 10.0)
+
+
 def heard(*frames: Transmission) -> list[Interferer]:
     """An interferer list holding frames, as handover fills it."""
-    return [Interferer.of(f) for f in frames]
+    return [Interferer.of(f, rx_mw(f)) for f in frames]
 
 
 def test_overlapping_keeps_the_interferers_with_their_airtime_share():
     tx = frame(**TX)
     tx.interferers = heard(*SKIPPED[:3], FAR, *SKIPPED[3:], OTHER_ROUND)
+    records = tx.interferers
+    far, other_sub, other_round = (records[k].rx_mw for k in (3, 1, -1))
     overlaps = overlapping(tx)
-    nodes, powers, shares = overlaps.on(0)
-    assert (nodes.tolist(), powers.tolist(), shares.tolist()) == \
-        ([4, 2], [15.0, 15.0], [0.5, 1.0])
-    nodes, _, shares = overlaps.on(2)
-    assert (nodes.tolist(), shares.tolist()) == ([4], [1.0])    # the other subchannel
+    rows, shares = overlaps.on(0)
+    assert [id(row) for row in rows] == [id(far), id(other_round)]
+    assert shares == [0.5, 1.0]
+    rows, shares = overlaps.on(2)                       # the other subchannel
+    assert [id(row) for row in rows] == [id(other_sub)] and shares == [1.0]
     assert not overlaps.corrupts(1, (0, 1))
     # without an RU to decode, same-round frames are aligned structure
     tx.interferers += heard(COLLIDER)
     overlaps = overlapping(tx)
-    assert overlaps.on(0)[0].tolist() == [4, 2]
+    assert [id(row) for row in overlaps.on(0)[0]] == [id(far), id(other_round)]
     assert not overlaps.corrupts(None, ())
     assert overlaps.corrupts(1, (0, 1))
 
@@ -82,16 +92,46 @@ def test_decode_and_nav_sinr_apply_the_same_rule():
         desired = medium.rx_power_dbm(0, node, tx.power_per_subchannel_dbm())
         sinr = medium.sinr_db(tx, node, tx.power_per_subchannel_dbm(), SUBCHANNEL_HZ,
                               0, ru_index=1, co_group=(0, 1))
-        interference_mw = (0.5 * phy.dbm_to_mw(15.0 - LOSS[4, node])
-                           + phy.dbm_to_mw(15.0 - LOSS[2, node]))
-        expected = desired - phy.mw_to_dbm(noise_mw + interference_mw)
-        assert sinr == pytest.approx(expected, abs=1e-9)
-        assert nav[k] == pytest.approx(expected, abs=1e-9)
+        # FAR overlaps half the frame, OTHER_ROUND all of it, in that order
+        interference_mw = 0.5 * rx_mw(FAR)[node] + 1.0 * rx_mw(OTHER_ROUND)[node]
+        expected = desired - 10.0 * np.log10(noise_mw + interference_mw)
+        assert sinr == expected
+        assert nav[k] == expected
     tx.interferers += heard(COLLIDER)
     assert medium.sinr_db(tx, 3, 15.0, SUBCHANNEL_HZ, 0, ru_index=1,
                           co_group=(0, 1)) is None
     corrupt, nav = medium.nav_sinr_vector(tx, nodes)
     assert corrupt and (nav == -np.inf).all()
+
+
+def test_a_nodes_nav_sinr_does_not_depend_on_the_other_nodes_asked():
+    """The NAV pass adds a node's interference in interferer order, as decode
+    does, whether it is asked for one node or many: a sum over axis 0 of a
+    (k, 1) block adds pairwise, and of a (k, m >= 2) block row by row."""
+    rng = np.random.default_rng(7)
+    n = 40
+    loss = rng.uniform(60.0, 110.0, (n, n))
+    medium = Medium(Simulator(), loss, RadioSection().noise_figure_db)
+    nodes = np.arange(n)
+    seen = 0
+    for _ in range(200):
+        senders = rng.choice(n, rng.integers(9, 30), replace=False)
+        txs = [Transmission(0, int(node), int(node), "ampdu", int(start), int(start) + 1000,
+                            frozenset({0}), 15.0 + rng.uniform(-5.0, 5.0))
+               for node, start in zip(senders, rng.integers(-900, 900, len(senders)))]
+        tx = txs[0]
+        tx.start_ns, tx.end_ns = 0, 1000
+        tx.interferers = [Interferer.of(f, rx_mw(f, loss)) for f in txs[1:]]
+        _, everyone = medium.nav_sinr_vector(tx, nodes)
+        for i in rng.choice(n, 5, replace=False).tolist():
+            j = (i + 1) % n
+            alone = medium.nav_sinr_vector(tx, nodes[[i]])[1]
+            pair = medium.nav_sinr_vector(tx, nodes[[i, j]])[1]
+            assert alone[0] == pair[0] == everyone[i], (i, len(txs))
+            assert alone[0] == medium.sinr_db(tx, i, tx.power_per_subchannel_dbm(),
+                                              SUBCHANNEL_HZ, 0)
+            seen += 1
+    assert seen == 1000
 
 
 
