@@ -793,9 +793,12 @@ class RunContext:
             self.rng.stream("shadowing"))
         self.medium = Medium(self.sim, self.loss_db, cfg.radio.noise_figure_db)
         self._round_counter = 0
-        # carrier sense: per node, how many sensed frames block it, and the
-        # carrier state they give, None until the first read after a change
+        # carrier sense: per node, how many sensed frames block it (kept
+        # only while a contender is active; _busy_counted turns False when
+        # it lapses, and the next read counts again), and the carrier state
+        # they give, None until the first read after a change
         self.busy_count = np.zeros(n, dtype=np.int32)
+        self._busy_counted = True
         self._cs_state: tuple[np.ndarray, tuple[np.ndarray, ...] | None] | None = None
 
         self.nodes: dict[int, SimNode] = {}
@@ -834,10 +837,13 @@ class RunContext:
     def _dispatch_air(self, event: str, tx: Transmission) -> None:
         if 0 in tx.subchannels:     # the medium's sensed list changed
             self._cs_state = None
-            if event == "start":
-                self.busy_count += self._cs_rows(tx)[0]
-            else:
-                self.busy_count -= tx.cs_rows[0]
+            if not self.contention.n_active:
+                self._busy_counted = False
+            elif self._busy_counted:
+                if event == "start":
+                    self.busy_count += self._cs_rows(tx)[0]
+                else:
+                    self.busy_count -= tx.cs_rows[0]
         if event == "end":
             self._nav_pass(tx)
         elif self.intra_ppdu_doze and tx.kind in ("ampdu", "he-mu", "he-tb"):
@@ -900,10 +906,18 @@ class RunContext:
         that cap some node, None for none, and contention.cap_at reads a
         node's SR power cap from them.
 
-        busy_count holds, per node, how many frames of the list block it: a
-        frame adds its block row at its start and subtracts it at its end,
-        and an exact integer count needs no rebuild."""
+        busy_count holds, per node, how many frames of the list block it:
+        while a contender is active, a frame adds its block row at its start
+        and subtracts it at its end, and an exact integer count needs no
+        rebuild.  While none is, no frame changes it, and the first read
+        after counts the list again; a frame's rows are made when a count
+        first takes them."""
         if self._cs_state is None:
+            if not self._busy_counted:
+                self.busy_count.fill(0)
+                for tx in sensed:
+                    self.busy_count += self._cs_rows(tx)[0]
+                self._busy_counted = True
             caps = None
             if self.features.spatial_reuse:
                 caps = tuple(tx.cs_rows[1] for tx in sensed

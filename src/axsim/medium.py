@@ -6,18 +6,31 @@ sense at CCA, the OBSS_PD levels and SR caps, MCS0 readability and every
 desired signal compare or subtract dB values.  Every sum is in mW: a
 frame's interference at a decode, at the NAV pass and at link adaptation
 adds received powers in mW.  A received power crosses from dBm to mW once,
-in `Medium.transmit`, which makes each frame's row over all nodes; thermal
-noise, one value per band, is the only other crossing (`Medium.noise_mw`).
-Every sum goes back to dB through `phy.mw_to_dbm`, the one function decode,
-NAV and link adaptation all call.
+in `Medium.transmit`, which writes each frame's row over all nodes into the
+medium's power slab; thermal noise, one value per band, is the only other
+crossing (`Medium.noise_mw`).  Every sum goes back to dB through
+`phy.mw_to_dbm`, the one function decode, NAV and link adaptation all call.
+
+Every frame handed over takes the next position of one handover log.  The
+log keeps, at that position, the frame's record (transmitter, BSS, round,
+RU, subchannels, start, end) and, in the same row of the slab, its received
+power in mW at every node.  A frame's interferers are the frames on the air
+at its handover and those handed over until its end, in that order; decode
+and the NAV pass add them in it, so both add the same terms in the same
+order, and link adaptation adds the other-BSS frames on the air in the
+order they started.  A row lives as long as a frame that can still be read
+(on the air, or ended at the current instant) has its position among its
+interferers; the slab is a ring that reuses the others' rows and doubles
+when the live rows fill it (`Medium`).
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from collections.abc import Collection
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from itertools import chain
 
 import numpy as np
 
@@ -42,31 +55,9 @@ class RuPart:
         return self.assignment.tones * 78_125.0
 
 
-class Interferer(NamedTuple):
-    """A frame as the interferer lists of the frames it overlaps hold it:
-    what their decodes read of it, and nothing that keeps it alive."""
-
-    tx_node: int
-    bss_id: int
-    round_id: int
-    ru_index: int | None
-    subchannels: frozenset[int]
-    start_ns: int
-    end_ns: int
-    rx_mw: np.ndarray               # received power per 20 MHz subchannel, by node
-
-    @classmethod
-    def of(cls, tx: Transmission, rx_mw: np.ndarray) -> Interferer:
-        # straight to tuple.__new__, past the NamedTuple's Python-level
-        # __new__: one record is made per frame
-        return tuple.__new__(cls, (tx.tx_node, tx.bss_id, tx.round_id,
-                                   tx.ru.ru_index if tx.ru else None, tx.subchannels,
-                                   tx.start_ns, tx.end_ns, rx_mw))
-
-
 @dataclass(eq=False)          # a frame equals only itself
 class Transmission:
-    tx_id: int
+    tx_id: int                      # its position in the handover log
     tx_node: int
     bss_id: int
     kind: str
@@ -83,18 +74,16 @@ class Transmission:
     nav_duration_ns: int = 0
     involves: frozenset[int] = frozenset()
     payload: object = None
-    # while on the air: the frames on the air with it at any time, in the
-    # order they were handed over; emptied at its end
-    interferers: list[Interferer] = field(default_factory=list)
-    # from its end: what every decode and its NAV pass read of interferers
+    # while on the air: the log records of the frames on the air at its
+    # handover, in handover order; the log holds those handed over since
+    peers: list[Record] | None = None
+    # from its end: what every decode and its NAV pass read of its interferers
     overlaps: Overlaps | None = None
     # received power on the primary 20 MHz at every node, while active; its
-    # mW twin lives in `heard`
+    # mW twin is the medium's slab row at tx_id
     rx_dbm: np.ndarray | None = None
     # carrier-sense rows derived from rx_dbm by the run (RunContext)
     cs_rows: tuple | None = None
-    # this frame in the interferer lists of others, made at handover
-    heard: Interferer | None = None
     _per_subchannel_dbm: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -105,17 +94,23 @@ class Transmission:
         return self._per_subchannel_dbm
 
 
+# A frame's log record: (tx_node, bss_id, round_id, ru_index or None,
+# subchannels, start_ns, end_ns, position).  It holds nothing of the frame
+# that keeps it alive.
+Record = tuple[int, int, int, int | None, frozenset[int], int, int, int]
+
+
 class Overlaps:
     """The frames that interfere with one frame, in interferer order: each
-    one's received power row in mW, share of the frame's airtime and
-    subchannels; and the (RU, transmitter) pairs of the frame's own MU
-    round, which decide a random-access collision."""
+    one's log position, share of the frame's airtime and subchannels; and
+    the (RU, transmitter) pairs of the frame's own MU round, which decide a
+    random-access collision.  Positions ascend."""
 
-    __slots__ = ("rows", "shares", "subchannels", "round_pairs", "_common")
+    __slots__ = ("positions", "shares", "subchannels", "round_pairs", "_common")
 
-    def __init__(self, rows: list[np.ndarray], shares: list[float],
+    def __init__(self, positions: list[int], shares: list[float],
                  subchannels: list[frozenset[int]], round_pairs: list[tuple[int, int]]):
-        self.rows = rows
+        self.positions = positions
         self.shares = shares
         self.subchannels = subchannels
         self.round_pairs = round_pairs
@@ -131,43 +126,36 @@ class Overlaps:
                 return True
         return False
 
-    def on(self, subchannel: int) -> tuple[list[np.ndarray], list[float]]:
-        """(rows, shares) of the interferers on subchannel."""
+    def on(self, subchannel: int) -> tuple[list[int], list[float]]:
+        """(positions, shares) of the interferers on subchannel."""
         if self._common is None or subchannel in self._common:
-            return self.rows, self.shares
+            return self.positions, self.shares
         keep = [k for k, subs in enumerate(self.subchannels) if subchannel in subs]
-        return [self.rows[k] for k in keep], [self.shares[k] for k in keep]
+        return [self.positions[k] for k in keep], [self.shares[k] for k in keep]
 
 
-def overlapping(tx: Transmission) -> Overlaps:
-    """The one walk over `tx`'s interferer list.
+# Slab rows at a new medium; the slab doubles whenever the live span fills it.
+INITIAL_CAPACITY = 4
 
-    Transmissions of one MU round on different RUs are orthogonal, and
-    MU-MIMO partner streams are covered by the stream penalty, so frames of
-    `tx`'s round enter only the round pairs; aligned control frames of the
-    round (no RU) not even those.  Frames of `tx`'s own transmitter and
-    frames that do not overlap it in time are left out.
-    """
-    me, bss, start, end = tx.tx_node, tx.bss_id, tx.start_ns, tx.end_ns
-    span = end - start
-    round_id = tx.round_id if tx.round_id >= 0 else None    # None: no round
-    rows, shares, subchannels, round_pairs = [], [], [], []
-    for node, other_bss, other_round, ru_index, subs, other_start, other_end, rx_mw \
-            in tx.interferers:
-        if node == me:
-            continue
-        if other_round == round_id and other_bss == bss:
-            if ru_index is not None:
-                round_pairs.append((ru_index, node))
-            continue
-        overlap = (other_end if other_end < end else end) \
-            - (other_start if other_start > start else start)
-        if overlap <= 0 or span <= 0:
-            continue
-        rows.append(rx_mw)
-        shares.append(overlap / span)
-        subchannels.append(subs)
-    return Overlaps(rows, shares, subchannels, round_pairs)
+
+def grown_slab(capacity: int, n: int) -> np.ndarray:
+    """A (capacity, n) float64 slab for a growth, in an anonymous mapping of
+    its own: its pages are taken as rows are first written, and all of them
+    go back to the system when it is freed.  A heap block would stay in the
+    process after a growth or a run, and the heap cannot fit a doubled slab
+    into the blocks the smaller ones freed: on `sr_ul_full` heap slabs read
+    2.3 MiB more peak RSS.  The first, small slab comes from the heap, which
+    a set-up takes less time to ask."""
+    return np.frombuffer(mmap.mmap(-1, capacity * n * 8), dtype=np.float64) \
+        .reshape(capacity, n)
+
+
+# Terms (interferers x nodes) above which the NAV sum adds one interferer at
+# a time: the index and term blocks of a larger sum are fresh memory whose
+# first touch costs more than a call per interferer.  With 46 interferers,
+# 512 nodes took 60 us as a block and 92 us by rows, 1,024 nodes 302 and
+# 127 us (2-vCPU host, numpy 2.4).
+BLOCK_TERMS = 1 << 15
 
 
 class Medium:
@@ -178,21 +166,30 @@ class Medium:
     every signal at its start.
 
     Each frame keeps its own overlaps, as ns-3's InterferenceHelper does;
-    there are no running power sums.  When a frame is handed over, its
-    record (`Interferer`, made once) joins the interferer list of every
-    active frame, and theirs join its list, so at its end the list holds
-    every overlap.  `_finish` walks it once (`overlapping`), before the end
-    listeners run, and empties it: every decode of the frame and its NAV
-    pass read that walk.  A frame read while still on the air gets the same
-    walk over what its list holds so far.
+    there are no running power sums.  At handover a frame takes the next
+    log position (its `tx_id`), its record joins the log, its mW row is
+    written into the slab, and it keeps a copy of the records of the frames
+    then on the air (`peers`).  At its end its interferers are that copy
+    and the log from its position on; `_finish` walks them once
+    (`overlapping`), before the end listeners run, and every decode of the
+    frame and its NAV pass read that walk.  A frame read while still on the
+    air gets the same walk over what has been handed over so far.  A frame
+    carries its received power at every node in dBm (`rx_dbm`), for the
+    thresholds, only while it is active; the slab carries the same row in
+    mW, for every sum, and every sum goes back to dB through
+    `phy.mw_to_dbm`.  ns-3's InterferenceHelper likewise keeps powers
+    linear and converts once in each direction.
 
-    The lists hold records, not frames, so an ended frame, with its walk,
-    dies after its last decode.  A frame carries its received power at
-    every node in dBm (`rx_dbm`), for the thresholds, only while it is
-    active; its record carries the same row in mW (`Interferer.rx_mw`),
-    made once at handover, for every sum, and every sum goes back to dB
-    through `phy.mw_to_dbm`.  ns-3's InterferenceHelper likewise keeps
-    powers linear and converts once in each direction.
+    The slab is a ring of rows by log position.  A frame can be read while
+    it is on the air and, after its end, in the rest of the instant it ended
+    at (its decodes and NAV pass).  The floor is the lowest position such a
+    frame reads: the first interferer of the oldest frame on the air, or of
+    a frame that ended at the current instant.  When a handover would
+    overwrite a row at or above the floor, the floor is worked out again;
+    if the row is still needed, the slab doubles.  The log keeps the records
+    from the floor on.  `Overlaps` keep positions, not rows, and a read of a
+    position below the floor raises `LookupError` rather than return a row
+    another frame has taken since.
     """
 
     def __init__(self, sim: Simulator, loss_db: np.ndarray, noise_figure_db: float):
@@ -205,29 +202,99 @@ class Medium:
         # the primary-channel frames on the air, in the order they started
         self._on_air: list[Transmission] = []
         self._noise_by_band: dict[float, float] = {}
+        # the handover log: records of positions _floor onwards, the records
+        # of the active frames by position, and mW rows by position modulo
+        # the slab's capacity (_mask + 1, a power of two)
+        self._log: list[Record] = []
+        self._active_records: dict[int, Record] = {}
+        self._floor = 0
+        self._slab = np.empty((INITIAL_CAPACITY, loss_db.shape[0]))
+        self._mask = INITIAL_CAPACITY - 1
+        # the last instant a frame ended, and the lowest position the frames
+        # that ended then read
+        self._ended_at = -1
+        self._ended_floor = 0
 
     def rx_power_dbm(self, tx_node: int, rx_node: int, power_dbm: float) -> float:
         return power_dbm - float(self.loss_db[tx_node, rx_node])
 
     def transmit(self, tx: Transmission, then=None) -> Transmission:
-        """Hand tx over: it joins the interferer lists now, and its start and
-        end events, which run the listeners, are pushed in that order; then(tx),
-        if given, runs at the end of its end event.  An attempt armed at t
+        """Hand tx over: it joins the log now, and its start and end events,
+        which run the listeners, are pushed in that order; then(tx), if
+        given, runs at the end of its end event.  An attempt armed at t
         fires no earlier than t + DIFS, and a frame starts at most SIFS after
         its handover, so an attempt that fires at a frame's start instant
         was armed before the handover: it pops before the start event,
         senses the medium idle, transmits and collides."""
-        tx.tx_id = self._next_id
+        position = tx.tx_id = self._next_id
         self._next_id += 1
+        if position - self._mask > self._floor:     # its slot's row may be needed
+            self._reclaim(position)
         tx.rx_dbm = tx.power_per_subchannel_dbm() - self.loss_db[tx.tx_node]
-        heard = tx.heard = Interferer.of(tx, np.power(10.0, tx.rx_dbm / 10.0))
-        for other in self.active.values():
-            other.interferers.append(heard)
-            tx.interferers.append(other.heard)
-        self.active[tx.tx_id] = tx
+        row = self._slab[position & self._mask]
+        np.divide(tx.rx_dbm, 10.0, out=row)
+        np.power(10.0, row, out=row)
+        record = (tx.tx_node, tx.bss_id, tx.round_id, tx.ru.ru_index if tx.ru else None,
+                  tx.subchannels, tx.start_ns, tx.end_ns, position)
+        self._log.append(record)
+        tx.peers = list(self._active_records.values())
+        self._active_records[position] = record
+        self.active[position] = tx
         self.sim.at(tx.start_ns, lambda: self._start(tx))
         self.sim.at(tx.end_ns, lambda: self._finish(tx, then))
         return tx
+
+    def _reclaim(self, position: int) -> None:
+        """Raise the floor to what the frames that can still be read need and
+        drop the log below it; double the slab if the row for position would
+        still overwrite one of theirs.  Every earlier handover found its row
+        free, so the live span never exceeds the ring and one doubling
+        makes room."""
+        floor = position
+        if self.active:
+            oldest = next(iter(self.active.values()))
+            floor = oldest.peers[0][-1] if oldest.peers else oldest.tx_id
+        if self._ended_at == self.sim.now and self._ended_floor < floor:
+            floor = self._ended_floor
+        del self._log[:floor - self._floor]
+        self._floor = floor
+        if position - self._mask > floor:      # the live span fills the ring
+            capacity = 2 * (self._mask + 1)
+            slab = grown_slab(capacity, self._slab.shape[1])
+            live = np.arange(floor, position)
+            slab[live & (capacity - 1)] = self._slab[live & self._mask]
+            self._slab, self._mask = slab, capacity - 1
+
+    def overlapping(self, tx: Transmission) -> Overlaps:
+        """The one walk over tx's interferers handed over so far: the frames
+        on the air at its handover, then the log after its own position.
+
+        Transmissions of one MU round on different RUs are orthogonal, and
+        MU-MIMO partner streams are covered by the stream penalty, so frames
+        of tx's round enter only the round pairs; aligned control frames of
+        the round (no RU) not even those.  Frames of tx's own transmitter
+        and frames that do not overlap it in time are left out.
+        """
+        me, bss, start, end = tx.tx_node, tx.bss_id, tx.start_ns, tx.end_ns
+        span = end - start
+        round_id = tx.round_id if tx.round_id >= 0 else None    # None: no round
+        positions, shares, subchannels, round_pairs = [], [], [], []
+        for node, other_bss, other_round, ru_index, subs, other_start, other_end, position \
+                in chain(tx.peers, self._log[tx.tx_id + 1 - self._floor:]):
+            if node == me:
+                continue
+            if other_round == round_id and other_bss == bss:
+                if ru_index is not None:
+                    round_pairs.append((ru_index, node))
+                continue
+            overlap = (other_end if other_end < end else end) \
+                - (other_start if other_start > start else start)
+            if overlap <= 0 or span <= 0:
+                continue
+            positions.append(position)
+            shares.append(overlap / span)
+            subchannels.append(subs)
+        return Overlaps(positions, shares, subchannels, round_pairs)
 
     def _start(self, tx: Transmission) -> None:
         if 0 in tx.subchannels:
@@ -237,10 +304,18 @@ class Medium:
 
     def _finish(self, tx: Transmission, then) -> None:
         del self.active[tx.tx_id]
+        del self._active_records[tx.tx_id]
         if 0 in tx.subchannels:
             self._on_air.remove(tx)
-        tx.overlaps = overlapping(tx)
-        tx.interferers.clear()
+        overlaps = tx.overlaps = self.overlapping(tx)
+        tx.peers = None
+        if overlaps.positions:      # read until the end of this instant
+            now = self.sim.now
+            first = overlaps.positions[0]
+            if self._ended_at != now:
+                self._ended_at, self._ended_floor = now, first
+            elif first < self._ended_floor:
+                self._ended_floor = first
         for listener in self.listeners:
             listener("end", tx)
         tx.rx_dbm = tx.cs_rows = None
@@ -265,6 +340,31 @@ class Medium:
                 phy.noise_dbm(band_hz, self.noise_figure_db))
         return noise
 
+    def _overlaps(self, tx: Transmission) -> Overlaps:
+        """tx's walk, for a read now: the one made at its end, or one over
+        what has been handed over so far while it is on the air.  Raises
+        LookupError if an interferer's position lies below the floor, where
+        its row may belong to another frame by now."""
+        overlaps = tx.overlaps
+        if overlaps is None:
+            return self.overlapping(tx)
+        if overlaps.positions and overlaps.positions[0] < self._floor:
+            raise LookupError(f"position {overlaps.positions[0]} is below the slab's "
+                              f"floor {self._floor}: its frame ended at an earlier instant")
+        return overlaps
+
+    def _interference_at(self, positions: list[int], shares: list[float],
+                         rx_node: int) -> float:
+        """The power at rx_node of one interferer or more, each weighted by
+        its share, added in interferer order."""
+        if len(positions) == 1:
+            return self._slab.item(positions[0] & self._mask, rx_node) * shares[0]
+        interference_mw = 0.0
+        for power_mw, share in zip(
+                self._slab[np.bitwise_and(positions, self._mask), rx_node].tolist(), shares):
+            interference_mw += power_mw * share
+        return interference_mw
+
     def sinr_db(self, tx: Transmission, rx_node: int, power_dbm: float,
                 band_hz: float, subchannel: int, ru_index: int | None = None,
                 co_group: Collection[int] = ()) -> float | None:
@@ -272,13 +372,12 @@ class Medium:
         means hard corruption (see `Overlaps.corrupts`).  Every overlap enters
         the interference sum, time-averaged over the frame, in interferer
         order, as `nav_sinr_vector` sums it."""
-        overlaps = tx.overlaps or overlapping(tx)
+        overlaps = self._overlaps(tx)
         if overlaps.corrupts(ru_index, co_group):
             return None
-        rows, shares = overlaps.on(subchannel)
-        interference_mw = 0.0
-        for row, share in zip(rows, shares):
-            interference_mw += row.item(rx_node) * share
+        positions, shares = overlaps.on(subchannel)
+        interference_mw = self._interference_at(positions, shares, rx_node) \
+            if positions else 0.0
         if band_hz < SUBCHANNEL_HZ:     # the band's share of a subchannel
             interference_mw *= band_hz / SUBCHANNEL_HZ
         return float(self.rx_power_dbm(tx.tx_node, rx_node, power_dbm)
@@ -293,21 +392,35 @@ class Medium:
         20 MHz; a random-access collision corrupts the frame for every
         listener.
         """
-        overlaps = tx.overlaps or overlapping(tx)
+        overlaps = self._overlaps(tx)
         if overlaps.corrupts(tx.ru.ru_index if tx.ru else None,
                              tx.ru.users if tx.ru else ()):
             return True, np.full(len(nodes), -np.inf)
-        rows, shares = overlaps.on(0)
-        desired = tx.power_per_subchannel_dbm() - self.loss_db[tx.tx_node, nodes]
-        interference_mw = 0.0
-        if rows:
-            # every interferer's power at every node, weighted by its share
-            # and added in interferer order, one row after another, whatever
-            # the number of nodes (a sum over axis 0 adds pairwise or by
-            # rows depending on the shape)
-            terms = np.concatenate([row[nodes] for row in rows]).reshape(len(rows), -1)
+        positions, shares = overlaps.on(0)
+        desired = tx.power_per_subchannel_dbm() - self.loss_db[tx.tx_node].take(nodes)
+        if not positions:
+            interference_mw = 0.0
+        elif len(nodes) == 1:           # the scalar sum, as decode adds it
+            interference_mw = self._interference_at(positions, shares, int(nodes[0]))
+        elif len(positions) == 1:
+            interference_mw = self._slab[positions[0] & self._mask].take(nodes) * shares[0]
+        elif len(positions) * len(nodes) <= BLOCK_TERMS:
+            # every interferer's power at every node, weighted by its share;
+            # a sum over axis 0 of a C-ordered (k, m >= 2) block adds row
+            # after row, in interferer order (of a (k, 1) block, pairwise)
+            slab = self._slab
+            rows = np.bitwise_and(positions, self._mask)
+            terms = slab.ravel().take(np.add.outer(rows * slab.shape[1], nodes))
             terms *= np.array(shares)[:, None]
-            interference_mw = np.add.accumulate(terms)[-1]
+            interference_mw = np.add.reduce(terms, axis=0)
+        else:
+            # the same sum, one interferer at a time
+            slab, mask = self._slab, self._mask
+            interference_mw = slab[positions[0] & mask].take(nodes) * shares[0]
+            for position, share in zip(positions[1:], shares[1:]):
+                term = slab[position & mask].take(nodes)
+                term *= share
+                interference_mw += term
         return False, desired - phy.mw_to_dbm(self.noise_mw(SUBCHANNEL_HZ)
                                               + interference_mw)
 
@@ -316,10 +429,11 @@ class Medium:
         of band_hz on the primary 20 MHz, at a receiver, in dBm: the level
         link adaptation selects the MCS against.  The frames add in the
         order they started."""
+        slab, mask = self._slab, self._mask
         interference_mw = 0.0
         for tx in self._on_air:
             if tx.bss_id != exclude_bss:
-                interference_mw += tx.heard.rx_mw.item(rx_node)
+                interference_mw += slab.item(tx.tx_id & mask, rx_node)
         if band_hz < SUBCHANNEL_HZ:     # the band's share of a subchannel
             interference_mw *= band_hz / SUBCHANNEL_HZ
         return float(phy.mw_to_dbm(self.noise_mw(band_hz) + interference_mw))
