@@ -11,23 +11,24 @@ medium's power slab; thermal noise, one value per band, is the only other
 crossing (`Medium.noise_mw`).  Every sum goes back to dB through
 `phy.mw_to_dbm`, the one function decode, NAV and link adaptation all call.
 
-Every frame handed over takes the next position of one handover log.  The
-log keeps, at that position, the frame's record (transmitter, BSS, round,
-RU, subchannels, start, end) and, in the same row of the slab, its received
+Every frame handed over takes the next position of one handover log, which
+keeps the frame's record (transmitter, BSS, round, RU, subchannels, start,
+end, slab row) there, and one row of the slab, which keeps its received
 power in mW at every node.  A frame's interferers are the frames on the air
 at its handover and those handed over until its end, in that order; decode
 and the NAV pass add them in it, so both add the same terms in the same
 order, and link adaptation adds the other-BSS frames on the air in the
-order they started.  A row lives as long as a frame that can still be read
-(on the air, or ended at the current instant) has its position among its
-interferers; the slab is a ring that reuses the others' rows and doubles
-when the live rows fill it (`Medium`).
+order they started.  A row is held while a frame that can still be read
+(on the air, or ended at the current instant) may overlap its frame; the
+slab reuses the rows let go and doubles in place when every row is held
+(`Medium`).
 """
 
 from __future__ import annotations
 
 import math
 import mmap
+from collections import deque
 from collections.abc import Collection
 from dataclasses import dataclass, field
 from itertools import chain
@@ -80,8 +81,9 @@ class Transmission:
     # from its end: what every decode and its NAV pass read of its interferers
     overlaps: Overlaps | None = None
     # received power on the primary 20 MHz at every node, while active; its
-    # mW twin is the medium's slab row at tx_id
+    # mW twin is the medium's slab row at `row`, held from the handover
     rx_dbm: np.ndarray | None = None
+    row: int = -1
     # carrier-sense rows derived from rx_dbm by the run (RunContext)
     cs_rows: tuple | None = None
     _per_subchannel_dbm: float = field(init=False, repr=False)
@@ -95,22 +97,22 @@ class Transmission:
 
 
 # A frame's log record: (tx_node, bss_id, round_id, ru_index or None,
-# subchannels, start_ns, end_ns, position).  It holds nothing of the frame
+# subchannels, start_ns, end_ns, slab row).  It holds nothing of the frame
 # that keeps it alive.
 Record = tuple[int, int, int, int | None, frozenset[int], int, int, int]
 
 
 class Overlaps:
     """The frames that interfere with one frame, in interferer order: each
-    one's log position, share of the frame's airtime and subchannels; and
-    the (RU, transmitter) pairs of the frame's own MU round, which decide a
-    random-access collision.  Positions ascend."""
+    one's slab row, share of the frame's airtime and subchannels; and the
+    (RU, transmitter) pairs of the frame's own MU round, which decide a
+    random-access collision."""
 
-    __slots__ = ("positions", "shares", "subchannels", "round_pairs", "_common")
+    __slots__ = ("rows", "shares", "subchannels", "round_pairs", "_common")
 
-    def __init__(self, positions: list[int], shares: list[float],
+    def __init__(self, rows: list[int], shares: list[float],
                  subchannels: list[frozenset[int]], round_pairs: list[tuple[int, int]]):
-        self.positions = positions
+        self.rows = rows
         self.shares = shares
         self.subchannels = subchannels
         self.round_pairs = round_pairs
@@ -127,35 +129,15 @@ class Overlaps:
         return False
 
     def on(self, subchannel: int) -> tuple[list[int], list[float]]:
-        """(positions, shares) of the interferers on subchannel."""
+        """(rows, shares) of the interferers on subchannel."""
         if self._common is None or subchannel in self._common:
-            return self.positions, self.shares
+            return self.rows, self.shares
         keep = [k for k, subs in enumerate(self.subchannels) if subchannel in subs]
-        return [self.positions[k] for k in keep], [self.shares[k] for k in keep]
+        return [self.rows[k] for k in keep], [self.shares[k] for k in keep]
 
 
-# Slab rows at a new medium; the slab doubles whenever the live span fills it.
+# Slab rows at the first handover; the slab doubles whenever every row is held.
 INITIAL_CAPACITY = 4
-
-
-def grown_slab(capacity: int, n: int) -> np.ndarray:
-    """A (capacity, n) float64 slab for a growth, in an anonymous mapping of
-    its own: its pages are taken as rows are first written, and all of them
-    go back to the system when it is freed.  A heap block would stay in the
-    process after a growth or a run, and the heap cannot fit a doubled slab
-    into the blocks the smaller ones freed: on `sr_ul_full` heap slabs read
-    2.3 MiB more peak RSS.  The first, small slab comes from the heap, which
-    a set-up takes less time to ask."""
-    return np.frombuffer(mmap.mmap(-1, capacity * n * 8), dtype=np.float64) \
-        .reshape(capacity, n)
-
-
-# Terms (interferers x nodes) above which the NAV sum adds one interferer at
-# a time: the index and term blocks of a larger sum are fresh memory whose
-# first touch costs more than a call per interferer.  With 46 interferers,
-# 512 nodes took 60 us as a block and 92 us by rows, 1,024 nodes 302 and
-# 127 us (2-vCPU host, numpy 2.4).
-BLOCK_TERMS = 1 << 15
 
 
 class Medium:
@@ -167,29 +149,32 @@ class Medium:
 
     Each frame keeps its own overlaps, as ns-3's InterferenceHelper does;
     there are no running power sums.  At handover a frame takes the next
-    log position (its `tx_id`), its record joins the log, its mW row is
-    written into the slab, and it keeps a copy of the records of the frames
-    then on the air (`peers`).  At its end its interferers are that copy
-    and the log from its position on; `_finish` walks them once
-    (`overlapping`), before the end listeners run, and every decode of the
-    frame and its NAV pass read that walk.  A frame read while still on the
-    air gets the same walk over what has been handed over so far.  A frame
-    carries its received power at every node in dBm (`rx_dbm`), for the
-    thresholds, only while it is active; the slab carries the same row in
-    mW, for every sum, and every sum goes back to dB through
-    `phy.mw_to_dbm`.  ns-3's InterferenceHelper likewise keeps powers
-    linear and converts once in each direction.
+    log position (its `tx_id`) and a free slab row (its `row`), its record
+    joins the log, its mW row is written into the slab, and it keeps a copy
+    of the records of the frames then on the air (`peers`).  At its end its
+    interferers are that copy and the log after its position; `_finish`
+    walks them once (`overlapping`), before the end listeners run, and
+    every decode of the frame and its NAV pass read that walk.  A frame
+    read while still on the air gets the same walk over what has been
+    handed over so far.  A frame carries its received power at every node
+    in dBm (`rx_dbm`), for the thresholds, only while it is active; the
+    slab carries the same row in mW, for every sum, and every sum goes back
+    to dB through `phy.mw_to_dbm`.  ns-3's InterferenceHelper likewise
+    keeps powers linear and converts once in each direction.
 
-    The slab is a ring of rows by log position.  A frame can be read while
-    it is on the air and, after its end, in the rest of the instant it ended
-    at (its decodes and NAV pass).  The floor is the lowest position such a
-    frame reads: the first interferer of the oldest frame on the air, or of
-    a frame that ended at the current instant.  When a handover would
-    overwrite a row at or above the floor, the floor is worked out again;
-    if the row is still needed, the slab doubles.  The log keeps the records
-    from the floor on.  `Overlaps` keep positions, not rows, and a read of a
-    position below the floor raises `LookupError` rather than return a row
-    another frame has taken since.
+    A frame can be read while it is on the air and, after its end, in the
+    rest of the instant it ended at (its decodes and NAV pass).  Only the
+    frames handed over before a frame's end can overlap it, and each of
+    them ends by the latest end handed over so far, so a frame's row is
+    held from its handover to the end of that instant (taken at its own
+    end) and is free for a later handover after it.  When every row is
+    held, the slab doubles in place: a private anonymous mapping keeps its
+    rows and their index, and takes a page only when a row on it is first
+    written, so the slab's memory is the rows held at once, not its
+    capacity.  The log keeps the records from the oldest frame on the air
+    on.  `Overlaps` keep rows, not arrays, and a read of an ended frame
+    after the instant it ended at raises `LookupError` rather than return a
+    row another frame may have taken since.
     """
 
     def __init__(self, sim: Simulator, loss_db: np.ndarray, noise_figure_db: float):
@@ -202,18 +187,20 @@ class Medium:
         # the primary-channel frames on the air, in the order they started
         self._on_air: list[Transmission] = []
         self._noise_by_band: dict[float, float] = {}
-        # the handover log: records of positions _floor onwards, the records
-        # of the active frames by position, and mW rows by position modulo
-        # the slab's capacity (_mask + 1, a power of two)
+        # the handover log: the records of positions _log_start onwards, and
+        # those of the active frames by position
         self._log: list[Record] = []
+        self._log_start = 0
+        self._trim_at = 64
         self._active_records: dict[int, Record] = {}
-        self._floor = 0
-        self._slab = np.empty((INITIAL_CAPACITY, loss_db.shape[0]))
-        self._mask = INITIAL_CAPACITY - 1
-        # the last instant a frame ended, and the lowest position the frames
-        # that ended then read
-        self._ended_at = -1
-        self._ended_floor = 0
+        # the slab and its mapping, made at the first handover, its free
+        # rows (taken from the end), the (instant, row) of the rows held
+        # until an instant, in order, and the latest end of a frame handed over
+        self._map: mmap.mmap | None = None
+        self._slab = np.empty((0, loss_db.shape[0]))
+        self._free: list[int] = []
+        self._held: deque[tuple[int, int]] = deque()
+        self._latest_end = 0
 
     def rx_power_dbm(self, tx_node: int, rx_node: int, power_dbm: float) -> float:
         return power_dbm - float(self.loss_db[tx_node, rx_node])
@@ -228,14 +215,22 @@ class Medium:
         senses the medium idle, transmits and collides."""
         position = tx.tx_id = self._next_id
         self._next_id += 1
-        if position - self._mask > self._floor:     # its slot's row may be needed
-            self._reclaim(position)
+        held, now = self._held, self.sim.now
+        while held and held[0][0] < now:
+            self._free.append(held.popleft()[1])
+        if not self._free:
+            self._grow()
+        row = tx.row = self._free.pop()
+        if tx.end_ns > self._latest_end:
+            self._latest_end = tx.end_ns
         tx.rx_dbm = tx.power_per_subchannel_dbm() - self.loss_db[tx.tx_node]
-        row = self._slab[position & self._mask]
-        np.divide(tx.rx_dbm, 10.0, out=row)
-        np.power(10.0, row, out=row)
+        mw = self._slab[row]
+        np.divide(tx.rx_dbm, 10.0, out=mw)
+        np.power(10.0, mw, out=mw)
+        if len(self._log) >= self._trim_at:
+            self._trim_log(position)
         record = (tx.tx_node, tx.bss_id, tx.round_id, tx.ru.ru_index if tx.ru else None,
-                  tx.subchannels, tx.start_ns, tx.end_ns, position)
+                  tx.subchannels, tx.start_ns, tx.end_ns, row)
         self._log.append(record)
         tx.peers = list(self._active_records.values())
         self._active_records[position] = record
@@ -244,26 +239,26 @@ class Medium:
         self.sim.at(tx.end_ns, lambda: self._finish(tx, then))
         return tx
 
-    def _reclaim(self, position: int) -> None:
-        """Raise the floor to what the frames that can still be read need and
-        drop the log below it; double the slab if the row for position would
-        still overwrite one of theirs.  Every earlier handover found its row
-        free, so the live span never exceeds the ring and one doubling
-        makes room."""
-        floor = position
-        if self.active:
-            oldest = next(iter(self.active.values()))
-            floor = oldest.peers[0][-1] if oldest.peers else oldest.tx_id
-        if self._ended_at == self.sim.now and self._ended_floor < floor:
-            floor = self._ended_floor
-        del self._log[:floor - self._floor]
-        self._floor = floor
-        if position - self._mask > floor:      # the live span fills the ring
-            capacity = 2 * (self._mask + 1)
-            slab = grown_slab(capacity, self._slab.shape[1])
-            live = np.arange(floor, position)
-            slab[live & (capacity - 1)] = self._slab[live & self._mask]
-            self._slab, self._mask = slab, capacity - 1
+    def _grow(self) -> None:
+        """Make the slab, or double it in place; the new rows take no memory
+        until they are written."""
+        capacity, n = self._slab.shape
+        grown = 2 * capacity or INITIAL_CAPACITY
+        self._slab = None           # the mapping resizes only with no view on it
+        if self._map is None:
+            self._map = mmap.mmap(-1, grown * n * 8, flags=mmap.MAP_PRIVATE)
+        else:
+            self._map.resize(grown * n * 8)
+        self._slab = np.frombuffer(self._map, dtype=np.float64).reshape(grown, n)
+        self._free.extend(range(grown - 1, capacity - 1, -1))
+
+    def _trim_log(self, position: int) -> None:
+        """Drop the records before the oldest frame on the air, which no walk
+        reads, as the log doubles."""
+        oldest = next(iter(self.active), position)
+        del self._log[:oldest - self._log_start]
+        self._log_start = oldest
+        self._trim_at = 2 * len(self._log) + 64
 
     def overlapping(self, tx: Transmission) -> Overlaps:
         """The one walk over tx's interferers handed over so far: the frames
@@ -278,9 +273,9 @@ class Medium:
         me, bss, start, end = tx.tx_node, tx.bss_id, tx.start_ns, tx.end_ns
         span = end - start
         round_id = tx.round_id if tx.round_id >= 0 else None    # None: no round
-        positions, shares, subchannels, round_pairs = [], [], [], []
-        for node, other_bss, other_round, ru_index, subs, other_start, other_end, position \
-                in chain(tx.peers, self._log[tx.tx_id + 1 - self._floor:]):
+        rows, shares, subchannels, round_pairs = [], [], [], []
+        for node, other_bss, other_round, ru_index, subs, other_start, other_end, row \
+                in chain(tx.peers, self._log[tx.tx_id + 1 - self._log_start:]):
             if node == me:
                 continue
             if other_round == round_id and other_bss == bss:
@@ -291,10 +286,10 @@ class Medium:
                 - (other_start if other_start > start else start)
             if overlap <= 0 or span <= 0:
                 continue
-            positions.append(position)
+            rows.append(row)
             shares.append(overlap / span)
             subchannels.append(subs)
-        return Overlaps(positions, shares, subchannels, round_pairs)
+        return Overlaps(rows, shares, subchannels, round_pairs)
 
     def _start(self, tx: Transmission) -> None:
         if 0 in tx.subchannels:
@@ -307,15 +302,9 @@ class Medium:
         del self._active_records[tx.tx_id]
         if 0 in tx.subchannels:
             self._on_air.remove(tx)
-        overlaps = tx.overlaps = self.overlapping(tx)
+        tx.overlaps = self.overlapping(tx)
         tx.peers = None
-        if overlaps.positions:      # read until the end of this instant
-            now = self.sim.now
-            first = overlaps.positions[0]
-            if self._ended_at != now:
-                self._ended_at, self._ended_floor = now, first
-            elif first < self._ended_floor:
-                self._ended_floor = first
+        self._held.append((self._latest_end, tx.row))
         for listener in self.listeners:
             listener("end", tx)
         tx.rx_dbm = tx.cs_rows = None
@@ -343,26 +332,24 @@ class Medium:
     def _overlaps(self, tx: Transmission) -> Overlaps:
         """tx's walk, for a read now: the one made at its end, or one over
         what has been handed over so far while it is on the air.  Raises
-        LookupError if an interferer's position lies below the floor, where
-        its row may belong to another frame by now."""
+        LookupError after the instant tx ended at, when its interferers'
+        rows may belong to other frames."""
         overlaps = tx.overlaps
         if overlaps is None:
             return self.overlapping(tx)
-        if overlaps.positions and overlaps.positions[0] < self._floor:
-            raise LookupError(f"position {overlaps.positions[0]} is below the slab's "
-                              f"floor {self._floor}: its frame ended at an earlier instant")
+        if tx.end_ns != self.sim.now:
+            raise LookupError(f"frame {tx.tx_id} ended at {tx.end_ns} ns, before "
+                              f"{self.sim.now} ns: its interferers' rows are let go")
         return overlaps
 
-    def _interference_at(self, positions: list[int], shares: list[float],
+    def _interference_at(self, rows: list[int], shares: list[float],
                          rx_node: int) -> float:
-        """The power at rx_node of one interferer or more, each weighted by
+        """The power at rx_node of the interferers in rows, each weighted by
         its share, added in interferer order."""
-        if len(positions) == 1:
-            return self._slab.item(positions[0] & self._mask, rx_node) * shares[0]
+        slab = self._slab
         interference_mw = 0.0
-        for power_mw, share in zip(
-                self._slab[np.bitwise_and(positions, self._mask), rx_node].tolist(), shares):
-            interference_mw += power_mw * share
+        for row, share in zip(rows, shares):
+            interference_mw += slab.item(row, rx_node) * share
         return interference_mw
 
     def sinr_db(self, tx: Transmission, rx_node: int, power_dbm: float,
@@ -375,9 +362,8 @@ class Medium:
         overlaps = self._overlaps(tx)
         if overlaps.corrupts(ru_index, co_group):
             return None
-        positions, shares = overlaps.on(subchannel)
-        interference_mw = self._interference_at(positions, shares, rx_node) \
-            if positions else 0.0
+        rows, shares = overlaps.on(subchannel)
+        interference_mw = self._interference_at(rows, shares, rx_node)
         if band_hz < SUBCHANNEL_HZ:     # the band's share of a subchannel
             interference_mw *= band_hz / SUBCHANNEL_HZ
         return float(self.rx_power_dbm(tx.tx_node, rx_node, power_dbm)
@@ -396,31 +382,23 @@ class Medium:
         if overlaps.corrupts(tx.ru.ru_index if tx.ru else None,
                              tx.ru.users if tx.ru else ()):
             return True, np.full(len(nodes), -np.inf)
-        positions, shares = overlaps.on(0)
+        rows, shares = overlaps.on(0)
         desired = tx.power_per_subchannel_dbm() - self.loss_db[tx.tx_node].take(nodes)
-        if not positions:
+        if not rows:
             interference_mw = 0.0
         elif len(nodes) == 1:           # the scalar sum, as decode adds it
-            interference_mw = self._interference_at(positions, shares, int(nodes[0]))
-        elif len(positions) == 1:
-            interference_mw = self._slab[positions[0] & self._mask].take(nodes) * shares[0]
-        elif len(positions) * len(nodes) <= BLOCK_TERMS:
+            interference_mw = self._interference_at(rows, shares, int(nodes[0]))
+        elif len(rows) == 1:
+            interference_mw = self._slab[rows[0]].take(nodes) * shares[0]
+        else:
             # every interferer's power at every node, weighted by its share;
             # a sum over axis 0 of a C-ordered (k, m >= 2) block adds row
             # after row, in interferer order (of a (k, 1) block, pairwise)
             slab = self._slab
-            rows = np.bitwise_and(positions, self._mask)
-            terms = slab.ravel().take(np.add.outer(rows * slab.shape[1], nodes))
+            starts = np.multiply(rows, slab.shape[1])
+            terms = slab.ravel().take(np.add.outer(starts, nodes))
             terms *= np.array(shares)[:, None]
             interference_mw = np.add.reduce(terms, axis=0)
-        else:
-            # the same sum, one interferer at a time
-            slab, mask = self._slab, self._mask
-            interference_mw = slab[positions[0] & mask].take(nodes) * shares[0]
-            for position, share in zip(positions[1:], shares[1:]):
-                term = slab[position & mask].take(nodes)
-                term *= share
-                interference_mw += term
         return False, desired - phy.mw_to_dbm(self.noise_mw(SUBCHANNEL_HZ)
                                               + interference_mw)
 
@@ -429,11 +407,11 @@ class Medium:
         of band_hz on the primary 20 MHz, at a receiver, in dBm: the level
         link adaptation selects the MCS against.  The frames add in the
         order they started."""
-        slab, mask = self._slab, self._mask
+        slab = self._slab
         interference_mw = 0.0
         for tx in self._on_air:
             if tx.bss_id != exclude_bss:
-                interference_mw += slab.item(tx.tx_id & mask, rx_node)
+                interference_mw += slab.item(tx.row, rx_node)
         if band_hz < SUBCHANNEL_HZ:     # the band's share of a subchannel
             interference_mw *= band_hz / SUBCHANNEL_HZ
         return float(phy.mw_to_dbm(self.noise_mw(band_hz) + interference_mw))

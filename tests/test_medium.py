@@ -20,8 +20,7 @@ from axsim import phy
 from axsim.config import RadioSection, default_config
 from axsim.core import US, Simulator
 from axsim.engine import RunContext
-from axsim.medium import (BLOCK_TERMS, INITIAL_CAPACITY, SUBCHANNEL_HZ, Medium, RuPart,
-                          Transmission)
+from axsim.medium import INITIAL_CAPACITY, SUBCHANNEL_HZ, Medium, RuPart, Transmission
 from axsim.ru import RuAssignment
 
 from test_carrier_sense import Handovers, reference_nav_sinr, reference_sinr_db
@@ -77,22 +76,23 @@ def test_overlapping_keeps_the_interferers_with_their_airtime_share():
     hand_over(medium, *skipped[:3], far)
     hand_over(medium, tx, *skipped[3:], other_round)
     overlaps = medium.overlapping(tx)
-    positions, shares = overlaps.on(0)
-    assert positions == [far.tx_id, other_round.tx_id]
+    rows, shares = overlaps.on(0)
+    assert rows == [far.row, other_round.row]
     assert shares == [0.5, 1.0]
-    positions, shares = overlaps.on(2)                  # the other subchannel
-    assert positions == [skipped[1].tx_id] and shares == [1.0]
+    rows, shares = overlaps.on(2)                       # the other subchannel
+    assert rows == [skipped[1].row] and shares == [1.0]
     assert not overlaps.corrupts(1, (0, 1))
     # without an RU to decode, same-round frames are aligned structure
     hand_over(medium, s["collider"])
     medium.sim.run_until(tx.end_ns)
     overlaps = tx.overlaps                              # the walk at its end
-    assert overlaps.on(0)[0] == [far.tx_id, other_round.tx_id]
+    assert overlaps.on(0)[0] == [far.row, other_round.row]
     assert not overlaps.corrupts(None, ())
     assert overlaps.corrupts(1, (0, 1))
-    # the slab holds each kept frame's row at its position
+    # the slab holds each kept frame's mW at its row, one row per frame
     for f in (far, other_round):
-        assert (medium._slab[f.tx_id & medium._mask] == rx_mw(f)).all()
+        assert (medium._slab[f.row] == rx_mw(f)).all()
+    assert len({f.row for f in (tx, far, other_round, *skipped)}) == 9
 
 
 def test_decode_and_nav_sinr_apply_the_same_rule():
@@ -126,16 +126,14 @@ def test_decode_and_nav_sinr_apply_the_same_rule():
 def test_a_nodes_nav_sinr_does_not_depend_on_the_other_nodes_asked(n, rounds):
     """The NAV pass adds a node's interference in interferer order, as decode
     does, whether it is asked for one node or many: a sum over axis 0 of a
-    (k, 1) block adds pairwise, and of a (k, m >= 2) block row by row.  At
-    1,500 nodes some frames' sums for every node exceed BLOCK_TERMS and add
-    one interferer at a time."""
+    (k, 1) block adds pairwise, and of a (k, m >= 2) block row by row, at
+    40 nodes as at 1,500."""
     rng = np.random.default_rng(7)
     loss = rng.uniform(60.0, 110.0, (n, n))
     medium = Medium(Simulator(), loss, RadioSection().noise_figure_db)
     sim = medium.sim
     nodes = np.arange(n)
     seen = 0
-    by_rows = Counter()
     for _ in range(rounds):
         # tx on the air over [base + 1000, base + 2000), the others over
         # 1000 ns each from base + 100 to base + 1900; all handed over at base
@@ -150,7 +148,6 @@ def test_a_nodes_nav_sinr_does_not_depend_on_the_other_nodes_asked(n, rounds):
         hand_over(medium, *txs)
         sim.run_until(tx.end_ns)
         _, everyone = medium.nav_sinr_vector(tx, nodes)
-        by_rows[len(tx.overlaps.on(0)[0]) * n > BLOCK_TERMS] += 1
         for i in rng.choice(n, 5, replace=False).tolist():
             j = (i + 1) % n
             alone = medium.nav_sinr_vector(tx, nodes[[i]])[1]
@@ -161,16 +158,14 @@ def test_a_nodes_nav_sinr_does_not_depend_on_the_other_nodes_asked(n, rounds):
             seen += 1
         sim.run_until(base + 3000)                       # every frame has ended
     assert seen == 5 * rounds
-    assert by_rows[True] > 0 if n > 40 else not by_rows[True], by_rows
-    assert by_rows[False] > 0
 
 
-def test_the_slab_keeps_every_readable_row_through_wrap_around_and_growth():
+def test_the_slab_keeps_every_readable_row_through_reuse_and_growth():
     """From a small slab, frames on the air by the handful and then by the
-    dozen wrap the ring and double it more than once; every decode and NAV
+    dozen reuse its rows and double it more than once; every decode and NAV
     read at a frame's end, and in a later event of that instant after more
     handovers, equals the reference over whole frames.  A frame read at a
-    later instant, below the floor, raises."""
+    later instant, when other frames hold its interferers' rows, raises."""
     cfg = default_config("indoor_multi", n_bss=3, stas_per_bss=8, bandwidth_mhz=40)
     ctx = RunContext(cfg, "ax_sr")          # no engine kicked: only these frames
     medium, sim = ctx.medium, ctx.sim
@@ -179,7 +174,7 @@ def test_the_slab_keeps_every_readable_row_through_wrap_around_and_growth():
     nodes = np.arange(n)
     rng = np.random.default_rng(11)
     seen = Counter()
-    capacities = {len(medium._slab)}
+    capacities = set()
     early = []                  # an ended frame with interferers on subchannel 0
 
     def read(tx):
@@ -215,7 +210,7 @@ def test_the_slab_keeps_every_readable_row_through_wrap_around_and_growth():
         if rng.random() < 0.2:      # an HE-TB of a shared round, maybe on one RU
             tx.kind, tx.round_id = "he-tb", 1 + int(rng.integers(2))
             tx.ru = RuPart(int(rng.integers(3)), RuAssignment(26, min(subs)), 15.0)
-        medium.transmit(tx, ended)
+        return medium.transmit(tx, ended)
 
     # handovers on a 10 us grid, so ends and handovers share instants; the
     # mean gap sets how many frames are on the air at once
@@ -228,13 +223,12 @@ def test_the_slab_keeps_every_readable_row_through_wrap_around_and_growth():
     sim.run_until(t + 10_000 * US)
     assert seen["read"] > 1000 and seen["corrupt"] > 0, seen
     assert min(capacities) == INITIAL_CAPACITY and max(capacities) >= 4 * INITIAL_CAPACITY
-    assert medium._next_id > 4 * max(capacities)       # the ring wrapped
-    send(sim.now)                           # the floor moves past the ended frames
-    for _ in range(2 * len(medium._slab)):
-        sim.run_until(sim.now + 1000 * US)
-        send(sim.now)
+    assert medium._next_id > 4 * max(capacities)       # rows were reused
+    # as many frames on the air at once as the slab has rows take every row
+    sim.run_until(sim.now + 1000 * US)
+    burst = [send(sim.now) for _ in range(len(medium._slab))]
     old = early[0]
-    assert old.overlaps.on(0)[0][0] < medium._floor
+    assert set(old.overlaps.on(0)[0]) <= {tx.row for tx in burst}
     with pytest.raises(LookupError):
         medium.sinr_db(old, 0, old.power_dbm, SUBCHANNEL_HZ, 0)
     with pytest.raises(LookupError):
@@ -277,11 +271,12 @@ def test_ended_frames_do_not_stay_reachable():
     assert most_alive < 100
 
 
-def test_the_slab_stays_within_twice_the_live_span():
-    """Rows live only in the slab, one per log position, and the slab holds
-    at most twice the largest live span: from the first interferer of the
-    oldest frame on the air, or of a frame that ended at this instant, to
-    the frame handed over.  No ended frame keeps an n-node array."""
+def test_the_slab_stays_within_twice_the_live_rows():
+    """Rows live only in the slab, one per frame that may still be read,
+    and the slab holds at most twice the most live rows: those of the frame
+    handed over, the frames on the air or ended at this instant, and every
+    frame that one of those may have among its interferers.  No ended frame
+    keeps an n-node array."""
     cfg = default_config("outdoor_multi", n_bss=7, stas_per_bss=16,
                          duration_s=0.15)
     ctx = RunContext(cfg, "ax_sr")
@@ -291,15 +286,18 @@ def test_the_slab_stays_within_twice_the_live_span():
     interferers = Handovers(ctx)
     transmit = medium.transmit
     ended_now = []          # (instant, frame) of the frames that ended last
-    spans = []
+    live_rows = []
     ended = []
 
     def hand_over(tx, then=None):
         readable = list(medium.active.values())
         readable += [f for at, f in ended_now if at == sim.now]
         transmit(tx, then)
-        firsts = [interferers(f)[0].tx_id for f in readable if interferers(f)]
-        spans.append(tx.tx_id - min(firsts + [tx.tx_id]) + 1)
+        live = {tx.tx_id}
+        for f in readable:
+            live.add(f.tx_id)
+            live.update(g.tx_id for g in interferers(f))
+        live_rows.append(len(live))
         return tx
 
     def watch(event, tx):
@@ -313,8 +311,8 @@ def test_the_slab_stays_within_twice_the_live_span():
     sim.run_until(cfg.duration_ns)
     gc.collect()
     n = len(ctx.nodes)
-    assert len(spans) > 1000
-    assert len(medium._slab) <= 2 * max(spans)
+    assert len(live_rows) > 1000
+    assert len(medium._slab) <= 2 * max(live_rows)
     assert medium._slab.shape == (len(medium._slab), n)
     alive = [tx for ref in ended if (tx := ref()) is not None]
     assert alive
