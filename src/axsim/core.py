@@ -64,6 +64,10 @@ class Simulator:
     def after(self, delay: int, fn: Callable[[], None]) -> None:
         self.at(self.now + delay, fn)
 
+    def drop_pending(self) -> None:
+        """Forget every event not yet processed."""
+        self._heap.clear()
+
     def run_until(self, t_end: int) -> int:
         """Process every event with fire_time <= t_end; leaves now == t_end."""
         if t_end < self.now:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -191,8 +192,11 @@ class BssEngine:
         mcs = self.ctx.per_model.select_mcs(snr, tones or 0, self.features.max_mcs)
         subcarriers = VHT_DATA_SUBCARRIERS[self.cfg.bandwidth_mhz] \
             if tones is None else ru.data_subcarriers(tones)
-        return mcs, subcarriers * mcs.bits_per_symbol * float(mcs.coding_rate) \
-            * self.nss
+        return mcs, self._bits_per_symbol(subcarriers, mcs)
+
+    def _bits_per_symbol(self, subcarriers: int, mcs: phy.Mcs) -> float:
+        """Data bits per OFDM symbol of nss streams at mcs on subcarriers."""
+        return subcarriers * mcs.bits_per_symbol * float(mcs.coding_rate) * self.nss
 
     # --- TXOP end -------------------------------------------------------------------
 
@@ -354,6 +358,19 @@ class AxBssEngine(BssEngine):
             self.users_per_ru = max(1, min(2, self.cfg.radio.ap_antennas // self.nss))
         for sta in stas:
             sta.obo = mu.OboState(self.cfg.mac.ocw_min, self.cfg.mac.ocw_max)
+
+    @cached_property
+    def min_dl_round_ns(self) -> int:
+        """The shortest DL round: SIFS, one MPDU and the BA at the fastest
+        rate _link can give any user, that of the top MCS of the layout's
+        best RU (rates rise with the MCS index).  Worked out at the first DL
+        round, so an uplink engine never pays for it."""
+        top_bps = max(self._bits_per_symbol(ru.data_subcarriers(tones),
+                                            phy.top_mcs(tones, self.features.max_mcs))
+                      for tones in set(self.layout.tone_sizes))
+        return SIFS \
+            + frames.data_duration_ns(phy.HE_MU_PPDU, self.mpdu_bits, top_bps) \
+            + frames.data_duration_ns(phy.HE_TB_PPDU, 8 * frames.BA_BYTES, top_bps)
 
     # --- TXOP structure -----------------------------------------------------------------
 
@@ -604,7 +621,12 @@ class AxBssEngine(BssEngine):
         backlogged = [sta.aid for sta in self.stas if sta.flow.backlog_count(now) > 0]
         tf = mu.build_schedule(backlogged, self.layout, self.rng_sched, 0.0,
                                self.users_per_ru, self.nss)
-        if tf is None:
+        # A round shorter than min_dl_round_ns cannot fit: no user's rate
+        # exceeds the one it assumes, and airtime does not rise with the
+        # rate, so the exact check below, at the slowest user's rate, would
+        # end the TXOP too; this one skips link adaptation.  It follows
+        # build_schedule so that the schedule still draws rng_sched.
+        if tf is None or txop.deadline_ns - now < self.min_dl_round_ns:
             self._finish_txop(txop, txop.any_data)
             return
         per_ru_power = mu.dl_power_split_dbm(self.node_power(self.ap),
@@ -978,3 +1000,16 @@ class RunContext:
         for node in self.nodes.values():
             node.power.finish(self.cfg.duration_ns)
         return self.stats
+
+    def close(self) -> None:
+        """Break the run's reference cycles, so that its memory goes with its
+        last reference instead of waiting for the cyclic collector: the
+        events left in the queue hold closures over the engines and frames,
+        and the engines, the contender and the medium's listener point back
+        at the context.  What the context holds stays readable; the engines
+        and the contender no longer reach it."""
+        self.sim.drop_pending()
+        self.medium.listeners.clear()
+        for engine in self.engines:
+            del engine.ctx
+        del self.contention.ctx

@@ -169,29 +169,36 @@ class PerModel:
         return 1.0 - (1.0 - p_ref) ** (frame_bits / PER_REF_BITS)
 
     def select_mcs(self, effective_sinr: float, ru_tones: int, max_index: int) -> Mcs:
-        """Highest-index MCS up to max_index with reference-length PER at most
-        the target PER; MCS0 floor.
+        """Highest-index MCS up to `top_mcs(ru_tones, max_index)` with
+        reference-length PER at most the target PER; MCS0 floor.
 
-        1024-QAM (MCS 10/11) is only eligible on RUs of >= 242 tones.  The
-        floor MCS0 may exceed the PER target on a degraded link; that is a
-        degraded link, not an error.
+        The scan runs from the top down and returns the first MCS that
+        meets the target: the highest that does, whether or not the
+        thresholds rise with the index.  The floor MCS0 may exceed the PER
+        target on a degraded link; that is a degraded link, not an error.
         """
-        best = MCS_CANDIDATES[0]
         target_per = self.target_per
-        for candidate in MCS_CANDIDATES:
-            index = candidate.index
-            if index > max_index:
-                break
-            if index >= 10 and ru_tones < MIN_RU_TONES_FOR_1024QAM:
-                continue
+        for index in range(top_mcs(ru_tones, max_index).index, 0, -1):
+            candidate = MCS_CANDIDATES[index]
             if self.per_ref(effective_sinr, candidate) <= target_per:
-                best = candidate
-        return best
+                return candidate
+        return MCS_CANDIDATES[0]
 
 
-# select_mcs's candidates in ascending index, built once: Mcs is frozen, so
-# they are shared.
+# select_mcs's candidates by index, built once: Mcs is frozen, so they are
+# shared.
 MCS_CANDIDATES = tuple(Mcs(i) for i in sorted(MCS_TABLE))
+
+
+def top_mcs(ru_tones: int, max_index: int) -> Mcs:
+    """The highest MCS link adaptation may pick on an RU of ru_tones (0: a
+    whole VHT channel) under max_index: 1024-QAM (MCS 10/11) needs an RU of
+    at least 242 tones; max_index below 0 leaves MCS0."""
+    top = min(max_index, len(MCS_CANDIDATES) - 1)
+    if ru_tones < MIN_RU_TONES_FOR_1024QAM:
+        top = min(top, 9)
+    return MCS_CANDIDATES[max(top, 0)]
+
 
 # MU-MIMO receive abstraction: the receiver's array gives 10*log10(rx_ant /
 # streams) of combining headroom, and streams sharing an RU pay a fixed

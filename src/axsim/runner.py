@@ -51,6 +51,7 @@ def run(cfg: ScenarioConfig, scheme: Scheme | str,
         per=(failures / attempts) if attempts else 0.0,
         energy=energy)
     report.check()
+    ctx.close()
     return report
 
 

@@ -10,16 +10,21 @@ These tests restate that budget and compare.
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from axsim import phy, spatial
+from axsim import frames, phy, spatial
+from axsim.baseline import Txop
 from axsim.config import RadioSection, default_config
-from axsim.core import US
-from axsim.engine import MIN_SR_TXPWR_DBM, VHT_DATA_SUBCARRIERS, RunContext
+from axsim.core import SIFS, US
+from axsim.engine import (MIN_SR_TXPWR_DBM, SCHEDULER_TONE_PLAN, VHT_DATA_SUBCARRIERS,
+                          RunContext)
 from axsim.medium import SUBCHANNEL_HZ, Transmission
 from axsim.ru import data_subcarriers
+from axsim.traffic import CbrFlow
 
 TONE_HZ = 78_125.0
 
@@ -152,6 +157,134 @@ def test_every_link_of_a_single_bss_run_follows_the_budget(scheme, direction):
                                     shared, subcarriers)
     if ofdma:
         assert any(shared for *_, shared, _ in calls)
+
+
+# --- the shortest DL round -----------------------------------------------------------
+
+HE_SCHEMES = ("ax_ofdma", "ax_ofdma_mumimo", "ax_sr")
+
+
+def dl_engine(scheme: str, bandwidth: int, nss: int):
+    cfg = default_config("indoor_single", direction="dl", duration_s=0.05,
+                         bandwidth_mhz=bandwidth, stas_per_bss=12)
+    cfg.radio.sta_antennas = nss
+    engine = RunContext(cfg, scheme).engines[0]
+    assert engine.nss == nss
+    return engine
+
+
+def rate(engine, tones: int, index: int) -> tuple[phy.Mcs, float]:
+    """(MCS, data bits per symbol) that _link would give at MCS index on an
+    RU of tones."""
+    mcs = phy.Mcs(index)
+    return mcs, engine._bits_per_symbol(data_subcarriers(tones), mcs)
+
+
+def dl_round(engine, budget_ns: int, backlogs: dict[int, int], index_of) -> tuple[bool, int]:
+    """One _dl_round with budget_ns left of the TXOP: STA aid holds
+    backlogs[aid] queued MPDUs, and _link gives the STA the MCS
+    index_of(node id, tones), not the one its link would select.  send and
+    _finish_txop record the outcome instead of acting, and the schedule's
+    shuffle draws the same values at every call.  Returns (whether the
+    round sent, how many users link adaptation read)."""
+    for sta in engine.stas:
+        sta.flow = CbrFlow(sta.flow.flow_id, 0.0, engine.cfg.packet_bytes, 0)
+        sta.flow.retry = np.arange(backlogs.get(sta.aid, 0), dtype=np.int64)
+    links = []
+
+    def link(power, tx, rx, tones=None, streams=None, shared=False):
+        links.append(rx)
+        return rate(engine, tones, index_of(rx.node_id, tones))
+
+    sent = []
+    engine._link = link
+    engine.send = lambda *args, **kwargs: sent.append(True)
+    engine._finish_txop = lambda txop, success: sent.append(False)
+    state = engine.rng_sched.getstate()
+    engine._dl_round(Txop(engine.ap, engine.sim.now + budget_ns))
+    engine.rng_sched.setstate(state)
+    assert len(sent) == 1
+    return sent[0], len(links)
+
+
+@pytest.mark.parametrize("nss", [1, 2])
+@pytest.mark.parametrize("scheme", HE_SCHEMES)
+@pytest.mark.parametrize("bandwidth", sorted(SCHEDULER_TONE_PLAN))
+def test_the_shortest_dl_round_is_at_the_fastest_rate_of_the_layout(bandwidth, scheme,
+                                                                     nss):
+    """min_dl_round_ns is SIFS, one MPDU and the BA at the highest rate of
+    any MCS the scheme allows on any RU of the layout, scanned here over
+    every MCS."""
+    engine = dl_engine(scheme, bandwidth, nss)
+    fastest = max(rate(engine, tones, index)[1]
+                  for tones in SCHEDULER_TONE_PLAN[bandwidth]
+                  for index in phy.MCS_TABLE
+                  if index <= engine.features.max_mcs
+                  and (tones >= phy.MIN_RU_TONES_FOR_1024QAM or index <= 9))
+    assert engine.min_dl_round_ns == SIFS \
+        + frames.data_duration_ns(phy.HE_MU_PPDU, engine.mpdu_bits, fastest) \
+        + frames.data_duration_ns(phy.HE_TB_PPDU, 8 * frames.BA_BYTES, fastest)
+
+
+@pytest.mark.parametrize("nss", [1, 2])
+@pytest.mark.parametrize("scheme", HE_SCHEMES)
+@pytest.mark.parametrize("bandwidth", sorted(SCHEDULER_TONE_PLAN))
+def test_a_dl_round_under_the_floor_fails_the_exact_rule_too(bandwidth, scheme, nss):
+    """Over plans of users at MCSs their RUs allow and budgets on both sides
+    of min_dl_round_ns, the round decides as the exact rule alone decides
+    (min_dl_round_ns 0), and a round under the floor reads no link."""
+    engine = dl_engine(scheme, bandwidth, nss)
+    floor = engine.min_dl_round_ns
+    max_mcs = engine.features.max_mcs
+    rng = random.Random(31 * bandwidth + nss)
+    seen = Counter()
+    for _ in range(10):
+        aids = rng.sample(range(1, len(engine.stas) + 1), rng.randint(1, len(engine.stas)))
+        backlogs = {aid: rng.choice((1, 2, 5, 64, 256)) for aid in aids}
+        share = {sta.node_id: rng.random() for sta in engine.stas}
+
+        def index_of(node_id, tones):
+            return int(share[node_id] * (phy.top_mcs(tones, max_mcs).index + 1))
+
+        for extra in (-100 * US, -1, 0, 1, 20 * US, 60 * US, 150 * US, 400 * US,
+                      2000 * US):
+            budget = floor + extra
+            engine.min_dl_round_ns = 0
+            exact = dl_round(engine, budget, backlogs, index_of)
+            engine.min_dl_round_ns = floor
+            got = dl_round(engine, budget, backlogs, index_of)
+            if budget < floor:
+                assert got == (False, 0) and not exact[0]
+                seen["under the floor"] += 1
+            else:
+                assert got == exact
+                seen["sent" if got[0] else "over the floor, too short"] += 1
+    assert min(seen.values()) > 0 and len(seen) == 3, seen
+
+
+@pytest.mark.parametrize("nss", [1, 2])
+@pytest.mark.parametrize("scheme", HE_SCHEMES)
+@pytest.mark.parametrize("bandwidth", sorted(SCHEDULER_TONE_PLAN))
+def test_the_floor_is_tight(bandwidth, scheme, nss):
+    """Users on the layout's first RU, the widest, at its top MCS: the exact
+    rule alone sends at a budget of min_dl_round_ns and not at one ns less,
+    so the floor is that rule's own limit."""
+    engine = dl_engine(scheme, bandwidth, nss)
+    tones = engine.layout.rus[0].tones
+    assert tones == max(engine.layout.tone_sizes)
+    backlogs = {aid: 1 for aid in range(1, engine.users_per_ru + 1)}
+
+    def top(node_id, ru_tones):
+        assert ru_tones == tones
+        return phy.top_mcs(ru_tones, engine.features.max_mcs).index
+
+    floor = engine.min_dl_round_ns
+    users = engine.users_per_ru
+    assert dl_round(engine, floor, backlogs, top) == (True, users)
+    assert dl_round(engine, floor - 1, backlogs, top) == (False, 0)
+    engine.min_dl_round_ns = 0
+    assert dl_round(engine, floor, backlogs, top) == (True, users)
+    assert dl_round(engine, floor - 1, backlogs, top) == (False, users)
 
 
 # --- the configured noise figure ----------------------------------------------------

@@ -223,7 +223,8 @@ def test_select_mcs_respects_max_index_for_11ac():
 
 
 def select_mcs_reference(model, sinr, tones, target, max_index):
-    """select_mcs building each candidate per call, in table order."""
+    """select_mcs as an ascending scan that builds each candidate per call
+    and keeps the highest index that meets the target."""
     best = None
     for index in sorted(phy.MCS_TABLE):
         if index > max_index:
@@ -236,15 +237,44 @@ def select_mcs_reference(model, sinr, tones, target, max_index):
     return best if best is not None else Mcs(0)
 
 
+# every RU size, and 0 for a whole VHT channel
+RU_TONES = (0, 26, 52, 106, 242, 484, 996, 1992)
+
+
 def test_select_mcs_matches_the_per_call_candidates():
-    for target in (0.01, 0.1):
-        model = PerModel(PhySection(per_threshold_base_db=1.0, per_threshold_step_db=2.7,
-                                    mcs_target_per=target))
-        for sinr in np.arange(-10.0, 45.0, 0.37):
-            for tones in (26, 106, 242, 996):
-                for max_index in (0, 7, 9, 11):
-                    assert model.select_mcs(sinr, tones, max_index) == \
-                        select_mcs_reference(model, sinr, tones, target, max_index)
+    """The top-down scan picks what the ascending one does, also at
+    infinite and NaN SINRs, and with thresholds that fall with the index
+    (a negative step), so it does not rest on monotone thresholds."""
+    sinrs = [-math.inf, math.inf, math.nan, *np.arange(-30.0, 60.0, 0.37)]
+    for base, step in ((1.0, 2.7), (2.0, 2.5), (20.0, -1.5)):
+        for target in (0.01, 0.1):
+            model = PerModel(PhySection(per_threshold_base_db=base,
+                                        per_threshold_step_db=step,
+                                        mcs_target_per=target))
+            picked = set()
+            for sinr in sinrs:
+                for tones in RU_TONES:
+                    for max_index in range(12):
+                        got = model.select_mcs(sinr, tones, max_index)
+                        assert got == select_mcs_reference(model, sinr, tones, target,
+                                                           max_index)
+                        picked.add(got.index)
+            assert picked == set(phy.MCS_TABLE), (base, step, target)
+
+
+def test_top_mcs_is_the_fastest_mcs_link_adaptation_may_pick():
+    """top_mcs has the highest rate of every MCS eligible on the RU, and a
+    link with no errors selects it."""
+    model = PerModel(PhySection())
+    for tones in RU_TONES:
+        for max_index in range(12):
+            top = phy.top_mcs(tones, max_index)
+            eligible = [Mcs(i) for i in phy.MCS_TABLE if i <= max_index
+                        and (i <= 9 or tones >= phy.MIN_RU_TONES_FOR_1024QAM)]
+            assert max(m.bits_per_symbol * m.coding_rate for m in eligible) \
+                == top.bits_per_symbol * top.coding_rate
+            assert top in eligible
+            assert model.select_mcs(math.inf, tones, max_index) == top
 
 
 @given(st.floats(-20, 80), st.sampled_from([26, 52, 106, 242, 484, 996, 1992]))
