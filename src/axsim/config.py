@@ -133,6 +133,8 @@ class ScenarioConfig:
             problems.append("per-STA rate must be non-negative")
         if self.packet_bytes < 1:
             problems.append("packets must hold at least one byte")
+        if self.room_area_m2 <= 0 or self.cell_inradius_m <= 0:
+            problems.append("room area and cell inradius must be positive")
         if self.radio.frequency_ghz <= 0:
             problems.append("carrier frequency must be positive")
         if self.radio.ap_antennas < 1 or self.radio.sta_antennas < 1:
@@ -143,6 +145,8 @@ class ScenarioConfig:
             problems.append("contention window min above max")
         if not 0 <= self.mac.ra_ru_fraction <= 1:
             problems.append("random-access RU fraction must be in [0, 1]")
+        if self.phy.pathloss_breakpoint_m <= 0 or self.phy.per_slope_db <= 0:
+            problems.append("path-loss breakpoint and PER slope must be positive")
         if self.sr.obss_pd_min_dbm > self.sr.obss_pd_max_dbm:
             problems.append("OBSS_PD min above max")
         return problems

@@ -1,5 +1,7 @@
-"""EDCA contention of a whole run, held in arrays indexed by node id and
-stepped for every node at once at each medium change.
+"""EDCA contention of a whole run: each node's contention window, backoff
+counter and armed attempt, held in arrays indexed by node id and stepped
+for every node at once at each medium change; the contenders are fixed
+when the run is built.
 
 ns-3's ``ChannelAccessManager`` serves every ``Txop`` from one busy/idle
 history in the same way."""
@@ -12,7 +14,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .baseline import BackoffState
 from .core import DIFS, SLOT_TIME
 
 if TYPE_CHECKING:
@@ -41,14 +42,16 @@ def attempt_times(maximum, now, intra_nav_ns, basic_nav_ns, eifs_ns, counter):
 
 class Contender:
     """Arms and freezes the EDCA attempts of every contending node around
-    medium changes; a node's AIFS is DIFS.
+    medium changes; a node's AIFS is DIFS.  `engine_of`, fixed at
+    construction, maps each node an engine lists as `contending` to it.
 
     Per node, indexed by node id: whether it wants the channel (`active`),
-    whether an attempt is armed (`pending`), its backoff counter (-1 while
-    none is drawn), when its armed attempt's AIFS starts (`armed_at`), the
-    seq of that attempt's event, and the SR power cap it transmits under
-    (inf for none).  An attempt is stale once its node no longer holds its
-    seq: a freeze writes -1, a re-arm a new seq.
+    whether an attempt is armed (`pending`), its contention window (`cw`),
+    its backoff counter (-1 while none is drawn), when its armed attempt's
+    AIFS starts (`armed_at`), the seq of that attempt's event, and the SR
+    power cap it transmits under (inf for none).  An attempt is stale once
+    its node no longer holds its seq: a freeze writes -1, a re-arm a new
+    seq.
 
     The attempts one step arms share one heap entry at a time
     (`_fire_batch`): it sits at the earliest of them, and when it pops it
@@ -61,20 +64,17 @@ class Contender:
     def __init__(self, ctx: RunContext, n: int):
         self.ctx = ctx
         self.sim = ctx.sim
-        self.engine_of: dict[int, BssEngine] = {}
+        self.engine_of: dict[int, BssEngine] = {
+            node.node_id: engine for engine in ctx.engines for node in engine.contending}
         self.active = np.zeros(n, dtype=bool)
         self.pending = np.zeros(n, dtype=bool)
         self.n_active = 0
+        self.cw = np.full(n, ctx.cfg.mac.cw_min, dtype=np.int64)
         self.counter = np.full(n, -1, dtype=np.int64)
         self.armed_at = np.zeros(n, dtype=np.int64)
         self.seq = np.full(n, -1, dtype=np.int64)
         self.sr_cap_dbm = np.full(n, math.inf)
         self.gen = 0
-
-    def join(self, engine: BssEngine, node: SimNode) -> None:
-        """node contends for engine's BSS, from cw_min."""
-        node.backoff = BackoffState(engine.cfg.mac.cw_min, engine.cfg.mac.cw_max)
-        self.engine_of[node.node_id] = engine
 
     def start(self, node: SimNode) -> None:
         """node wants the channel: it draws a counter if it holds none and
@@ -86,18 +86,19 @@ class Contender:
         self.n_active += 1
         engine = self.engine_of[i]
         if self.counter[i] < 0:
-            self.counter[i] = node.backoff.draw(engine.rng_backoff)
+            self.counter[i] = engine.rng_backoff.randint(0, self.cw.item(i))
         blocked, caps = engine.cs_state()
         if not blocked.item(i):
             self._arm(i, caps)
 
     def redraw(self, node: SimNode, success: bool) -> None:
-        if success:
-            node.backoff.on_success()
-        else:
-            node.backoff.on_failure()
-        self.counter[node.node_id] = node.backoff.draw(
-            self.engine_of[node.node_id].rng_backoff)
+        """node's TXOP ended: its window resets to cw_min on success and
+        doubles up to cw_max on failure, and it draws a new counter."""
+        i = node.node_id
+        mac = self.ctx.cfg.mac
+        cw = mac.cw_min if success else min(2 * (self.cw.item(i) + 1) - 1, mac.cw_max)
+        self.cw[i] = cw
+        self.counter[i] = self.engine_of[i].rng_backoff.randint(0, cw)
 
     def on_medium_change(self, blocked: np.ndarray,
                          caps: tuple[np.ndarray, ...] | None) -> None:

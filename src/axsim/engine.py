@@ -10,11 +10,10 @@ from functools import cached_property
 import numpy as np
 
 from . import frames, mu, phy, ru, spatial
-from .baseline import BackoffState, Txop
 from .config import (DL, INDOOR_MULTI, INDOOR_SINGLE, OUTDOOR_MULTI, OUTDOOR_SINGLE,
                      ScenarioConfig, Scheme, scheme_features)
 from .contention import Contender
-from .core import DIFS, SIFS, SLOT_TIME, US, RngSet, RngStream, Simulator
+from .core import DIFS, MS, SIFS, SLOT_TIME, US, RngSet, RngStream, Simulator
 from .medium import Medium, RuPart, Transmission
 from .power import PowerState, intra_ppdu_doze
 from .spatial import INTRA_BSS, TwoNav
@@ -31,6 +30,7 @@ SCHEDULER_TONE_PLAN = {20: (106, 106, 26), 40: (242, 242),
                        80: (242,) * 4, 160: (242,) * 8}
 
 MIN_SR_TXPWR_DBM = -10.0
+POLL_INTERVAL_NS = 20 * MS      # how often an engine starts its backlogged contenders
 
 
 @dataclass
@@ -42,7 +42,6 @@ class SimNode:
     antennas: int
     color: int
     power: PowerState = field(default_factory=PowerState)
-    backoff: BackoffState | None = None
     flow: CbrFlow | None = None               # a STA's traffic, either direction
     obo: mu.OboState | None = None
     in_txop: bool = False                     # holder side of a running exchange
@@ -50,6 +49,23 @@ class SimNode:
     # with node id as build_schedule expects.  Node ids would reach the
     # reserved AID12 2045 in large layouts.  0 for an AP.
     aid: int = 0
+
+
+@dataclass
+class Txop:
+    """A running TXOP: its holder, the instant its reservation ends, and
+    whether any data got through yet.  A single-user exchange also fixes its
+    peer, the flow it serves and the link (MCS, data bits per symbol).
+    Every frame of the TXOP goes out through ``BssEngine.send`` with it,
+    which sets the frame's Duration to what is left of the reservation
+    after the frame ends."""
+
+    holder: SimNode
+    deadline_ns: int
+    any_data: bool = False
+    peer: SimNode | None = None
+    flow: CbrFlow | None = None
+    link: tuple[phy.Mcs, float] | None = None
 
 
 class BssEngine:
@@ -176,19 +192,23 @@ class BssEngine:
 
     # --- link adaptation ---------------------------------------------------------------
 
+    def _rx_gain_db(self, rx: SimNode, users: int) -> float:
+        """The SINR gain at rx of a PPDU whose RU `users` users share by
+        MU-MIMO, nss streams each: rx's array gain over all their streams,
+        less the stream penalty if the RU is shared."""
+        return phy.mu_mimo_sinr_adjustment_db(rx.antennas, self.nss * users, users > 1,
+                                              self.cfg.phy.mu_stream_penalty_db)
+
     def _link(self, power_dbm: float, tx: SimNode, rx: SimNode,
-              tones: int | None = None, streams: int | None = None,
-              shared: bool = False) -> tuple[phy.Mcs, float]:
+              tones: int | None = None, users: int = 1) -> tuple[phy.Mcs, float]:
         """(MCS, data bits per OFDM symbol) for tx sending to rx at power_dbm
-        on an RU of `tones` (None: the whole VHT channel), with `streams`
-        spatial streams in all at rx (default nss); `shared` when MU-MIMO
-        streams share the RU.  The MCS is selected against the SNR over the
+        on an RU of `tones` (None: the whole VHT channel) that `users` users
+        share by MU-MIMO.  The MCS is selected against the SNR over the
         noise plus the other-BSS interference rx sees now."""
         band = self.cfg.bandwidth_mhz * 1e6 if tones is None else tones * 78_125.0
         snr = power_dbm - self.ctx.loss(tx, rx) \
             - self.medium.interference_dbm(rx.node_id, band, self.bss_id) \
-            + phy.mu_mimo_sinr_adjustment_db(rx.antennas, streams or self.nss,
-                                             shared, self.cfg.phy.mu_stream_penalty_db)
+            + self._rx_gain_db(rx, users)
         mcs = self.ctx.per_model.select_mcs(snr, tones or 0, self.features.max_mcs)
         subcarriers = VHT_DATA_SUBCARRIERS[self.cfg.bandwidth_mhz] \
             if tones is None else ru.data_subcarriers(tones)
@@ -223,15 +243,13 @@ class BssEngine:
             self.ctx.stats[sta.node_id] = FlowStats()
 
     def kick(self) -> None:
-        for node in self.contending:
-            self.ctx.contention.join(self, node)
         self.sim.at(0, self._poll_traffic)
 
     def _poll_traffic(self) -> None:
         for node in self.contending:
             if self.has_work(node):
                 self.ctx.contention.start(node)
-        self.sim.after(self.ctx.poll_interval_ns, self._poll_traffic)
+        self.sim.after(POLL_INTERVAL_NS, self._poll_traffic)
 
     def has_work(self, node: SimNode) -> bool:
         """Whether node has traffic to contend for: a STA for its own uplink
@@ -317,9 +335,8 @@ class AcBssEngine(BssEngine):
         peer = txop.peer
         sinr = self.medium.sinr_db(tx, peer.node_id, tx.power_dbm,
                                    self.cfg.bandwidth_mhz * 1e6, 0)
-        eff = None
-        if sinr is not None and not peer.power.dozing:
-            eff = sinr + phy.array_gain_db(peer.antennas, self.nss)
+        eff = None if sinr is None or peer.power.dozing \
+            else sinr + self._rx_gain_db(peer, 1)
         survivors, failed = self.mpdu_outcomes(txop.flow, seqs, eff, mcs)
         if not len(survivors):
             txop.flow.requeue(seqs)
@@ -484,7 +501,7 @@ class AxBssEngine(BssEngine):
             sta = self.stas[user.aid12 - 1]
             users = len(tf.users_of(user.ru_index))
             mcs, bps = self._link(self.node_power(sta), sta, self.ap,
-                                  tf.ru_of(user).tones, self.nss * users, users > 1)
+                                  tf.ru_of(user).tones, users)
             backlog = min(self.features.ampdu_cap, sta.flow.backlog_count(now))
             air = frames.data_duration_ns(phy.HE_TB_PPDU,
                                           backlog * self.mpdu_bits, bps)
@@ -581,12 +598,8 @@ class AxBssEngine(BssEngine):
         results = []
         for sta, tx, seqs, mcs in txs:
             sinr = self._ru_sinr(tx)
-            eff = None
-            if sinr is not None:
-                partners = len(tx.ru.users)
-                eff = sinr + phy.mu_mimo_sinr_adjustment_db(
-                    self.ap.antennas, self.nss * (partners + 1), partners > 0,
-                    self.cfg.phy.mu_stream_penalty_db)
+            eff = None if sinr is None \
+                else sinr + self._rx_gain_db(self.ap, len(tx.ru.users) + 1)
             survivors, failed = self.mpdu_outcomes(sta.flow, seqs, eff, mcs)
             results.append((sta, seqs, failed))
             if len(survivors):
@@ -642,8 +655,7 @@ class AxBssEngine(BssEngine):
             users = len(members)
             for sta_id in members:
                 mcs, bps = self._link(per_ru_power - 10.0 * math.log10(users),
-                                      self.ap, self.by_id[sta_id], tones,
-                                      self.nss * users, users > 1)
+                                      self.ap, self.by_id[sta_id], tones, users)
                 backlog = min(self.features.ampdu_cap,
                               self.by_id[sta_id].flow.backlog_count(now))
                 air = frames.data_duration_ns(phy.HE_MU_PPDU,
@@ -699,11 +711,7 @@ class AxBssEngine(BssEngine):
                                        part.power_dbm - 10.0 * math.log10(users_on_ru),
                                        part.bandwidth_hz, part.assignment.position,
                                        ru_index)
-            eff = None
-            if sinr is not None:
-                eff = sinr + phy.mu_mimo_sinr_adjustment_db(
-                    sta.antennas, self.nss * users_on_ru, users_on_ru > 1,
-                    self.cfg.phy.mu_stream_penalty_db)
+            eff = None if sinr is None else sinr + self._rx_gain_db(sta, users_on_ru)
             outcomes[sta_id] = self.mpdu_outcomes(sta.flow, seqs, eff, mcs)
         responders = [s for s, (survivors, _) in outcomes.items() if len(survivors)]
         if not responders:
@@ -798,7 +806,6 @@ class RunContext:
         self.rng = RngSet(cfg.seed)
         self.per_model = phy.PerModel(cfg.phy)
         self.intra_ppdu_doze = intra_ppdu_doze
-        self.poll_interval_ns = 20 * 1000 * US
         self.subchannels = frozenset(range(cfg.bandwidth_mhz // 20))
 
         generate = {INDOOR_SINGLE: topo.gen_indoor_single,

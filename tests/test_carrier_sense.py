@@ -380,7 +380,6 @@ def test_a_frozen_attempt_resumes_with_the_slots_left():
     attempts = []
     engine.on_backoff_complete = lambda node: attempts.append(ctx.sim.now)
     contention = ctx.contention
-    contention.join(engine, sta)
     i = sta.node_id
     contention.counter[i] = 10
     contention.start(sta)
@@ -412,8 +411,8 @@ def test_a_frozen_attempt_resumes_with_the_slots_left():
 
 # --- same-instant order ------------------------------------------------------------
 #
-# One BSS of four STAs and no traffic; the tests join STAs to the contention
-# by hand, fix their counters, and hand over frames whose Duration is 0, so
+# One BSS of four STAs and no traffic; the tests start STAs' contention by
+# hand, fix their counters, and hand over frames whose Duration is 0, so
 # no NAV or EIFS defers anyone.  `hears` sets which STAs hear which sender.
 
 def order_bench(hears: dict[int, tuple[int, ...]]):
@@ -439,21 +438,19 @@ def hand_over(ctx, node, end):
                                             end, ctx.subchannels, 20.0))
 
 
-def contend(ctx, engine, node, counter):
-    ctx.contention.join(engine, node)
+def contend(ctx, node, counter):
     ctx.contention.counter[node.node_id] = counter
     ctx.contention.start(node)
 
 
 def test_attempts_armed_in_one_step_at_one_instant_fire_in_ascending_node_id():
     ctx, stas, fired = order_bench({0: (1, 2)})
-    engine = ctx.engines[0]
     low, high = stas[1], stas[2]
     end = 50 * US
     hand_over(ctx, stas[0], end)
     ctx.sim.run_until(1)
     for node in (high, low):                # started in descending node id
-        contend(ctx, engine, node, 3)
+        contend(ctx, node, 3)
     contention = ctx.contention
     assert not contention.pending[[low.node_id, high.node_id]].any()
     ctx.sim.run_until(end)                  # one step arms both
@@ -467,13 +464,12 @@ def test_attempts_armed_in_one_step_at_one_instant_fire_in_ascending_node_id():
 
 def test_an_attempt_armed_by_start_fires_before_one_armed_later_at_its_instant():
     ctx, stas, fired = order_bench({0: (1,)})
-    engine = ctx.engines[0]
     low, high = stas[1], stas[2]
     end = 1 + 3 * SLOT_TIME
     hand_over(ctx, stas[0], end)            # heard by `low` only
     ctx.sim.run_until(1)
-    contend(ctx, engine, high, 5)           # armed now
-    contend(ctx, engine, low, 2)            # blocked; armed at the frame end
+    contend(ctx, high, 5)                   # armed now
+    contend(ctx, low, 2)                    # blocked; armed at the frame end
     assert ctx.contention.pending.tolist().count(True) == 1
     ctx.sim.run_until(ctx.cfg.duration_ns)
     at = 1 + DIFS + 5 * SLOT_TIME
@@ -484,14 +480,13 @@ def test_an_attempt_armed_by_start_fires_before_one_armed_later_at_its_instant()
 
 def test_a_frame_end_scheduled_before_an_arm_runs_before_the_attempt_at_its_instant():
     ctx, stas, fired = order_bench({0: (1,), 3: ()})
-    engine = ctx.engines[0]
     node = stas[1]
     end = 50 * US
     at = end + DIFS + 2 * SLOT_TIME
     hand_over(ctx, stas[0], end)            # blocks `node` until `end`
     hand_over(ctx, stas[3], at)             # unheard; ends at the attempt
     ctx.sim.run_until(1)
-    contend(ctx, engine, node, 2)
+    contend(ctx, node, 2)
     ctx.sim.run_until(ctx.cfg.duration_ns)
     assert fired == [("end", stas[0].node_id, end), ("end", stas[3].node_id, at),
                      ("attempt", node.node_id, at)]
@@ -503,11 +498,10 @@ def test_an_attempt_at_a_frame_start_transmits_and_one_a_slot_later_freezes():
     start event and transmits; the one due a slot later meets the frame at
     its start and freezes with that slot left."""
     ctx, stas, fired = order_bench({0: (1, 2)})
-    engine = ctx.engines[0]
     early, late = stas[1], stas[2]
     ctx.sim.run_until(1)
-    contend(ctx, engine, early, 3)
-    contend(ctx, engine, late, 4)
+    contend(ctx, early, 3)
+    contend(ctx, late, 4)
     start = 1 + DIFS + 3 * SLOT_TIME
     end = start + 100 * US
     ctx.sim.at(start - SIFS, lambda: ctx.medium.transmit(Transmission(
@@ -530,13 +524,12 @@ def test_an_attempt_at_a_frame_start_transmits_and_one_a_slot_later_freezes():
 
 def armed_together(low_counter, high_counter):
     ctx, stas, fired = order_bench({0: (1, 2), 3: (1,)})
-    engine = ctx.engines[0]
     low, high = stas[1], stas[2]
     end = 50 * US
     hand_over(ctx, stas[0], end)
     ctx.sim.run_until(1)
-    contend(ctx, engine, low, low_counter)
-    contend(ctx, engine, high, high_counter)
+    contend(ctx, low, low_counter)
+    contend(ctx, high, high_counter)
     ctx.sim.run_until(end)                  # one step arms both
     seq = ctx.contention.seq
     assert seq[high.node_id] == seq[low.node_id] + 1

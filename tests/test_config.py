@@ -47,7 +47,10 @@ def test_rejects(tmp_path, text):
 
 # Each of these passed validation once and then failed the run: a negative
 # RU index, a zero packet interval, a negative draw range, the log of a zero
-# frequency in set-up, zero spatial streams partway through.
+# frequency in set-up, zero spatial streams partway through, a STA placement
+# that never lands in a cell of negative inradius, the root of a negative
+# room area and the log of a zero breakpoint in set-up, a division by a zero
+# PER slope at the first decode.
 @pytest.mark.parametrize("text", [
     "[scenario]\n[mac]\nra_ru_fraction = 1.5\n",
     "[scenario]\n[mac]\nra_ru_fraction = -0.1\n",
@@ -57,9 +60,14 @@ def test_rejects(tmp_path, text):
     "[scenario]\n[radio]\nfrequency_ghz = 0\n",
     "[scenario]\n[radio]\nap_antennas = 0\n",
     "[scenario]\n[radio]\nsta_antennas = 0\n",
+    "[scenario]\nkind = outdoor_single\ncell_inradius_m = -5\n",
+    "[scenario]\nroom_area_m2 = -1\n",
+    "[scenario]\n[phy]\npathloss_breakpoint_m = 0\n",
+    "[scenario]\n[phy]\nper_slope_db = 0\n",
 ], ids=["ra-ru-fraction-above-1", "ra-ru-fraction-below-0", "zero-packet-bytes",
         "negative-cw-min", "negative-ocw-min", "zero-frequency", "zero-ap-antennas",
-        "zero-sta-antennas"])
+        "zero-sta-antennas", "negative-cell-inradius", "negative-room-area",
+        "zero-pathloss-breakpoint", "zero-per-slope"])
 def test_rejects_values_a_run_cannot_use(tmp_path, text):
     with pytest.raises(ConfigError):
         load_config(write_ini(tmp_path, text))

@@ -17,11 +17,10 @@ import numpy as np
 import pytest
 
 from axsim import frames, phy, spatial
-from axsim.baseline import Txop
 from axsim.config import RadioSection, default_config
 from axsim.core import SIFS, US
 from axsim.engine import (MIN_SR_TXPWR_DBM, SCHEDULER_TONE_PLAN, VHT_DATA_SUBCARRIERS,
-                          RunContext)
+                          RunContext, Txop)
 from axsim.medium import SUBCHANNEL_HZ, Transmission
 from axsim.ru import data_subcarriers
 from axsim.traffic import CbrFlow
@@ -79,7 +78,7 @@ def test_he_uplink_link_on_its_ru(bandwidth):
         power = engine.node_power(sta)
         for tones in {r.tones for r in engine.layout.rus}:
             alone = engine._link(power, sta, ap, tones)
-            shared = engine._link(power, sta, ap, tones, 2 * engine.nss, True)
+            shared = engine._link(power, sta, ap, tones, 2)
             for (mcs, bps), streams in ((alone, engine.nss), (shared, 2 * engine.nss)):
                 want_mcs, want_bps = budget_mcs(
                     ctx, power, sta, ap, tones * TONE_HZ, tones, streams,
@@ -104,8 +103,7 @@ def test_he_downlink_link_splits_the_ap_power():
             for users in (1, 2):
                 power = ap.tx_power_dbm - 10.0 * math.log10(n_rus) \
                     - 10.0 * math.log10(users)
-                mcs, bps = engine._link(power, ap, sta, tones,
-                                        engine.nss * users, users > 1)
+                mcs, bps = engine._link(power, ap, sta, tones, users)
                 want_mcs, want_bps = budget_mcs(
                     ctx, power, ap, sta, tones * TONE_HZ, tones,
                     engine.nss * users, users > 1, data_subcarriers(tones))
@@ -130,18 +128,16 @@ def test_every_link_of_a_single_bss_run_follows_the_budget(scheme, direction):
     calls = []
     link = engine._link
 
-    def recorded(power, tx, rx, tones=None, streams=None, shared=False):
-        result = link(power, tx, rx, tones, streams, shared)
-        calls.append((power, tx, rx, tones, streams or engine.nss, shared, result))
+    def recorded(power, tx, rx, tones=None, users=1):
+        result = link(power, tx, rx, tones, users)
+        calls.append((power, tx, rx, tones, users, result))
         return result
 
     engine._link = recorded
     ctx.run()
     assert calls
     ofdma = ctx.features.ofdma
-    for power, tx, rx, tones, streams, shared, result in calls:
-        users = streams // engine.nss
-        assert shared == (users > 1)
+    for power, tx, rx, tones, users, result in calls:
         assert (rx is ap) == (direction == "ul")
         want_power = tx.tx_power_dbm
         if tx is ap and ofdma:
@@ -153,10 +149,10 @@ def test_every_link_of_a_single_bss_run_follows_the_budget(scheme, direction):
         else:
             assert tones is None
             tones, band, subcarriers = 0, 20e6, VHT_DATA_SUBCARRIERS[20]
-        assert result == budget_mcs(ctx, power, tx, rx, band, tones, streams,
-                                    shared, subcarriers)
+        assert result == budget_mcs(ctx, power, tx, rx, band, tones,
+                                    engine.nss * users, users > 1, subcarriers)
     if ofdma:
-        assert any(shared for *_, shared, _ in calls)
+        assert any(users > 1 for *_, users, _ in calls)
 
 
 # --- the shortest DL round -----------------------------------------------------------
@@ -192,7 +188,7 @@ def dl_round(engine, budget_ns: int, backlogs: dict[int, int], index_of) -> tupl
         sta.flow.retry = np.arange(backlogs.get(sta.aid, 0), dtype=np.int64)
     links = []
 
-    def link(power, tx, rx, tones=None, streams=None, shared=False):
+    def link(power, tx, rx, tones=None, users=1):
         links.append(rx)
         return rate(engine, tones, index_of(rx.node_id, tones))
 

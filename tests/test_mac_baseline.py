@@ -1,9 +1,9 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from axsim.baseline import BackoffState
 from axsim.config import MacSection, default_config
 from axsim.contention import cap_at
 from axsim.core import DIFS, SIFS, SLOT_TIME, US, RngSet
@@ -15,49 +15,67 @@ from axsim.traffic import CbrFlow
 MAC = MacSection()
 
 
-def backoff() -> BackoffState:
-    """A contention window as the scenario tables set it."""
-    return BackoffState(MAC.cw_min, MAC.cw_max)
-
-
-class FixedRng:
-    def randint(self, a, b):
-        return a
-
-
 # --- backoff ---------------------------------------------------------------------
 
+def contender(**mac):
+    """The contention of a one-STA ac_baseline UL BSS, whose MacSection
+    takes the `mac` fields, and its STA."""
+    cfg = default_config("indoor_single", stas_per_bss=1, duration_s=0.01)
+    for key, value in mac.items():
+        setattr(cfg.mac, key, value)
+    ctx = RunContext(cfg, "ac_baseline")
+    return ctx.contention, ctx.engines[0].stas[0]
+
+
 def test_backoff_uniform_chi_square():
-    state = backoff()
-    rng = RngSet(11).stream("backoff")
+    contention, sta = contender()
     n = 100_000
     counts = [0] * 16
     for _ in range(n):
-        counts[state.draw(rng)] += 1
+        contention.redraw(sta, success=True)
+        counts[contention.counter[sta.node_id]] += 1
     expected = n / 16
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
     assert chi2 < 45.0  # df=15, far beyond the 0.1% critical value 37.7
 
 
 def test_backoff_degenerate_window():
-    state = BackoffState(0, 0)
-    assert state.draw(FixedRng()) == 0
+    contention, sta = contender(cw_min=0, cw_max=0)
+    contention.start(sta)
+    assert contention.counter[sta.node_id] == 0
+    contention.redraw(sta, success=False)
+    assert (contention.cw[sta.node_id], contention.counter[sta.node_id]) == (0, 0)
 
 
 def test_cw_doubling_saturates_at_1023():
-    state = backoff()
+    contention, sta = contender()
+    assert contention.cw[sta.node_id] == MAC.cw_min == 15
     for _ in range(6):
-        state.on_failure()
-    assert state.cw == min(1023, 2 ** 6 * 16 - 1) == 1023
+        contention.redraw(sta, success=False)
+    assert contention.cw[sta.node_id] == min(1023, 2 ** 6 * 16 - 1) == 1023
 
 
 def test_cw_resets_after_any_success():
-    state = backoff()
+    contention, sta = contender()
     for _ in range(4):
-        state.on_failure()
-    assert state.cw > 15
-    state.on_success()
-    assert state.cw == 15
+        contention.redraw(sta, success=False)
+    assert contention.cw[sta.node_id] > 15
+    contention.redraw(sta, success=True)
+    assert contention.cw[sta.node_id] == 15
+
+
+@pytest.mark.parametrize("direction", ["ul", "dl"])
+@pytest.mark.parametrize("scheme", ["ac_baseline", "ax_ofdma", "ax_ofdma_mumimo", "ax_sr"])
+def test_contenders_are_fixed_when_the_run_is_built(scheme, direction):
+    """Before the run, the contention maps exactly the engines' contending
+    nodes, each to its own BSS's engine: every STA under the 11ac scheme's
+    uplink, every AP otherwise."""
+    ctx = RunContext(default_config("indoor_multi", n_bss=3, stas_per_bss=4,
+                                    direction=direction, duration_s=0.01), scheme)
+    stas_contend = scheme == "ac_baseline" and direction == "ul"
+    want = {n.node_id: e for e in ctx.engines for n in e.nodes if n.is_ap != stas_contend}
+    assert ctx.contention.engine_of == want
+    assert set(want) == {n.node_id for e in ctx.engines for n in e.contending}
 
 
 def test_slot_relation():
@@ -98,7 +116,6 @@ def test_cs_virtual_dominates():
     nav.update(np.array([sta.node_id]), np.array([True]), engine.sim.now, 500 * US,
                is_cf_end=False)
     contention = engine.ctx.contention
-    contention.join(engine, sta)
     contention.start(sta)
     assert contention.pending[sta.node_id]
     assert contention.armed_at[sta.node_id] == nav.intra_expiry_ns[sta.node_id] \
@@ -230,7 +247,7 @@ def test_total_loss_requeues_and_doubles_cw():
         engine.sim.run_until(engine.sim.now + SLOT_TIME)
     engine.sim.run_until(sent[0].end_ns + SIFS + CTS_NS + SLOT_TIME)    # CTS timeout
     assert [tx.kind for tx in sent] == ["rts"]
-    assert sta.backoff.cw == 31
+    assert engine.ctx.contention.cw[sta.node_id] == 31
     assert sta.flow.backlog_count(engine.sim.now) == 1
     stats = engine.ctx.stats[sta.node_id]
     assert stats.mpdu_attempts == 0 and not stats.delivered.any()

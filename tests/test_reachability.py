@@ -45,7 +45,6 @@ KEEP = {
     ("ru", "validate_layout"): "test reference: checks the engine's RU plan",
     ("ru", "layout_catalog"): "test reference: pins the 20 MHz RU divisions",
     ("config", "load_config"): "test reference: scenario files read into ScenarioConfig",
-    ("core", "MS"): "test reference: the time unit tests write in",
 }
 
 # Class members no code under src/axsim reads, each with its reason.
