@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,17 +104,17 @@ class BssEngine:
 
     def on_air(self, tx: Transmission) -> None:
         """Doze phase at the start of a data PPDU: STAs the PPDU does not
-        involve and that sense it doze until its end, if they may."""
+        involve and that sense it (the hearers of its reach) doze until its
+        end, if they may."""
+        hearers = set(self.ctx.reach(tx).hearers.tolist())
         for node in self.stas:
-            if node.node_id == tx.tx_node or node.node_id in tx.involves:
+            if node.node_id not in hearers or node.node_id in tx.involves:
                 continue
             if node.power.dozing:
                 continue
-            cls = self.ctx.classify(node, tx)
-            wake_at = None
-            if tx.rx_dbm[node.node_id] >= self.cfg.phy.cca_threshold_dbm:
-                wake_at = intra_ppdu_doze(node.power, self.sim.now, cls,
-                                          ppdu_end_ns=tx.end_ns)
+            wake_at = intra_ppdu_doze(node.power, self.sim.now,
+                                      self.ctx.classify(node, tx),
+                                      ppdu_end_ns=tx.end_ns)
             if wake_at is not None:
                 self.sim.at(wake_at, lambda n=node: n.power.wake(self.sim.now))
 
@@ -792,6 +793,21 @@ def loss_matrix(x: np.ndarray, y: np.ndarray, model: phy.PathLossModel,
     return loss
 
 
+class Reach(NamedTuple):
+    """What every frame of one transmitter at one power per subchannel, in
+    one colour, does at the nodes that hear it (`RunContext.reach`).  Its
+    arrays run over the hearers only, none over all nodes."""
+
+    hearers: np.ndarray     # node ids at or above CCA, ascending; never the transmitter
+    blocked: np.ndarray     # the node ids of the hearers the frame blocks
+    # (node ids, SR power caps) of the hearers whose power it caps; None for none
+    caps: tuple[np.ndarray, np.ndarray] | None
+    # with spatial reuse, per hearer: whether the frame is intra-BSS there,
+    # and whether a readable frame loads a NAV there (None without)
+    intra: np.ndarray | None
+    keep: np.ndarray | None
+
+
 class RunContext:
     """Builds nodes, loss matrix (dB) and engines for one (scenario, scheme)
     run."""
@@ -829,6 +845,9 @@ class RunContext:
         self.busy_count = np.zeros(n, dtype=np.int32)
         self._busy_counted = True
         self._cs_state: tuple[np.ndarray, tuple[np.ndarray, ...] | None] | None = None
+        # every frame's reach, by (transmitter, power per subchannel, colour),
+        # filled as frames are sensed and heard
+        self.reaches: dict[tuple[int, float, int | None], Reach] = {}
 
         self.nodes: dict[int, SimNode] = {}
         self.stats: dict[int, FlowStats] = {}
@@ -870,9 +889,9 @@ class RunContext:
                 self._busy_counted = False
             elif self._busy_counted:
                 if event == "start":
-                    self.busy_count += self._cs_rows(tx)[0]
+                    self.busy_count[self._cs_rows(tx)[0]] += 1
                 else:
-                    self.busy_count -= tx.cs_rows[0]
+                    self.busy_count[tx.cs_rows[0]] -= 1
         if event == "end":
             self._nav_pass(tx)
         elif self.intra_ppdu_doze and tx.kind in ("ampdu", "he-mu", "he-tb"):
@@ -892,10 +911,12 @@ class RunContext:
 
     # --- carrier sense and NAV, over all nodes at once -----------------------------------
 
-    def _cs_rows(self, tx: Transmission) -> tuple[np.ndarray, np.ndarray | None]:
-        """(blocks, cap) rows of one sensed frame over all nodes: whether the
-        frame blocks the node, and the SR power cap it sets (inf for none;
-        the cap row is None if the frame caps no node).
+    def reach(self, tx: Transmission) -> Reach:
+        """The reach of tx, which it shares with every frame of its key
+        (transmitter, power per subchannel, colour): the key fixes tx.rx_dbm
+        and the colour rule, and every other input (CCA, the OBSS_PD levels,
+        worst_loss, the MCS0 threshold, the noise) is fixed for the run.
+        Worked out from tx.rx_dbm the first time its key is read.
 
         A frame below CCA neither blocks nor caps.  Above it, an intra-BSS
         frame blocks; with spatial reuse, an inter-BSS one (another colour;
@@ -903,29 +924,51 @@ class RunContext:
         power at the OBSS_PD boundary of spatial.max_sr_tx_power.  It blocks
         if no cap exists, if the cap is under MIN_SR_TXPWR_DBM, or if the
         capped power cannot close the node's BSS's worst link at the lowest
-        MCS.
+        MCS.  In the NAV pass, a readable inter-BSS frame under the OBSS_PD
+        maximum loads no NAV (`keep`): some reduced transmit power clears its
+        OBSS_PD level.
         """
-        # The cap is the power at which the OBSS_PD level, min + (ref - txpwr)
-        # clamped to [min, max], meets the sensed level: the largest power at
-        # which the node may ignore the frame.
-        if tx.cs_rows is None:
+        key = (tx.tx_node, tx.power_per_subchannel_dbm(), tx.color)
+        reach = self.reaches.get(key)
+        if reach is None:
             p = tx.rx_dbm
             hears = p >= self.cfg.phy.cca_threshold_dbm
             hears[tx.tx_node] = False
+            hearers = np.flatnonzero(hears)
             if not self.features.spatial_reuse:
-                tx.cs_rows = (hears, None)
-                return tx.cs_rows
-            allowed = spatial.max_sr_tx_power_row(p, self.cfg.sr)
-            snr = allowed - self.worst_loss \
-                - phy.noise_dbm(20e6, self.cfg.radio.noise_figure_db)
-            # where no cap exists allowed is NaN, every comparison with it is
-            # False, and the frame blocks
-            sr_ok = ~spatial.intra_bss(tx.color, self.colors) \
-                & (allowed >= MIN_SR_TXPWR_DBM) \
-                & (snr >= self.per_model.thresholds_db[0])
-            capped = hears & sr_ok
-            tx.cs_rows = (hears & ~sr_ok,
-                          np.where(capped, allowed, np.inf) if capped.any() else None)
+                reach = Reach(hearers, hearers, None, None, None)
+            else:
+                # The cap is the power at which the OBSS_PD level, min + (ref -
+                # txpwr) clamped to [min, max], meets the sensed level: the
+                # largest power at which the node may ignore the frame.
+                p = p[hearers]
+                allowed = spatial.max_sr_tx_power_row(p, self.cfg.sr)
+                snr = allowed - self.worst_loss[hearers] \
+                    - phy.noise_dbm(20e6, self.cfg.radio.noise_figure_db)
+                intra = spatial.intra_bss(tx.color, self.colors[hearers])
+                # where no cap exists allowed is NaN, every comparison with
+                # it is False, and the frame blocks
+                capped = ~intra & (allowed >= MIN_SR_TXPWR_DBM) \
+                    & (snr >= self.per_model.thresholds_db[0])
+                caps = (hearers[capped], allowed[capped]) if capped.any() else None
+                reach = Reach(hearers, hearers[~capped], caps, intra,
+                              intra | (p >= self.cfg.sr.obss_pd_max_dbm))
+            self.reaches[key] = reach
+        return reach
+
+    def _cs_rows(self, tx: Transmission) -> tuple[np.ndarray, np.ndarray | None]:
+        """(blocked, cap) of one sensed frame: the node ids it blocks, from
+        its reach, and its SR power cap row over all nodes (inf where it sets
+        none), None if it caps no node.  The cap row is the frame's own,
+        made when carrier sense first takes the frame and let go at its end."""
+        if tx.cs_rows is None:
+            reach = self.reach(tx)
+            cap = None
+            if reach.caps is not None:
+                ids, allowed = reach.caps
+                cap = np.full(len(self.colors), np.inf)
+                cap[ids] = allowed
+            tx.cs_rows = (reach.blocked, cap)
         return tx.cs_rows
 
     def carrier_state(self, sensed: list[Transmission]
@@ -936,16 +979,21 @@ class RunContext:
         node's SR power cap from them.
 
         busy_count holds, per node, how many frames of the list block it:
-        while a contender is active, a frame adds its block row at its start
-        and subtracts it at its end, and an exact integer count needs no
-        rebuild.  While none is, no frame changes it, and the first read
-        after counts the list again; a frame's rows are made when a count
-        first takes them."""
+        while a contender is active, a frame adds one at the nodes it blocks
+        at its start and takes it away at its end, and an exact integer count
+        needs no rebuild.  While none is, no frame changes it, and the first
+        read after counts the list again.
+
+        What a frame blocks and caps comes from its reach, one per
+        (transmitter, power per subchannel, colour) for the whole run; only
+        the cap row is made per frame (`_cs_rows`), as are its received
+        power in dBm (tx.rx_dbm, which a reach is worked out from) and the
+        slab's mW row its interference sums read."""
         if self._cs_state is None:
             if not self._busy_counted:
                 self.busy_count.fill(0)
                 for tx in sensed:
-                    self.busy_count += self._cs_rows(tx)[0]
+                    self.busy_count[self._cs_rows(tx)[0]] += 1
                 self._busy_counted = True
             caps = None
             if self.features.spatial_reuse:
@@ -955,38 +1003,36 @@ class RunContext:
         return self._cs_state
 
     def _nav_pass(self, tx: Transmission) -> None:
-        """NAV and EIFS updates at every node that hears a frame end."""
+        """NAV and EIFS updates at every node that hears a frame end: the
+        hearers of its reach."""
         if tx.nav_duration_ns <= 0 and tx.kind != "cf-end":
             return
-        hearing = np.flatnonzero(tx.rx_dbm >= self.cfg.phy.cca_threshold_dbm)
-        hearing = hearing[hearing != tx.tx_node]
+        reach = self.reach(tx)
+        hearing = reach.hearers
         if not len(hearing):
             return
         _, sinr = self.medium.nav_sinr_vector(tx, hearing)
-        if self.intra_ppdu_doze:        # no node dozes otherwise
-            awake = [not self.nodes[i].power.dozing for i in hearing.tolist()]
-            hearing = hearing[awake]
-            sinr = sinr[awake]
         now = self.sim.now
         # an unreadable frame sets no reservation but an EIFS deferral; a
         # corrupted one reads -inf everywhere, so is unreadable at every node.
         # An unreadable CF-End defers too: EIFS follows any frame received in
         # error (IEEE 802.11-2020, 10.3.2.3.7), whatever kind it would have been
         readable = sinr >= self.per_model.thresholds_db[0]
-        self.eifs_until_ns[hearing[~readable]] = now + (EIFS - DIFS)
-        hearing = hearing[readable]
-        if not self.features.spatial_reuse:     # legacy single-NAV behaviour
-            intra = np.ones(len(hearing), dtype=bool)
+        if self.intra_ppdu_doze:        # a dozing node neither reads nor defers
+            awake = np.array([not self.nodes[i].power.dozing for i in hearing.tolist()],
+                             dtype=bool)
+            self.eifs_until_ns[hearing[awake & ~readable]] = now + (EIFS - DIFS)
+            readable &= awake
         else:
-            intra = spatial.intra_bss(tx.color, self.colors[hearing])
-            # an inter-BSS frame under the OBSS_PD maximum: some reduced
-            # transmit power clears its OBSS_PD level, so skip the basic NAV
-            # and control power when contending
-            keep = intra | (tx.rx_dbm[hearing] >= self.cfg.sr.obss_pd_max_dbm)
-            hearing = hearing[keep]
-            intra = intra[keep]
-        self.nav.update(hearing, intra, now, tx.nav_duration_ns,
-                        is_cf_end=tx.kind == "cf-end")
+            self.eifs_until_ns[hearing[~readable]] = now + (EIFS - DIFS)
+        is_cf_end = tx.kind == "cf-end"
+        if not self.features.spatial_reuse:     # legacy single NAV: all intra-BSS
+            self.nav.load_intra(hearing[readable], now + tx.nav_duration_ns,
+                                is_cf_end=is_cf_end)
+        else:
+            keep = readable & reach.keep
+            self.nav.update(hearing[keep], reach.intra[keep], now, tx.nav_duration_ns,
+                            is_cf_end=is_cf_end)
 
     def loss(self, a: SimNode, b: SimNode) -> float:
         return float(self.loss_db[a.node_id, b.node_id])
@@ -1013,10 +1059,12 @@ class RunContext:
         last reference instead of waiting for the cyclic collector: the
         events left in the queue hold closures over the engines and frames,
         and the engines, the contender and the medium's listener point back
-        at the context.  What the context holds stays readable; the engines
-        and the contender no longer reach it."""
+        at the context.  What the context holds stays readable but for its
+        reaches, which only the run reads; the engines and the contender no
+        longer reach it."""
         self.sim.drop_pending()
         self.medium.listeners.clear()
+        self.reaches.clear()
         for engine in self.engines:
             del engine.ctx
         del self.contention.ctx

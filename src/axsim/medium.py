@@ -84,7 +84,8 @@ class Transmission:
     # mW twin is the medium's slab row at `row`, held from the handover
     rx_dbm: np.ndarray | None = None
     row: int = -1
-    # carrier-sense rows derived from rx_dbm by the run (RunContext)
+    # while on the air, once carrier sense takes it (RunContext._cs_rows):
+    # the node ids it blocks and its SR power cap row over all nodes
     cs_rows: tuple | None = None
     _per_subchannel_dbm: float = field(init=False, repr=False)
 
@@ -157,10 +158,13 @@ class Medium:
     every decode of the frame and its NAV pass read that walk.  A frame
     read while still on the air gets the same walk over what has been
     handed over so far.  A frame carries its received power at every node
-    in dBm (`rx_dbm`), for the thresholds, only while it is active; the
-    slab carries the same row in mW, for every sum, and every sum goes back
-    to dB through `phy.mw_to_dbm`.  ns-3's InterferenceHelper likewise
-    keeps powers linear and converts once in each direction.
+    in dBm (`rx_dbm`) only while it is active; the run works the
+    thresholds out from it once per (transmitter, power per subchannel,
+    colour), as the frame's reach (`RunContext.reach`), which later frames
+    of that key share.  The slab carries the same row in mW, for every
+    sum, and every sum goes back to dB through `phy.mw_to_dbm`.  ns-3's
+    InterferenceHelper likewise keeps powers linear and converts once in
+    each direction.
 
     A frame can be read while it is on the air and, after its end, in the
     rest of the instant it ended at (its decodes and NAV pass).  Only the

@@ -38,13 +38,17 @@ class TwoNav:
         holds: intra-BSS frames load the intra-BSS NAV and inter-BSS frames
         the basic NAV, each keeping the later expiry."""
         expiry = now_ns + duration_ns
-        intra = nodes[intra_mask]
-        if is_cf_end:
-            self.intra_expiry_ns[intra] = 0     # CF-End cancels the intra-BSS NAV only
-        else:
-            self.intra_expiry_ns[intra] = np.maximum(self.intra_expiry_ns[intra], expiry)
+        self.load_intra(nodes[intra_mask], expiry, is_cf_end=is_cf_end)
         inter = nodes[~intra_mask]
         self.basic_expiry_ns[inter] = np.maximum(self.basic_expiry_ns[inter], expiry)
+
+    def load_intra(self, nodes: np.ndarray, expiry_ns: int, *, is_cf_end: bool) -> None:
+        """An intra-BSS frame heard at nodes loads their intra-BSS NAV up to
+        expiry_ns, keeping the later expiry; a CF-End cancels it instead."""
+        if is_cf_end:
+            self.intra_expiry_ns[nodes] = 0     # CF-End cancels the intra-BSS NAV only
+        else:
+            self.intra_expiry_ns[nodes] = np.maximum(self.intra_expiry_ns[nodes], expiry_ns)
 
     def idle(self, node: int, now_ns: int, scheduled_in_intra_tf: bool = False) -> bool:
         """Virtual CS at node is idle iff both NAVs expired; a STA scheduled

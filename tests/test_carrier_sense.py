@@ -35,7 +35,7 @@ from axsim import phy, spatial
 from axsim.config import default_config
 from axsim.core import DIFS, SIFS, SLOT_TIME, US, Simulator
 from axsim.contention import cap_at
-from axsim.engine import EIFS, MIN_SR_TXPWR_DBM, BssEngine, Contender, RunContext
+from axsim.engine import EIFS, MIN_SR_TXPWR_DBM, BssEngine, Contender, Reach, RunContext
 from axsim.medium import SUBCHANNEL_HZ, Medium, RuPart, Transmission
 
 MULTI = dict(n_bss=3, stas_per_bss=8, per_sta_rate_mbps=13)
@@ -96,18 +96,32 @@ class OnAir:
         return out
 
 
+def reference_cap(ctx: RunContext, color: int, node_id: int, p: float) -> float | None:
+    """The SR power cap a frame of colour `color`, sensed at node_id at a
+    level p at or above CCA, sets there; None if it blocks the node.  It
+    blocks unless spatial reuse lets the node cap its power under an
+    inter-BSS frame's OBSS_PD level at a power that still closes its BSS's
+    worst link."""
+    node = ctx.nodes[node_id]
+    if not ctx.features.spatial_reuse \
+            or spatial.classify_frame(color, node.color) != spatial.INTER_BSS:
+        return None
+    engine = next(e for e in ctx.engines if e.bss_id == node.bss_id)
+    worst = max(ctx.loss(engine.ap, sta) for sta in engine.stas)
+    noise = phy.noise_dbm(20e6, ctx.cfg.radio.noise_figure_db)
+    allowed = spatial.max_sr_tx_power(p, ctx.cfg.sr)
+    if allowed is None or allowed < MIN_SR_TXPWR_DBM \
+            or allowed - worst - noise < ctx.per_model.thresholds_db[0]:
+        return None
+    return allowed
+
+
 def reference_cs_state(ctx: RunContext, on_air: OnAir,
                        node_id: int) -> tuple[int, float | None]:
     """Carrier sense of one node, one started frame at a time: how many
     frames block it, and the lowest SR power cap the others set (None for
     none).  A frame on the primary 20 MHz that has started and reaches CCA
-    blocks, unless spatial reuse lets the node cap its power under an
-    inter-BSS frame's OBSS_PD level at a power that still closes its BSS's
-    worst link."""
-    node = ctx.nodes[node_id]
-    engine = next(e for e in ctx.engines if e.bss_id == node.bss_id)
-    worst = max(ctx.loss(engine.ap, sta) for sta in engine.stas)
-    noise = phy.noise_dbm(20e6, ctx.cfg.radio.noise_figure_db)
+    blocks or caps (`reference_cap`)."""
     count = 0
     cap = None
     for tx in on_air():
@@ -116,16 +130,11 @@ def reference_cs_state(ctx: RunContext, on_air: OnAir,
         p = tx.power_per_subchannel_dbm() - ctx.loss_db[tx.tx_node, node_id]
         if p < ctx.cfg.phy.cca_threshold_dbm:
             continue
-        if not ctx.features.spatial_reuse \
-                or spatial.classify_frame(tx.color, node.color) != spatial.INTER_BSS:
+        allowed = reference_cap(ctx, tx.color, node_id, p)
+        if allowed is None:
             count += 1
-            continue
-        allowed = spatial.max_sr_tx_power(p, ctx.cfg.sr)
-        if allowed is None or allowed < MIN_SR_TXPWR_DBM \
-                or allowed - worst - noise < ctx.per_model.thresholds_db[0]:
-            count += 1
-            continue
-        cap = allowed if cap is None else min(cap, allowed)
+        else:
+            cap = allowed if cap is None else min(cap, allowed)
     return count, cap
 
 
@@ -149,7 +158,9 @@ def compare_cs_over_run(ctx: RunContext, step_ns: int) -> Counter:
         busy = ctx.busy_count
         sensed = ctx.medium.sensed()
         if sensed:
-            rows = np.logical_or.reduce([tx.cs_rows[0] for tx in sensed])
+            rows = np.zeros(len(busy), dtype=bool)
+            for tx in sensed:
+                rows[tx.cs_rows[0]] = True
             np.testing.assert_array_equal(busy > 0, rows)
         else:
             assert not busy.any(), ctx.sim.now
@@ -833,9 +844,9 @@ class ReferenceNavPass:
                 self.seen["intra"] += 1
 
 
-def compare_nav_over_run(ctx: RunContext) -> Counter:
-    """Run ctx to its end, comparing its NAV and EIFS arrays with the
-    reference after every frame end; returns what the reference saw."""
+def compare_nav_at_frame_ends(ctx: RunContext) -> Counter:
+    """Compare ctx's NAV and EIFS arrays with the reference after every
+    frame end from now on; returns what the reference sees."""
     ref = ReferenceNavPass(ctx)
 
     def check(event, tx):
@@ -848,8 +859,15 @@ def compare_nav_over_run(ctx: RunContext) -> Counter:
         ref.seen["frame_ends"] += 1
 
     ctx.medium.listeners.append(check)
-    ctx.sim.run_until(ctx.cfg.duration_ns)
     return ref.seen
+
+
+def compare_nav_over_run(ctx: RunContext) -> Counter:
+    """Run ctx to its end, comparing its NAV and EIFS arrays with the
+    reference after every frame end; returns what the reference saw."""
+    seen = compare_nav_at_frame_ends(ctx)
+    ctx.sim.run_until(ctx.cfg.duration_ns)
+    return seen
 
 
 @pytest.mark.parametrize("kind, scheme, overrides, doze, cases", [
@@ -873,3 +891,90 @@ def test_nav_pass_matches_the_per_node_loop_on_cf_end_and_corrupted_frames():
     ctx.cfg.mac.ra_ru_fraction = 0.34
     seen = compare_nav_over_run(ctx)
     assert seen["cf_end_reset"] > 0 and seen["corrupt"] > 0, seen
+
+
+# --- reach ---------------------------------------------------------------------------
+
+def reach_lists(reach: Reach) -> tuple:
+    caps = None if reach.caps is None else dict(zip(*(a.tolist() for a in reach.caps)))
+    return (reach.hearers.tolist(), reach.blocked.tolist(), caps,
+            None if reach.intra is None else reach.intra.tolist(),
+            None if reach.keep is None else reach.keep.tolist())
+
+
+def reference_reach(ctx: RunContext, tx: Transmission) -> tuple:
+    """reach_lists of tx's reach, worked out one node at a time from its own
+    rx_dbm: the nodes at or above CCA but its transmitter, those it blocks,
+    the SR caps it sets, and with spatial reuse, where it is intra-BSS and
+    where a readable frame loads a NAV (all but inter-BSS levels under the
+    OBSS_PD maximum)."""
+    hearers, blocked, caps, intra, keep = [], [], {}, [], []
+    for i, node in sorted(ctx.nodes.items()):
+        p = float(tx.rx_dbm[i])
+        if i == tx.tx_node or p < ctx.cfg.phy.cca_threshold_dbm:
+            continue
+        hearers.append(i)
+        allowed = reference_cap(ctx, tx.color, i, p)
+        if allowed is None:
+            blocked.append(i)
+        else:
+            caps[i] = allowed
+        is_intra = spatial.classify_frame(tx.color, node.color) == spatial.INTRA_BSS
+        intra.append(is_intra)
+        keep.append(is_intra or p >= ctx.cfg.sr.obss_pd_max_dbm)
+    if not ctx.features.spatial_reuse:
+        return hearers, blocked, None, None, None
+    return hearers, blocked, caps or None, intra, keep
+
+
+def test_every_frame_reads_the_reach_of_its_own_power_and_colour():
+    """One STA sends at two powers per subchannel, then in another BSS's
+    colour: a reach keyed without the power or the colour would give the
+    later frames the first one's.  No workload sends from one node at two
+    powers.  Each frame's reach must be its own, and carrier sense and the
+    NAV pass must follow the per-node rules, which read each frame's power."""
+    ctx = RunContext(default_config("indoor_multi", duration_s=0.01, **MULTI), "ax_sr")
+    sta = ctx.engines[0].stas[0]
+    sends = [(20.0, sta.color), (5.0, sta.color), (20.0, ctx.engines[1].ap.color)]
+    for k, (power, color) in enumerate(sends):
+        start = 1 + k * 300 * US
+        ctx.sim.at(start, lambda tx=Transmission(
+            0, sta.node_id, sta.bss_id, "ampdu", start, start + 200 * US,
+            ctx.subchannels, power, color=color, nav_duration_ns=50 * US):
+            ctx.medium.transmit(tx))
+    reaches = []
+
+    def check(event, tx):
+        if event == "end":
+            reaches.append(reference_reach(ctx, tx))
+            assert reach_lists(ctx.reach(tx)) == reaches[-1]
+
+    ctx.medium.listeners.append(check)
+    nav_seen = compare_nav_at_frame_ends(ctx)
+    cs_seen = compare_cs_over_run(ctx, 97 * US)
+    assert len(reaches) == 3 and len(ctx.reaches) == 3
+    (hearers, _, caps, intra, _), lower, recoloured = reaches
+    assert lower[0] != hearers and lower[2] != caps     # the power moves both
+    assert recoloured[0] == hearers and recoloured[3] != intra
+    assert nav_seen["intra"] > 0 and nav_seen["basic"] > 0, nav_seen
+    assert cs_seen["busy"] > 0 and cs_seen["capped"] > 0, cs_seen
+
+
+def test_the_reach_cache_holds_one_entry_per_key_over_the_hearers_only():
+    ctx = started("ax_sr", **MULTI)
+    keys = set()
+    transmit = ctx.medium.transmit
+
+    def handing_over(tx, then=None):
+        keys.add((tx.tx_node, tx.power_per_subchannel_dbm(), tx.color))
+        return transmit(tx, then)
+
+    ctx.medium.transmit = handing_over
+    ctx.sim.run_until(ctx.cfg.duration_ns)
+    assert len(keys) > 20 and set(ctx.reaches) == keys
+    n = len(ctx.nodes)
+    for reach in ctx.reaches.values():
+        arrays = [reach.hearers, reach.blocked, *(reach.caps or ()), reach.intra, reach.keep]
+        assert all(len(a) <= len(reach.hearers) < n for a in arrays)
+    ctx.close()
+    assert not ctx.reaches
