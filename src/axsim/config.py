@@ -12,6 +12,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .mu import MAX_AID
+
 INDOOR_SINGLE = "indoor_single"
 OUTDOOR_SINGLE = "outdoor_single"
 INDOOR_MULTI = "indoor_multi"
@@ -125,6 +127,8 @@ class ScenarioConfig:
             problems.append(f"direction must be ul or dl, got {self.direction!r}")
         if self.n_bss < 1 or self.stas_per_bss < 1:
             problems.append("need at least one BSS and one STA")
+        if self.stas_per_bss > MAX_AID:     # a STA's AID is its position in its BSS
+            problems.append(f"at most {MAX_AID} STAs per BSS, the largest AID")
         if not 0 < self.duration_s:
             problems.append("duration must be positive")
         if not 0 <= self.warmup_fraction < 1:

@@ -20,15 +20,18 @@ if TYPE_CHECKING:
     from .engine import BssEngine, RunContext, SimNode
 
 
-def cap_at(caps: tuple[np.ndarray, ...] | None, ids):
-    """The SR power cap at `ids` (a node id or an index array) from the cap
-    rows of `BssEngine.cs_state`: the lowest any sensed frame sets there,
-    inf for none."""
-    if caps is None:
-        return math.inf
-    if len(caps) == 1:
-        return caps[0][ids]
-    return np.minimum.reduce([row[ids] for row in caps])
+Caps = tuple[tuple[np.ndarray, np.ndarray], ...]    # per frame: (node ids ascending, caps)
+
+
+def cap_at(caps: Caps | None, i: int) -> float:
+    """The SR power cap at node i from the caps of `BssEngine.cs_state`: the
+    lowest any sensed frame sets there, inf for none."""
+    cap = math.inf
+    for ids, allowed in caps or ():
+        k = ids.searchsorted(i)
+        if k < len(ids) and ids.item(k) == i:
+            cap = min(cap, allowed.item(k))
+    return cap
 
 
 def attempt_times(maximum, now, intra_nav_ns, basic_nav_ns, eifs_ns, counter):
@@ -49,9 +52,11 @@ class Contender:
     whether an attempt is armed (`pending`), its contention window (`cw`),
     its backoff counter (-1 while none is drawn), when its armed attempt's
     AIFS starts (`armed_at`), the seq of that attempt's event, and the SR
-    power cap it transmits under (inf for none).  An attempt is stale once
-    its node no longer holds its seq: a freeze writes -1, a re-arm a new
-    seq.
+    power cap it transmits under (inf for none).  The cap is taken once,
+    when the backoff reaches zero (`_fire`), and holds for the TXOP that
+    follows (IEEE 802.11ax-2021, 26.10.2); arming and freezing read only
+    whether a node is blocked.  An attempt is stale once its node no longer
+    holds its seq: a freeze writes -1, a re-arm a new seq.
 
     The attempts one step arms share one heap entry at a time
     (`_fire_batch`): it sits at the earliest of them, and when it pops it
@@ -87,9 +92,8 @@ class Contender:
         engine = self.engine_of[i]
         if self.counter[i] < 0:
             self.counter[i] = engine.rng_backoff.randint(0, self.cw.item(i))
-        blocked, caps = engine.cs_state()
-        if not blocked.item(i):
-            self._arm(i, caps)
+        if not engine.cs_state()[0].item(i):
+            self._arm(i)
 
     def redraw(self, node: SimNode, success: bool) -> None:
         """node's TXOP ended: its window resets to cw_min on success and
@@ -100,12 +104,10 @@ class Contender:
         self.cw[i] = cw
         self.counter[i] = self.engine_of[i].rng_backoff.randint(0, cw)
 
-    def on_medium_change(self, blocked: np.ndarray,
-                         caps: tuple[np.ndarray, ...] | None) -> None:
+    def on_medium_change(self, blocked: np.ndarray) -> None:
         """Bring every active node's attempt in line with its carrier state
-        (`blocked`, and the cap rows `caps`): freeze the armed attempts on a
-        busy medium, keeping the whole slots counted down since AIFS, and
-        arm one on an idle medium."""
+        (`blocked`): freeze the armed attempts on a busy medium, keeping the
+        whole slots counted down since AIFS, and arm one on an idle medium."""
         ids = (self.active & (self.pending == blocked)).nonzero()[0]
         if not len(ids):
             return
@@ -119,11 +121,10 @@ class Contender:
             self.counter[frozen] = np.maximum(
                 self.counter[frozen] - np.maximum(elapsed, 0) // SLOT_TIME, 0)
         if len(frozen) < len(ids):
-            self._arm_all(ids[~busy], caps)
+            self._arm_all(ids[~busy])
 
-    def _arm(self, i: int, caps: tuple[np.ndarray, ...] | None) -> None:
-        """Arm an attempt at node i on an idle medium, under the SR power cap
-        `caps` set there."""
+    def _arm(self, i: int) -> None:
+        """Arm an attempt at node i on an idle medium."""
         nav = self.ctx.nav
         start, fire_at = attempt_times(
             max, self.sim.now, nav.intra_expiry_ns.item(i),
@@ -131,11 +132,10 @@ class Contender:
             self.counter.item(i))
         self.armed_at[i] = start
         self.pending[i] = True
-        self.sr_cap_dbm[i] = cap_at(caps, i)
         seq = self.seq[i] = self.sim.scheduled
         self.sim.at(fire_at, partial(self._fire, i, seq))
 
-    def _arm_all(self, ids: np.ndarray, caps: tuple[np.ndarray, ...] | None) -> None:
+    def _arm_all(self, ids: np.ndarray) -> None:
         """_arm at every node of `ids`, in numpy expressions: the attempts
         take consecutive seqs in ascending node id, the places as many _arm
         calls would give them, and go into the queue as one batch ordered
@@ -150,7 +150,6 @@ class Contender:
             self.counter[ids])
         self.armed_at[ids] = start
         self.pending[ids] = True
-        self.sr_cap_dbm[ids] = cap_at(caps, ids)
         first = self.sim.reserve(len(ids))
         self.seq[ids] = np.arange(first, first + len(ids))
         # seqs ascend with ids, so a stable sort on time orders by (time, seq)
@@ -181,7 +180,7 @@ class Contender:
         if blocked.item(i):
             return              # re-armed by the medium change that clears it
         if not self.ctx.nav.idle(i, self.sim.now):
-            self._arm(i, caps)
+            self._arm(i)
             return
         self.sr_cap_dbm[i] = cap_at(caps, i)
         self.counter[i] = -1

@@ -13,7 +13,7 @@ import numpy as np
 from . import frames, mu, phy, ru, spatial
 from .config import (DL, INDOOR_MULTI, INDOOR_SINGLE, OUTDOOR_MULTI, OUTDOOR_SINGLE,
                      ScenarioConfig, Scheme, scheme_features)
-from .contention import Contender
+from .contention import Caps, Contender
 from .core import DIFS, MS, SIFS, SLOT_TIME, US, RngSet, RngStream, Simulator
 from .medium import Medium, RuPart, Transmission
 from .power import PowerState, intra_ppdu_doze
@@ -47,8 +47,9 @@ class SimNode:
     obo: mu.OboState | None = None
     in_txop: bool = False                     # holder side of a running exchange
     # A STA's AID: its 1-based position among its BSS's STAs, so ascending
-    # with node id as build_schedule expects.  Node ids would reach the
-    # reserved AID12 2045 in large layouts.  0 for an AP.
+    # with node id as build_schedule expects, and at most mu.MAX_AID, which
+    # ScenarioConfig.validate holds stas_per_bss to.  Node ids would reach
+    # the reserved AID12 2045 in large layouts.  0 for an AP.
     aid: int = 0
 
 
@@ -96,8 +97,8 @@ class BssEngine:
 
     # --- carrier sensing / doze ----------------------------------------------------
 
-    def cs_state(self) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
-        """(blocked row over all nodes, cap rows) from the frames the medium
+    def cs_state(self) -> tuple[np.ndarray, Caps | None]:
+        """(blocked row over all nodes, caps) from the frames the medium
         senses now; see RunContext.carrier_state for the rule.  The only
         caller of Medium.sensed."""
         return self.ctx.carrier_state(self.medium.sensed())
@@ -844,7 +845,7 @@ class RunContext:
         # they give, None until the first read after a change
         self.busy_count = np.zeros(n, dtype=np.int32)
         self._busy_counted = True
-        self._cs_state: tuple[np.ndarray, tuple[np.ndarray, ...] | None] | None = None
+        self._cs_state: tuple[np.ndarray, Caps | None] | None = None
         # every frame's reach, by (transmitter, power per subchannel, colour),
         # filled as frames are sensed and heard
         self.reaches: dict[tuple[int, float, int | None], Reach] = {}
@@ -888,10 +889,7 @@ class RunContext:
             if not self.contention.n_active:
                 self._busy_counted = False
             elif self._busy_counted:
-                if event == "start":
-                    self.busy_count[self._cs_rows(tx)[0]] += 1
-                else:
-                    self.busy_count[tx.cs_rows[0]] -= 1
+                self.busy_count[self.reach(tx).blocked] += 1 if event == "start" else -1
         if event == "end":
             self._nav_pass(tx)
         elif self.intra_ppdu_doze and tx.kind in ("ampdu", "he-mu", "he-tb"):
@@ -900,7 +898,7 @@ class RunContext:
         # every active contender follows its node's carrier state, read once
         # per medium change
         if self.contention.n_active:
-            self.contention.on_medium_change(*self.engines[0].cs_state())
+            self.contention.on_medium_change(self.engines[0].cs_state()[0])
 
     def classify(self, node: SimNode, tx: Transmission) -> str:
         """Intra- or inter-BSS, as node classifies the frame tx: by BSS
@@ -913,10 +911,11 @@ class RunContext:
 
     def reach(self, tx: Transmission) -> Reach:
         """The reach of tx, which it shares with every frame of its key
-        (transmitter, power per subchannel, colour): the key fixes tx.rx_dbm
-        and the colour rule, and every other input (CCA, the OBSS_PD levels,
-        worst_loss, the MCS0 threshold, the noise) is fixed for the run.
-        Worked out from tx.rx_dbm the first time its key is read.
+        (transmitter, power per subchannel, colour): the key fixes tx's
+        received power at every node and the colour rule, and every other
+        input (CCA, the OBSS_PD levels, worst_loss, the MCS0 threshold, the
+        noise) is fixed for the run.  Worked out from the link budget the
+        first time its key is read; tx keeps it from its first read on.
 
         A frame below CCA neither blocks nor caps.  Above it, an intra-BSS
         frame blocks; with spatial reuse, an inter-BSS one (another colour;
@@ -928,10 +927,12 @@ class RunContext:
         maximum loads no NAV (`keep`): some reduced transmit power clears its
         OBSS_PD level.
         """
+        if tx.reach is not None:
+            return tx.reach
         key = (tx.tx_node, tx.power_per_subchannel_dbm(), tx.color)
         reach = self.reaches.get(key)
         if reach is None:
-            p = tx.rx_dbm
+            p = tx.power_per_subchannel_dbm() - self.loss_db[tx.tx_node]
             hears = p >= self.cfg.phy.cca_threshold_dbm
             hears[tx.tx_node] = False
             hearers = np.flatnonzero(hears)
@@ -954,51 +955,37 @@ class RunContext:
                 reach = Reach(hearers, hearers[~capped], caps, intra,
                               intra | (p >= self.cfg.sr.obss_pd_max_dbm))
             self.reaches[key] = reach
+        tx.reach = reach
         return reach
 
-    def _cs_rows(self, tx: Transmission) -> tuple[np.ndarray, np.ndarray | None]:
-        """(blocked, cap) of one sensed frame: the node ids it blocks, from
-        its reach, and its SR power cap row over all nodes (inf where it sets
-        none), None if it caps no node.  The cap row is the frame's own,
-        made when carrier sense first takes the frame and let go at its end."""
-        if tx.cs_rows is None:
-            reach = self.reach(tx)
-            cap = None
-            if reach.caps is not None:
-                ids, allowed = reach.caps
-                cap = np.full(len(self.colors), np.inf)
-                cap[ids] = allowed
-            tx.cs_rows = (reach.blocked, cap)
-        return tx.cs_rows
-
-    def carrier_state(self, sensed: list[Transmission]
-                      ) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
+    def carrier_state(self, sensed: list[Transmission]) -> tuple[np.ndarray, Caps | None]:
         """(blocked, caps) for the medium's list of sensed frames: a node is
-        blocked if any frame blocks it; caps are the cap rows of the frames
-        that cap some node, None for none, and contention.cap_at reads a
-        node's SR power cap from them.
+        blocked if any frame blocks it; caps are the (node ids, caps) pairs
+        of the reaches of the frames that cap some node, None for none, and
+        contention.cap_at reads a node's SR power cap from them when its
+        attempt fires.
 
         busy_count holds, per node, how many frames of the list block it:
         while a contender is active, a frame adds one at the nodes it blocks
         at its start and takes it away at its end, and an exact integer count
         needs no rebuild.  While none is, no frame changes it, and the first
-        read after counts the list again.
+        read after counts the list again.  Either way every sensed frame
+        holds its reach once counted.
 
         What a frame blocks and caps comes from its reach, one per
-        (transmitter, power per subchannel, colour) for the whole run; only
-        the cap row is made per frame (`_cs_rows`), as are its received
-        power in dBm (tx.rx_dbm, which a reach is worked out from) and the
-        slab's mW row its interference sums read."""
+        (transmitter, power per subchannel, colour) for the whole run, whose
+        arrays run over the hearers only; a frame carries no array over all
+        nodes but the slab's mW row its interference sums read."""
         if self._cs_state is None:
             if not self._busy_counted:
                 self.busy_count.fill(0)
                 for tx in sensed:
-                    self.busy_count[self._cs_rows(tx)[0]] += 1
+                    self.busy_count[self.reach(tx).blocked] += 1
                 self._busy_counted = True
             caps = None
             if self.features.spatial_reuse:
-                caps = tuple(tx.cs_rows[1] for tx in sensed
-                             if tx.cs_rows[1] is not None) or None
+                caps = tuple(tx.reach.caps for tx in sensed
+                             if tx.reach.caps is not None) or None
             self._cs_state = (self.busy_count > 0, caps)
         return self._cs_state
 

@@ -32,12 +32,16 @@ from collections import deque
 from collections.abc import Collection
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import phy
 from .core import Simulator
 from .ru import RuAssignment
+
+if TYPE_CHECKING:
+    from .engine import Reach
 
 SUBCHANNEL_HZ = 20e6
 
@@ -80,13 +84,12 @@ class Transmission:
     peers: list[Record] | None = None
     # from its end: what every decode and its NAV pass read of its interferers
     overlaps: Overlaps | None = None
-    # received power on the primary 20 MHz at every node, while active; its
-    # mW twin is the medium's slab row at `row`, held from the handover
-    rx_dbm: np.ndarray | None = None
+    # its received power in mW at every node: the medium's slab row at
+    # `row`, held from the handover
     row: int = -1
-    # while on the air, once carrier sense takes it (RunContext._cs_rows):
-    # the node ids it blocks and its SR power cap row over all nodes
-    cs_rows: tuple | None = None
+    # what it does at the nodes that hear it, shared with every frame of its
+    # key; set the first time the run reads it (RunContext.reach)
+    reach: Reach | None = None
     _per_subchannel_dbm: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -157,14 +160,14 @@ class Medium:
     walks them once (`overlapping`), before the end listeners run, and
     every decode of the frame and its NAV pass read that walk.  A frame
     read while still on the air gets the same walk over what has been
-    handed over so far.  A frame carries its received power at every node
-    in dBm (`rx_dbm`) only while it is active; the run works the
-    thresholds out from it once per (transmitter, power per subchannel,
-    colour), as the frame's reach (`RunContext.reach`), which later frames
-    of that key share.  The slab carries the same row in mW, for every
-    sum, and every sum goes back to dB through `phy.mw_to_dbm`.  ns-3's
-    InterferenceHelper likewise keeps powers linear and converts once in
-    each direction.
+    handed over so far.  A frame carries no array over all nodes: its
+    received power in mW lives in its slab row, for every sum, and every
+    sum goes back to dB through `phy.mw_to_dbm`.  ns-3's InterferenceHelper
+    likewise keeps powers linear and converts once in each direction.  The
+    run works the thresholds out once per (transmitter, power per
+    subchannel, colour), from the link budget in dB, as the frame's reach
+    (`RunContext.reach`); the frame keeps a reference to it, which later
+    frames of that key share.
 
     A frame can be read while it is on the air and, after its end, in the
     rest of the instant it ended at (its decodes and NAV pass).  Only the
@@ -227,9 +230,9 @@ class Medium:
         row = tx.row = self._free.pop()
         if tx.end_ns > self._latest_end:
             self._latest_end = tx.end_ns
-        tx.rx_dbm = tx.power_per_subchannel_dbm() - self.loss_db[tx.tx_node]
         mw = self._slab[row]
-        np.divide(tx.rx_dbm, 10.0, out=mw)
+        np.subtract(tx.power_per_subchannel_dbm(), self.loss_db[tx.tx_node], out=mw)
+        np.divide(mw, 10.0, out=mw)
         np.power(10.0, mw, out=mw)
         if len(self._log) >= self._trim_at:
             self._trim_log(position)
@@ -311,16 +314,15 @@ class Medium:
         self._held.append((self._latest_end, tx.row))
         for listener in self.listeners:
             listener("end", tx)
-        tx.rx_dbm = tx.cs_rows = None
         if then is not None:
             then(tx)
 
     # --- carrier sensing -------------------------------------------------------
 
     def sensed(self) -> list[Transmission]:
-        """The frames on the air on the primary 20 MHz, whose power at every
-        node is their `rx_dbm`; a node ignores its own.  One list, changed
-        only by start and end events and shared by every caller."""
+        """The frames on the air on the primary 20 MHz, which block or cap
+        the nodes their reach says; a node ignores its own.  One list,
+        changed only by start and end events and shared by every caller."""
         return self._on_air
 
     # --- decoding ---------------------------------------------------------------

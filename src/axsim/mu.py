@@ -11,6 +11,7 @@ from .ru import RuAssignment, RuLayout, mu_mimo_admissible
 
 AID_RANDOM_ACCESS = 0          # RU open to associated STAs
 AID_UNASSOCIATED = 2045        # RU open to unassociated STAs
+MAX_AID = 2007                 # the largest AID an AP assigns (IEEE 802.11-2020, 9.4.1.8)
 AID_RESERVED = 4095            # never defined; the validator rejects it
 
 

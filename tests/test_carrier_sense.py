@@ -1,30 +1,33 @@
 """Carrier sense, contention, decode SINR and the NAV pass against scalar
 references.
 
-The engine derives carrier sense and NAV readability from one received-power
-row per frame, for all nodes at once.  These tests restate the rules one
-node and one frame at a time and compare, and check that a frame's rows are
-released once it has ended.  A frame is sensed from its start event until
-its end event.  The run keeps, per node, a count of the sensed frames that
-block it; the references count them one by one over the frames whose start
-listener has run, and the medium's one list of frames on the air is checked
-against that filter at every read.  An attempt that fires at a frame's
-start instant was armed before the frame's handover, so it fires before
-the start event and transmits; one that fires later meets the frame.  One
-batched step per medium change freezes and arms exactly
-the contenders whose attempt disagrees with their node's carrier state; the
-contention tests check that none is left out of step, that each medium
-change reads the carrier state at most once, and that attempts keep their
-place among events of the same instant, also when they wait in the queue
-behind a frozen or re-armed attempt of their batch.  Decode SINR and NAV
-readability read one walk of each frame's interferers; the references walk
-the whole frames on the air with it, one by one.  Every power sum, theirs
-too, adds received powers in mW, each frame's row made once with numpy's
-power, and goes back to dB through numpy's log10, so they compare with ==.
+The engine derives carrier sense and NAV readability from one reach per
+(transmitter, power, colour), for all nodes at once.  These tests restate
+the rules one node and one frame at a time, from the link budget, and
+compare, and check that no frame carries an array over all nodes.  A frame
+is sensed from its start event until its end event.  The run keeps, per
+node, a count of the sensed frames that block it; the references count them
+one by one over the frames whose start listener has run, and the medium's
+one list of frames on the air is checked against that filter at every
+read.  An attempt that fires at a frame's start instant was armed before
+the frame's handover, so it fires before the start event and transmits; one
+that fires later meets the frame.  One batched step per medium change
+freezes and arms exactly the contenders whose attempt disagrees with their
+node's carrier state; the contention tests check that none is left out of
+step, that each medium change reads the carrier state at most once, that
+each attempt takes its SR power cap when it fires and its TXOP sends every
+frame under it, and that attempts keep their place among events of the
+same instant, also when they wait in the queue behind a frozen or re-armed
+attempt of their batch.  Decode SINR and NAV readability read one walk of
+each frame's interferers; the references walk the whole frames on the air
+with it, one by one.  Every power sum, theirs too, adds received powers in
+mW, each frame's row made once with numpy's power, and goes back to dB
+through numpy's log10, so they compare with ==.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -56,10 +59,16 @@ def started(scheme: str, kind: str = "indoor_multi", direction: str = "ul",
     return ctx
 
 
+def rx_dbm(ctx: RunContext, tx: Transmission) -> np.ndarray:
+    """tx's received power per 20 MHz subchannel at every node, in dBm: its
+    power less the loss to each node."""
+    return tx.power_per_subchannel_dbm() - ctx.loss_db[tx.tx_node]
+
+
 def rx_mw(ctx: RunContext, tx: Transmission) -> np.ndarray:
-    """tx's received power per 20 MHz subchannel at every node, in mW: the
-    one conversion from dBm, a numpy power over the whole row."""
-    return np.power(10.0, (tx.power_per_subchannel_dbm() - ctx.loss_db[tx.tx_node]) / 10.0)
+    """rx_dbm in mW: the one conversion from dBm, a numpy power over the
+    whole row."""
+    return np.power(10.0, rx_dbm(ctx, tx) / 10.0)
 
 
 def noise_mw(ctx: RunContext, band_hz: float) -> float:
@@ -142,14 +151,13 @@ def compare_cs_over_run(ctx: RunContext, step_ns: int) -> Counter:
     """Compare the carrier state with the reference for every node at every
     frame start and end and on a time grid: each node's busy count with the
     frames that block it, `count > 0` with the OR of the sensed frames'
-    block rows (all counts zero when nothing is sensed) and an unblocked
-    node's SR power cap with the lowest the frames set.  At every medium
-    change, each node the change arms must transmit under that cap.  Counts
-    what was seen."""
+    blocked nodes (all counts zero when nothing is sensed) and an unblocked
+    node's SR power cap with the lowest the frames set.  Each node whose
+    backoff completes must be unblocked and take that cap, which its TXOP
+    transmits under.  Counts what was seen."""
     seen = Counter()
     nodes = sorted(ctx.nodes)
     contention = ctx.contention
-    seqs_before = []
     on_air = OnAir(ctx)
 
     def check(*_):
@@ -160,7 +168,7 @@ def compare_cs_over_run(ctx: RunContext, step_ns: int) -> Counter:
         if sensed:
             rows = np.zeros(len(busy), dtype=bool)
             for tx in sensed:
-                rows[tx.cs_rows[0]] = True
+                rows[ctx.reach(tx).blocked] = True
             np.testing.assert_array_equal(busy > 0, rows)
         else:
             assert not busy.any(), ctx.sim.now
@@ -175,20 +183,20 @@ def compare_cs_over_run(ctx: RunContext, step_ns: int) -> Counter:
             seen["busy"] += count > 0
             seen["capped"] += not count and cap is not None
 
-    def before_change(*_):          # runs before RunContext._dispatch_air
-        seqs_before.append(contention.seq.copy())
+    def firing(on_backoff_complete):
+        def fired(node):
+            count, cap = reference_cs_state(ctx, on_air, node.node_id)
+            assert count == 0, (ctx.sim.now, node.node_id)
+            assert contention.sr_cap_dbm[node.node_id] == \
+                (math.inf if cap is None else cap), (ctx.sim.now, node.node_id)
+            seen["fired"] += 1
+            seen["fired_capped"] += cap is not None
+            on_backoff_complete(node)
+        return fired
 
-    def after_change(*_):
-        check()
-        armed = contention.pending & (contention.seq != seqs_before.pop())
-        for node_id in armed.nonzero()[0].tolist():
-            _, cap = reference_cs_state(ctx, on_air, node_id)
-            assert contention.sr_cap_dbm[node_id] == (math.inf if cap is None else cap)
-            seen["armed"] += 1
-            seen["armed_capped"] += cap is not None
-
-    ctx.medium.listeners.insert(0, before_change)
-    ctx.medium.listeners.append(after_change)
+    for engine in ctx.engines:
+        engine.on_backoff_complete = firing(engine.on_backoff_complete)
+    ctx.medium.listeners.append(check)          # runs after RunContext._dispatch_air
     for t in range(step_ns, ctx.cfg.duration_ns + 1, step_ns):
         ctx.sim.run_until(t)
         check()
@@ -209,7 +217,7 @@ def test_cs_state_matches_the_scalar_rule_without_spatial_reuse():
 def test_busy_counts_match_the_sensed_frames_over_the_golden_runs(scheme, direction):
     ctx = started(scheme, direction=direction, duration_s=0.2, **MULTI)
     seen = compare_cs_over_run(ctx, 97 * US)
-    assert seen["busy"] > 0 and seen["idle"] > 0 and seen["armed"] > 50, seen
+    assert seen["busy"] > 0 and seen["idle"] > 0 and seen["fired"] > 50, seen
 
 
 @pytest.mark.parametrize("scheme, direction", [
@@ -287,8 +295,8 @@ def test_link_adaptation_reads_the_frames_carrier_sense_reads(
 # With the default OBSS_PD range every cap clears MIN_SR_TXPWR_DBM; a higher
 # OBSS_PD maximum lets stronger frames set caps below it, and indoor links
 # are short enough for such caps to pass the worst-link test.  A 12 dB noise
-# figure moves that test.  The default-range run is 0.2 s long: its AP arms
-# only a few times in 0.05 s, and none of those arms is capped.
+# figure moves that test.  The default-range run is 0.2 s long, over which
+# its APs' attempts fire 312 times, 137 of them under a cap.
 @pytest.mark.parametrize("kind, overrides, sr", [
     ("outdoor_multi", dict(n_bss=4, stas_per_bss=6, per_sta_rate_mbps=20,
                            duration_s=0.2), {}),
@@ -301,7 +309,58 @@ def test_cs_state_matches_the_scalar_rule_with_spatial_reuse(kind, overrides, sr
     seen = compare_cs_over_run(ctx, 97 * US)
     assert seen["busy"] > 0
     assert seen["capped"] > 0       # some node may transmit at an SR power cap
-    assert seen["armed_capped"] > 0, seen
+    assert seen["fired_capped"] > 0, seen
+
+
+# The golden ax_sr points (tests/test_golden.py), with and without doze.  Only
+# the AP contends under the HE schemes, so every TXOP is an AP's, and the
+# STAs' HE-TBs in it follow the AP's cap.
+@pytest.mark.parametrize("direction, doze", [
+    ("ul", False), ("dl", False), ("ul", True), ("dl", True),
+])
+def test_every_frame_of_a_txop_goes_out_under_the_cap_taken_at_its_fire(
+        direction, doze):
+    """Under OBSS_PD the transmit power restriction is fixed when the backoff
+    reaches zero and holds for the TXOP that follows (IEEE 802.11ax-2021,
+    26.10.2): every frame of a TXOP goes out at min(its sender's power, cap),
+    cap being the scalar reference cap at the TXOP's holder when its
+    attempt fired.  A cap taken when the attempt was armed misses the
+    capping frames that start during the countdown, which cap without
+    blocking and so leave the attempt armed."""
+    ctx = started("ax_sr", direction=direction, duration_s=0.2, doze=doze, **MULTI)
+    on_air = OnAir(ctx)
+    fire_cap = {}
+    seen = Counter()
+
+    def firing(on_backoff_complete):
+        def fired(node):
+            count, cap = reference_cs_state(ctx, on_air, node.node_id)
+            assert count == 0, (ctx.sim.now, node.node_id)
+            fire_cap[node.node_id] = math.inf if cap is None else cap
+            seen["fired"] += 1
+            seen["capped"] += cap is not None
+            on_backoff_complete(node)
+        return fired
+
+    def sending(send):
+        def sent(node, kind, start, end, then=None, txop=None, **fields):
+            tx = send(node, kind, start, end, then, txop=txop, **fields)
+            if txop is not None:
+                assert txop.holder.in_txop, (ctx.sim.now, kind)
+                cap = fire_cap[txop.holder.node_id]
+                assert tx.power_dbm == min(node.tx_power_dbm, cap), \
+                    (ctx.sim.now, kind, node.node_id, tx.power_dbm, cap)
+                seen["frames"] += 1
+                seen["capped frames"] += cap < node.tx_power_dbm
+            return tx
+        return sent
+
+    for engine in ctx.engines:
+        engine.on_backoff_complete = firing(engine.on_backoff_complete)
+        engine.send = sending(engine.send)
+    ctx.sim.run_until(ctx.cfg.duration_ns)
+    assert seen["fired"] > 50 and seen["capped"] > 0, seen
+    assert seen["frames"] > 200 and seen["capped frames"] > 0, seen
 
 
 # --- contention ----------------------------------------------------------------------
@@ -317,12 +376,12 @@ def test_active_contenders_are_armed_exactly_when_their_node_is_not_blocked(
     seen = Counter()
     on_medium_change = Contender.on_medium_change
 
-    def acting(contention, blocked, caps):
+    def acting(contention, blocked):
         # the nodes out of step, and only they, change; gen counts the
         # steps that change some node
         out_of_step = contention.active & (contention.pending == blocked)
         gen, pending = contention.gen, contention.pending.copy()
-        on_medium_change(contention, blocked, caps)
+        on_medium_change(contention, blocked)
         np.testing.assert_array_equal(contention.pending != pending, out_of_step)
         assert (contention.gen != gen) == out_of_step.any()
         seen["freeze"] += int((out_of_step & blocked).sum())
@@ -729,7 +788,7 @@ def compare_nav_sinr_over_run(ctx: RunContext) -> list[bool]:
     def check(event, tx):
         if event != "end":
             return
-        hearing = np.flatnonzero(tx.rx_dbm >= cca)
+        hearing = np.flatnonzero(rx_dbm(ctx, tx) >= cca)
         hearing = hearing[hearing != tx.tx_node]
         for nodes in (hearing, np.arange(len(ctx.nodes))):
             corrupt, sinr = ctx.medium.nav_sinr_vector(tx, nodes)
@@ -774,25 +833,44 @@ def test_random_access_collision_corrupts_the_frame_at_every_node():
 
 # --- memory -------------------------------------------------------------------------
 
+def arrays_in(value) -> list[np.ndarray]:
+    """The numpy arrays in value, through tuples and lists (a reach is one)."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in arrays_in(item)]
+    return []
+
+
 @pytest.mark.parametrize("scheme", ["ac_baseline", "ax_sr"])
-def test_frame_rows_are_released_once_the_frame_ends(scheme):
+def test_no_frame_field_holds_an_array_over_nodes(scheme):
+    """A frame's received power at every node lives only in the medium's
+    slab row: no field of a frame holds an array as long as the node count,
+    at its start, at its end and after it has ended.  Its reach, read at
+    its end and after, runs over the hearers only."""
     ctx = started(scheme, **MULTI)
+    n = len(ctx.nodes)
     frames = []
-    rows_at_end = []
+    seen = Counter()
+
+    def arrays(tx):
+        return [a for f in dataclasses.fields(tx) for a in arrays_in(getattr(tx, f.name))]
 
     def watch(event, tx):
         if event == "start":
             frames.append(tx)
-        else:
-            rows_at_end.append(tx.rx_dbm is not None)
+        found = arrays(tx)
+        assert all(len(a) < n for a in found), (event, tx.kind)
+        seen[event, bool(found)] += 1
 
     ctx.medium.listeners.append(watch)
     ctx.sim.run_until(ctx.cfg.duration_ns)
-    assert rows_at_end and all(rows_at_end)     # the end listeners still read them
     ended = [tx for tx in frames if tx.tx_id not in ctx.medium.active]
     assert len(ended) > 50
-    assert all(tx.rx_dbm is None and tx.cs_rows is None for tx in ended)
-    assert all(tx.rx_dbm is not None for tx in ctx.medium.active.values())
+    for tx in frames:
+        assert all(len(a) < n for a in arrays(tx)), tx.kind
+    assert seen["end", True] > 50, seen         # the reach is read at the end
+    assert all(tx.reach is not None for tx in ended if tx.nav_duration_ns > 0)
 
 
 # --- NAV pass -----------------------------------------------------------------------
@@ -817,8 +895,9 @@ class ReferenceNavPass:
         corrupt, sinr = reference_nav_sinr(ctx, self.interferers(tx), tx)
         now = ctx.sim.now
         expiry = now + tx.nav_duration_ns
+        p = rx_dbm(ctx, tx)
         for i, node in sorted(ctx.nodes.items()):
-            if i == tx.tx_node or tx.rx_dbm[i] < ctx.cfg.phy.cca_threshold_dbm:
+            if i == tx.tx_node or p[i] < ctx.cfg.phy.cca_threshold_dbm:
                 continue
             if node.power.dozing:
                 self.seen["dozing"] += 1
@@ -830,7 +909,7 @@ class ReferenceNavPass:
             cls = spatial.INTRA_BSS
             if ctx.features.spatial_reuse:
                 cls = spatial.classify_frame(tx.color, node.color)
-                if cls == spatial.INTER_BSS and tx.rx_dbm[i] < ctx.cfg.sr.obss_pd_max_dbm:
+                if cls == spatial.INTER_BSS and p[i] < ctx.cfg.sr.obss_pd_max_dbm:
                     self.seen["sr_skip"] += 1
                     continue
             if cls == spatial.INTER_BSS:
@@ -904,13 +983,14 @@ def reach_lists(reach: Reach) -> tuple:
 
 def reference_reach(ctx: RunContext, tx: Transmission) -> tuple:
     """reach_lists of tx's reach, worked out one node at a time from its own
-    rx_dbm: the nodes at or above CCA but its transmitter, those it blocks,
+    received power: the nodes at or above CCA but its transmitter, those it blocks,
     the SR caps it sets, and with spatial reuse, where it is intra-BSS and
     where a readable frame loads a NAV (all but inter-BSS levels under the
     OBSS_PD maximum)."""
     hearers, blocked, caps, intra, keep = [], [], {}, [], []
+    row = rx_dbm(ctx, tx)
     for i, node in sorted(ctx.nodes.items()):
-        p = float(tx.rx_dbm[i])
+        p = float(row[i])
         if i == tx.tx_node or p < ctx.cfg.phy.cca_threshold_dbm:
             continue
         hearers.append(i)

@@ -50,7 +50,8 @@ def test_rejects(tmp_path, text):
 # frequency in set-up, zero spatial streams partway through, a STA placement
 # that never lands in a cell of negative inradius, the root of a negative
 # room area and the log of a zero breakpoint in set-up, a division by a zero
-# PER slope at the first decode.
+# PER slope at the first decode, and a BSS's 2045th STA, whose AID 2045 a
+# trigger reads as a random-access RU, so that the first schedule raises.
 @pytest.mark.parametrize("text", [
     "[scenario]\n[mac]\nra_ru_fraction = 1.5\n",
     "[scenario]\n[mac]\nra_ru_fraction = -0.1\n",
@@ -64,10 +65,17 @@ def test_rejects(tmp_path, text):
     "[scenario]\nroom_area_m2 = -1\n",
     "[scenario]\n[phy]\npathloss_breakpoint_m = 0\n",
     "[scenario]\n[phy]\nper_slope_db = 0\n",
+    "[scenario]\nstas_per_bss = 2045\n",
+    "[scenario]\nstas_per_bss = 2008\n",
 ], ids=["ra-ru-fraction-above-1", "ra-ru-fraction-below-0", "zero-packet-bytes",
         "negative-cw-min", "negative-ocw-min", "zero-frequency", "zero-ap-antennas",
         "zero-sta-antennas", "negative-cell-inradius", "negative-room-area",
-        "zero-pathloss-breakpoint", "zero-per-slope"])
+        "zero-pathloss-breakpoint", "zero-per-slope", "unassociated-aid",
+        "aid-above-2007"])
 def test_rejects_values_a_run_cannot_use(tmp_path, text):
     with pytest.raises(ConfigError):
         load_config(write_ini(tmp_path, text))
+
+
+def test_a_bss_may_hold_as_many_stas_as_there_are_aids():
+    assert default_config("indoor_single", stas_per_bss=2007).validate() == []

@@ -275,13 +275,13 @@ def test_no_attempt_fires_past_a_frame_it_could_sense(monkeypatch, point_id):
     arm, arm_all, fire = Contender._arm, Contender._arm_all, Contender._fire
     live = 0
 
-    def arming(contention, i, caps):
+    def arming(contention, i):
         known[i] = latest_start
-        arm(contention, i, caps)
+        arm(contention, i)
 
-    def arming_all(contention, ids, caps):
+    def arming_all(contention, ids):
         known[ids] = latest_start
-        arm_all(contention, ids, caps)
+        arm_all(contention, ids)
 
     def firing(contention, i, seq):
         nonlocal live

@@ -326,8 +326,9 @@ def test_configured_noise_figure_sets_every_noise_floor():
         ctx.sim.run_until(ctx.sim.now + 200 * US)   # the last frame has ended
         tx = frame(node)
         blocked, _ = ctx.engines[0].cs_state()
+        rx_dbm = tx.power_per_subchannel_dbm() - ctx.loss_db[node.node_id]
         for i in nodes.tolist():
-            p = tx.rx_dbm[i]
+            p = rx_dbm[i]
             if i == node.node_id or p < cfg.phy.cca_threshold_dbm:
                 assert not blocked[i]
                 continue

@@ -185,6 +185,56 @@ def test_zero_eligible_leaves_rus_idle():
     assert ru_outcomes(states, transmitted, 4) == dict.fromkeys(range(4))
 
 
+# --- UORA analytic oracle -----------------------------------------------------------------
+# Seeded draws against closed forms.  A mean of M draws is held to within
+# four standard errors of the closed form, the error taken from the closed
+# form's own variance (a Bernoulli's p(1 - p)) or, where the closed form
+# gives only the mean, from the sample.
+
+def within_four_standard_errors(sample: list[float], expected: float,
+                                variance: float | None = None) -> bool:
+    m = len(sample)
+    mean = sum(sample) / m
+    if variance is None:
+        variance = sum((x - mean) ** 2 for x in sample) / (m - 1)
+    return abs(mean - expected) <= 4.0 * math.sqrt(variance / m)
+
+
+@pytest.mark.parametrize("ocw, n_ra_rus, boundary", [
+    (7, 2, True), (7, 2, False), (15, 5, True), (31, 9, False), (7, 7, True),
+])
+def test_a_fresh_obo_is_eligible_at_its_first_trigger_with_the_analytic_probability(
+        ocw, n_ra_rus, boundary):
+    """A fresh OBO uniform on [0, OCW] is eligible at the first trigger with R
+    random-access RUs, R <= OCW, with probability (R + b) / (OCW + 1): below
+    R, or at R with the boundary counted (b = 1)."""
+    rng = RngSet(11).stream("uora")
+    draws = [float(uora_update(obo(ocw=ocw), n_ra_rus, rng, boundary)[0])
+             for _ in range(20_000)]
+    p = (n_ra_rus + boundary) / (ocw + 1)
+    assert within_four_standard_errors(draws, p, p * (1 - p)), (sum(draws), p)
+
+
+@pytest.mark.parametrize("n_ra_rus, n_stas", [(4, 4), (9, 3), (2, 6), (8, 16)])
+def test_the_transmit_phase_leaves_the_analytic_share_of_idle_and_single_rus(
+        n_ra_rus, n_stas):
+    """N eligible STAs on R random-access RUs, every carrier idle, each pick an
+    RU uniformly: on average R(1 - 1/R)^N RUs stay idle and N(1 - 1/R)^(N-1)
+    carry one transmitter (Lanante et al., 2017)."""
+    rng = RngSet(12).stream("uora")
+    eligible = {aid: obo(obo=0) for aid in range(1, n_stas + 1)}
+    idle, single = [], []
+    for _ in range(4_000):
+        states, transmitted = uora_transmit_phase(eligible, n_ra_rus, lambda aid: True, rng)
+        assert transmitted == sorted(eligible)
+        outcomes = ru_outcomes(states, transmitted, n_ra_rus).values()
+        idle.append(sum(o is None for o in outcomes))
+        single.append(sum(o not in (None, "collision") for o in outcomes))
+    miss = 1 - 1 / n_ra_rus
+    assert within_four_standard_errors(idle, n_ra_rus * miss ** n_stas)
+    assert within_four_standard_errors(single, n_stas * miss ** (n_stas - 1))
+
+
 # --- OCW evolution ------------------------------------------------------------------------
 
 def test_ocw_restore_and_double():

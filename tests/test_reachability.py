@@ -1,6 +1,6 @@
 """Every public top-level name under ``src/axsim`` is reached from the
-simulator's entry points, and every class member is read, or each is kept
-for a stated reason.
+simulator's entry points, every class member is read, and every parameter
+with a default is passed at some call, or each is kept for a stated reason.
 
 The walk starts at the runner's entry points and ``engine.RunContext`` and
 follows, through the source's syntax tree, every name a reached definition
@@ -15,6 +15,16 @@ counts as read if some attribute load under ``src/axsim`` reads it.  A
 ``self.member`` load in a method reads the member of the method's class, of
 its bases and of its subclasses, and no other.  Any other ``x.member`` load
 is matched by name alone, so it reads every member of that name.
+
+A defaulted parameter is one with a default, of a function, method or
+nested function under ``src/axsim``; dunder methods but ``__init__``, which
+Python calls itself, and lambdas are left out.  It counts as passed if some
+call under ``src/axsim`` of the function's name (its class's name for
+``__init__``), as ``f(...)`` or ``x.f(...)``, gives it by keyword, by
+position (after ``self`` or ``cls`` for a method, not for a staticmethod),
+or through ``*args`` or ``**kwargs`` that may hold it.  Calls are matched
+by name alone, as member reads are.  A parameter no call passes is an
+option with one value in use.
 """
 
 from __future__ import annotations
@@ -61,6 +71,14 @@ KEEP_MEMBERS = {
     ("engine", "RunContext", "topology"): "test reference: test_loss_matrix",
     ("core", "Simulator", "processed"): "bench core.events, golden event counts",
     ("contention", "Contender", "gen"): "bench probe: engine.on_medium_change flips",
+}
+
+# Defaulted parameters no call under src/axsim passes, each with its reason.
+KEEP_PARAMS = {
+    ("runner", "run", "intra_ppdu_doze"): "ROADMAP item 7: entry point, the doze claim",
+    ("runner", "compare", "seeds"): "ROADMAP item 7: entry point, the scheme comparison",
+    ("runner", "sweep", "workers"): "ROADMAP item 7: entry point, sweeps fill the cores",
+    ("ru", "RuLayout.of", "punctured"): "ROADMAP item 6: secondary-channel access",
 }
 
 
@@ -194,6 +212,63 @@ def unread_members(trees: dict[str, ast.Module]) -> set[tuple[str, str, str]]:
             if key[2] not in by_name and key[1:] not in read}
 
 
+def defaulted_parameters(trees: dict[str, ast.Module]
+                         ) -> dict[tuple[str, str, str], tuple[str, int | None]]:
+    """(module, qualified function name, parameter) -> (the name its calls
+    go by, its position among a call's positional arguments, None for a
+    keyword-only one) for every defaulted parameter."""
+    params = {}
+
+    def visit(module, node, prefix, in_class):
+        for item in ast.iter_child_nodes(node):
+            if isinstance(item, ast.ClassDef):
+                visit(module, item, f"{prefix}{item.name}.", True)
+                continue
+            if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(module, item, prefix, in_class)
+                continue
+            visit(module, item, f"{prefix}{item.name}.", False)
+            if item.name.startswith("__") and item.name != "__init__":
+                continue
+            called_as = node.name if item.name == "__init__" else item.name
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in item.decorator_list)
+            skip = 1 if in_class and not static else 0       # self or cls
+            args = item.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for k in range(first, len(positional)):
+                params[module, prefix + item.name, positional[k].arg] = (called_as, k - skip)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    params[module, prefix + item.name, arg.arg] = (called_as, None)
+
+    for module, tree in trees.items():
+        visit(module, tree, "", False)
+    return params
+
+
+def unpassed_parameters(trees: dict[str, ast.Module]) -> set[tuple[str, str, str]]:
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) \
+                    else func.attr if isinstance(func, ast.Attribute) else None
+                calls.setdefault(name, []).append(node)
+
+    def passes(call, param, position):
+        if any(keyword.arg in (param, None) for keyword in call.keywords):
+            return True
+        return position is not None and (
+            len(call.args) > position
+            or any(isinstance(a, ast.Starred) for a in call.args[:position + 1]))
+
+    return {key for key, (called_as, position) in defaulted_parameters(trees).items()
+            if not any(passes(call, key[2], position) for call in calls.get(called_as, ()))}
+
+
 def reach(roots):
     """(names reached from roots, every public top-level name)."""
     trees = parse_sources()
@@ -245,6 +320,47 @@ def test_member_keep_set_holds_only_members_nothing_reads():
     trees = parse_sources()
     read = class_members(trees) - unread_members(trees)
     assert sorted(set(KEEP_MEMBERS) & read) == []
+
+
+def test_every_defaulted_parameter_is_passed_or_kept_for_a_reason():
+    trees = parse_sources()
+    assert sorted(unpassed_parameters(trees) - set(KEEP_PARAMS)) == []
+    assert sorted(set(KEEP_PARAMS) - set(defaulted_parameters(trees))) == [], \
+        "keep-set parameters that no longer exist"
+
+
+def test_parameter_keep_set_holds_only_parameters_no_call_passes():
+    assert sorted(set(KEEP_PARAMS) - unpassed_parameters(parse_sources())) == []
+
+
+def test_a_parameter_is_passed_by_keyword_position_or_unpacking_at_a_call_of_its_name():
+    # Box(...) calls __init__ after self; scale's factor goes by position,
+    # its k only by the **kwargs of a call; Box.fit's margin by keyword,
+    # Box.fit's pad, pick's limit and nested inner's step by no call
+    tree = ast.parse(
+        "class Box:\n"
+        "    def __init__(self, w, h=1):\n"
+        "        self.w = w\n"
+        "    def fit(self, x, margin=0, pad=0):\n"
+        "        def inner(step=1):\n"
+        "            return step\n"
+        "        return inner()\n"
+        "    @staticmethod\n"
+        "    def scale(v, factor=2, *, k=3):\n"
+        "        return v\n"
+        "def pick(items, limit=None):\n"
+        "    return items\n"
+        "def use(box, opts):\n"
+        "    Box(1, 2).fit(0, margin=1)\n"
+        "    Box.scale(1, 2, **opts)\n"
+        "    return pick([])\n")
+    trees = {"m": tree}
+    assert set(defaulted_parameters(trees)) == {
+        ("m", "Box.__init__", "h"), ("m", "Box.fit", "margin"), ("m", "Box.fit", "pad"),
+        ("m", "Box.fit.inner", "step"), ("m", "Box.scale", "factor"),
+        ("m", "Box.scale", "k"), ("m", "pick", "limit")}
+    assert unpassed_parameters(trees) == {
+        ("m", "Box.fit", "pad"), ("m", "Box.fit.inner", "step"), ("m", "pick", "limit")}
 
 
 def test_a_self_read_reaches_only_its_class_family():
