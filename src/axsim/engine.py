@@ -82,7 +82,6 @@ class BssEngine:
         self.nodes = [ap] + stas
         for aid, sta in enumerate(stas, 1):
             sta.aid = aid
-        self.by_id = {n.node_id: n for n in self.nodes}
         self.sim = ctx.sim
         self.medium = ctx.medium
         self.cfg = ctx.cfg
@@ -122,14 +121,12 @@ class BssEngine:
     # --- transmit helpers -------------------------------------------------------------
 
     def node_power(self, node: SimNode) -> float:
+        """node's transmit power, under spatial reuse capped where its AP's
+        attempt fired: only the AP contends, and the STAs it triggers follow."""
         if not self.features.spatial_reuse:     # only spatial reuse caps power
             return node.tx_power_dbm
-        cap = self.ctx.contention.sr_cap_dbm
-        power = min(node.tx_power_dbm, cap.item(node.node_id))
-        if not node.is_ap:
-            # triggered STAs follow the AP's spatial-reuse power control
-            power = min(power, cap.item(self.ap.node_id))
-        return power
+        return min(node.tx_power_dbm,
+                   self.ctx.contention.sr_cap_dbm.item(self.ap.node_id))
 
     def send(self, node: SimNode, kind: str, start: int, end: int,
              then=None, txop: Txop | None = None, **fields) -> Transmission:
@@ -191,6 +188,23 @@ class BssEngine:
             self.ctx.deliver(flow, survivors)
         stats.mpdu_failures += len(failed)
         return survivors, failed
+
+    def _take(self, flow: CbrFlow, ppdu: phy.PpduFormat, duration_ns: int,
+              bps: float, at_least: int = 0) -> np.ndarray:
+        """The seqs of flow for an A-MPDU in a ppdu of duration_ns at bps data
+        bits per symbol: the MPDUs that fit, up to the cap, but at_least."""
+        n = frames.mpdus_that_fit(duration_ns, ppdu, bps, self.mpdu_bits,
+                                  self.features.ampdu_cap)
+        return flow.take(self.sim.now, max(at_least, n))
+
+    def _outcome(self, flow: CbrFlow, seqs: np.ndarray, sinr: float | None,
+                 rx: SimNode, users: int, mcs: phy.Mcs) -> tuple[np.ndarray, np.ndarray]:
+        """mpdu_outcomes of an A-MPDU of seqs at mcs that rx receives at sinr
+        (None: hard corruption) on an RU `users` users share, plus rx's
+        receive gain.  A dozing rx decodes nothing."""
+        eff = None if sinr is None or rx.power.dozing \
+            else sinr + self._rx_gain_db(rx, users)
+        return self.mpdu_outcomes(flow, seqs, eff, mcs)
 
     # --- link adaptation ---------------------------------------------------------------
 
@@ -317,18 +331,14 @@ class AcBssEngine(BssEngine):
         flow = txop.flow
         mcs, bps = txop.link
         ba_ns = frames.legacy_frame_duration_ns(frames.BA_BYTES)
-        budget = txop.deadline_ns - now - 2 * SIFS - ba_ns
-        n = frames.mpdus_that_fit(budget, self.data_ppdu, bps, self.mpdu_bits,
-                                  min(self.features.ampdu_cap,
-                                      flow.backlog_count(now)), he=False)
-        if n < 1:
+        seqs = self._take(flow, self.data_ppdu,
+                          txop.deadline_ns - now - 2 * SIFS - ba_ns, bps)
+        if not len(seqs):
             self._finish_txop(txop, success=True)
             return
-        seqs = flow.take(now, n)
         start = now + SIFS
         end = start + frames.data_duration_ns(self.data_ppdu,
-                                              len(seqs) * self.mpdu_bits, bps,
-                                              he=False)
+                                              len(seqs) * self.mpdu_bits, bps)
         self.send(txop.holder, "ampdu", start, end,
                   lambda tx: self._data_done(txop, tx, seqs, mcs), txop=txop,
                   involves=frozenset({txop.peer.node_id}))
@@ -337,9 +347,7 @@ class AcBssEngine(BssEngine):
         peer = txop.peer
         sinr = self.medium.sinr_db(tx, peer.node_id, tx.power_dbm,
                                    self.cfg.bandwidth_mhz * 1e6, 0)
-        eff = None if sinr is None or peer.power.dozing \
-            else sinr + self._rx_gain_db(peer, 1)
-        survivors, failed = self.mpdu_outcomes(txop.flow, seqs, eff, mcs)
+        survivors, failed = self._outcome(txop.flow, seqs, sinr, peer, 1, mcs)
         if not len(survivors):
             txop.flow.requeue(seqs)
             self._finish_txop(txop, success=txop.any_data)
@@ -361,10 +369,22 @@ class AcBssEngine(BssEngine):
 
 # --- 802.11ax MU schemes --------------------------------------------------------------------
 
+class Planned(NamedTuple):
+    """One scheduled user of an MU round (`AxBssEngine._plan`): its STA, its
+    RU, and the link (MCS, data bits per symbol) adaptation gave it there."""
+
+    sta: SimNode
+    ru_index: int
+    mcs: phy.Mcs
+    bps: float
+
+
 class AxBssEngine(BssEngine):
     """AP-scheduled MU rounds inside EDCA-won TXOPs: trigger-based UL with
     BSR/BSRP and multi-STA BA, HE-MU downlink with OFDMA BA, cascading until
-    the TXOP budget runs out."""
+    the TXOP budget runs out.  Only the AP runs EDCA: HE uplink is
+    trigger-only, a STA sends only in HE-TB PPDUs its AP solicits (ROADMAP
+    item 21)."""
 
     def __init__(self, ctx, bss_id, ap, stas):
         super().__init__(ctx, bss_id, ap, stas)
@@ -427,6 +447,40 @@ class AxBssEngine(BssEngine):
         return self.medium.sinr_db(tx, self.ap.node_id, tx.power_dbm,
                                    part.bandwidth_hz, part.assignment.position,
                                    part.ru_index, co_group=part.users)
+
+    def _plan(self, tf: mu.TriggerFrame, ppdu: phy.PpduFormat,
+              power: float | None) -> tuple[list[Planned], int]:
+        """Link adaptation for the scheduled users of tf, in its order, and
+        the airtime in a ppdu of the longest backlog (up to the A-MPDU cap)
+        at its user's rate.  For a downlink round power is the AP's power
+        per RU, which the users of an RU split; for an uplink one (None)
+        each STA sends to the AP at its own power."""
+        now = self.sim.now
+        scheduled = tf.scheduled_users
+        sharing: dict[int, int] = {}        # RU index -> its users
+        for user in scheduled:
+            sharing[user.ru_index] = sharing.get(user.ru_index, 0) + 1
+        plan = []
+        max_air = 0
+        for user in scheduled:
+            sta = self.stas[user.aid12 - 1]
+            users = sharing[user.ru_index]
+            if power is None:
+                tx_power, tx, rx = self.node_power(sta), sta, self.ap
+            else:
+                tx_power, tx, rx = power - 10.0 * math.log10(users), self.ap, sta
+            mcs, bps = self._link(tx_power, tx, rx, tf.ru_of(user).tones, users)
+            backlog = min(self.features.ampdu_cap, sta.flow.backlog_count(now))
+            max_air = max(max_air,
+                          frames.data_duration_ns(ppdu, backlog * self.mpdu_bits, bps))
+            plan.append(Planned(sta, user.ru_index, mcs, bps))
+        return plan, max_air
+
+    def _fits(self, ppdu: phy.PpduFormat, plan: list[Planned], duration_ns: int) -> bool:
+        """Whether an MU round of duration_ns goes ahead: one MPDU in a ppdu
+        fits it at the slowest planned rate, so every user's first MPDU does."""
+        return bool(plan) and duration_ns >= frames.data_duration_ns(
+            ppdu, self.mpdu_bits, min(p.bps for p in plan))
 
     # --- uplink -----------------------------------------------------------------------------
 
@@ -497,33 +551,20 @@ class AxBssEngine(BssEngine):
         if tf is None:
             self._finish_txop(txop, txop.any_data)
             return
-        plan = {}
-        max_air = 0
-        for user in tf.scheduled_users:
-            sta = self.stas[user.aid12 - 1]
-            users = len(tf.users_of(user.ru_index))
-            mcs, bps = self._link(self.node_power(sta), sta, self.ap,
-                                  tf.ru_of(user).tones, users)
-            backlog = min(self.features.ampdu_cap, sta.flow.backlog_count(now))
-            air = frames.data_duration_ns(phy.HE_TB_PPDU,
-                                          backlog * self.mpdu_bits, bps)
-            plan[user.aid12] = (user, mcs, bps)
-            max_air = max(max_air, air)
+        plan, max_air = self._plan(tf, phy.HE_TB_PPDU, None)
         n_users = len(tf.per_user)
         tf_bytes = frames.tf_bytes(n_users)
         overhead = frames.legacy_frame_duration_ns(tf_bytes) + 2 * SIFS \
             + frames.legacy_frame_duration_ns(frames.mba_bytes(n_users))
         ul_duration = min(txop.deadline_ns - now - overhead, max_air)
-        min_air = frames.data_duration_ns(phy.HE_TB_PPDU, self.mpdu_bits,
-                                          min(p[2] for p in plan.values())
-                                          if plan else 1e9)
-        if ul_duration < min_air:
+        if not self._fits(phy.HE_TB_PPDU, plan, ul_duration):
             self._finish_txop(txop, txop.any_data)
             return
         self.send_control(self.ap, "tf", tf_bytes, now,
                           lambda ctrl: self._ul_data_phase(txop, ctrl, tf, plan,
                                                            ul_duration),
-                          txop=txop, involves=self._node_ids(plan), payload=tf)
+                          txop=txop, involves=frozenset(p.sta.node_id for p in plan),
+                          payload=tf)
 
     def _ul_data_phase(self, txop: Txop, ctrl, tf, plan, ul_duration) -> None:
         now = self.sim.now
@@ -532,25 +573,22 @@ class AxBssEngine(BssEngine):
         round_id = self.ctx.new_round()
         # random-access RUs solicit every STA of the BSS
         solicited = frozenset(s.node_id for s in self.stas) if tf.ra_ru_indices \
-            else self._node_ids(plan)
+            else frozenset(p.sta.node_id for p in plan)
         txs = []
-        for aid, (user, mcs, bps) in plan.items():
-            sta = self.stas[aid - 1]
-            if sta.power.dozing or \
-                    not self.control_decodes(ctrl, sta, frames.TF_BASE_BYTES):
+        for p in plan:
+            sta = p.sta
+            if not self.control_decodes(ctrl, sta, frames.TF_BASE_BYTES):
                 continue
             if not self.ctx.nav.idle(sta.node_id, now, scheduled_in_intra_tf=True):
                 continue
-            n = frames.mpdus_that_fit(ul_duration, phy.HE_TB_PPDU, bps,
-                                      self.mpdu_bits, self.features.ampdu_cap)
-            seqs = sta.flow.take(now, n)
+            seqs = self._take(sta.flow, phy.HE_TB_PPDU, ul_duration, p.bps)
             if not len(seqs):
                 continue
-            partners = tuple(self.stas[u.aid12 - 1].node_id
-                             for u in tf.users_of(user.ru_index) if u.aid12 != aid)
-            tx = self._he_tb(txop, sta, user.ru_index, start, end, round_id,
+            partners = tuple(q.sta.node_id for q in plan
+                             if q.ru_index == p.ru_index and q is not p)
+            tx = self._he_tb(txop, sta, p.ru_index, start, end, round_id,
                              solicited, partners)
-            txs.append((sta, tx, seqs, mcs))
+            txs.append((sta, tx, seqs, p.mcs))
         uora_txs = self._uora_phase(txop, tf, start, end, round_id, solicited)
         self.sim.at(end, lambda: self._ul_round_end(txop, txs + uora_txs))
 
@@ -587,9 +625,7 @@ class AxBssEngine(BssEngine):
             ru_index = ra_indices[sta.obo.candidate_ru]
             mcs, bps = self._link(self.node_power(sta), sta, self.ap,
                                   tf.layout.rus[ru_index].tones)
-            n = frames.mpdus_that_fit(end - start, phy.HE_TB_PPDU, bps,
-                                      self.mpdu_bits, self.features.ampdu_cap)
-            seqs = sta.flow.take(now, max(1, n))
+            seqs = self._take(sta.flow, phy.HE_TB_PPDU, end - start, bps, at_least=1)
             tx = self._he_tb(txop, sta, ru_index, start, end, round_id, solicited)
             txs.append((sta, tx, seqs, mcs))
         return txs
@@ -599,10 +635,8 @@ class AxBssEngine(BssEngine):
         decoded = {}
         results = []
         for sta, tx, seqs, mcs in txs:
-            sinr = self._ru_sinr(tx)
-            eff = None if sinr is None \
-                else sinr + self._rx_gain_db(self.ap, len(tx.ru.users) + 1)
-            survivors, failed = self.mpdu_outcomes(sta.flow, seqs, eff, mcs)
+            survivors, failed = self._outcome(sta.flow, seqs, self._ru_sinr(tx), self.ap,
+                                              len(tx.ru.users) + 1, mcs)
             results.append((sta, seqs, failed))
             if len(survivors):
                 decoded[sta.aid] = tuple(survivors.tolist())
@@ -646,103 +680,63 @@ class AxBssEngine(BssEngine):
             return
         per_ru_power = mu.dl_power_split_dbm(self.node_power(self.ap),
                                              len(self.layout.rus))
-        by_ru: dict[int, list[int]] = {}
-        for user in tf.per_user:
-            by_ru.setdefault(user.ru_index, []).append(
-                self.stas[user.aid12 - 1].node_id)
-        plan = {}
-        max_air = 0
-        for ru_index, members in by_ru.items():
-            tones = self.layout.rus[ru_index].tones
-            users = len(members)
-            for sta_id in members:
-                mcs, bps = self._link(per_ru_power - 10.0 * math.log10(users),
-                                      self.ap, self.by_id[sta_id], tones, users)
-                backlog = min(self.features.ampdu_cap,
-                              self.by_id[sta_id].flow.backlog_count(now))
-                air = frames.data_duration_ns(phy.HE_MU_PPDU,
-                                              backlog * self.mpdu_bits, bps)
-                plan[sta_id] = (ru_index, mcs, bps)
-                max_air = max(max_air, air)
+        plan, max_air = self._plan(tf, phy.HE_MU_PPDU, per_ru_power)
         # acknowledgements ride the adapted data rate of their RU
         ba_on_ru_ns = max(
-            frames.data_duration_ns(phy.HE_TB_PPDU, 8 * frames.BA_BYTES, p[2])
-            for p in plan.values())
-        budget = txop.deadline_ns - now - SIFS - ba_on_ru_ns
-        dl_duration = min(budget, max_air)
-        min_air = frames.data_duration_ns(phy.HE_MU_PPDU, self.mpdu_bits,
-                                          min(p[2] for p in plan.values()))
-        if dl_duration < min_air:
+            frames.data_duration_ns(phy.HE_TB_PPDU, 8 * frames.BA_BYTES, p.bps)
+            for p in plan)
+        dl_duration = min(txop.deadline_ns - now - SIFS - ba_on_ru_ns, max_air)
+        if not self._fits(phy.HE_MU_PPDU, plan, dl_duration):
             self._finish_txop(txop, txop.any_data)
             return
-        parts = []
-        taken = {}
-        for ru_index, members in by_ru.items():
-            served = []
-            for sta_id in members:
-                bps = plan[sta_id][2]
-                n = frames.mpdus_that_fit(dl_duration, phy.HE_MU_PPDU, bps,
-                                          self.mpdu_bits, self.features.ampdu_cap)
-                seqs = self.by_id[sta_id].flow.take(now, n)
-                if len(seqs):
-                    taken[sta_id] = seqs
-                    served.append(sta_id)
-            if served:
-                parts.append(self._ru_part(ru_index, per_ru_power, tuple(served)))
-        if not taken:
-            self._finish_txop(txop, txop.any_data)
-            return
-        end = now + dl_duration
-        self.send(self.ap, "he-mu", now, end,
-                  lambda tx: self._dl_data_done(txop, tx, plan, taken, ba_on_ru_ns),
-                  txop=txop, round_id=self.ctx.new_round(), ru_parts=tuple(parts),
-                  involves=frozenset(taken))
+        # every user is backlogged and fits one MPDU, so every take holds some
+        taken = [(p, self._take(p.sta.flow, phy.HE_MU_PPDU, dl_duration, p.bps))
+                 for p in plan]
+        served: dict[int, tuple[int, ...]] = {}     # RU index -> its users' node ids
+        for p in plan:
+            served[p.ru_index] = served.get(p.ru_index, ()) + (p.sta.node_id,)
+        parts = tuple(self._ru_part(ru_index, per_ru_power, users)
+                      for ru_index, users in served.items())
+        self.send(self.ap, "he-mu", now, now + dl_duration,
+                  lambda tx: self._dl_data_done(txop, tx, taken, ba_on_ru_ns),
+                  txop=txop, round_id=self.ctx.new_round(), ru_parts=parts,
+                  involves=frozenset(p.sta.node_id for p in plan))
 
-    def _dl_data_done(self, txop: Txop, tx, plan, taken, ba_on_ru_ns) -> None:
-        now = self.sim.now
-        outcomes = {}
-        for sta_id, seqs in taken.items():
-            ru_index, mcs, bps = plan[sta_id]
-            sta = self.by_id[sta_id]
-            if sta.power.dozing:
-                outcomes[sta_id] = (NO_SEQS, seqs)
-                continue
-            part = next(p for p in tx.ru_parts if p.ru_index == ru_index)
-            users_on_ru = len(part.users)
-            sinr = self.medium.sinr_db(tx, sta_id,
-                                       part.power_dbm - 10.0 * math.log10(users_on_ru),
+    def _dl_data_done(self, txop: Txop, tx, taken, ba_on_ru_ns) -> None:
+        parts = {part.ru_index: part for part in tx.ru_parts}
+        results = []
+        for p, seqs in taken:
+            part = parts[p.ru_index]
+            users = len(part.users)
+            sinr = self.medium.sinr_db(tx, p.sta.node_id,
+                                       part.power_dbm - 10.0 * math.log10(users),
                                        part.bandwidth_hz, part.assignment.position,
-                                       ru_index)
-            eff = None if sinr is None else sinr + self._rx_gain_db(sta, users_on_ru)
-            outcomes[sta_id] = self.mpdu_outcomes(sta.flow, seqs, eff, mcs)
-        responders = [s for s, (survivors, _) in outcomes.items() if len(survivors)]
+                                       p.ru_index)
+            survivors, failed = self._outcome(p.sta.flow, seqs, sinr, p.sta, users, p.mcs)
+            results.append((p, seqs, survivors, failed))
+        responders = [p for p, _, survivors, _ in results if len(survivors)]
         if not responders:
-            for sta_id in outcomes:
-                self.by_id[sta_id].flow.requeue(taken[sta_id])
+            for p, seqs, _, _ in results:
+                p.sta.flow.requeue(seqs)
             self.sim.after(EIFS, lambda: self._finish_txop(txop, success=False))
             return
         txop.any_data = True
-        start = now + SIFS
-        solicited = frozenset(responders)
+        start = self.sim.now + SIFS
+        solicited = frozenset(p.sta.node_id for p in responders)
         ba_txs = []
-        for sta_id in responders:
-            ru_index = plan[sta_id][0]
-            partners = tuple(s for s in responders
-                             if s != sta_id and plan[s][0] == ru_index)
-            ba = self._he_tb(txop, self.by_id[sta_id], ru_index, start,
-                             start + ba_on_ru_ns, tx.round_id, solicited, partners)
-            ba_txs.append((sta_id, ba))
-        self.sim.at(start + ba_on_ru_ns,
-                    lambda: self._dl_ba_done(txop, taken, outcomes, ba_txs))
+        for p in responders:
+            partners = tuple(q.sta.node_id for q in responders
+                             if q is not p and q.ru_index == p.ru_index)
+            ba_txs.append((p.sta, self._he_tb(txop, p.sta, p.ru_index, start,
+                                              start + ba_on_ru_ns, tx.round_id,
+                                              solicited, partners)))
+        self.sim.at(start + ba_on_ru_ns, lambda: self._dl_ba_done(txop, results, ba_txs))
 
-    def _dl_ba_done(self, txop: Txop, taken, outcomes, ba_txs) -> None:
-        acked = set()
-        for sta_id, ba in ba_txs:
-            if self.mcs0_decodes(self._ru_sinr(ba), frames.BA_BYTES):
-                acked.add(sta_id)
-        for sta_id, (_, failed) in outcomes.items():
-            self.by_id[sta_id].flow.requeue(failed if sta_id in acked
-                                            else taken[sta_id])
+    def _dl_ba_done(self, txop: Txop, results, ba_txs) -> None:
+        acked = {sta.node_id for sta, ba in ba_txs
+                 if self.mcs0_decodes(self._ru_sinr(ba), frames.BA_BYTES)}
+        for p, seqs, _, failed in results:
+            p.sta.flow.requeue(failed if p.sta.node_id in acked else seqs)
         if not acked:
             self.sim.after(EIFS, lambda: self._finish_txop(txop, success=False))
             return

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .core import US
-from .phy import HE_SYMBOL_US, LEGACY_GI_US, LEGACY_SYMBOL_US, PpduFormat
+from .phy import LEGACY_GI_US, LEGACY_SYMBOL_US, PpduFormat
 
 # sizes in bytes
 RTS_BYTES = 20
@@ -31,7 +31,6 @@ SERVICE_TAIL_BITS = 22         # 16-bit SERVICE field + 6 tail bits per PPDU
 LEGACY_PREAMBLE_US = 20.0
 LEGACY_BASE_BITS_PER_SYMBOL = 24   # 6 Mbps: 48 subcarriers, BPSK 1/2
 LEGACY_FULL_SYMBOL_US = LEGACY_SYMBOL_US + LEGACY_GI_US  # 4.0 us
-HE_FULL_SYMBOL_US = HE_SYMBOL_US + 0.8     # every HE PPDU uses the 0.8 us GI
 
 
 def _us_to_ns(us: float) -> int:
@@ -55,20 +54,17 @@ def mba_bytes(n_stas: int) -> int:
     return MBA_BASE_BYTES + MBA_PER_STA_BYTES * n_stas
 
 
-def data_duration_ns(ppdu: PpduFormat, total_bits: int, bits_per_symbol: float,
-                     he: bool = True) -> int:
+def data_duration_ns(ppdu: PpduFormat, total_bits: int, bits_per_symbol: float) -> int:
     """Preamble plus payload rounded up to whole OFDM symbols."""
-    symbol_us = HE_FULL_SYMBOL_US if he else LEGACY_FULL_SYMBOL_US
     symbols = max(1, math.ceil((total_bits + SERVICE_TAIL_BITS) / bits_per_symbol))
-    return _us_to_ns(ppdu.preamble_us + symbols * symbol_us)
+    return _us_to_ns(ppdu.preamble_us + symbols * ppdu.symbol_us)
 
 
-def symbols_that_fit(duration_ns: int, ppdu: PpduFormat, he: bool = True) -> int:
-    symbol_us = HE_FULL_SYMBOL_US if he else LEGACY_FULL_SYMBOL_US
+def symbols_that_fit(duration_ns: int, ppdu: PpduFormat) -> int:
     available = duration_ns - _us_to_ns(ppdu.preamble_us)
     if available <= 0:
         return 0
-    return int(available // _us_to_ns(symbol_us))
+    return int(available // _us_to_ns(ppdu.symbol_us))
 
 
 def mpdu_bits(payload_bytes: int) -> int:
@@ -92,9 +88,9 @@ class Mpdu:
 
 
 def mpdus_that_fit(duration_ns: int, ppdu: PpduFormat, bits_per_symbol: float,
-                   mpdu_bits: int, cap: int, he: bool = True) -> int:
+                   mpdu_bits: int, cap: int) -> int:
     """Largest A-MPDU (in MPDUs of equal size) whose airtime fits the duration."""
-    symbols = symbols_that_fit(duration_ns, ppdu, he)
+    symbols = symbols_that_fit(duration_ns, ppdu)
     if symbols <= 0:
         return 0
     bits = symbols * bits_per_symbol - SERVICE_TAIL_BITS

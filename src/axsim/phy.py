@@ -70,21 +70,25 @@ class Mcs:
         return MCS_TABLE[self.index][1]
 
 
-# PPDU formats as a duration model.  HE-MU carries the per-user resource map,
-# so its preamble is longer than HE-TB's, whose schedule arrived in the
-# trigger frame.
+# PPDU formats as a duration model: a preamble, then whole OFDM symbols of
+# the format's numerology.  HE-MU carries the per-user resource map, so its
+# preamble is longer than HE-TB's, whose schedule arrived in the trigger
+# frame.
 @dataclass(frozen=True)
 class PpduFormat:
     kind: str
     preamble_us: float
+    symbol_us: float        # one OFDM symbol with its guard interval
 
 
 def vht_ppdu(nss: int) -> PpduFormat:
     """VHT data preamble: legacy part + SIG-A + STF + per-stream LTFs + SIG-B."""
-    return PpduFormat("VHT", 20.0 + 8.0 + 4.0 + 4.0 * nss + 4.0)
+    return PpduFormat("VHT", 20.0 + 8.0 + 4.0 + 4.0 * nss + 4.0,
+                      LEGACY_SYMBOL_US + LEGACY_GI_US)
 
-HE_MU_PPDU = PpduFormat("HE-MU", 56.0)
-HE_TB_PPDU = PpduFormat("HE-TB", 48.0)
+HE_FULL_SYMBOL_US = HE_SYMBOL_US + 0.8     # every HE PPDU uses the 0.8 us GI
+HE_MU_PPDU = PpduFormat("HE-MU", 56.0, HE_FULL_SYMBOL_US)
+HE_TB_PPDU = PpduFormat("HE-TB", 48.0, HE_FULL_SYMBOL_US)
 
 
 class PathLossModel:

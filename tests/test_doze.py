@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from axsim import engine, runner
 from axsim.config import default_config
+from axsim.core import US
+from axsim.traffic import CbrFlow
 
 
 @pytest.mark.parametrize("direction", ["ul", "dl"])
@@ -50,3 +53,41 @@ def test_no_doze_through_another_bss_ppdu(monkeypatch, scheme):
     ctx.medium.listeners.insert(0, lambda _event, tx: on_air.append(tx))
     ctx.run()
     assert entries["own"] > 0 and entries["other"] == 0, entries
+
+
+@pytest.mark.parametrize("scheme", ["ac_baseline", "ax_ofdma", "ax_ofdma_mumimo"])
+def test_a_receiver_dozing_at_the_data_end_fails_every_mpdu_and_sends_no_ba(scheme):
+    """The AP wins the channel with 4 MPDUs queued for each STA.  The first
+    receiver of its data PPDU dozes from the handover, so at the PPDU's end
+    every MPDU it was sent counts as attempted and failed, and it answers
+    with no BA; the other receivers of the HE-MU PPDU still do."""
+    cfg = default_config("indoor_single", stas_per_bss=8, duration_s=0.1, direction="dl")
+    ctx = engine.RunContext(cfg, scheme)
+    bss = ctx.engines[0]
+    for sta in bss.stas:
+        sta.flow = CbrFlow(sta.flow.flow_id, 0.0, cfg.packet_bytes, 0)
+        sta.flow.retry = np.arange(4, dtype=np.int64)
+    sent, data = [], []
+    send = bss.send
+
+    def recorded(node, kind, start, end, then=None, **fields):
+        tx = send(node, kind, start, end, then, **fields)
+        sent.append(tx)
+        if kind in ("ampdu", "he-mu") and not data:
+            dozer = ctx.nodes[min(tx.involves)]
+            data.append((tx, dozer, 4 - len(dozer.flow.retry)))
+            dozer.power.doze(ctx.sim.now)
+        return tx
+
+    bss.send = recorded
+    bss.on_backoff_complete(bss.ap)
+    while not data:
+        ctx.sim.run_until(ctx.sim.now + 10 * US)
+    tx, dozer, n = data[0]
+    ctx.sim.run_until(tx.end_ns)
+    stats = ctx.stats[dozer.flow.flow_id]
+    assert n > 0 and stats.mpdu_attempts == stats.mpdu_failures == n
+    replies = [t for t in sent if t.start_ns > tx.end_ns]
+    assert all(t.tx_node != dozer.node_id for t in replies)
+    if len(tx.involves) > 1:
+        assert any(t.kind == "he-tb" for t in replies), [t.kind for t in replies]

@@ -16,7 +16,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from axsim import frames, phy, spatial
+from axsim import frames, mu, phy, spatial
 from axsim.config import RadioSection, default_config
 from axsim.core import SIFS, US
 from axsim.engine import (MIN_SR_TXPWR_DBM, SCHEDULER_TONE_PLAN, VHT_DATA_SUBCARRIERS,
@@ -281,6 +281,126 @@ def test_the_floor_is_tight(bandwidth, scheme, nss):
     engine.min_dl_round_ns = 0
     assert dl_round(engine, floor, backlogs, top) == (True, users)
     assert dl_round(engine, floor - 1, backlogs, top) == (False, users)
+
+
+# --- the UL round plan ---------------------------------------------------------------
+
+def ul_engine(scheme: str, bandwidth: int, nss: int, ra_ru_fraction: float = 0.0):
+    cfg = default_config("indoor_single", direction="ul", duration_s=0.05,
+                         bandwidth_mhz=bandwidth, stas_per_bss=12)
+    cfg.radio.sta_antennas = nss
+    cfg.mac.ra_ru_fraction = ra_ru_fraction
+    engine = RunContext(cfg, scheme).engines[0]
+    assert engine.nss == nss
+    return engine
+
+
+def ul_round(monkeypatch, engine, budget_ns: int, backlogs: dict[int, int],
+             index_of) -> tuple[mu.TriggerFrame, int | None]:
+    """One _ul_data_round with budget_ns left of the TXOP: STA aid holds
+    backlogs[aid] queued MPDUs and has reported them, and _link gives the
+    STA the MCS index_of(node id, tones), not the one its link would
+    select.  The trigger and _finish_txop record the outcome instead of
+    acting, and the schedule's shuffle draws the same values at every
+    call.  Returns (the schedule, the trigger's duration, None if no
+    trigger went out)."""
+    engine.bsr = mu.BsrTable()
+    for sta in engine.stas:
+        sta.flow = CbrFlow(sta.flow.flow_id, 0.0, engine.cfg.packet_bytes, 0)
+        sta.flow.retry = np.arange(backlogs.get(sta.aid, 0), dtype=np.int64)
+        engine.bsr.ingest(sta.aid, sta.flow.backlog_bytes(0))
+    schedules, sent = [], []
+
+    def build_schedule(*args):
+        schedules.append(build(*args))
+        return schedules[-1]
+
+    def link(power, tx, rx, tones=None, users=1):
+        assert rx is engine.ap
+        return rate(engine, tones, index_of(tx.node_id, tones))
+
+    def trigger(node, kind, n_bytes, start, then=None, **fields):
+        assert (node, kind, n_bytes) == (engine.ap, "tf", frames.tf_bytes(
+            len(fields["payload"].per_user)))
+        then(None)
+
+    build = mu.build_schedule
+    monkeypatch.setattr(mu, "build_schedule", build_schedule)
+    engine._link = link
+    engine.send_control = trigger
+    engine._ul_data_phase = lambda txop, ctrl, tf, plan, duration: sent.append(duration)
+    engine._finish_txop = lambda txop, success: sent.append(None)
+    state = engine.rng_sched.getstate()
+    engine._ul_data_round(Txop(engine.ap, engine.sim.now + budget_ns))
+    engine.rng_sched.setstate(state)
+    monkeypatch.setattr(mu, "build_schedule", build)
+    assert len(schedules) == 1 and len(sent) == 1
+    return schedules[0], sent[0]
+
+
+@pytest.mark.parametrize("nss", [1, 2])
+@pytest.mark.parametrize("scheme", HE_SCHEMES)
+@pytest.mark.parametrize("bandwidth", sorted(SCHEDULER_TONE_PLAN))
+def test_a_ul_round_goes_ahead_iff_one_mpdu_fits_at_the_slowest_rate(monkeypatch, bandwidth,
+                                                                    scheme, nss):
+    """Over schedules of users at MCSs their RUs allow and budgets from
+    under the trigger's overhead to a long TXOP: a trigger goes out if and
+    only if every scheduled user fits one MPDU in it at its own rate, and
+    it lasts min(budget - TF - 2 SIFS - multi-STA BA, the airtime of the
+    longest backlog, up to the A-MPDU cap, at its user's rate)."""
+    engine = ul_engine(scheme, bandwidth, nss)
+    cap = engine.features.ampdu_cap
+    max_mcs = engine.features.max_mcs
+    rng = random.Random(37 * bandwidth + nss)
+    seen = Counter()
+    for _ in range(10):
+        aids = rng.sample(range(1, len(engine.stas) + 1), rng.randint(1, len(engine.stas)))
+        backlogs = {aid: rng.choice((1, 2, 5, 64, 300)) for aid in aids}
+        share = {sta.node_id: rng.random() for sta in engine.stas}
+
+        def index_of(node_id, tones):
+            return int(share[node_id] * (phy.top_mcs(tones, max_mcs).index + 1))
+
+        for budget in (100 * US, 300 * US, 500 * US, 1000 * US, 2500 * US, 5000 * US,
+                       10**9):
+            tf, duration = ul_round(monkeypatch, engine, budget, backlogs, index_of)
+            n = len(tf.per_user)
+            window = budget - frames.legacy_frame_duration_ns(frames.tf_bytes(n)) \
+                - 2 * SIFS - frames.legacy_frame_duration_ns(frames.mba_bytes(n))
+            users = {u.aid12: rate(engine, tf.ru_of(u).tones,
+                                   index_of(engine.stas[u.aid12 - 1].node_id,
+                                            tf.ru_of(u).tones))[1]
+                     for u in tf.scheduled_users}
+            assert set(users) <= set(aids)
+            longest = max(frames.data_duration_ns(
+                phy.HE_TB_PPDU, min(cap, backlogs[aid]) * engine.mpdu_bits, bps)
+                for aid, bps in users.items())
+            want = min(window, longest)
+            fits = all(frames.mpdus_that_fit(want, phy.HE_TB_PPDU, bps,
+                                             engine.mpdu_bits, cap) >= 1
+                       for bps in users.values())
+            assert duration == (want if fits else None), (budget, window, longest)
+            seen["too short" if not fits else
+                 "budget" if window < longest else "backlog"] += 1
+    assert len(seen) == 3, seen
+
+
+def test_a_trigger_of_random_access_rus_only_never_goes_out(monkeypatch):
+    """A schedule with no scheduled user, only random-access RUs, has no
+    backlog to carry (its longest airtime is 0), so no trigger goes out,
+    whatever the budget: with every RU open to random access, and with
+    some open but an empty BSR table.  UORA then runs only beside
+    scheduled users."""
+    engine = ul_engine("ax_ofdma", 20, 1, ra_ru_fraction=1.0)
+    for budget in (500 * US, 5000 * US, 10**9):
+        tf, duration = ul_round(monkeypatch, engine, budget, {1: 5, 2: 64},
+                                lambda node_id, tones: 5)
+        assert not tf.scheduled_users and tf.ra_ru_indices and duration is None
+    engine = ul_engine("ax_ofdma", 80, 1, ra_ru_fraction=0.5)
+    for budget in (500 * US, 5000 * US, 10**9):
+        tf, duration = ul_round(monkeypatch, engine, budget, {},
+                                lambda node_id, tones: 5)
+        assert not tf.scheduled_users and tf.ra_ru_indices and duration is None
 
 
 # --- the configured noise figure ----------------------------------------------------
