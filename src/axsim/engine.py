@@ -131,13 +131,12 @@ class BssEngine:
     def send(self, node: SimNode, kind: str, start: int, end: int,
              then=None, txop: Txop | None = None, **fields) -> Transmission:
         """Put node's PPDU on the air from start to end, charging its transmit
-        energy from now; then(tx), if given, runs in its end event, after
-        the medium's end listeners.  A frame of txop
+        energy over that span; then(tx), if given, runs in its end event,
+        after the medium's end listeners.  A frame of txop
         carries as Duration what is left of the TXOP after its end; any
         other frame carries none.  fields are further Transmission fields;
         the PPDU spans the whole channel unless they give its subchannels."""
-        now = self.sim.now
-        node.power.mark_tx(now, end - now)
+        node.power.mark_tx(self.sim.now, start, end)
         fields.setdefault("subchannels", self.ctx.subchannels)
         tx = Transmission(0, node.node_id, self.bss_id, kind, start, end,
                           power_dbm=self.node_power(node), color=node.color,

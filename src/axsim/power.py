@@ -48,10 +48,13 @@ class EnergyAccount:
 
 @dataclass
 class PowerState:
-    """Doze/wake bookkeeping; the NAV always keeps running while dozing."""
+    """Doze/wake bookkeeping; the NAV always keeps running while dozing.
+    The ledger is settled up to since_ns; awake time inside the last
+    transmit window [tx_from_ns, tx_until_ns) counts as transmit time."""
 
     state: str = AWAKE
     since_ns: int = 0
+    tx_from_ns: int = 0
     tx_until_ns: int = 0
     account: EnergyAccount = field(default_factory=EnergyAccount)
 
@@ -59,8 +62,9 @@ class PowerState:
         span = now_ns - self.since_ns
         if span < 0:
             raise PowerError("clock went backwards")
-        if self.state == AWAKE and self.tx_until_ns > self.since_ns:
-            tx_span = min(now_ns, self.tx_until_ns) - self.since_ns
+        if self.state == AWAKE:
+            tx_span = max(0, min(now_ns, self.tx_until_ns)
+                          - max(self.since_ns, self.tx_from_ns))
             self.account.add(AWAKE, tx_span, transmitting=True)
             self.account.add(AWAKE, span - tx_span)
         else:
@@ -77,11 +81,13 @@ class PowerState:
             self._settle(now_ns)
             self.state = AWAKE
 
-    def mark_tx(self, now_ns: int, duration_ns: int) -> None:
+    def mark_tx(self, now_ns: int, start_ns: int, end_ns: int) -> None:
+        """At now_ns, a PPDU is handed over to go on the air from start_ns,
+        at or after now_ns, to end_ns."""
         if self.state != AWAKE:
             raise PowerError("a dozing STA cannot transmit")
         self._settle(now_ns)
-        self.tx_until_ns = now_ns + duration_ns
+        self.tx_from_ns, self.tx_until_ns = start_ns, end_ns
 
     def finish(self, now_ns: int) -> EnergyAccount:
         self._settle(now_ns)

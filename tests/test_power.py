@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from axsim import frames
 from axsim.config import default_config
-from axsim.core import MS, SEC, US
+from axsim.core import MS, SEC, SIFS, US
 from axsim.engine import RunContext
 from axsim.medium import Transmission
 from axsim.power import (AWAKE, EnergyAccount, PowerError, PowerState,
@@ -15,7 +16,7 @@ from axsim.spatial import INTER_BSS, INTRA_BSS
 
 def test_energy_ledger_closure():
     ps = PowerState()
-    ps.mark_tx(2 * MS, 1 * MS)
+    ps.mark_tx(2 * MS, 2 * MS, 3 * MS)
     ps.doze(5 * MS)
     ps.wake(9 * MS)
     account = ps.finish(10 * MS)
@@ -23,6 +24,32 @@ def test_energy_ledger_closure():
     assert account.tx_ns == 1 * MS
     assert account.doze_ns == 4 * MS
     assert account.awake_ns == 5 * MS
+
+
+def test_transmit_time_is_the_window_from_the_ppdu_start():
+    """A PPDU handed over before its start charges only [start, end) as
+    transmit time; the idle gap before it and the time after it are awake
+    time, settled up to each call and never past it."""
+    ps = PowerState()
+    ps.mark_tx(1 * MS, 1 * MS + 16 * US, 2 * MS)
+    assert ps.since_ns == 1 * MS
+    account = ps.finish(1 * MS + 500 * US)     # settles halfway through the PPDU
+    assert (account.tx_ns, account.awake_ns) == (484 * US, 1 * MS + 16 * US)
+    account = ps.finish(4 * MS)
+    assert (account.tx_ns, account.awake_ns) == (984 * US, 3 * MS + 16 * US)
+
+
+def test_a_cts_handed_over_sifs_early_charges_exactly_its_airtime():
+    cfg = default_config("indoor_single", stas_per_bss=4, duration_s=0.01)
+    ctx = RunContext(cfg, "ac_baseline")
+    engine = ctx.engines[0]
+    sta = engine.stas[0]
+    tx = engine.send_control(sta, "cts", frames.CTS_BYTES, ctx.sim.now + SIFS)
+    assert tx.end_ns - tx.start_ns == frames.legacy_frame_duration_ns(frames.CTS_BYTES)
+    ctx.sim.run_until(tx.end_ns + SIFS)
+    account = sta.power.finish(ctx.sim.now)
+    assert account.tx_ns == tx.end_ns - tx.start_ns
+    assert account.awake_ns == 2 * SIFS
 
 
 def test_energy_units_weighting():
@@ -34,7 +61,7 @@ def test_dozing_sta_cannot_transmit():
     ps = PowerState()
     ps.doze(0)
     with pytest.raises(PowerError):
-        ps.mark_tx(1 * MS, MS)
+        ps.mark_tx(1 * MS, 1 * MS, 2 * MS)
 
 
 def test_doze_reduces_energy():
@@ -57,7 +84,7 @@ def test_ledger_closure_under_random_transitions(steps):
         elif op == "wake":
             ps.wake(now)
         elif ps.state == AWAKE:
-            ps.mark_tx(now, 1)
+            ps.mark_tx(now, now + dt // 2, now + dt)
     total = now + 5
     assert ps.finish(total).total_ns == total
 
