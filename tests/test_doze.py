@@ -81,7 +81,7 @@ def test_a_receiver_dozing_at_the_data_end_fails_every_mpdu_and_sends_no_ba(sche
 
     bss.send = recorded
     bss.on_backoff_complete(bss.ap)
-    while not data:
+    while not data and ctx.sim.now < cfg.duration_ns:
         ctx.sim.run_until(ctx.sim.now + 10 * US)
     tx, dozer, n = data[0]
     ctx.sim.run_until(tx.end_ns)

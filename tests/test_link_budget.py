@@ -310,6 +310,7 @@ def ul_round(monkeypatch, engine, budget_ns: int, backlogs: dict[int, int],
         sta.flow.retry = np.arange(backlogs.get(sta.aid, 0), dtype=np.int64)
         engine.bsr.ingest(sta.aid, sta.flow.backlog_bytes(0))
     schedules, sent = [], []
+    build = mu.build_schedule
 
     def build_schedule(*args):
         schedules.append(build(*args))
@@ -324,7 +325,6 @@ def ul_round(monkeypatch, engine, budget_ns: int, backlogs: dict[int, int],
             len(fields["payload"].per_user)))
         then(None)
 
-    build = mu.build_schedule
     monkeypatch.setattr(mu, "build_schedule", build_schedule)
     engine._link = link
     engine.send_control = trigger
