@@ -18,7 +18,7 @@ from .core import DIFS, MS, SIFS, SLOT_TIME, US, RngSet, RngStream, Simulator
 from .medium import Medium, RuPart, Transmission
 from .power import PowerState, intra_ppdu_doze
 from .spatial import INTRA_BSS, TwoNav
-from .traffic import NO_SEQS, CbrFlow, FlowStats
+from .traffic import NO_SEQS, CbrFlow, FlowStats, FlowTable
 
 EIFS = SIFS + 44 * US + DIFS          # SIFS + legacy ACK airtime + DIFS
 
@@ -166,27 +166,41 @@ class BssEngine:
         p_err = self.ctx.per_model.per(sinr, phy.Mcs(0), 8 * n_bytes)
         return self.rng_per.random() >= p_err
 
-    def mpdu_outcomes(self, flow: CbrFlow, seqs: np.ndarray, eff_sinr: float | None,
-                      mcs: phy.Mcs) -> tuple[np.ndarray, np.ndarray]:
-        """Outcome of one A-MPDU carrying seqs of flow: one rng_per uniform
-        per MPDU, in order, survives if it is at least the PER.  Every MPDU
-        has mpdu_bits, so one PER holds for the whole A-MPDU.  Survivors are
-        delivered; returns (survivors, failed), which the caller returns to
-        the front of the flow's queue once it knows what was acknowledged.
-        A hard corruption (eff_sinr None) fails every MPDU without a draw."""
-        stats = self.ctx.stats[flow.flow_id]
-        stats.mpdu_attempts += len(seqs)
-        if eff_sinr is None:
-            stats.mpdu_failures += len(seqs)
-            return NO_SEQS, seqs
-        p_err = self.ctx.per_model.per(eff_sinr, mcs, self.mpdu_bits)
-        ok = self.rng_per.random_array(len(seqs)) >= p_err
-        survivors = seqs[ok]
-        failed = seqs[~ok]
-        if len(survivors):
-            self.ctx.deliver(flow, survivors)
-        stats.mpdu_failures += len(failed)
-        return survivors, failed
+    def mpdu_outcomes(self, ampdus: list[tuple[CbrFlow, np.ndarray, float | None, phy.Mcs]]
+                      ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Outcomes of a round's A-MPDUs, each (flow, seqs, effective SINR,
+        MCS), in user order: one rng_per uniform per MPDU, in order, survives
+        if it is at least the PER.  Every MPDU has mpdu_bits, so one PER
+        holds for a whole A-MPDU.  The round's uniforms come from one
+        random_array call, dealt out in order, which draws what one call per
+        A-MPDU would.  A hard corruption (SINR None) fails every MPDU without
+        a draw.  Survivors are delivered; returns (survivors, failed) per
+        A-MPDU, which the caller returns to the front of the flow's queue
+        once it knows what was acknowledged."""
+        per = self.ctx.per_model.per
+        p_errs = [None if eff is None else per(eff, mcs, self.mpdu_bits)
+                  for _, _, eff, mcs in ampdus]
+        drawn = sum(len(seqs) for (_, seqs, _, _), p_err in zip(ampdus, p_errs)
+                    if p_err is not None)
+        draws = self.rng_per.random_array(drawn)
+        out = []
+        k = 0
+        for (flow, seqs, _, _), p_err in zip(ampdus, p_errs):
+            stats = self.ctx.stats[flow.flow_id]
+            stats.mpdu_attempts += len(seqs)
+            if p_err is None:
+                stats.mpdu_failures += len(seqs)
+                out.append((NO_SEQS, seqs))
+                continue
+            ok = draws[k:k + len(seqs)] >= p_err
+            k += len(seqs)
+            survivors = seqs[ok]
+            failed = seqs[~ok]
+            if len(survivors):
+                self.ctx.deliver(flow, survivors)
+            stats.mpdu_failures += len(failed)
+            out.append((survivors, failed))
+        return out
 
     def _take(self, flow: CbrFlow, ppdu: phy.PpduFormat, duration_ns: int,
               bps: float, at_least: int = 0) -> np.ndarray:
@@ -196,14 +210,17 @@ class BssEngine:
                                   self.features.ampdu_cap)
         return flow.take(self.sim.now, max(at_least, n))
 
-    def _outcome(self, flow: CbrFlow, seqs: np.ndarray, sinr: float | None,
-                 rx: SimNode, users: int, mcs: phy.Mcs) -> tuple[np.ndarray, np.ndarray]:
-        """mpdu_outcomes of an A-MPDU of seqs at mcs that rx receives at sinr
-        (None: hard corruption) on an RU `users` users share, plus rx's
+    def _outcome(self, ampdus: list[tuple[CbrFlow, np.ndarray, float | None, SimNode,
+                                          int, phy.Mcs]]
+                 ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """mpdu_outcomes of a round's A-MPDUs, in user order, each (flow,
+        seqs, SINR, rx, users, MCS): seqs at the MCS that rx receives at the
+        SINR (None: hard corruption) on an RU `users` users share, plus rx's
         receive gain.  A dozing rx decodes nothing."""
-        eff = None if sinr is None or rx.power.dozing \
-            else sinr + self._rx_gain_db(rx, users)
-        return self.mpdu_outcomes(flow, seqs, eff, mcs)
+        return self.mpdu_outcomes([
+            (flow, seqs, None if sinr is None or rx.power.dozing
+             else sinr + self._rx_gain_db(rx, users), mcs)
+            for flow, seqs, sinr, rx, users, mcs in ampdus])
 
     # --- link adaptation ---------------------------------------------------------------
 
@@ -251,10 +268,13 @@ class BssEngine:
     def attach_flows(self) -> None:
         rng = self.ctx.rng.stream(f"traffic-{self.bss_id}")
         rate = self.cfg.per_sta_rate_mbps * 1e6
-        for sta in self.stas:
-            phase = rng.randint(0, max(1, int(8 * self.cfg.packet_bytes * 1e9
-                                              / max(rate, 1e-9))))
-            sta.flow = CbrFlow(sta.node_id, rate, self.cfg.packet_bytes, phase)
+        phases = [rng.randint(0, max(1, int(8 * self.cfg.packet_bytes * 1e9
+                                            / max(rate, 1e-9))))
+                  for _ in self.stas]
+        self.flows = FlowTable([sta.node_id for sta in self.stas], [rate] * len(self.stas),
+                               self.cfg.packet_bytes, phases)
+        for sta, flow in zip(self.stas, self.flows.flows):
+            sta.flow = flow
             self.ctx.stats[sta.node_id] = FlowStats()
 
     def kick(self) -> None:
@@ -269,9 +289,9 @@ class BssEngine:
     def has_work(self, node: SimNode) -> bool:
         """Whether node has traffic to contend for: a STA for its own uplink
         flow, the AP for every flow of the BSS it serves or triggers."""
-        flows = (sta.flow for sta in self.stas) if node.is_ap else (node.flow,)
-        now = self.sim.now
-        return any(f.backlog_count(now) > 0 for f in flows)
+        if node.is_ap:
+            return bool((self.flows.backlog(self.sim.now) > 0).any())
+        return node.flow.backlog_count(self.sim.now) > 0
 
     def on_backoff_complete(self, node: SimNode) -> None:
         raise NotImplementedError
@@ -291,7 +311,7 @@ class AcBssEngine(BssEngine):
     def on_backoff_complete(self, holder: SimNode) -> None:
         now = self.sim.now
         if holder.is_ap:            # downlink: one backlogged STA at random
-            candidates = [s for s in self.stas if s.flow.backlog_count(now) > 0]
+            candidates = [self.stas[k] for k in self.flows.backlogged(now)]
             if not candidates:
                 return
             peer = self.rng_sched.choice(candidates)
@@ -346,7 +366,7 @@ class AcBssEngine(BssEngine):
         peer = txop.peer
         sinr = self.medium.sinr_db(tx, peer.node_id, tx.power_dbm,
                                    self.cfg.bandwidth_mhz * 1e6, 0)
-        survivors, failed = self._outcome(txop.flow, seqs, sinr, peer, 1, mcs)
+        [(survivors, failed)] = self._outcome([(txop.flow, seqs, sinr, peer, 1, mcs)])
         if not len(survivors):
             txop.flow.requeue(seqs)
             self._finish_txop(txop, success=txop.any_data)
@@ -447,14 +467,14 @@ class AxBssEngine(BssEngine):
                                    part.bandwidth_hz, part.assignment.position,
                                    part.ru_index, co_group=part.users)
 
-    def _plan(self, tf: mu.TriggerFrame, ppdu: phy.PpduFormat,
-              power: float | None) -> tuple[list[Planned], int]:
+    def _plan(self, tf: mu.TriggerFrame, ppdu: phy.PpduFormat, power: float | None,
+              backlog: list[int]) -> tuple[list[Planned], int]:
         """Link adaptation for the scheduled users of tf, in its order, and
         the airtime in a ppdu of the longest backlog (up to the A-MPDU cap)
-        at its user's rate.  For a downlink round power is the AP's power
-        per RU, which the users of an RU split; for an uplink one (None)
-        each STA sends to the AP at its own power."""
-        now = self.sim.now
+        at its user's rate; backlog holds every STA's, by AID - 1.  For a
+        downlink round power is the AP's power per RU, which the users of an
+        RU split; for an uplink one (None) each STA sends to the AP at its
+        own power."""
         scheduled = tf.scheduled_users
         sharing: dict[int, int] = {}        # RU index -> its users
         for user in scheduled:
@@ -469,9 +489,9 @@ class AxBssEngine(BssEngine):
             else:
                 tx_power, tx, rx = power - 10.0 * math.log10(users), self.ap, sta
             mcs, bps = self._link(tx_power, tx, rx, tf.ru_of(user).tones, users)
-            backlog = min(self.features.ampdu_cap, sta.flow.backlog_count(now))
+            queued = min(self.features.ampdu_cap, backlog[user.aid12 - 1])
             max_air = max(max_air,
-                          frames.data_duration_ns(ppdu, backlog * self.mpdu_bits, bps))
+                          frames.data_duration_ns(ppdu, queued * self.mpdu_bits, bps))
             plan.append(Planned(sta, user.ru_index, mcs, bps))
         return plan, max_air
 
@@ -487,10 +507,9 @@ class AxBssEngine(BssEngine):
     # (SimNode.aid); frames on the air involve node ids.
 
     def _ul_step(self, txop: Txop) -> None:
-        now = self.sim.now
         queued = self.bsr.queued
-        unknown = [s.aid for s in self.stas
-                   if s.aid not in queued and s.flow.backlog_count(now) > 0]
+        unknown = [k + 1 for k in self.flows.backlogged(self.sim.now)
+                   if k + 1 not in queued]
         if unknown:
             self.rng_sched.shuffle(unknown)
             self._bsrp_round(txop, unknown)
@@ -541,16 +560,16 @@ class AxBssEngine(BssEngine):
 
     def _ul_data_round(self, txop: Txop) -> None:
         now = self.sim.now
-        queued = self.bsr.queued
-        for sta in self.stas:       # drop drained entries before scheduling
-            if sta.aid in queued and sta.flow.backlog_count(now) == 0:
-                self.bsr.ingest(sta.aid, 0)
+        backlog = self.flows.backlog(now).tolist()
+        # drop drained entries before scheduling
+        for aid in [aid for aid in self.bsr.queued if backlog[aid - 1] == 0]:
+            self.bsr.ingest(aid, 0)
         tf = mu.build_schedule(self.bsr.backlogged(), self.layout, self.rng_sched,
                                self.cfg.mac.ra_ru_fraction, self.users_per_ru, self.nss)
         if tf is None:
             self._finish_txop(txop, txop.any_data)
             return
-        plan, max_air = self._plan(tf, phy.HE_TB_PPDU, None)
+        plan, max_air = self._plan(tf, phy.HE_TB_PPDU, None, backlog)
         n_users = len(tf.per_user)
         tf_bytes = frames.tf_bytes(n_users)
         overhead = frames.legacy_frame_duration_ns(tf_bytes) + 2 * SIFS \
@@ -598,10 +617,9 @@ class AxBssEngine(BssEngine):
         now = self.sim.now
         scheduled = {u.aid12 for u in tf.scheduled_users}
         eligible = {}
-        for sta in self.stas:
+        for k in self.flows.backlogged(now):
+            sta = self.stas[k]
             if sta.aid in scheduled or sta.power.dozing:
-                continue
-            if sta.flow.backlog_count(now) == 0:
                 continue
             ok, sta.obo = mu.uora_update(sta.obo, len(ra_indices), self.rng_uora,
                                          self.cfg.mac.uora_boundary_eligible)
@@ -633,9 +651,10 @@ class AxBssEngine(BssEngine):
         now = self.sim.now
         decoded = {}
         results = []
-        for sta, tx, seqs, mcs in txs:
-            survivors, failed = self._outcome(sta.flow, seqs, self._ru_sinr(tx), self.ap,
-                                              len(tx.ru.users) + 1, mcs)
+        outcomes = self._outcome([(sta.flow, seqs, self._ru_sinr(tx), self.ap,
+                                   len(tx.ru.users) + 1, mcs)
+                                  for sta, tx, seqs, mcs in txs])
+        for (sta, _, seqs, _), (survivors, failed) in zip(txs, outcomes):
             results.append((sta, seqs, failed))
             if len(survivors):
                 decoded[sta.aid] = tuple(survivors.tolist())
@@ -666,20 +685,23 @@ class AxBssEngine(BssEngine):
 
     def _dl_round(self, txop: Txop) -> None:
         now = self.sim.now
-        backlogged = [sta.aid for sta in self.stas if sta.flow.backlog_count(now) > 0]
-        tf = mu.build_schedule(backlogged, self.layout, self.rng_sched, 0.0,
-                               self.users_per_ru, self.nss)
+        backlog = self.flows.backlog(now)
+        backlogged = (np.flatnonzero(backlog > 0) + 1).tolist()
         # A round shorter than min_dl_round_ns cannot fit: no user's rate
         # exceeds the one it assumes, and airtime does not rise with the
         # rate, so the exact check below, at the slowest user's rate, would
-        # end the TXOP too; this one skips link adaptation.  It follows
-        # build_schedule so that the schedule still draws rng_sched.
-        if tf is None or txop.deadline_ns - now < self.min_dl_round_ns:
+        # end the TXOP too; this one ends it before the schedule and link
+        # adaptation.  It still draws rng_sched as build_schedule would: its
+        # shuffle's draws depend only on the length of the list.
+        if not backlogged or txop.deadline_ns - now < self.min_dl_round_ns:
+            self.rng_sched.shuffle(backlogged)
             self._finish_txop(txop, txop.any_data)
             return
+        tf = mu.build_schedule(backlogged, self.layout, self.rng_sched, 0.0,
+                               self.users_per_ru, self.nss)
         per_ru_power = mu.dl_power_split_dbm(self.node_power(self.ap),
                                              len(self.layout.rus))
-        plan, max_air = self._plan(tf, phy.HE_MU_PPDU, per_ru_power)
+        plan, max_air = self._plan(tf, phy.HE_MU_PPDU, per_ru_power, backlog.tolist())
         # acknowledgements ride the adapted data rate of their RU
         ba_on_ru_ns = max(
             frames.data_duration_ns(phy.HE_TB_PPDU, 8 * frames.BA_BYTES, p.bps)
@@ -703,7 +725,7 @@ class AxBssEngine(BssEngine):
 
     def _dl_data_done(self, txop: Txop, tx, taken, ba_on_ru_ns) -> None:
         parts = {part.ru_index: part for part in tx.ru_parts}
-        results = []
+        ampdus = []
         for p, seqs in taken:
             part = parts[p.ru_index]
             users = len(part.users)
@@ -711,8 +733,9 @@ class AxBssEngine(BssEngine):
                                        part.power_dbm - 10.0 * math.log10(users),
                                        part.bandwidth_hz, part.assignment.position,
                                        p.ru_index)
-            survivors, failed = self._outcome(p.sta.flow, seqs, sinr, p.sta, users, p.mcs)
-            results.append((p, seqs, survivors, failed))
+            ampdus.append((p.sta.flow, seqs, sinr, p.sta, users, p.mcs))
+        results = [(p, seqs, survivors, failed) for (p, seqs), (survivors, failed)
+                   in zip(taken, self._outcome(ampdus))]
         responders = [p for p, _, survivors, _ in results if len(survivors)]
         if not responders:
             for p, seqs, _, _ in results:

@@ -1,10 +1,16 @@
+import copy
+import random
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from axsim.config import MacSection
+from axsim.config import MacSection, default_config
 from axsim.core import (DIFS, SEC, SIFS, SLOT_TIME, US, PastEventError, RngSet,
                         Simulator)
+from axsim.engine import RunContext
+from axsim.traffic import FlowStats
 
 
 def test_protocol_constants_are_exact_ns_multiples():
@@ -186,3 +192,135 @@ def test_random_array_equals_repeated_random(carried):
     assert fast.gauss(0.0, 2.0) == slow.gauss(0.0, 2.0)
     assert fast.gauss(0.0, 2.0) == slow.gauss(0.0, 2.0)
     assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("a, b", [(0, 0), (0, 5), (5, 0), (1, 1), (3, 7), (64, 200)])
+def test_random_array_splits_as_it_is_dealt(a, b):
+    """random_array(a + b) is random_array(a) followed by random_array(b),
+    and leaves the stream where the two calls would: one draw per round
+    deals out what one call per A-MPDU draws."""
+    whole = RngSet(9).stream("per-1")
+    parts = RngSet(9).stream("per-1")
+    got = whole.random_array(a + b)
+    want = np.concatenate((parts.random_array(a), parts.random_array(b)))
+    assert got.tolist() == want.tolist()
+    assert whole.getstate() == parts.getstate()
+
+
+def _copied(stats: FlowStats) -> FlowStats:
+    out = copy.copy(stats)
+    out.delivered = stats.delivered.copy()
+    return out
+
+
+def _stats_fields(stats: FlowStats) -> tuple:
+    return (stats.delivered_bytes, stats.delivered_pkts, stats.delay_sum_ns,
+            stats.mpdu_attempts, stats.mpdu_failures, stats.delivered.tolist())
+
+
+def _checked_outcomes(bss, seen: Counter):
+    """Replace bss._outcome with a check of each round's call against draws
+    made per A-MPDU, in user order, from a copy of rng_per: the same
+    survivors and failures, the same FlowStats, and rng_per left where
+    the per-A-MPDU draws leave the copy.  PerModel.per reads 0.3 at every
+    A-MPDU, so both outcomes occur, and is counted."""
+    ctx = bss.ctx
+    outcome = bss._outcome
+    pers = []
+
+    def per(sinr, mcs, bits):
+        pers.append(sinr)
+        return 0.3
+
+    ctx.per_model.per = per
+
+    def checked(ampdus):
+        ref = random.Random()
+        ref.setstate(bss.rng_per.getstate())
+        now = ctx.sim.now
+        want, want_stats = [], {}
+        for flow, seqs, sinr, rx, users, mcs in ampdus:
+            stats = want_stats[flow.flow_id] = _copied(ctx.stats[flow.flow_id])
+            stats.mpdu_attempts += len(seqs)
+            if sinr is None or rx.power.dozing:
+                seen["hard corruption" if sinr is None else "dozing receiver"] += 1
+                stats.mpdu_failures += len(seqs)
+                want.append(([], seqs.tolist()))
+                continue
+            draws = [ref.random() for _ in seqs]
+            survivors = [s for s, u in zip(seqs.tolist(), draws) if u >= 0.3]
+            failed = [s for s, u in zip(seqs.tolist(), draws) if u < 0.3]
+            if survivors:
+                stats.on_delivery(flow, np.array(survivors, dtype=np.int64), now,
+                                  now >= ctx.cfg.warmup_ns)
+            stats.mpdu_failures += len(failed)
+            want.append((survivors, failed))
+            seen["survivors"] += bool(survivors)
+            seen["failures"] += bool(failed)
+        drawing = sum(1 for _, seqs, sinr, rx, _, _ in ampdus
+                      if sinr is not None and not rx.power.dozing)
+        del pers[:]
+        got = outcome(ampdus)
+        assert len(pers) == drawing
+        assert [(s.tolist(), f.tolist()) for s, f in got] == want
+        for flow_id, stats in want_stats.items():
+            assert _stats_fields(ctx.stats[flow_id]) == _stats_fields(stats)
+        assert bss.rng_per.getstate() == ref.getstate()
+        seen["rounds of several drawing A-MPDUs"] += drawing > 1
+        return got
+
+    bss._outcome = checked
+
+
+def test_a_dl_data_end_draws_as_per_ampdu_draws_would():
+    """Every DL data end over a run, with the first user of each HE-MU
+    PPDU hard-corrupted and its last user dozing at the PPDU's end."""
+    cfg = default_config("indoor_single", stas_per_bss=16, duration_s=0.1,
+                         direction="dl", warmup_fraction=0.0)
+    ctx = RunContext(cfg, "ax_ofdma_mumimo")
+    bss = ctx.engines[0]
+    seen = Counter()
+    _checked_outcomes(bss, seen)
+    corrupt = [None, None]       # the PPDU at its data end, and its first user
+    sinr_db = ctx.medium.sinr_db
+    ctx.medium.sinr_db = lambda tx, rx, *args, **kwargs: None \
+        if tx is corrupt[0] and rx == corrupt[1] else sinr_db(tx, rx, *args, **kwargs)
+    data_done = bss._dl_data_done
+
+    def dl_data_done(txop, tx, taken, ba_on_ru_ns):
+        first, last = taken[0][0].sta, taken[-1][0].sta
+        corrupt[:] = [tx, first.node_id]
+        if last is not first:
+            last.power.doze(ctx.sim.now)
+        data_done(txop, tx, taken, ba_on_ru_ns)
+        if last.power.dozing:
+            last.power.wake(ctx.sim.now)
+
+    bss._dl_data_done = dl_data_done
+    ctx.run()
+    assert min(seen[key] for key in ("hard corruption", "dozing receiver", "survivors",
+                                     "failures", "rounds of several drawing A-MPDUs")) > 0, seen
+
+
+def test_a_ul_round_end_draws_as_per_ampdu_draws_would():
+    """Every UL round end over a run, with the first HE-TB PPDU of each
+    round hard-corrupted at the AP."""
+    cfg = default_config("indoor_single", stas_per_bss=16, duration_s=0.1,
+                         direction="ul", warmup_fraction=0.0)
+    ctx = RunContext(cfg, "ax_ofdma")
+    bss = ctx.engines[0]
+    seen = Counter()
+    _checked_outcomes(bss, seen)
+    corrupt = [None]             # the round's first HE-TB PPDU
+    ru_sinr = bss._ru_sinr
+    bss._ru_sinr = lambda tx: None if tx is corrupt[0] else ru_sinr(tx)
+    round_end = bss._ul_round_end
+
+    def ul_round_end(txop, txs):
+        corrupt[0] = txs[0][1] if txs else None
+        round_end(txop, txs)
+
+    bss._ul_round_end = ul_round_end
+    ctx.run()
+    assert min(seen[key] for key in ("hard corruption", "survivors", "failures",
+                                     "rounds of several drawing A-MPDUs")) > 0, seen

@@ -10,6 +10,7 @@ from its own and stays awake through them.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -18,7 +19,6 @@ import pytest
 from axsim import engine, runner
 from axsim.config import default_config
 from axsim.core import US
-from axsim.traffic import CbrFlow
 
 
 @pytest.mark.parametrize("direction", ["ul", "dl"])
@@ -64,9 +64,9 @@ def test_a_receiver_dozing_at_the_data_end_fails_every_mpdu_and_sends_no_ba(sche
     cfg = default_config("indoor_single", stas_per_bss=8, duration_s=0.1, direction="dl")
     ctx = engine.RunContext(cfg, scheme)
     bss = ctx.engines[0]
+    bss.flows.interval_ns[:] = math.inf      # no arrivals, 4 retries each
     for sta in bss.stas:
-        sta.flow = CbrFlow(sta.flow.flow_id, 0.0, cfg.packet_bytes, 0)
-        sta.flow.retry = np.arange(4, dtype=np.int64)
+        sta.flow.requeue(np.arange(4, dtype=np.int64))
     sent, data = [], []
     send = bss.send
 

@@ -23,7 +23,6 @@ from axsim.engine import (MIN_SR_TXPWR_DBM, SCHEDULER_TONE_PLAN, VHT_DATA_SUBCAR
                           RunContext, Txop)
 from axsim.medium import SUBCHANNEL_HZ, Transmission
 from axsim.ru import data_subcarriers
-from axsim.traffic import CbrFlow
 
 TONE_HZ = 78_125.0
 
@@ -176,6 +175,17 @@ def rate(engine, tones: int, index: int) -> tuple[phy.Mcs, float]:
     return mcs, engine._bits_per_symbol(data_subcarriers(tones), mcs)
 
 
+def script_backlogs(engine, backlogs: dict[int, int]) -> None:
+    """Through the BSS's flow arrays: no arrivals (rate 0), and STA aid
+    holding backlogs[aid] queued MPDUs, seqs 0 up, in its retry queue."""
+    flows = engine.flows
+    flows.interval_ns[:] = math.inf
+    flows.next_seq[:] = 0
+    for sta in engine.stas:
+        sta.flow.take(engine.sim.now, len(sta.flow.retry))
+        sta.flow.requeue(np.arange(backlogs.get(sta.aid, 0), dtype=np.int64))
+
+
 def dl_round(engine, budget_ns: int, backlogs: dict[int, int], index_of) -> tuple[bool, int]:
     """One _dl_round with budget_ns left of the TXOP: STA aid holds
     backlogs[aid] queued MPDUs, and _link gives the STA the MCS
@@ -183,9 +193,7 @@ def dl_round(engine, budget_ns: int, backlogs: dict[int, int], index_of) -> tupl
     _finish_txop record the outcome instead of acting, and the schedule's
     shuffle draws the same values at every call.  Returns (whether the
     round sent, how many users link adaptation read)."""
-    for sta in engine.stas:
-        sta.flow = CbrFlow(sta.flow.flow_id, 0.0, engine.cfg.packet_bytes, 0)
-        sta.flow.retry = np.arange(backlogs.get(sta.aid, 0), dtype=np.int64)
+    script_backlogs(engine, backlogs)
     links = []
 
     def link(power, tx, rx, tones=None, users=1):
@@ -283,6 +291,32 @@ def test_the_floor_is_tight(bandwidth, scheme, nss):
     assert dl_round(engine, floor - 1, backlogs, top) == (False, users)
 
 
+@pytest.mark.parametrize("n_backlogged", [0, 1, 2, 12])
+def test_a_dl_round_under_the_floor_ends_before_the_schedule(monkeypatch, n_backlogged):
+    """A round under min_dl_round_ns ends the TXOP before the schedule: it
+    calls neither build_schedule nor _link, and leaves rng_sched where
+    build_schedule's shuffle of the same backlogged AIDs leaves it, so
+    every later schedule draws as before."""
+    engine = dl_engine("ax_ofdma_mumimo", 80, 2)
+    rng = random.Random(n_backlogged)
+    aids = sorted(rng.sample(range(1, len(engine.stas) + 1), n_backlogged))
+    script_backlogs(engine, {aid: rng.choice((1, 5, 64)) for aid in aids})
+    start = engine.rng_sched.getstate()
+    ref = random.Random()
+    ref.setstate(start)
+    mu.build_schedule(aids, engine.layout, ref, 0.0, engine.users_per_ru, engine.nss)
+    calls, ended = [], []
+    monkeypatch.setattr(mu, "build_schedule", lambda *args: calls.append("schedule"))
+    engine._link = lambda *args, **kwargs: calls.append("link")
+    engine.send = lambda *args, **kwargs: calls.append("send")
+    engine._finish_txop = lambda txop, success: ended.append(success)
+    engine._dl_round(Txop(engine.ap, engine.sim.now + engine.min_dl_round_ns - 1))
+    assert calls == [] and ended == [False]
+    assert engine.rng_sched.getstate() == ref.getstate()
+    # a shuffle of two or more draws
+    assert (engine.rng_sched.getstate() != start) == (n_backlogged > 1)
+
+
 # --- the UL round plan ---------------------------------------------------------------
 
 def ul_engine(scheme: str, bandwidth: int, nss: int, ra_ru_fraction: float = 0.0):
@@ -305,9 +339,8 @@ def ul_round(monkeypatch, engine, budget_ns: int, backlogs: dict[int, int],
     call.  Returns (the schedule, the trigger's duration, None if no
     trigger went out)."""
     engine.bsr = mu.BsrTable()
+    script_backlogs(engine, backlogs)
     for sta in engine.stas:
-        sta.flow = CbrFlow(sta.flow.flow_id, 0.0, engine.cfg.packet_bytes, 0)
-        sta.flow.retry = np.arange(backlogs.get(sta.aid, 0), dtype=np.int64)
         engine.bsr.ingest(sta.aid, sta.flow.backlog_bytes(0))
     schedules, sent = [], []
     build = mu.build_schedule

@@ -152,14 +152,14 @@ RTS_NS, CTS_NS, BA_NS = control_ns(20), control_ns(14), control_ns(32)
 
 
 class Burst(CbrFlow):
-    """n packets, all queued at t = 0, and none after."""
+    """n packets, all queued at t = 0, and none after: the flow's slot of
+    its BSS's flow arrays gets no arrivals (rate 0) and seqs 0 to n - 1 in
+    its retry queue, and this handle on the slot counts them enqueued at 0."""
 
-    def __init__(self, flow_id, n, packet_bytes):
-        super().__init__(flow_id, 0.0, packet_bytes, 0)
-        self.n = n
-
-    def arrivals_by(self, now_ns):
-        return self.n
+    def __init__(self, flow, n):
+        super().__init__(flow.table, flow.slot, flow.flow_id, flow.packet_bytes)
+        self.table.interval_ns[self.slot] = math.inf
+        self.requeue(np.arange(n, dtype=np.int64))
 
     def enqueued_ns(self, seqs):
         return np.zeros(len(seqs), dtype=np.int64)
@@ -174,7 +174,7 @@ def isolated_txops(queued, loss_db=60.0, until_ns=10_000 * US, engine_setup=None
     engine = ctx.engines[0]
     ap, sta = engine.ap, engine.stas[0]
     ctx.loss_db[ap.node_id, sta.node_id] = ctx.loss_db[sta.node_id, ap.node_id] = loss_db
-    sta.flow = Burst(sta.node_id, queued, ctx.cfg.packet_bytes)
+    sta.flow = Burst(sta.flow, queued)
     if engine_setup:
         engine_setup(engine)
     sent = []
@@ -285,7 +285,8 @@ def test_txop_budget_limits_aggregate_count():
 
 class ScriptedPer:
     """rng_per stand-in: control frames always decode, and the k-th A-MPDU's
-    MPDU draws are the k-th script entry (then all survive)."""
+    MPDU draws are the k-th script entry (then all survive); a single-user
+    round draws for its one A-MPDU in one call."""
 
     def __init__(self, script):
         self.script = list(script)
@@ -308,9 +309,9 @@ def test_failed_mpdus_retry_within_txop():
         engine.rng_per = ScriptedPer([[0.0, 0.99, 0.0]])
         outcomes = engine.mpdu_outcomes
 
-        def record(flow, seqs, eff, mcs):
-            carried.append(seqs.tolist())
-            return outcomes(flow, seqs, eff, mcs)
+        def record(ampdus):
+            carried.extend(seqs.tolist() for _, seqs, _, _ in ampdus)
+            return outcomes(ampdus)
         engine.mpdu_outcomes = record
 
     engine, sta, sent = isolated_txops(3, engine_setup=setup)

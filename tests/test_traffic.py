@@ -1,23 +1,26 @@
-"""Packets as sequence numbers: CBR queues, delivery counts and the
-per-A-MPDU PER draw, each against the per-packet form it replaces."""
+"""Packets as sequence numbers: CBR queues, a BSS's flows as arrays,
+delivery counts and the per-round PER draw, each against the per-packet
+form it replaces."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
+from hypothesis import given, strategies as st
 
 from axsim import phy
 from axsim.config import default_config
 from axsim.core import RngSet
 from axsim.engine import RunContext
-from axsim.traffic import CbrFlow, FlowStats
+from axsim.traffic import CbrFlow, FlowStats, FlowTable
 
 
 def cbr(rate_bps: float = 13e6, phase_ns: int = 12_345) -> CbrFlow:
     # 1500-byte packets at 13 Mbps: a non-integer interval, so enqueue
     # times depend on the rounding
-    return CbrFlow(7, rate_bps, 1500, phase_ns)
+    return FlowTable([7], [rate_bps], 1500, [phase_ns]).flows[0]
 
 
 class ScalarQueue:
@@ -61,6 +64,50 @@ def test_take_and_requeue_follow_the_per_packet_queue():
         assert flow.retry.tolist() == ref.retry
         assert flow.backlog_count(now) == \
             len(ref.retry) + flow.arrivals_by(now) - ref.next_seq
+
+
+def test_the_array_backlog_follows_each_flow_of_the_bss():
+    """A BSS's flow arrays against a per-packet queue per flow, over a
+    random script of times, takes and requeues: 13 Mbps flows (a
+    non-integer interval), one at 1 Mbps whose phase is still ahead for a
+    while, and one at rate 0 that only ever holds what it is given back."""
+    rates = [13e6, 13e6, 1e6, 0.0, 13e6]
+    phases = [0, 12_345, 400_000_000, 0, 923_077]
+    table = FlowTable([10, 11, 12, 13, 14], rates, 1500, phases)
+    refs = [ScalarQueue(flow) for flow in table.flows]
+    script = random.Random(11)
+    now = 0
+    for _ in range(600):
+        now += script.randint(0, 2_000_000)
+        k = script.randrange(len(refs))
+        flow, ref = table.flows[k], refs[k]
+        n = script.choice((0, 1, 2, 5, 40))
+        got = flow.take(now, n)
+        want = ref.take(now, n)
+        assert got.tolist() == want
+        failed = [s for s in want if script.random() < 0.3]
+        back = want if script.random() < 0.1 else failed
+        if k == 3 and script.random() < 0.2:
+            back = back + [1000 + now % 97]    # the rate-0 flow is handed seqs
+        flow.requeue(np.array(back, dtype=np.int64))
+        ref.requeue(back)
+        backlog = table.backlog(now)
+        assert backlog.dtype == np.int64
+        assert backlog.tolist() == [
+            len(r.retry) + r.flow.arrivals_by(now) - r.next_seq for r in refs]
+        assert backlog.tolist() == [f.backlog_count(now) for f in table.flows]
+        assert table.retry_len.tolist() == [len(r.retry) for r in refs]
+    assert now > phases[2] and refs[2].next_seq > 0 and table.backlog(now)[3] >= 0
+
+
+@given(st.integers(-10**10, 10**10), st.integers(0, 10**10),
+       st.floats(1.0, 1e9, allow_nan=False, allow_infinity=False))
+def test_numpy_floor_division_is_pythons(now, phase, interval):
+    """FlowTable.backlog's arrivals equal CbrFlow.arrivals_by's scalar
+    int((now - phase) // interval) to the packet."""
+    got = (np.array([now], dtype=np.int64) - np.array([phase], dtype=np.int64)) \
+        // np.array([interval])
+    assert int(got.astype(np.int64)[0]) == int((now - phase) // interval)
 
 
 def test_retries_come_before_fresh_arrivals():
@@ -144,13 +191,13 @@ def test_one_draw_per_mpdu_in_order():
     assert 0.05 < p_err < 0.95
     for _ in range(20):
         draws = [ref.random() for _ in seqs]
-        survivors, failed = engine.mpdu_outcomes(flow, seqs, sinr, mcs)
+        [(survivors, failed)] = engine.mpdu_outcomes([(flow, seqs, sinr, mcs)])
         assert survivors.tolist() == [s for s, u in zip(seqs.tolist(), draws)
                                       if u >= p_err]
         assert failed.tolist() == [s for s, u in zip(seqs.tolist(), draws)
                                    if u < p_err]
     # a hard corruption fails everything and draws nothing
-    survivors, failed = engine.mpdu_outcomes(flow, seqs, None, mcs)
+    [(survivors, failed)] = engine.mpdu_outcomes([(flow, seqs, None, mcs)])
     assert len(survivors) == 0 and failed.tolist() == seqs.tolist()
     assert engine.rng_per.random() == ref.random()
     stats = ctx.stats[flow.flow_id]
