@@ -271,7 +271,7 @@ class BssEngine:
         phases = [rng.randint(0, max(1, int(8 * self.cfg.packet_bytes * 1e9
                                             / max(rate, 1e-9))))
                   for _ in self.stas]
-        self.flows = FlowTable([sta.node_id for sta in self.stas], [rate] * len(self.stas),
+        self.flows = FlowTable([sta.node_id for sta in self.stas], rate,
                                self.cfg.packet_bytes, phases)
         for sta, flow in zip(self.stas, self.flows.flows):
             sta.flow = flow

@@ -22,13 +22,12 @@ class FlowTable:
     numpy expression (`backlog`); a read or write of one flow goes through
     its handle (`flows`, one `CbrFlow` per slot)."""
 
-    def __init__(self, flow_ids: list[int], rates_bps: list[float], packet_bytes: int,
+    def __init__(self, flow_ids: list[int], rate_bps: float, packet_bytes: int,
                  phases_ns: list[int]):
         n = len(flow_ids)
         self.phase_ns = np.array(phases_ns, dtype=np.int64)
-        self.interval_ns = np.array([math.inf if rate <= 0
-                                     else 8 * packet_bytes * 1e9 / rate
-                                     for rate in rates_bps], dtype=float)
+        self.interval_ns = np.full(n, math.inf if rate_bps <= 0
+                                   else 8 * packet_bytes * 1e9 / rate_bps)
         self.next_seq = np.zeros(n, dtype=np.int64)
         self.retry_len = np.zeros(n, dtype=np.int64)
         self.retry = [NO_SEQS] * n

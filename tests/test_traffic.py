@@ -20,7 +20,7 @@ from axsim.traffic import CbrFlow, FlowStats, FlowTable
 def cbr(rate_bps: float = 13e6, phase_ns: int = 12_345) -> CbrFlow:
     # 1500-byte packets at 13 Mbps: a non-integer interval, so enqueue
     # times depend on the rounding
-    return FlowTable([7], [rate_bps], 1500, [phase_ns]).flows[0]
+    return FlowTable([7], rate_bps, 1500, [phase_ns]).flows[0]
 
 
 class ScalarQueue:
@@ -69,11 +69,11 @@ def test_take_and_requeue_follow_the_per_packet_queue():
 def test_the_array_backlog_follows_each_flow_of_the_bss():
     """A BSS's flow arrays against a per-packet queue per flow, over a
     random script of times, takes and requeues: 13 Mbps flows (a
-    non-integer interval), one at 1 Mbps whose phase is still ahead for a
-    while, and one at rate 0 that only ever holds what it is given back."""
-    rates = [13e6, 13e6, 1e6, 0.0, 13e6]
+    non-integer interval), one whose phase is still ahead for a while, and
+    one scripted to rate 0 that only ever holds what it is given back."""
     phases = [0, 12_345, 400_000_000, 0, 923_077]
-    table = FlowTable([10, 11, 12, 13, 14], rates, 1500, phases)
+    table = FlowTable([10, 11, 12, 13, 14], 13e6, 1500, phases)
+    table.interval_ns[3] = math.inf
     refs = [ScalarQueue(flow) for flow in table.flows]
     script = random.Random(11)
     now = 0
